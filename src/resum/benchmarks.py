@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .borel import BorelConfig, borel_sum
-from .errors import SelectionError
+from .errors import SelectionError, SolverError
 from .mapping import MappingFamily, MappingSpec, build_rho_table
 from .models import (
     anharmonic_ground_coeffs,
@@ -34,6 +34,7 @@ from .odm import (
     exponents_at,
     fixed_point,
 )
+from .poly import bracket_solve
 from .precision import to_mpf, workdps
 from .saddle import d0_exact_rate, predicted_R, solve_saddle
 from .series import ratio_growth_constant
@@ -410,26 +411,11 @@ def run_phi4_exponents(digits=64, g_star="1.411"):
 
 def _borel_zero(series, cfg, lo="0.5", hi="3.0"):
     """Zero of the mapped Borel sum of a flow series on [lo, hi], or None."""
-    lo, hi = to_mpf(lo), to_mpf(hi)
-
-    def f(g):
-        return borel_sum(series, cfg, g)
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0:
+    try:
+        return bracket_solve(lambda g: borel_sum(series, cfg, g), to_mpf(lo), to_mpf(hi),
+                             mpf("1e-10"))
+    except SolverError:  # no sign change on the window (or no convergence): no zero
         return None
-    for _ in range(48):
-        mid = (lo + hi) / 2
-        f_mid = f(mid)
-        if f_mid == 0:
-            return mid
-        if f_mid * f_lo < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= mpf("1e-10") * mid:
-            break
-    return (lo + hi) / 2
 
 
 def run_borel_map_exponents(digits=40, sigmas=(0, 1, 2, 3)):

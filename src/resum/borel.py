@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
+from .poly import horner, polynomial_real_roots
 from .precision import to_mpf, tolerance
 from .series import PowerSeries, compose
 
@@ -138,11 +139,7 @@ def borel_sum(s, cfg, g, full_output=False):
         coeffs = mapped.coeffs[: order + 1]
 
         def f(t):
-            u = u_of_z(g * t, cfg.a)
-            acc = mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * u + c
-            return acc
+            return horner(coeffs, u_of_z(g * t, cfg.a))
 
         return _laplace_quad(f, cfg.sigma, rel_tol, cfg.quad_max_degree)
 
@@ -172,8 +169,6 @@ def borel_pade_sum(s, sigma, L, M, g, rel_tol=None, max_degree=10,
     b = borel_leroy_transform(s, sigma)
     approx = pade_fit(b, L, M)
     if M > 0:
-        from .odm import polynomial_real_roots
-
         try:
             poles = polynomial_real_roots(approx.denominator)
         except UsageError:
@@ -190,13 +185,7 @@ def borel_pade_sum(s, sigma, L, M, g, rel_tol=None, max_degree=10,
 
     def f(t):
         z = g * t
-        nacc = mpf(0)
-        for c in reversed(num):
-            nacc = nacc * z + c
-        dacc = mpf(0)
-        for c in reversed(den):
-            dacc = dacc * z + c
-        return nacc / dacc
+        return horner(num, z) / horner(den, z)
 
     val, quad_err = _laplace_quad(f, to_mpf(sigma), rel_tol, max_degree)
     if not full_output:

@@ -38,7 +38,7 @@ import os
 import sys
 import time
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import benchmarks
 from .borel import BorelConfig, borel_pade_sum, borel_sum
@@ -72,21 +72,20 @@ GENERATORS = {
 }
 
 _KNOWN_KEYS = {"name", "variable", "coefficients", "generator", "order",
-               "large_order_A", "large_order_b"}
+               "large_order_A"}
 
 
 class SeriesFile:
     """Parsed series file: explicit coefficients or a named generator."""
 
     def __init__(self, name, variable, coefficients=None, generator=None,
-                 order=None, large_order_A=None, large_order_b=None):
+                 order=None, large_order_A=None):
         self.name = name
         self.variable = variable
         self.coefficients = coefficients
         self.generator = generator
         self.order = order
         self.large_order_A = large_order_A
-        self.large_order_b = large_order_b
 
     def build(self):
         """Materialize the series at the active working precision."""
@@ -103,8 +102,6 @@ class SeriesFile:
             out["coefficients"] = list(self.coefficients)
         if self.large_order_A is not None:
             out["large_order_A"] = self.large_order_A
-        if self.large_order_b is not None:
-            out["large_order_b"] = self.large_order_b
         return out
 
 
@@ -182,17 +179,15 @@ def parse_series_file(path):
             except Exception:
                 raise ParseError("cannot parse coefficient %r" % text, lineno)
             coefficients.append(text)
-    for key in ("large_order_A", "large_order_b"):
-        if key in fields:
-            try:
-                to_mpf(fields[key][0])
-            except Exception:
-                raise ParseError("cannot parse %s value %r" % (key, fields[key][0]),
-                                 fields[key][1])
+    if "large_order_A" in fields:
+        text, lineno = fields["large_order_A"]
+        try:
+            to_mpf(text)
+        except Exception:
+            raise ParseError("cannot parse large_order_A value %r" % text, lineno)
     return SeriesFile(
         name=name, variable=variable, coefficients=coefficients,
-        generator=generator, order=order,
-        large_order_A=take("large_order_A"), large_order_b=take("large_order_b"),
+        generator=generator, order=order, large_order_A=take("large_order_A"),
     )
 
 
@@ -218,7 +213,6 @@ def build_parser():
     parser = _Parser(prog="resum",
                      description="Summation toolkit for divergent power series")
     parser.add_argument("--precision", "-p", type=int,
-                        default=int(os.environ.get("RESUM_PRECISION", DEFAULT_DIGITS)),
                         help="decimal working digits (env RESUM_PRECISION; default %d)"
                         % DEFAULT_DIGITS)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,10 +261,27 @@ def build_parser():
     return parser
 
 
-def _parse_g(text):
+def parse_coupling(text):
+    """A ``--g`` value: a finite number, or ``inf``/``infinity``/``oo``."""
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return mp.inf
-    return to_mpf(text)
+    try:
+        g = to_mpf(text)
+    except (ValueError, ZeroDivisionError):
+        g = None
+    if g is None or not (mp.isfinite(g) or g == mp.inf):
+        raise UsageError("--g must be a finite number or inf, got %r" % text)
+    return g
+
+
+def _env_precision():
+    text = os.environ.get("RESUM_PRECISION")
+    if text is None:
+        return DEFAULT_DIGITS
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("RESUM_PRECISION must be an integer, got %r" % text) from None
 
 
 def _mapping_from_args(args):
@@ -290,7 +301,7 @@ def _criterion_from_args(args):
 def cmd_sum(args, stdout):
     spec_file = parse_series_file(args.series_file)
     series = spec_file.build()
-    g = _parse_g(args.g)
+    g = parse_coupling(args.g)
     result = {"series": spec_file.name, "method": args.method}
     diagnostics = {}
     if args.method == "pade":
@@ -377,7 +388,7 @@ def cmd_study(args, stdout):
     if args.max_order > series.order - 1:
         raise UsageError("--max-order must be at most series order - 1 (%d)"
                          % (series.order - 1))
-    g = _parse_g(args.g)
+    g = parse_coupling(args.g)
     mapping = _mapping_from_args(args)
     table = build_rho_table(series, mapping)
     oracle = None
@@ -443,6 +454,8 @@ def main(argv=None, stdout=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.precision is None:
+            args.precision = _env_precision()
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

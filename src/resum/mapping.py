@@ -5,7 +5,8 @@ variable confined to the unit interval, with an adjustable scale ``rho``.
 Re-expanding a series through the mapping (optionally with a ``(1-lambda)^p``
 prefactor split off, or with the covariant weight used for beta functions)
 produces coefficients that are polynomials in ``rho`` -- the raw material the
-order-by-order tuning in :mod:`resum.odm` works on.
+order-by-order tuning in :mod:`resum.odm` works on.  The inversion
+``lambda(g)`` uses the bracketed solver of :mod:`resum.poly`.
 """
 
 import enum
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, SolverError, UsageError
+from .errors import DomainError, UsageError
+from .poly import bracket_solve, horner
 from .precision import to_mpf, tolerance
 from .series import PowerSeries, binomial_series, _mul_trunc
 
@@ -92,52 +94,41 @@ def g_of_lambda(lam, rho, mapping):
 def lambda_of_g(g, rho, mapping):
     """Invert ``g = rho zeta(lambda)`` on the principal branch ``lambda in [0, 1)``.
 
-    ``g = inf`` maps to ``lambda = 1`` exactly.  Safeguarded Newton from an
-    asymptotics-aware seed, with bisection fallback; accurate to
-    ``10^(6 - digits)`` relative.
+    ``g = inf`` maps to ``lambda = 1`` exactly.  Finite ``g`` is solved by
+    bracketed Newton on ``[0, 1 - d]``, where ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))``
+    puts ``zeta`` above ``g/rho`` in both families, so ``lambda = 1`` (where
+    ``zeta`` is infinite) is never evaluated; accurate to ``10^(6 - digits)``
+    relative.
     """
     rho = to_mpf(rho)
-    if rho <= 0:
+    if not rho > 0:
         raise UsageError("rho must be positive")
     if g == mp.inf:
         return mpf(1)
     g = to_mpf(g)
-    if g < 0:
-        raise DomainError("inversion implemented on the real branch g >= 0 only")
+    if not g >= 0:
+        raise DomainError("inversion implemented on the real branch g >= 0 only, got %s" % g)
     if g == 0:
         return mpf(0)
     alpha = mapping.alpha
     w = g / rho
-    # Seed from the two ends of the interval.
+    hi = 1 - min(mpf("0.5"), (2 + 2 * w) ** (-1 / alpha))
+    if hi == 1:
+        raise DomainError("g/rho = %s is too large to resolve lambda below 1 at %d digits"
+                          % (mp.nstr(w, 8), mp.dps))
     if mapping.family is MappingFamily.POWER_CUT:
-        seed = 1 - (1 / w) ** (1 / alpha) if w > 1 else w / (1 + w)
+        def f(lam):
+            return lam * (1 - lam) ** (-alpha) - w
+
+        def df(lam):
+            return (1 - lam) ** (-alpha - 1) * (1 + (alpha - 1) * lam)
     else:
-        seed = 1 - (1 + w) ** (-1 / alpha)
-    lo, hi = mpf(0), mpf(1)
-    lam = min(max(seed, tolerance()), 1 - tolerance())
-    tol = tolerance(6)
-    for _ in range(mp.prec + 40):
-        one_minus = 1 - lam
-        if mapping.family is MappingFamily.POWER_CUT:
-            val = lam * one_minus ** (-alpha) - w
-            deriv = one_minus ** (-alpha - 1) * (1 + (alpha - 1) * lam)
-        else:
-            val = one_minus ** (-alpha) - 1 - w
-            deriv = alpha * one_minus ** (-alpha - 1)
-        if val == 0:
-            return lam
-        if val > 0:
-            hi = lam
-        else:
-            lo = lam
-        step = val / deriv
-        nxt = lam - step
-        if not (lo < nxt < hi):
-            nxt = (lo + hi) / 2
-        if abs(nxt - lam) <= tol * max(abs(lam), tolerance()):
-            return nxt
-        lam = nxt
-    raise SolverError("mapping inversion did not converge")
+        def f(lam):
+            return (1 - lam) ** (-alpha) - 1 - w
+
+        def df(lam):
+            return alpha * (1 - lam) ** (-alpha - 1)
+    return bracket_solve(f, mpf(0), hi, tolerance(6), df=df)
 
 
 @dataclass(frozen=True)
@@ -153,24 +144,8 @@ class RhoPolynomialTable:
     source_order: int
     source: PowerSeries = field(repr=False, compare=False, default=None)
 
-    def __len__(self):
-        return len(self.polys)
-
-    def poly(self, k):
-        return self.polys[k]
-
     def eval_poly(self, k, rho):
-        acc = mpf(0)
-        for c in reversed(self.polys[k]):
-            acc = acc * rho + c
-        return acc
-
-    def eval_dpoly(self, k, rho):
-        acc = mpf(0)
-        poly = self.polys[k]
-        for j in range(len(poly) - 1, 0, -1):
-            acc = acc * rho + j * poly[j]
-        return acc
+        return horner(self.polys[k], rho)
 
     def lambda_coeffs(self, rho, order=None):
         """The numeric lambda-series ``P_0(rho) .. P_order(rho)``."""

@@ -3,24 +3,28 @@
 Given a table of mapped-series polynomials ``P_k(rho)``, the summation scheme
 retunes ``rho`` at each truncation order so the last retained term (or its
 derivative) vanishes, evaluates the truncated lambda-series there, and reads
-the next coefficient as an error estimate.  On top of the per-order machinery
-sit the fixed-point and exponent extractors for flow functions and the
-convergence study with its slope fits.
+the next coefficient as an error estimate; the candidate scales are the
+polynomial roots found by :mod:`resum.poly`.  On top of the per-order
+machinery sit the fixed-point and exponent extractors for flow functions and
+the convergence study with its slope fits.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from mpmath import mp, mpc, mpf, polyroots
+from mpmath import mp, mpc, mpf
 
 from .errors import (
     FitError,
     FixedPointError,
     SelectionError,
-    SolverError,
     UsageError,
 )
 from .mapping import MappingFamily, lambda_of_g
+from .poly import all_roots, derivative_coeffs, horner, positive_roots, strip_zeros
+# Re-exported: callers, and the benchmark tracer in perfbench/, look these
+# up on this module.
+from .poly import polynomial_real_roots, polyroots  # noqa: F401
 from .precision import to_mpf, tolerance
 
 
@@ -80,218 +84,6 @@ class OdmReport:
     delta: object = None       # oracle - value, when an oracle was supplied
 
 
-def _poly_eval(coeffs, x):
-    acc = coeffs[-1] * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_derivative(coeffs):
-    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
-
-
-def _all_roots(coeffs):
-    """Every root of an mpf-coefficient polynomial (ascending coefficients)."""
-    monic = list(reversed(coeffs))
-    try:
-        return list(polyroots(monic, maxsteps=400, extraprec=max(mp.prec, 120)))
-    except mp.NoConvergence as exc:
-        raise SolverError("polynomial root iteration did not converge") from exc
-
-
-def polynomial_real_roots(coeffs):
-    """All real roots of a polynomial given by ascending coefficients.
-
-    Keeps roots whose imaginary part is negligible at working precision,
-    validates each against the residual scale
-    ``sum_j |c_j| |r|^j * 10^(8 - digits)``, and merges near-identical values
-    (so repeated roots are reported once, without multiplicity counts).
-    Roots are returned sorted ascending.
-    """
-    coeffs = [to_mpf(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    degree = len(coeffs) - 1
-    if degree < 1:
-        raise UsageError("degree must be >= 1 for root finding")
-    # Trailing zero coefficients factor out as a root at the origin.
-    zero_root = False
-    lead = 0
-    while coeffs[lead] == 0:
-        lead += 1
-        zero_root = True
-    coeffs = coeffs[lead:]
-    roots = []
-    if len(coeffs) > 1:
-        res_tol = tolerance(8)
-        imag_tol = tolerance(mp.dps // 2)
-        for r in _all_roots(coeffs):
-            if abs(mp.im(r)) > imag_tol * max(1, abs(r)):
-                continue
-            r = mp.re(r)
-            scale = mp.fsum(abs(c) * abs(r) ** j for j, c in enumerate(coeffs))
-            if scale == 0:
-                scale = mpf(1)
-            if abs(_poly_eval(coeffs, r)) > scale * res_tol:
-                continue
-            roots.append(r)
-    if zero_root:
-        roots.append(mpf(0))
-    roots.sort()
-    merged = []
-    merge_tol = tolerance(mp.dps // 2)
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= merge_tol * max(1, abs(r)):
-            continue
-        merged.append(r)
-    return merged
-
-
-def _fujiwara_bound(coeffs):
-    """Upper bound on root moduli: ``2 max_j |c_j/c_d|^(1/(d-j))``."""
-    d = len(coeffs) - 1
-    cd = abs(coeffs[-1])
-    best = mpf(0)
-    for j in range(d):
-        if coeffs[j] == 0:
-            continue
-        r = (abs(coeffs[j]) / cd) ** (mpf(1) / (d - j))
-        if r > best:
-            best = r
-    return 2 * best if best > 0 else mpf(1)
-
-
-def _smallest_root_bound(coeffs):
-    """Lower bound on root moduli via the reversed-polynomial Cauchy bound."""
-    c0 = abs(coeffs[0])
-    if c0 == 0:
-        return mpf(0)
-    m = max(abs(c) for c in coeffs[1:])
-    return c0 / (c0 + m)
-
-
-def _bisect_newton(coeffs, dcoeffs, lo, hi, f_lo):
-    """Polish a bracketed simple root: bisection to 1e-4 relative, then Newton.
-
-    Runs with guard digits so the achievable accuracy is set by the root's
-    conditioning well below the caller's working precision.
-    """
-    with mp.extradps(20):
-        for _ in range(24):
-            mid = (lo + hi) / 2
-            fm = _poly_eval(coeffs, mid)
-            if fm == 0:
-                return mid
-            if fm * f_lo < 0:
-                hi = mid
-            else:
-                lo, f_lo = mid, fm
-            if hi - lo <= mpf("1e-4") * hi:
-                break
-        x = (lo + hi) / 2
-        tol = mpf(10) ** (-mp.dps + 4)
-        for _ in range(40):
-            fx = _poly_eval(coeffs, x)
-            dfx = _poly_eval(dcoeffs, x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            nxt = x - step
-            if not (lo <= nxt <= hi):
-                nxt = (lo + hi) / 2
-            if abs(nxt - x) <= tol * max(abs(nxt), tol):
-                return +nxt
-            x = nxt
-        return +x
-
-
-def _scan_positive_roots(coeffs, per_octave=8):
-    """Positive real roots by descending geometric sign scan, largest first.
-
-    Walks a geometric grid from above the Fujiwara bound down to below the
-    smallest-root bound, bisecting every sign change; grid cells where the
-    polynomial magnitude dips to a local minimum without changing sign are
-    re-sampled sixteen times finer to catch close root pairs.  Intended for
-    the simple, well-separated positive roots of mapped-series polynomials;
-    arbitrary input should go through :func:`polynomial_real_roots`.
-    """
-    dcoeffs = _poly_derivative(coeffs)
-    hi = _fujiwara_bound(coeffs) * mpf("1.01")
-    lo = _smallest_root_bound(coeffs) / 2
-    if lo <= 0 or lo >= hi:
-        lo = hi * mpf("1e-20")
-    n = max(int(mp.ceil(mp.log(hi / lo, 2) * per_octave)), 8)
-    if n > 4000:
-        n = 4000
-    ratio = (lo / hi) ** (mpf(1) / n)
-    xs = [hi]
-    for _ in range(n):
-        xs.append(xs[-1] * ratio)
-    vals = [_poly_eval(coeffs, x) for x in xs]
-    roots = []
-
-    def handle_cell(a, b, fa, fb, depth):
-        # a > b on the descending walk
-        if fa == 0:
-            roots.append(a)
-            return
-        if fa * fb < 0:
-            roots.append(_bisect_newton(coeffs, dcoeffs, b, a, fb))
-            return
-        if depth <= 0:
-            return
-        step = (a / b) ** (mpf(1) / 16)
-        sub = [b * step ** j for j in range(17)]
-        fsub = [_poly_eval(coeffs, x) for x in sub]
-        for j in range(16, 0, -1):
-            if fsub[j] * fsub[j - 1] < 0:
-                roots.append(_bisect_newton(coeffs, dcoeffs, sub[j - 1], sub[j], fsub[j - 1]))
-
-    for i in range(n):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0 or fa == 0:
-            handle_cell(a, b, fa, fb, 0)
-        else:
-            # Dip cells: magnitude local minimum with no sign change.
-            here = abs(fb)
-            left = abs(fa)
-            right = abs(vals[i + 2]) if i + 2 <= n else None
-            if right is not None and here < left and here < right:
-                handle_cell(a, b, fa, fb, 1)
-                handle_cell(b, xs[i + 2], fb, vals[i + 2], 1)
-    if vals[-1] == 0:
-        roots.append(xs[-1])
-    out = []
-    for r in roots:  # already descending
-        if out and abs(r - out[-1]) <= tolerance(mp.dps // 2) * max(1, abs(r)):
-            continue
-        out.append(r)
-    return out
-
-
-_SCAN_DEGREE_MIN = 13
-
-
-def _positive_candidates(coeffs, thorough=False):
-    """Positive real roots, largest first, for the selection machinery.
-
-    Low degrees (and ``thorough=True``) go through the complete solver;
-    large mapped-table polynomials use the descending scan.
-    """
-    stripped = list(coeffs)
-    while stripped and stripped[-1] == 0:
-        stripped.pop()
-    if len(stripped) - 1 < 1:
-        return []
-    eps = tolerance(mp.dps // 2)
-    if thorough or len(stripped) - 1 < _SCAN_DEGREE_MIN:
-        roots = polynomial_real_roots(stripped)
-        return [r for r in sorted(roots, reverse=True) if r > eps]
-    return [r for r in _scan_positive_roots(stripped) if r > eps]
-
-
 def _candidate_pools(coeffs, width):
     """Real positive candidates, near-real pairs, and wide fallback pairs.
 
@@ -300,14 +92,12 @@ def _candidate_pools(coeffs, width):
     keeps any remaining pair with nonnegative real part, the last resort when
     nothing else exists.
     """
-    stripped = list(coeffs)
-    while stripped and stripped[-1] == 0:
-        stripped.pop()
-    if len(stripped) - 1 < 1:
+    stripped = strip_zeros(coeffs)
+    if len(stripped) < 2:
         return [], [], []
     eps = tolerance(mp.dps // 2)
     reals, near, wide = [], [], []
-    for r in _all_roots(stripped):
+    for r in all_roots(stripped):
         re, im = mp.re(r), mp.im(r)
         if abs(im) <= eps * max(1, abs(r)):
             if re > eps:
@@ -334,7 +124,7 @@ def _gather(poly, criterion, thorough, allow_complex):
         pool = sorted(reals + near, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
         wide = sorted(wide, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
         return pool, wide
-    return _positive_candidates(poly, thorough), []
+    return positive_roots(poly, thorough), []
 
 
 def select_rho(table, k, criterion, thorough=False, allow_complex=False):
@@ -357,7 +147,7 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         raise UsageError("order k=%d outside table range 1..%d" % (k, table.source_order))
     tau = criterion.smallness_factor
     poly = table.polys[k]
-    dpoly = _poly_derivative(poly)
+    dpoly = derivative_coeffs(poly)
     if all(c == 0 for c in poly):
         # A vanishing tuning polynomial leaves the scale free (constant
         # sources): any rho reproduces the value, so report unit scale.
@@ -385,8 +175,8 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
     examined = []
     chosen = None
     for rho in pool:
-        pval = abs(_poly_eval(poly, rho))
-        dval = abs(_poly_eval(dpoly, rho)) if dpoly else mpf(0)
+        pval = abs(horner(poly, rho))
+        dval = abs(horner(dpoly, rho))
         examined.append((rho, pval, dval))
         scale = _neighbor_scale(table, k, rho)
         if mode is SelectionMode.ROOT:
@@ -403,8 +193,8 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
     if chosen is None:
         # Wide complex pairs: deliberate last resort, largest modulus wins.
         chosen = wide[0]
-        pval = abs(_poly_eval(poly, chosen))
-        dval = abs(_poly_eval(dpoly, chosen)) if dpoly else mpf(0)
+        pval = abs(horner(poly, chosen))
+        dval = abs(horner(dpoly, chosen))
         examined.append((chosen, pval, dval))
     is_complex = isinstance(chosen, mpc) or (hasattr(chosen, "imag") and mp.im(chosen) != 0)
     return OdmReport(
@@ -450,10 +240,7 @@ def odm_value(table, k, criterion, g, allow_complex=False):
             lam = 1 - (1 + g / rho) ** (-1 / mapping.alpha)
         else:
             lam = lambda_of_g(g, rho, mapping)
-        acc = lam * 0
-        for c in reversed(coeffs):
-            acc = acc * lam + c
-        value = (1 - lam) ** mapping.prefactor_p * acc
+        value = (1 - lam) ** mapping.prefactor_p * horner(coeffs, lam)
         if sel.is_complex:
             value = mp.re(value)
     err = None
@@ -516,10 +303,7 @@ def fixed_point(table, k, criterion):
         reduced.pop()
     if len(reduced) < 2:
         raise FixedPointError("truncated flow has no zero beyond the origin at order %d" % k)
-    try:
-        roots = polyroots(list(reversed(reduced)), maxsteps=300, extraprec=max(mp.prec, 160))
-    except mp.NoConvergence as exc:
-        raise SolverError("flow polynomial roots did not converge") from exc
+    roots = all_roots(reduced)
     real_tol = tolerance(mp.dps // 3)
     in_window = [r for r in roots if 0 < mp.re(r) < 1]
     if not in_window:
@@ -530,8 +314,8 @@ def fixed_point(table, k, criterion):
         lam_star = mp.re(lam_star)
     one_minus = 1 - lam_star
     g_star = rho * (one_minus ** (-alpha) - 1)
-    beta_val = _poly_eval(coeffs, lam_star)
-    beta_deriv = _poly_eval(_poly_derivative(coeffs), lam_star)
+    beta_val = horner(coeffs, lam_star)
+    beta_deriv = horner(derivative_coeffs(coeffs), lam_star)
     # d beta/d g at the zero via the chain rule; the first term vanishes
     # there because lambda_star is an exact root of the truncated flow.
     omega = beta_deriv + (alpha + 1) * beta_val / one_minus
@@ -645,19 +429,24 @@ def _least_squares(points):
     return slope, (sy - slope * sx) / n
 
 
+def _parity_fit(rows):
+    """Least-squares line through ``(k, x, y)`` rows, with the slopes of the
+    even-``k`` and odd-``k`` rows alongside."""
+    slope, intercept = _least_squares([(x, y) for _, x, y in rows])
+    even = [(x, y) for k, x, y in rows if k % 2 == 0]
+    odd = [(x, y) for k, x, y in rows if k % 2 == 1]
+    return LinearFit(slope=slope, intercept=intercept,
+                     slope_even=_least_squares(even)[0],
+                     slope_odd=_least_squares(odd)[0], n_points=len(rows))
+
+
 def linear_fit(points):
     """Fit ``y = slope x + intercept`` on all points and on each parity class
     of the integer abscissa."""
     pts = [(to_mpf(x), to_mpf(y)) for x, y in points]
     if len(pts) < 2:
         raise FitError("need at least two points to fit")
-    slope, intercept = _least_squares(pts)
-    even = [(x, y) for x, y in pts if int(round(float(x))) % 2 == 0]
-    odd = [(x, y) for x, y in pts if int(round(float(x))) % 2 == 1]
-    se = _least_squares(even)[0] if len(even) >= 2 else None
-    so = _least_squares(odd)[0] if len(odd) >= 2 else None
-    return LinearFit(slope=slope, intercept=intercept, slope_even=se,
-                     slope_odd=so, n_points=len(pts))
+    return _parity_fit([(int(round(float(x))), x, y) for x, y in pts])
 
 
 @dataclass(frozen=True)
@@ -711,11 +500,7 @@ def convergence_study(table, criterion, K, g, oracle=None, fit_min_order=5,
         except SelectionError:
             continue
         if exact is not None:
-            rep = OdmReport(
-                k=rep.k, rho=rep.rho, candidates=rep.candidates, mode=rep.mode,
-                flagged=rep.flagged, g=rep.g, lam=rep.lam, value=rep.value,
-                error_estimate=rep.error_estimate, delta=exact - rep.value,
-            )
+            rep = replace(rep, delta=exact - rep.value)
         reports.append(rep)
     usable = [r for r in reports if r.k >= fit_min_order]
     if len(usable) < 6:
@@ -736,16 +521,7 @@ def convergence_study(table, criterion, K, g, oracle=None, fit_min_order=5,
         rate_rows.append((r.k, absc(r.k), mp.log(size)))
     if len(rate_rows) < 6:
         raise FitError("fewer than six orders carry a usable error measure")
-    slope, intercept = _least_squares([(x, y) for _, x, y in rate_rows])
-    even = [(x, y) for k, x, y in rate_rows if k % 2 == 0]
-    odd = [(x, y) for k, x, y in rate_rows if k % 2 == 1]
-    rate_fit = LinearFit(
-        slope=slope,
-        intercept=intercept,
-        slope_even=_least_squares(even)[0] if len(even) >= 2 else None,
-        slope_odd=_least_squares(odd)[0] if len(odd) >= 2 else None,
-        n_points=len(rate_rows),
-    )
+    rate_fit = _parity_fit(rate_rows)
     mean_slope = inv_rho_fit.parity_mean_slope
     r_slope = 1 / mean_slope if mean_slope not in (None, 0) else None
     r_corrected = _corrected_r(usable, alpha)

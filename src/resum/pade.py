@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DegeneracyError, PoleError, UsageError
+from .poly import horner
 from .precision import to_mpf, tolerance
 
 
@@ -34,13 +35,6 @@ class PadeApproximant:
     @property
     def M(self):
         return len(self.denominator) - 1
-
-
-def _horner(coeffs, x):
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def pade_fit(s, L, M):
@@ -143,13 +137,15 @@ def pade_eval(approx, g, pole_scale=None):
 
     Raises :class:`PoleError` when the denominator magnitude falls below the
     pole-proximity scale (``10^(-digits/2)`` times its coefficient size by
-    default).
+    default), and :class:`UsageError` for a non-finite ``g``.
     """
     g = to_mpf(g)
-    den = _horner(approx.denominator, g)
+    if not mp.isfinite(g):
+        raise UsageError("Pade evaluation needs a finite g, got %s" % g)
+    den = horner(approx.denominator, g)
     scale = mp.fsum(abs(c) * abs(g) ** j for j, c in enumerate(approx.denominator))
     if pole_scale is None:
         pole_scale = tolerance(mp.dps // 2)
     if abs(den) <= pole_scale * max(scale, mpf(1)):
         raise PoleError("denominator vanishes near g = %s" % mp.nstr(g, 8))
-    return _horner(approx.numerator, g) / den
+    return horner(approx.numerator, g) / den

@@ -40,11 +40,6 @@ class Precision:
         return mp.workdps(self.decimal_digits)
 
 
-def working_digits():
-    """Decimal digits of the active mpmath context."""
-    return mp.dps
-
-
 def workdps(digits):
     """``mp.workdps`` accepting ``None`` as "keep the active precision"."""
     return mp.workdps(mp.dps if digits is None else Precision(digits).decimal_digits)

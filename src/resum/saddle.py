@@ -5,7 +5,8 @@ tail, the decay rate of the tuned polynomials is governed by a saddle point
 at negative ``lambda``.  Eliminating the scale leaves a two-equation system
 in ``(mu, lambda)`` whose solution predicts ``R = mu * A`` for the asymptotic
 scale trajectory ``rho_k ~ R / k``.  The d=0 partition function admits an
-exact one-equation version with an explicit geometric rate.
+exact one-equation version with an explicit geometric rate.  Both scalar
+equations go to the bracketed solver of :mod:`resum.poly`.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import SolverError, UsageError
+from .poly import bracket_solve
 from .precision import to_mpf, tolerance, workdps
 
 
@@ -47,7 +49,7 @@ def solve_saddle(alpha, digits=None):
 
     The first equation fixes ``mu`` as a function of the saddle ``lambda``;
     substituting into the second leaves a scalar root problem on ``(-1, 0)``,
-    solved by scanning for a sign change and bisecting with Newton polish.
+    bracketed by scanning for a sign change and solved by false position.
     Among multiple sign changes the one closest to the origin with positive
     ``mu`` is kept (the other branches are spurious).
     """
@@ -73,31 +75,7 @@ def solve_saddle(alpha, digits=None):
             prev_lam, prev_val = lam, val
         if bracket is None:
             raise SolverError("no sign change of the reduced saddle equation")
-        hi, lo = bracket  # hi closer to zero (h(hi), h(lo) have opposite signs)
-        f_hi = h(hi)
-        for _ in range(mp.prec + 20):
-            mid = (hi + lo) / 2
-            f_mid = h(mid)
-            if f_mid == 0:
-                hi = lo = mid
-                break
-            if f_mid * f_hi < 0:
-                lo = mid
-            else:
-                hi, f_hi = mid, f_mid
-            if abs(hi - lo) < tolerance(2) * abs(mid):
-                break
-        lam = (hi + lo) / 2
-        # Newton polish on h with a central difference sized for accuracy.
-        for _ in range(8):
-            val = h(lam)
-            step = mpf(10) ** (-(mp.dps // 2)) * max(abs(lam), mpf("1e-3"))
-            dval = (h(lam + step) - h(lam - step)) / (2 * step)
-            if dval == 0:
-                break
-            nxt = lam - val / dval
-            if -1 < nxt < 0 and abs(nxt - lam) < abs(hi - lo) + step:
-                lam = nxt
+        lam = bracket_solve(h, bracket[0], bracket[1], tolerance(4))
         mu = mu_of_lambda(lam)
         res1 = abs(mu + (1 / lam) * (1 - lam) ** (alpha - 1) * ((alpha - 1) * lam + 1))
         res2 = abs(second(lam, mu))
@@ -117,30 +95,11 @@ def d0_exact_rate(digits=None):
             root = mp.sqrt(R * R + 9)
             return mp.exp(root / R) - (root + R) / 3
 
-        lo, hi = mpf(3), mpf(6)
-        f_lo = q(lo)
-        for _ in range(mp.prec + 20):
-            mid = (lo + hi) / 2
-            f_mid = q(mid)
-            if f_mid == 0:
-                lo = hi = mid
-                break
-            if f_mid * f_lo > 0:
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-            if abs(hi - lo) < tolerance(4) * mid:
-                break
-        R = (lo + hi) / 2
-        for _ in range(8):
-            val = q(R)
+        def dq(R):
             root = mp.sqrt(R * R + 9)
-            dval = mp.exp(root / R) * (-9 / (root * R * R)) - (R / root + 1) / 3
-            if dval == 0:
-                break
-            nxt = R - val / dval
-            if 3 < nxt < 6:
-                R = nxt
+            return mp.exp(root / R) * (-9 / (root * R * R)) - (R / root + 1) / 3
+
+        R = bracket_solve(q, mpf(3), mpf(6), tolerance(4), df=dq)
         return +R, +mp.exp(-3 / R)
 
 

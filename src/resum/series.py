@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from mpmath import isfinite, mp, mpf
 
 from .errors import DiagnosticError, DomainError, UsageError
+from .poly import derivative_coeffs, horner
 from .precision import to_mpf
 
 
@@ -79,13 +80,7 @@ class PowerSeries:
 
     def eval(self, x, terms=None):
         """Partial sum of the first ``terms`` coefficients (all by default) at ``x``."""
-        n = len(self.coeffs) if terms is None else min(terms, len(self.coeffs))
-        if n <= 0:
-            return mpf(0)
-        acc = self.coeffs[n - 1]
-        for k in range(n - 2, -1, -1):
-            acc = acc * x + self.coeffs[k]
-        return acc
+        return horner(self.coeffs if terms is None else self.coeffs[:max(terms, 0)], x)
 
 
 def multiply(a, b):
@@ -144,12 +139,8 @@ def compose(outer, inner):
 
 
 def derivative(s):
-    """Termwise derivative; the order drops by one."""
-    if s.order == 0:
-        return PowerSeries((mpf(0),), s.var)
-    return PowerSeries(
-        tuple(k * s.coeffs[k] for k in range(1, s.order + 1)), s.var
-    )
+    """Termwise derivative; the order drops by one (a constant gives zero)."""
+    return PowerSeries(derivative_coeffs(s.coeffs) or (mpf(0),), s.var)
 
 
 def reciprocal(s):

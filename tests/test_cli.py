@@ -60,10 +60,12 @@ class TestSeriesFileParsing:
             parse_series_file(write(tmp_path, "name: empty\n"))
 
     def test_unknown_field_carries_line_number(self, tmp_path):
-        text = "name: x\nbogus: 1\ncoefficients: 1\n"
-        with pytest.raises(ParseError) as err:
-            parse_series_file(write(tmp_path, text))
-        assert "line 2" in str(err.value)
+        for field in ("bogus", "large_order_b"):
+            text = "name: x\n%s: 1\ncoefficients: 1\n" % field
+            with pytest.raises(ParseError) as err:
+                parse_series_file(write(tmp_path, text))
+            assert "line 2" in str(err.value)
+            assert "unknown field" in str(err.value)
 
     def test_bad_coefficient_reported(self, tmp_path):
         with pytest.raises(ParseError) as err:
@@ -107,9 +109,26 @@ class TestSumCommand:
 
         assert abs(value - d0_partition_value("0.5")) < mpf("1e-6")
 
-    def test_missing_flags_exit_one(self, tmp_path, capsys):
+    def test_missing_flags_exit_one(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
-        assert main(["sum", path, "--method", "pade", "--g", "1"]) == 1
+        d0_path = write(tmp_path, D0_FILE, "d0.txt")
+        pade = ["--method", "pade", "--L", "0", "--M", "1"]
+        cases = [
+            ({}, ["sum", path, "--method", "pade", "--g", "1"]),
+            ({}, ["sum", path] + pade + ["--g", "abc"]),
+            ({}, ["sum", path] + pade + ["--g", "nan"]),
+            ({"RESUM_PRECISION": "abc"}, ["sum", path] + pade + ["--g", "1"]),
+            ({}, ["sum", d0_path, "--method", "pade", "--L", "4", "--M", "4", "--g", "inf"]),
+        ]
+        for env, argv in cases:
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+            assert "Traceback" not in err
+            for key in env:
+                monkeypatch.delenv(key)
 
     def test_borel_pade_agrees_with_borel_map_on_flow_series(self, tmp_path, capsys):
         # [4/2] keeps the rational transform free of positive-axis poles for

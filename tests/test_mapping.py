@@ -95,8 +95,10 @@ def test_lambda_of_g_quadratic_case():
 def test_lambda_of_g_rejects_negative():
     from resum import DomainError
 
-    with pytest.raises(DomainError):
-        lambda_of_g(-1, 1, MappingSpec(POWER_CUT, 2))
+    # Negative, NaN, and so large that lambda rounds to 1 at 64 digits.
+    for g in (-1, mp.nan, mpf("1e200")):
+        with pytest.raises(DomainError):
+            lambda_of_g(g, 1, MappingSpec(POWER_CUT, 2))
 
 
 @given(st.floats(min_value=0.05, max_value=20), st.floats(min_value=0.1, max_value=5))
