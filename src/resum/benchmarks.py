@@ -10,7 +10,6 @@ these functions, so they carry the configuration that reproduces each table
 (mapping exponents, prefactors, selection criteria).
 """
 
-import time
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -38,16 +37,6 @@ from .poly import bracket_solve
 from .precision import to_mpf, workdps
 from .saddle import d0_exact_rate, predicted_R, solve_saddle
 from .series import ratio_growth_constant
-
-TABLE_IDS = (
-    "saddle-table",
-    "odm-d0-strong",
-    "odm-d0-g5",
-    "odm-oscillator",
-    "phi4-fixed-point",
-    "phi4-exponents",
-    "borel-map-exponents",
-)
 
 # Saddle constants (mu, -lambda) by mapping exponent.
 SADDLE_REFERENCE = {
@@ -123,7 +112,6 @@ class BenchmarkResult:
     rows: list
     checks: list
     config: dict
-    wall_time: float = 0.0
 
     @property
     def passed(self):
@@ -142,9 +130,13 @@ def _ns(x, n=10):
     return mp.nstr(to_mpf(x) if not hasattr(x, "imag") or mp.im(x) == 0 else x, n)
 
 
+def _at_most(name, deviation, tol):
+    """The check ``deviation <= tol``, with ``tol`` given as its printed text."""
+    return Check(name, deviation <= to_mpf(tol), _ns(deviation, 3), "<= " + tol)
+
+
 def run_saddle_table(digits=64):
     """Saddle constants for the five tabulated mapping exponents."""
-    start = time.time()
     with workdps(digits):
         rows, checks = [], []
         for alpha_s, (mu_s, neg_lam_s) in SADDLE_REFERENCE.items():
@@ -156,10 +148,8 @@ def run_saddle_table(digits=64):
                 "delta_mu": _ns(dmu, 3), "neg_lambda": _ns(-sol.lambda_saddle, 12),
                 "neg_lambda_ref": neg_lam_s, "delta_lambda": _ns(dlam, 3),
             })
-            checks.append(Check("mu[alpha=%s] within 1e-8" % alpha_s,
-                                dmu <= mpf("1e-8"), _ns(dmu, 3), "<= 1e-8"))
-            checks.append(Check("lambda[alpha=%s] within 1e-8" % alpha_s,
-                                dlam <= mpf("1e-8"), _ns(dlam, 3), "<= 1e-8"))
+            checks.append(_at_most("mu[alpha=%s] within 1e-8" % alpha_s, dmu, "1e-8"))
+            checks.append(_at_most("lambda[alpha=%s] within 1e-8" % alpha_s, dlam, "1e-8"))
             res = max(sol.residuals)
             checks.append(Check("residuals[alpha=%s] below 1e-12" % alpha_s,
                                 res < mpf("1e-12"), _ns(res, 3), "< 1e-12"))
@@ -168,16 +158,15 @@ def run_saddle_table(digits=64):
         dR = abs(R - to_mpf(D0_RATE_REFERENCE["R"])) / R
         drate = abs(rate - to_mpf(D0_RATE_REFERENCE["rate"])) / rate
         dratio = abs(R / to_mpf("1.5") - to_mpf(D0_RATE_REFERENCE["R_over_A"])) / (R / to_mpf("1.5"))
-        checks.append(Check("exact-rate R within 1e-9 relative", dR <= mpf("1e-9"), _ns(dR, 3), "<= 1e-9"))
-        checks.append(Check("exact-rate within 1e-9 relative", drate <= mpf("1e-9"), _ns(drate, 3), "<= 1e-9"))
-        checks.append(Check("R/A consistency within 1e-9 relative", dratio <= mpf("1e-9"), _ns(dratio, 3), "<= 1e-9"))
+        checks.append(_at_most("exact-rate R within 1e-9 relative", dR, "1e-9"))
+        checks.append(_at_most("exact-rate within 1e-9 relative", drate, "1e-9"))
+        checks.append(_at_most("R/A consistency within 1e-9 relative", dratio, "1e-9"))
         return BenchmarkResult(
             table_id="saddle-table",
             columns=("alpha", "mu", "mu_ref", "delta_mu", "neg_lambda",
                      "neg_lambda_ref", "delta_lambda"),
             rows=rows, checks=checks,
             config={"digits": digits},
-            wall_time=time.time() - start,
         )
 
 
@@ -197,9 +186,9 @@ def _study_rows(study, reference, oracle_abs=None):
     return rows
 
 
-def run_d0_strong(digits=64, order=62, kmax=60):
+def run_d0_strong(digits=64):
     """Strong-coupling summation of the d=0 series with the quadratic mapping."""
-    start = time.time()
+    order, kmax = 62, 60
     with workdps(digits):
         source = d0_partition_coeffs(order)
         table = build_rho_table(source, MappingSpec(
@@ -214,10 +203,8 @@ def run_d0_strong(digits=64, order=62, kmax=60):
             ref_inv, ref_ln = D0_STRONG_REFERENCE[k]
             rel = abs(1 / rep.rho - to_mpf(ref_inv)) / to_mpf(ref_inv)
             dln = abs(mp.log(abs(rep.delta)) - to_mpf(ref_ln))
-            checks.append(Check("1/rho[k=%d] within 2%%" % k, rel <= mpf("0.02"),
-                                _ns(rel, 3), "<= 0.02"))
-            checks.append(Check("ln|delta|[k=%d] within 1.5" % k, dln <= mpf("1.5"),
-                                _ns(dln, 3), "<= 1.5"))
+            checks.append(_at_most("1/rho[k=%d] within 2%%" % k, rel, "0.02"))
+            checks.append(_at_most("ln|delta|[k=%d] within 1.5" % k, dln, "1.5"))
         slope = study.inv_rho_fit.parity_mean_slope
         checks.append(Check("slope of 1/(k rho_k) = 0.2209 +- 0.005",
                             abs(slope - to_mpf("0.2209")) <= mpf("0.005"),
@@ -234,13 +221,12 @@ def run_d0_strong(digits=64, order=62, kmax=60):
             config={"digits": digits, "order": order, "kmax": kmax,
                     "alpha": "2", "prefactor_p": "0.5", "criterion": "mixed tau=0.5",
                     "g": "inf"},
-            wall_time=time.time() - start,
         )
 
 
-def run_d0_g5(digits=64, order=62, kmax=60):
+def run_d0_g5(digits=64):
     """Finite-coupling d=0 summation with the quartic-exponent mapping."""
-    start = time.time()
+    order, kmax = 62, 60
     with workdps(digits):
         source = d0_partition_coeffs(order)
         table = build_rho_table(source, MappingSpec(
@@ -274,18 +260,17 @@ def run_d0_g5(digits=64, order=62, kmax=60):
             config={"digits": digits, "order": order, "kmax": kmax,
                     "alpha": "4", "prefactor_p": "0.5", "criterion": "mixed tau=0.5",
                     "g": "5"},
-            wall_time=time.time() - start,
         )
 
 
-def run_oscillator(digits=64, order=61, kmax=60):
+def run_oscillator(digits=64):
     """Oscillator ground-state summation at infinite coupling.
 
     Uses the largest-candidate criterion (the smallness threshold effectively
     disabled): the smallness test hops between root branches on this table
     and degrades the scale trajectory.
     """
-    start = time.time()
+    order, kmax = 61, 60
     with workdps(digits):
         source = anharmonic_ground_coeffs(order)
         a_est = ratio_growth_constant(source, 10)
@@ -318,13 +303,11 @@ def run_oscillator(digits=64, order=61, kmax=60):
             config={"digits": digits, "order": order, "kmax": kmax,
                     "alpha": "3/2", "prefactor_p": "-0.5",
                     "criterion": "mixed tau=1e6", "g": "inf"},
-            wall_time=time.time() - start,
         )
 
 
 def run_phi4_fixed_point(digits=64):
     """Fixed point and flow derivative of the seven-loop beta function."""
-    start = time.time()
     with workdps(digits):
         rg = rg_series()
         table = build_rho_table(rg.beta, MappingSpec(
@@ -346,10 +329,8 @@ def run_phi4_fixed_point(digits=64):
             })
             tol = tolerances[k]
             if tol is not None:
-                checks.append(Check("g*[k=%d] within %s" % (k, tol),
-                                    dg <= to_mpf(tol), _ns(dg, 3), "<= " + tol))
-                checks.append(Check("omega[k=%d] within %s" % (k, tol),
-                                    dw <= to_mpf(tol), _ns(dw, 3), "<= " + tol))
+                checks.append(_at_most("g*[k=%d] within %s" % (k, tol), dg, tol))
+                checks.append(_at_most("omega[k=%d] within %s" % (k, tol), dw, tol))
         return BenchmarkResult(
             table_id="phi4-fixed-point",
             columns=("k", "g_star", "g_star_ref", "delta_g_star", "omega",
@@ -357,13 +338,12 @@ def run_phi4_fixed_point(digits=64):
             rows=rows, checks=checks,
             config={"digits": digits, "alpha": "3/2", "family": "shifted-power",
                     "beta_covariant": True, "criterion": "stationary-first tau=1"},
-            wall_time=time.time() - start,
         )
 
 
-def run_phi4_exponents(digits=64, g_star="1.411"):
+def run_phi4_exponents(digits=64):
     """Critical exponents summed at the tabulated fixed point."""
-    start = time.time()
+    g_star = "1.411"
     with workdps(digits):
         rg = rg_series()
         spec = MappingSpec(MappingFamily.SHIFTED_POWER, "1.5")
@@ -372,7 +352,6 @@ def run_phi4_exponents(digits=64, g_star="1.411"):
         nu_table = build_rho_table(nu_inv_series(), spec)
         criterion = RhoSelectionCriterion(smallness_factor="1e6")
         rows, checks = [], []
-        scaling_ok = True
         for k in sorted(PHI4_EXPONENTS_REFERENCE):
             ref_gamma, ref_nu, ref_eta = PHI4_EXPONENTS_REFERENCE[k]
             ex = exponents_at(g_star, gamma_table, eta_table, k, criterion,
@@ -387,17 +366,13 @@ def run_phi4_exponents(digits=64, g_star="1.411"):
             rows.append(row)
             if k >= 4:
                 gap = abs(ex.gamma - ex.nu_from_series * (2 - ex.eta))
-                ok = gap <= mpf("0.01")
-                scaling_ok = scaling_ok and ok
-                checks.append(Check("scaling relation gap[k=%d] <= 0.01" % k,
-                                    ok, _ns(gap, 3), "<= 0.01"))
+                checks.append(_at_most("scaling relation gap[k=%d] <= 0.01" % k, gap, "0.01"))
             if k == 7:
                 for name, got, ref in (("gamma", ex.gamma, ref_gamma),
                                        ("nu", ex.nu_from_series, ref_nu),
                                        ("eta", ex.eta, ref_eta)):
-                    d = abs(got - to_mpf(ref))
-                    checks.append(Check("%s[k=7] within 0.002" % name,
-                                        d <= mpf("0.002"), _ns(d, 3), "<= 0.002"))
+                    checks.append(_at_most("%s[k=7] within 0.002" % name,
+                                           abs(got - to_mpf(ref)), "0.002"))
         return BenchmarkResult(
             table_id="phi4-exponents",
             columns=("k", "gamma", "gamma_ref", "nu", "nu_ref", "eta",
@@ -405,29 +380,28 @@ def run_phi4_exponents(digits=64, g_star="1.411"):
             rows=rows, checks=checks,
             config={"digits": digits, "g_star": g_star, "alpha": "3/2",
                     "family": "shifted-power", "criterion": "mixed tau=1e6"},
-            wall_time=time.time() - start,
         )
 
 
-def _borel_zero(series, cfg, lo="0.5", hi="3.0"):
-    """Zero of the mapped Borel sum of a flow series on [lo, hi], or None."""
+def _borel_zero(series, cfg):
+    """Zero of the mapped Borel sum of a flow series on [0.5, 3], or None."""
     try:
-        return bracket_solve(lambda g: borel_sum(series, cfg, g), to_mpf(lo), to_mpf(hi),
+        return bracket_solve(lambda g: borel_sum(series, cfg, g), mpf("0.5"), mpf("3.0"),
                              mpf("1e-10"))
     except SolverError:  # no sign change on the window (or no convergence): no zero
         return None
 
 
-def run_borel_map_exponents(digits=40, sigmas=(0, 1, 2, 3)):
+def run_borel_map_exponents(digits=40):
     """Fixed point and exponents through the Borel-Leroy mapped summation.
 
-    The Leroy parameter is tuned over the given grid: the value whose
+    The Leroy parameter is tuned over the grid 0, 1, 2, 3: the value whose
     order-6 -> 7 fixed-point movement is smallest wins.  Checks grade the
     order-7 values (loose windows; the historical pipeline carried further
     optimizations that are not reconstructed) and the stabilization of the
     order sequence.
     """
-    start = time.time()
+    sigmas = (0, 1, 2, 3)
     with workdps(digits):
         rg = rg_series()
         a = rg.large_order_a
@@ -467,9 +441,8 @@ def run_borel_map_exponents(digits=40, sigmas=(0, 1, 2, 3)):
         for name, got, ref, tol in (("g_star", g7, "1.4105", "0.02"),
                                     ("nu", nu7, "0.6302", "0.01"),
                                     ("gamma", gamma7, "1.2398", "0.01")):
-            d = abs(got - to_mpf(ref))
-            checks.append(Check("%s[k=7] within %s" % (name, tol),
-                                d <= to_mpf(tol), _ns(d, 3), "<= " + tol))
+            checks.append(_at_most("%s[k=7] within %s" % (name, tol),
+                                   abs(got - to_mpf(ref)), tol))
         if all(k in rows_by_k for k in (3, 4, 6, 7)):
             for idx, name in ((0, "g_star"), (1, "nu"), (2, "gamma")):
                 late = abs(rows_by_k[7][idx] - rows_by_k[6][idx])
@@ -488,7 +461,6 @@ def run_borel_map_exponents(digits=40, sigmas=(0, 1, 2, 3)):
             rows=rows, checks=checks,
             config={"digits": digits, "sigma": str(sigma), "a": _ns(a, 10),
                     "sigma_grid": ",".join(str(s) for s in sigmas)},
-            wall_time=time.time() - start,
         )
 
 
@@ -501,6 +473,8 @@ RUNNERS = {
     "phi4-exponents": run_phi4_exponents,
     "borel-map-exponents": run_borel_map_exponents,
 }
+
+TABLE_IDS = tuple(RUNNERS)
 
 
 def run_benchmark(table_id, digits=None):

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
 from .poly import horner, polynomial_real_roots
-from .precision import to_mpf, tolerance
+from .precision import finite_mpf, to_mpf, tolerance
 from .series import PowerSeries, compose
 
 
@@ -27,11 +27,10 @@ class BorelConfig:
     sigma: object = 0            # Leroy shift in the Gamma divisor (>= 0)
     truncation: int = None       # mapped-series truncation order (default: all)
     quad_rel_tol: object = None  # relative tolerance (default 10^(8 - digits))
-    quad_max_degree: int = 10    # mpmath tanh-sinh node budget, 2^degree levels
 
     def __post_init__(self):
-        a = to_mpf(self.a)
-        sigma = to_mpf(self.sigma)
+        a = finite_mpf(self.a, "a")
+        sigma = finite_mpf(self.sigma, "sigma")
         if not a > 0:
             raise UsageError("singularity parameter a must be positive")
         if sigma < 0:
@@ -40,9 +39,12 @@ class BorelConfig:
             raise UsageError("truncation must be >= 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma", sigma)
+        if self.quad_rel_tol is not None:
+            object.__setattr__(self, "quad_rel_tol",
+                               finite_mpf(self.quad_rel_tol, "quad_rel_tol"))
 
     def rel_tol(self):
-        return to_mpf(self.quad_rel_tol) if self.quad_rel_tol is not None else tolerance(8)
+        return self.quad_rel_tol if self.quad_rel_tol is not None else tolerance(8)
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class BorelSumResult:
 
 def borel_leroy_transform(s, sigma):
     """Divide coefficient ``k`` by ``Gamma(k + sigma + 1)``."""
-    sigma = to_mpf(sigma)
+    sigma = finite_mpf(sigma, "sigma")
     if sigma < 0:
         raise UsageError("sigma must be >= 0")
     return PowerSeries(
@@ -87,11 +89,13 @@ def conformal_map_coeffs(b, a):
     return compose(b, _map_series(b.order, a))
 
 
-def _laplace_quad(f, sigma, rel_tol, max_degree):
+def _laplace_quad(f, sigma, rel_tol):
     """Adaptive Laplace integral ``int_0^inf t^sigma e^-t f(t) dt``.
 
     The weight decides the upper cutoff: beyond ``t_max`` the incomplete-Gamma
-    tail of ``t^sigma e^-t max|f|`` is below tolerance and is dropped.
+    tail of ``t^sigma e^-t max|f|`` is below tolerance and is dropped.  The
+    tanh-sinh node budget is 2^10 levels, then 2^12 if that misses
+    ``rel_tol``.
     """
     # Solve t - sigma ln t = ln(1/tol) + margin for the cutoff.
     target = -mp.log(rel_tol) + mp.log(mpf(10)) * 6
@@ -105,7 +109,7 @@ def _laplace_quad(f, sigma, rel_tol, max_degree):
     def integrand(t):
         return t ** sigma * mp.exp(-t) * f(t)
 
-    for degree in (max_degree, max_degree + 2):
+    for degree in (10, 12):
         val, err = mp.quad(integrand, [0, t_max / 16, t_max], error=True,
                            maxdegree=degree)
         if err <= rel_tol * max(abs(val), mpf(1)):
@@ -141,7 +145,7 @@ def borel_sum(s, cfg, g, full_output=False):
         def f(t):
             return horner(coeffs, u_of_z(g * t, cfg.a))
 
-        return _laplace_quad(f, cfg.sigma, rel_tol, cfg.quad_max_degree)
+        return _laplace_quad(f, cfg.sigma, rel_tol)
 
     val, quad_err = value_at(K)
     if not full_output:
@@ -154,12 +158,12 @@ def borel_sum(s, cfg, g, full_output=False):
     )
 
 
-def borel_pade_sum(s, sigma, L, M, g, rel_tol=None, max_degree=10,
-                   full_output=False):
+def borel_pade_sum(s, sigma, L, M, g, full_output=False):
     """Sum ``s`` at ``g > 0`` with a [L/M] rational Borel-Leroy transform.
 
-    Denominator zeros on the positive real axis make the Laplace integral
-    ill-defined and raise :class:`SummabilityError`.
+    The Laplace integral runs to ``10^(8 - digits)`` relative.  Denominator
+    zeros on the positive real axis make it ill-defined and raise
+    :class:`SummabilityError`.
     """
     g = to_mpf(g)
     if not g > 0:
@@ -179,15 +183,13 @@ def borel_pade_sum(s, sigma, L, M, g, rel_tol=None, max_degree=10,
                 "Borel transform has a positive-axis pole at z = %s"
                 % mp.nstr(min(positive), 8)
             )
-    if rel_tol is None:
-        rel_tol = tolerance(8)
     num, den = approx.numerator, approx.denominator
 
     def f(t):
         z = g * t
         return horner(num, z) / horner(den, z)
 
-    val, quad_err = _laplace_quad(f, to_mpf(sigma), rel_tol, max_degree)
+    val, quad_err = _laplace_quad(f, to_mpf(sigma), tolerance(8))
     if not full_output:
         return val
     return BorelSumResult(value=val, truncation_error=mpf(0), quadrature_error=quad_err)

@@ -32,7 +32,6 @@ error (bad file, bad flags, solver failure).
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -217,20 +216,23 @@ def build_parser():
                         % DEFAULT_DIGITS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sum = sub.add_parser("sum", help="sum one series at a coupling")
+    # The mapping and scale-selection flags that ``sum`` and ``study`` share.
+    odm_flags = argparse.ArgumentParser(add_help=False)
+    odm_flags.add_argument("--family", choices=tuple(f.value for f in MappingFamily),
+                           default="power-cut")
+    odm_flags.add_argument("--alpha", default="2")
+    odm_flags.add_argument("--prefactor-p", default="0")
+    odm_flags.add_argument("--criterion", choices=tuple(m.value for m in SelectionMode),
+                           default="mixed")
+    odm_flags.add_argument("--tau", default="0.5", help="smallness threshold")
+
+    p_sum = sub.add_parser("sum", parents=[odm_flags], help="sum one series at a coupling")
     p_sum.add_argument("series_file")
     p_sum.add_argument("--method", required=True,
                        choices=("odm", "borel-map", "borel-pade", "pade"))
     p_sum.add_argument("--g", required=True, help="coupling value, or 'inf'")
     p_sum.add_argument("--order", type=int, help="truncation order k")
-    p_sum.add_argument("--family", choices=tuple(f.value for f in MappingFamily),
-                       default="power-cut")
-    p_sum.add_argument("--alpha", default="2")
-    p_sum.add_argument("--prefactor-p", default="0")
     p_sum.add_argument("--beta-covariant", action="store_true")
-    p_sum.add_argument("--criterion", choices=tuple(m.value for m in SelectionMode),
-                       default="mixed")
-    p_sum.add_argument("--tau", default="0.5", help="smallness threshold")
     p_sum.add_argument("--sigma", default="0", help="Leroy parameter")
     p_sum.add_argument("--a", help="Borel singularity parameter (default 1/large_order_A)")
     p_sum.add_argument("--L", type=int, help="numerator degree")
@@ -243,17 +245,11 @@ def build_parser():
     p_rep.add_argument("--csv", help="write the CSV here instead of stdout")
     p_rep.add_argument("--out", help="write a JSON run report here")
 
-    p_study = sub.add_parser("study", help="order-by-order convergence study")
+    p_study = sub.add_parser("study", parents=[odm_flags],
+                             help="order-by-order convergence study")
     p_study.add_argument("series_file")
     p_study.add_argument("--max-order", type=int, required=True)
     p_study.add_argument("--g", default="inf", help="coupling value, or 'inf'")
-    p_study.add_argument("--family", choices=tuple(f.value for f in MappingFamily),
-                         default="power-cut")
-    p_study.add_argument("--alpha", default="2")
-    p_study.add_argument("--prefactor-p", default="0")
-    p_study.add_argument("--criterion", choices=tuple(m.value for m in SelectionMode),
-                         default="mixed")
-    p_study.add_argument("--tau", default="0.5")
     p_study.add_argument("--oracle", choices=("quadrature", "diagonalization", "none"),
                          default="none")
     p_study.add_argument("--csv", help="write the CSV here instead of stdout")
@@ -267,7 +263,7 @@ def parse_coupling(text):
         return mp.inf
     try:
         g = to_mpf(text)
-    except (ValueError, ZeroDivisionError):
+    except UsageError:
         g = None
     if g is None or not (mp.isfinite(g) or g == mp.inf):
         raise UsageError("--g must be a finite number or inf, got %r" % text)
@@ -287,15 +283,31 @@ def _env_precision():
 def _mapping_from_args(args):
     return MappingSpec(
         family=MappingFamily(args.family),
-        alpha=to_mpf(args.alpha),
-        prefactor_p=to_mpf(args.prefactor_p),
+        alpha=args.alpha,
+        prefactor_p=args.prefactor_p,
         beta_covariant=getattr(args, "beta_covariant", False),
     )
 
 
 def _criterion_from_args(args):
     return RhoSelectionCriterion(mode=SelectionMode(args.criterion),
-                                 smallness_factor=to_mpf(args.tau))
+                                 smallness_factor=args.tau)
+
+
+def _write_csv(path, columns, rows, stdout):
+    """Write ``rows`` (dicts keyed by column) as CSV to ``path``, or to
+    ``stdout`` without one; return the stream that takes the notes."""
+    def write(stream):
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(col, "") for col in columns] for row in rows)
+
+    if not path:
+        write(stdout)
+        return sys.stderr
+    with open(path, "w", encoding="utf-8") as handle:
+        write(handle)
+    return stdout
 
 
 def cmd_sum(args, stdout):
@@ -314,7 +326,7 @@ def cmd_sum(args, stdout):
     elif args.method == "borel-pade":
         if args.L is None or args.M is None:
             raise UsageError("borel-pade needs --L and --M")
-        out = borel_pade_sum(series, to_mpf(args.sigma), args.L, args.M, g,
+        out = borel_pade_sum(series, args.sigma, args.L, args.M, g,
                              full_output=True)
         value, error = out.value, out.quadrature_error
         diagnostics["sigma"] = args.sigma
@@ -324,12 +336,11 @@ def cmd_sum(args, stdout):
             if spec_file.large_order_A is None:
                 raise UsageError("borel-map needs --a or a large_order_A field")
             a = 1 / to_mpf(spec_file.large_order_A)
-        cfg = BorelConfig(a=to_mpf(a), sigma=to_mpf(args.sigma),
-                          truncation=args.order)
+        cfg = BorelConfig(a=a, sigma=args.sigma, truncation=args.order)
         out = borel_sum(series, cfg, g, full_output=True)
         value, error = out.value, out.truncation_error + out.quadrature_error
         diagnostics["sigma"] = args.sigma
-        diagnostics["a"] = _num(to_mpf(a))
+        diagnostics["a"] = _num(cfg.a)
     else:  # odm
         if args.order is None:
             raise UsageError("odm needs --order")
@@ -355,18 +366,7 @@ def cmd_sum(args, stdout):
 
 def cmd_reproduce(args, stdout):
     result = benchmarks.run_benchmark(args.table_id, digits=args.digits)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result.columns)
-    for row in result.rows:
-        writer.writerow([row.get(col, "") for col in result.columns])
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(buf.getvalue())
-        sink = stdout
-    else:
-        stdout.write(buf.getvalue())
-        sink = sys.stderr
+    sink = _write_csv(args.csv, result.columns, result.rows, stdout)
     for check in result.checks:
         print("%s: %s (observed %s, target %s)"
               % ("PASS" if check.passed else "FAIL", check.name,
@@ -407,27 +407,14 @@ def cmd_study(args, stdout):
                               g, oracle=oracle)
     columns = ("k", "rho", "inv_rho", "value", "delta", "error_estimate",
                "lambda", "flagged")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    rows = []
-    for rep in study.reports:
-        row = {
-            "k": str(rep.k), "rho": _num(rep.rho), "inv_rho": _num(1 / rep.rho),
-            "value": _num(rep.value),
-            "delta": _num(rep.delta) if rep.delta is not None else "",
-            "error_estimate": _num(rep.error_estimate) if rep.error_estimate is not None else "",
-            "lambda": _num(rep.lam), "flagged": "1" if rep.flagged else "0",
-        }
-        rows.append(row)
-        writer.writerow([row[c] for c in columns])
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(buf.getvalue())
-        sink = stdout
-    else:
-        stdout.write(buf.getvalue())
-        sink = sys.stderr
+    rows = [{
+        "k": str(rep.k), "rho": _num(rep.rho), "inv_rho": _num(1 / rep.rho),
+        "value": _num(rep.value),
+        "delta": _num(rep.delta) if rep.delta is not None else "",
+        "error_estimate": _num(rep.error_estimate) if rep.error_estimate is not None else "",
+        "lambda": _num(rep.lam), "flagged": "1" if rep.flagged else "0",
+    } for rep in study.reports]
+    sink = _write_csv(args.csv, columns, rows, stdout)
     fits = {
         "inv_rho_slope": _num(study.inv_rho_fit.slope),
         "inv_rho_slope_even": _num(study.inv_rho_fit.slope_even),

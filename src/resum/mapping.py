@@ -5,18 +5,19 @@ variable confined to the unit interval, with an adjustable scale ``rho``.
 Re-expanding a series through the mapping (optionally with a ``(1-lambda)^p``
 prefactor split off, or with the covariant weight used for beta functions)
 produces coefficients that are polynomials in ``rho`` -- the raw material the
-order-by-order tuning in :mod:`resum.odm` works on.  The inversion
-``lambda(g)`` uses the bracketed solver of :mod:`resum.poly`.
+order-by-order tuning in :mod:`resum.odm` works on.  The shifted-power
+family inverts in closed form; the power-cut inversion ``lambda(g)`` uses the
+bracketed solver of :mod:`resum.poly`.
 """
 
 import enum
 from dataclasses import dataclass, field
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
 from .poly import bracket_solve, horner
-from .precision import to_mpf, tolerance
+from .precision import finite_mpf, to_mpf, tolerance
 from .series import PowerSeries, binomial_series, _mul_trunc
 
 
@@ -44,8 +45,8 @@ class MappingSpec:
     beta_covariant: bool = False
 
     def __post_init__(self):
-        alpha = to_mpf(self.alpha)
-        p = to_mpf(self.prefactor_p)
+        alpha = finite_mpf(self.alpha, "alpha")
+        p = finite_mpf(self.prefactor_p, "prefactor_p")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "prefactor_p", p)
         if self.family is MappingFamily.POWER_CUT and not alpha > 1:
@@ -94,15 +95,22 @@ def g_of_lambda(lam, rho, mapping):
 def lambda_of_g(g, rho, mapping):
     """Invert ``g = rho zeta(lambda)`` on the principal branch ``lambda in [0, 1)``.
 
-    ``g = inf`` maps to ``lambda = 1`` exactly.  Finite ``g`` is solved by
-    bracketed Newton on ``[0, 1 - d]``, where ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))``
-    puts ``zeta`` above ``g/rho`` in both families, so ``lambda = 1`` (where
-    ``zeta`` is infinite) is never evaluated; accurate to ``10^(6 - digits)``
-    relative.
+    ``g = inf`` maps to ``lambda = 1`` exactly.  The shifted-power family
+    inverts in closed form, ``lambda = 1 - (1 + g/rho)^(-1/alpha)``, which
+    also carries a complex-pair ``rho`` into the complex plane.  The
+    power-cut family needs a real ``rho`` and is solved by bracketed Newton
+    on ``[0, 1 - d]``, where ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))`` puts
+    ``zeta`` above ``g/rho``, so ``lambda = 1`` (where ``zeta`` is infinite)
+    is never evaluated; accurate to ``10^(6 - digits)`` relative.
     """
-    rho = to_mpf(rho)
-    if not rho > 0:
-        raise UsageError("rho must be positive")
+    shifted = mapping.family is MappingFamily.SHIFTED_POWER
+    if isinstance(rho, mpc):
+        if not shifted:
+            raise UsageError("a complex-pair rho needs the shifted-power family")
+    else:
+        rho = to_mpf(rho)
+        if not rho > 0:
+            raise UsageError("rho must be positive")
     if g == mp.inf:
         return mpf(1)
     g = to_mpf(g)
@@ -112,23 +120,17 @@ def lambda_of_g(g, rho, mapping):
         return mpf(0)
     alpha = mapping.alpha
     w = g / rho
-    hi = 1 - min(mpf("0.5"), (2 + 2 * w) ** (-1 / alpha))
-    if hi == 1:
+    if shifted:
+        lam = 1 - (1 + w) ** (-1 / alpha)
+    else:
+        hi = 1 - min(mpf("0.5"), (2 + 2 * w) ** (-1 / alpha))
+        lam = hi if hi == 1 else bracket_solve(
+            lambda x: zeta_value(mapping, x) - w, mpf(0), hi, tolerance(6),
+            df=lambda x: (1 - x) ** (-alpha - 1) * (1 + (alpha - 1) * x))
+    if lam == 1:
         raise DomainError("g/rho = %s is too large to resolve lambda below 1 at %d digits"
                           % (mp.nstr(w, 8), mp.dps))
-    if mapping.family is MappingFamily.POWER_CUT:
-        def f(lam):
-            return lam * (1 - lam) ** (-alpha) - w
-
-        def df(lam):
-            return (1 - lam) ** (-alpha - 1) * (1 + (alpha - 1) * lam)
-    else:
-        def f(lam):
-            return (1 - lam) ** (-alpha) - 1 - w
-
-        def df(lam):
-            return alpha * (1 - lam) ** (-alpha - 1)
-    return bracket_solve(f, mpf(0), hi, tolerance(6), df=df)
+    return lam
 
 
 @dataclass(frozen=True)
@@ -147,14 +149,12 @@ class RhoPolynomialTable:
     def eval_poly(self, k, rho):
         return horner(self.polys[k], rho)
 
-    def lambda_coeffs(self, rho, order=None):
+    def lambda_coeffs(self, rho, order):
         """The numeric lambda-series ``P_0(rho) .. P_order(rho)``."""
-        if order is None:
-            order = self.source_order
         return tuple(self.eval_poly(k, rho) for k in range(order + 1))
 
 
-def build_rho_table(source, mapping, order=None):
+def build_rho_table(source, mapping):
     """Expand ``source`` through the mapping into polynomials in ``rho``.
 
     Plain case: the table holds the series of
@@ -168,7 +168,7 @@ def build_rho_table(source, mapping, order=None):
         raise UsageError("source series must have order >= 1")
     if mapping.beta_covariant and source.coeffs[0] != 0:
         raise UsageError("beta-covariant tables need a source with zero constant term")
-    K = source.order if order is None else min(order, source.order)
+    K = source.order
     if mapping.beta_covariant:
         weight = binomial_series(mapping.alpha + 1, K, "lambda")
     else:

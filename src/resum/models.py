@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 from scipy.linalg import eig_banded
 
 from .errors import DomainError, ResourceError, UsageError
-from .precision import to_mpf, workdps
+from .precision import to_mpf
 from .series import PowerSeries, multiply
 
 # Inverse growth constants A = 1/a of the quartic coupling expansions,
@@ -40,7 +40,7 @@ LARGE_ORDER_A = {
 RG_LARGE_ORDER_A_PARAM = "0.147774232"
 
 
-def d0_partition_coeffs(K, digits=None):
+def d0_partition_coeffs(K):
     """Expansion coefficients of the d=0 partition function through order K.
 
     Gaussian moments give ``Z_k = (-1/24)^k (4k-1)!! / k!`` which the stable
@@ -49,14 +49,13 @@ def d0_partition_coeffs(K, digits=None):
     """
     if K < 0:
         raise UsageError("K must be >= 0")
-    with workdps(digits):
-        coeffs = [mpf(1)]
-        for k in range(1, K + 1):
-            coeffs.append(-coeffs[-1] * (4 * k - 1) * (4 * k - 3) / (24 * k))
-        return PowerSeries(coeffs, "g")
+    coeffs = [mpf(1)]
+    for k in range(1, K + 1):
+        coeffs.append(-coeffs[-1] * (4 * k - 1) * (4 * k - 3) / (24 * k))
+    return PowerSeries(coeffs, "g")
 
 
-def d0_partition_value(g, digits=None, quad_method="tanh-sinh"):
+def d0_partition_value(g, quad_method="tanh-sinh"):
     """Numeric value of the d=0 partition integral at coupling ``g >= 0``.
 
     ``g = inf`` returns the strong-coupling amplitude
@@ -64,20 +63,19 @@ def d0_partition_value(g, digits=None, quad_method="tanh-sinh"):
     ``quad_method`` selects the mpmath node family, so two calls with
     different methods act as independent cross-checks.
     """
-    with workdps(digits):
-        g = to_mpf(g) if g != mp.inf else mp.inf
-        if g == mp.inf:
-            return mpf("0.5") * mpf(24) ** mpf("0.25") * mp.sqrt(mp.pi) / mp.gamma(mpf(3) / 4)
-        if g < 0:
-            raise DomainError("integral diverges for g < 0")
-        with mp.extradps(10):
-            val = mp.quad(
-                lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24),
-                [0, mp.inf],
-                method=quad_method,
-            )
-            val = 2 * val / mp.sqrt(2 * mp.pi)
-        return +val
+    g = to_mpf(g) if g != mp.inf else mp.inf
+    if g == mp.inf:
+        return mpf("0.5") * mpf(24) ** mpf("0.25") * mp.sqrt(mp.pi) / mp.gamma(mpf(3) / 4)
+    if g < 0:
+        raise DomainError("integral diverges for g < 0")
+    with mp.extradps(10):
+        val = mp.quad(
+            lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24),
+            [0, mp.inf],
+            method=quad_method,
+        )
+        val = 2 * val / mp.sqrt(2 * mp.pi)
+    return +val
 
 
 def _x4_even_elements(n):
@@ -88,7 +86,7 @@ def _x4_even_elements(n):
     return d0, d2, d4
 
 
-def anharmonic_ground_coeffs(K, digits=None):
+def anharmonic_ground_coeffs(K):
     """Ground-state perturbation coefficients E_k of ``H = p^2/2 + x^2/2 + (g/4!) x^4``.
 
     Rayleigh-Schrodinger recursion in the oscillator basis.  The quartic
@@ -99,48 +97,46 @@ def anharmonic_ground_coeffs(K, digits=None):
     """
     if K < 0:
         raise UsageError("K must be >= 0")
-    with workdps(digits):
-        target_dps = mp.dps
-        with mp.workdps(target_dps + 2 * K + 10):
-            nmax = 4 * K + 4
-            # W[n][.] = <n|x^4/24|m> for m = n-4, n-2, n, n+2, n+4 (even n).
-            w = {}
-            for n in range(0, nmax + 1, 2):
-                d0, d2, d4 = _x4_even_elements(n)
-                w[n] = (d0 / 24, d2 / 24, d4 / 24)
-            energies = [mpf(1) / 2]
-            # psi[j][n] for even n > 0; intermediate normalization <0|psi_j> = delta_j0.
-            psi = [{0: mpf(1)}]
-            for j in range(1, K + 1):
-                prev = psi[j - 1]
-                applied = {}
-                for n, c in prev.items():
-                    if c == 0:
-                        continue
-                    d0, d2, d4 = w[n]
-                    applied[n] = applied.get(n, mpf(0)) + d0 * c
-                    applied[n + 2] = applied.get(n + 2, mpf(0)) + d2 * c
-                    applied[n + 4] = applied.get(n + 4, mpf(0)) + d4 * c
-                    if n >= 2:
-                        dm2 = w[n - 2][1]
-                        applied[n - 2] = applied.get(n - 2, mpf(0)) + dm2 * c
-                    if n >= 4:
-                        dm4 = w[n - 4][2]
-                        applied[n - 4] = applied.get(n - 4, mpf(0)) + dm4 * c
-                energies.append(applied.get(0, mpf(0)))
-                cur = {}
-                for n, v in applied.items():
-                    if n == 0:
-                        continue
-                    acc = -v
-                    for i in range(1, j):
-                        c_prev = psi[j - i].get(n)
-                        if c_prev is not None:
-                            acc += energies[i] * c_prev
-                    cur[n] = acc / n
-                psi.append(cur)
-            coeffs = [+e for e in energies]
-        return PowerSeries(coeffs, "g")
+    with mp.extradps(2 * K + 10):
+        nmax = 4 * K + 4
+        # W[n][.] = <n|x^4/24|m> for m = n-4, n-2, n, n+2, n+4 (even n).
+        w = {}
+        for n in range(0, nmax + 1, 2):
+            d0, d2, d4 = _x4_even_elements(n)
+            w[n] = (d0 / 24, d2 / 24, d4 / 24)
+        energies = [mpf(1) / 2]
+        # psi[j][n] for even n > 0; intermediate normalization <0|psi_j> = delta_j0.
+        psi = [{0: mpf(1)}]
+        for j in range(1, K + 1):
+            prev = psi[j - 1]
+            applied = {}
+            for n, c in prev.items():
+                if c == 0:
+                    continue
+                d0, d2, d4 = w[n]
+                applied[n] = applied.get(n, mpf(0)) + d0 * c
+                applied[n + 2] = applied.get(n + 2, mpf(0)) + d2 * c
+                applied[n + 4] = applied.get(n + 4, mpf(0)) + d4 * c
+                if n >= 2:
+                    dm2 = w[n - 2][1]
+                    applied[n - 2] = applied.get(n - 2, mpf(0)) + dm2 * c
+                if n >= 4:
+                    dm4 = w[n - 4][2]
+                    applied[n - 4] = applied.get(n - 4, mpf(0)) + dm4 * c
+            energies.append(applied.get(0, mpf(0)))
+            cur = {}
+            for n, v in applied.items():
+                if n == 0:
+                    continue
+                acc = -v
+                for i in range(1, j):
+                    c_prev = psi[j - i].get(n)
+                    if c_prev is not None:
+                        acc += energies[i] * c_prev
+                cur[n] = acc / n
+            psi.append(cur)
+        coeffs = [+e for e in energies]
+    return PowerSeries(coeffs, "g")
 
 
 def _banded_lu_solve(rows, rhs):
@@ -267,46 +263,42 @@ def _even_sector_bands(nbasis, omega, c2, c4):
     return diag, off1, off2
 
 
-def anharmonic_ground_value(g, digits=None, rel_tol=None, max_basis=3000):
+def anharmonic_ground_value(g, max_basis=3000):
     """Ground-state energy of the quartic anharmonic oscillator at ``g >= 0``.
 
     Diagonalizes the even sector of the scaled oscillator basis, growing the
-    basis until the eigenvalue is stable to ``rel_tol`` (default
-    ``10^(10 - digits)``, i.e. well beyond the 1e-12 the contract promises).
+    basis until the eigenvalue is stable to ``10^(10 - digits)`` relative
+    (well beyond the 1e-12 the contract promises).
     ``g = inf`` returns the strong-coupling amplitude ``lim g^(-1/3) E(g)``,
     the ground energy of ``p^2/2 + x^4/24``.
     """
-    with workdps(digits):
-        if rel_tol is None:
-            rel_tol = mpf(10) ** (10 - mp.dps)
+    rel_tol = mpf(10) ** (10 - mp.dps)
+    strong = g == mp.inf
+    if not strong:
+        g = to_mpf(g)
+        if g < 0:
+            raise DomainError("eigenvalue problem unstable for g < 0")
+        if g == 0:
+            return mpf(1) / 2
+    with mp.extradps(15):
+        if strong:
+            c2, c4 = mpf(0), mpf(1) / 24
+            omega = (6 * c4) ** (mpf(1) / 3) * 2
         else:
-            rel_tol = to_mpf(rel_tol)
-        strong = g == mp.inf
-        if not strong:
-            g = to_mpf(g)
-            if g < 0:
-                raise DomainError("eigenvalue problem unstable for g < 0")
-            if g == 0:
-                return mpf(1) / 2
-        with mp.extradps(15):
-            if strong:
-                c2, c4 = mpf(0), mpf(1) / 24
-                omega = (6 * c4) ** (mpf(1) / 3) * 2
-            else:
-                c2, c4 = mpf(1) / 2, g / 24
-                omega = max(mpf(1), (6 * c4) ** (mpf(1) / 3) * 2)
-            nbasis = 48
-            prev = None
-            while nbasis <= max_basis:
-                bands = _even_sector_bands(nbasis, omega, c2, c4)
-                val = _lowest_even_eigenvalue(*bands, rel_tol=rel_tol / 10)
-                if prev is not None and abs(val - prev) <= rel_tol * abs(val):
-                    return +val
-                prev = val
-                nbasis = nbasis * 2
-        raise ResourceError(
-            "eigenvalue not stable to %s within %d basis states" % (rel_tol, max_basis)
-        )
+            c2, c4 = mpf(1) / 2, g / 24
+            omega = max(mpf(1), (6 * c4) ** (mpf(1) / 3) * 2)
+        nbasis = 48
+        prev = None
+        while nbasis <= max_basis:
+            bands = _even_sector_bands(nbasis, omega, c2, c4)
+            val = _lowest_even_eigenvalue(*bands, rel_tol=rel_tol / 10)
+            if prev is not None and abs(val - prev) <= rel_tol * abs(val):
+                return +val
+            prev = val
+            nbasis = nbasis * 2
+    raise ResourceError(
+        "eigenvalue not stable to %s within %d basis states" % (rel_tol, max_basis)
+    )
 
 
 @dataclass(frozen=True)
@@ -333,35 +325,32 @@ _ETA_COEFFS = ("0", "0", "0.0109739368", "0.0009142222", "0.0017962228",
                "-0.0006537035", "0.0012749100", "-0.001697694")
 
 
-def rg_series(digits=None):
+def rg_series():
     """The published seven-loop series, parsed at working precision."""
-    with workdps(digits):
-        return RgSeriesSet(
-            beta=PowerSeries(_BETA_COEFFS, "gtilde"),
-            gamma_inv=PowerSeries(_GAMMA_INV_COEFFS, "gtilde"),
-            eta=PowerSeries(_ETA_COEFFS, "gtilde"),
-            large_order_a=to_mpf(RG_LARGE_ORDER_A_PARAM),
-        )
+    return RgSeriesSet(
+        beta=PowerSeries(_BETA_COEFFS, "gtilde"),
+        gamma_inv=PowerSeries(_GAMMA_INV_COEFFS, "gtilde"),
+        eta=PowerSeries(_ETA_COEFFS, "gtilde"),
+        large_order_a=to_mpf(RG_LARGE_ORDER_A_PARAM),
+    )
 
 
-def eta_over_g2_series(digits=None):
+def eta_over_g2_series():
     """The eta series with its leading ``g^2`` stripped (order 5)."""
-    with workdps(digits):
-        eta = rg_series().eta
-        return PowerSeries(eta.coeffs[2:], eta.var)
+    eta = rg_series().eta
+    return PowerSeries(eta.coeffs[2:], eta.var)
 
 
-def nu_inv_series(digits=None):
+def nu_inv_series():
     """Series of ``1/nu = (2 - eta) / gamma`` through order 7.
 
     Built from the published series via the exact exponent relation
     ``gamma = nu (2 - eta)``, providing an independently summable route to
     ``nu``.
     """
-    with workdps(digits):
-        rg = rg_series()
-        two_minus_eta = PowerSeries(
-            tuple((2 if k == 0 else 0) - c for k, c in enumerate(rg.eta.coeffs)),
-            rg.eta.var,
-        )
-        return multiply(rg.gamma_inv, two_minus_eta)
+    rg = rg_series()
+    two_minus_eta = PowerSeries(
+        tuple((2 if k == 0 else 0) - c for k, c in enumerate(rg.eta.coeffs)),
+        rg.eta.var,
+    )
+    return multiply(rg.gamma_inv, two_minus_eta)

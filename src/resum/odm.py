@@ -20,12 +20,12 @@ from .errors import (
     SelectionError,
     UsageError,
 )
-from .mapping import MappingFamily, lambda_of_g
+from .mapping import MappingFamily, g_of_lambda, lambda_of_g
 from .poly import all_roots, derivative_coeffs, horner, positive_roots, strip_zeros
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
-from .precision import to_mpf, tolerance
+from .precision import finite_mpf, to_mpf, tolerance
 
 
 class SelectionMode(enum.Enum):
@@ -47,24 +47,19 @@ class RhoSelectionCriterion:
 
     When complex candidates are admitted (fixed-point and exponent work),
     conjugate pairs close to the positive real axis -- imaginary part at most
-    ``near_real_width`` times the real part -- compete in the same pool as
-    the real candidates; wider pairs are used only when the pool is empty,
-    largest modulus first.  Downstream consumers report real parts.
+    half the real part -- compete in the same pool as the real candidates;
+    wider pairs are used only when the pool is empty, largest modulus first.
+    Downstream consumers report real parts.
     """
 
     mode: SelectionMode = SelectionMode.MIXED
     smallness_factor: object = "0.5"
-    near_real_width: object = "0.5"
 
     def __post_init__(self):
-        tau = to_mpf(self.smallness_factor)
+        tau = finite_mpf(self.smallness_factor, "smallness_factor")
         if tau <= 0:
             raise UsageError("smallness_factor must be positive")
         object.__setattr__(self, "smallness_factor", tau)
-        width = to_mpf(self.near_real_width)
-        if width < 0:
-            raise UsageError("near_real_width must be >= 0")
-        object.__setattr__(self, "near_real_width", width)
 
 
 @dataclass(frozen=True)
@@ -84,11 +79,11 @@ class OdmReport:
     delta: object = None       # oracle - value, when an oracle was supplied
 
 
-def _candidate_pools(coeffs, width):
+def _candidate_pools(coeffs):
     """Real positive candidates, near-real pairs, and wide fallback pairs.
 
     Complex pairs are canonicalized to positive imaginary part.  "Near-real"
-    means ``Im <= width * Re`` (strictly positive real part); the wide pool
+    means ``Im <= Re / 2`` (strictly positive real part); the wide pool
     keeps any remaining pair with nonnegative real part, the last resort when
     nothing else exists.
     """
@@ -103,24 +98,27 @@ def _candidate_pools(coeffs, width):
             if re > eps:
                 reals.append(re)
         elif im > 0:
-            if re > eps and im <= width * re:
+            if re > eps and im <= re / 2:
                 near.append(mp.mpc(re, im))
             elif re >= -eps * max(1, abs(r)):
                 wide.append(mp.mpc(max(re, mpf(0)), im))
     return reals, near, wide
 
 
-def _neighbor_scale(table, k, rho):
-    """Size yardstick |P_{k-1}(rho)| for the smallness tests."""
-    if k >= 1:
-        return abs(table.eval_poly(k - 1, rho))
-    return abs(table.eval_poly(0, rho))
+# The zero sets each mode tries, in order: those of P_k (ROOT) or of P_k'
+# (STATIONARY).  The first set with a candidate decides the report's mode.
+_ZERO_SETS = {
+    SelectionMode.ROOT: (SelectionMode.ROOT,),
+    SelectionMode.STATIONARY: (SelectionMode.STATIONARY,),
+    SelectionMode.MIXED: (SelectionMode.ROOT, SelectionMode.STATIONARY),
+    SelectionMode.STATIONARY_FIRST: (SelectionMode.STATIONARY, SelectionMode.ROOT),
+}
 
 
-def _gather(poly, criterion, thorough, allow_complex):
+def _gather(poly, thorough, allow_complex):
     """Candidate pool (largest modulus first) and the wide-pair fallback."""
     if allow_complex:
-        reals, near, wide = _candidate_pools(poly, criterion.near_real_width)
+        reals, near, wide = _candidate_pools(poly)
         pool = sorted(reals + near, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
         wide = sorted(wide, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
         return pool, wide
@@ -153,21 +151,12 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         # sources): any rho reproduces the value, so report unit scale.
         return OdmReport(k=k, rho=mpf(1), candidates=((mpf(1), mpf(0), mpf(0)),),
                          mode=criterion.mode, flagged=False)
-    mode = criterion.mode
-    if mode in (SelectionMode.MIXED, SelectionMode.STATIONARY_FIRST):
-        first = poly if mode is SelectionMode.MIXED else dpoly
-        second = dpoly if mode is SelectionMode.MIXED else poly
-        pool, wide = _gather(first, criterion, thorough, allow_complex)
+    for mode in _ZERO_SETS[criterion.mode]:
+        pool, wide = _gather(poly if mode is SelectionMode.ROOT else dpoly,
+                             thorough, allow_complex)
         if pool or wide:
-            mode = SelectionMode.ROOT if first is poly else SelectionMode.STATIONARY
-        else:
-            pool, wide = _gather(second, criterion, thorough, allow_complex)
-            mode = SelectionMode.STATIONARY if first is poly else SelectionMode.ROOT
-    elif mode is SelectionMode.ROOT:
-        pool, wide = _gather(poly, criterion, thorough, allow_complex)
+            break
     else:
-        pool, wide = _gather(dpoly, criterion, thorough, allow_complex)
-    if not pool and not wide:
         raise SelectionError(
             "no admissible %s at order %d"
             % ("root" if mode is SelectionMode.ROOT else "stationary point", k)
@@ -178,7 +167,7 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         pval = abs(horner(poly, rho))
         dval = abs(horner(dpoly, rho))
         examined.append((rho, pval, dval))
-        scale = _neighbor_scale(table, k, rho)
+        scale = abs(table.eval_poly(k - 1, rho))  # the neighbor yardstick
         if mode is SelectionMode.ROOT:
             ok = dval <= tau * scale * k / abs(rho)
         else:
@@ -196,14 +185,13 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         pval = abs(horner(poly, chosen))
         dval = abs(horner(dpoly, chosen))
         examined.append((chosen, pval, dval))
-    is_complex = isinstance(chosen, mpc) or (hasattr(chosen, "imag") and mp.im(chosen) != 0)
     return OdmReport(
         k=k,
         rho=chosen,
         candidates=tuple(examined),
         mode=mode,
         flagged=flagged,
-        is_complex=is_complex,
+        is_complex=isinstance(chosen, mpc),
     )
 
 
@@ -217,47 +205,26 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     ``|P_{k+1}(rho_k) lambda^(k+1)|`` whenever the table extends to ``k+1``.
 
     With ``allow_complex`` (shifted-power family only), a complex-pair scale
-    is admitted: the mapped point follows the closed-form inversion
-    ``lambda = 1 - (1 + g/rho)^(-1/alpha)`` into the complex plane and the
-    real part of the approximant is reported.
+    is admitted: the mapped point follows the inversion into the complex
+    plane and the real part of the approximant is reported.
     """
     sel = select_rho(table, k, criterion, allow_complex=allow_complex)
     mapping = table.mapping
     rho = sel.rho
-    if sel.is_complex and mapping.family is not MappingFamily.SHIFTED_POWER:
-        raise UsageError("complex-pair evaluation is defined for the shifted-power family")
     strong = g == mp.inf
     if strong and mapping.family is not MappingFamily.POWER_CUT:
         raise UsageError("strong-coupling evaluation needs the power-cut family")
+    lam = lambda_of_g(g, rho, mapping)
     coeffs = table.lambda_coeffs(rho, k)
     if strong:
-        lam = mpf(1)
-        total = mp.fsum(coeffs)
-        value = rho ** (mapping.prefactor_p / mapping.alpha) * total
+        value = rho ** (mapping.prefactor_p / mapping.alpha) * mp.fsum(coeffs)
     else:
-        g = to_mpf(g)
-        if sel.is_complex:
-            lam = 1 - (1 + g / rho) ** (-1 / mapping.alpha)
-        else:
-            lam = lambda_of_g(g, rho, mapping)
-        value = (1 - lam) ** mapping.prefactor_p * horner(coeffs, lam)
-        if sel.is_complex:
-            value = mp.re(value)
+        value = mp.re((1 - lam) ** mapping.prefactor_p * horner(coeffs, lam))
     err = None
     if k + 1 <= table.source_order:
         err = abs(table.eval_poly(k + 1, rho) * lam ** (k + 1))
-    return OdmReport(
-        k=k,
-        rho=rho,
-        candidates=sel.candidates,
-        mode=sel.mode,
-        flagged=sel.flagged,
-        is_complex=sel.is_complex,
-        g=g if not strong else mp.inf,
-        lam=lam,
-        value=value,
-        error_estimate=err,
-    )
+    return replace(sel, g=mp.inf if strong else to_mpf(g), lam=lam, value=value,
+                   error_estimate=err)
 
 
 @dataclass(frozen=True)
@@ -312,13 +279,12 @@ def fixed_point(table, k, criterion):
     lam_is_complex = abs(mp.im(lam_star)) > real_tol * max(1, abs(lam_star))
     if not lam_is_complex:
         lam_star = mp.re(lam_star)
-    one_minus = 1 - lam_star
-    g_star = rho * (one_minus ** (-alpha) - 1)
+    g_star = g_of_lambda(lam_star, rho, table.mapping)
     beta_val = horner(coeffs, lam_star)
     beta_deriv = horner(derivative_coeffs(coeffs), lam_star)
     # d beta/d g at the zero via the chain rule; the first term vanishes
     # there because lambda_star is an exact root of the truncated flow.
-    omega = beta_deriv + (alpha + 1) * beta_val / one_minus
+    omega = beta_deriv + (alpha + 1) * beta_val / (1 - lam_star)
     complex_pair = lam_is_complex or sel.is_complex
     if complex_pair:
         g_star = mp.re(g_star)
@@ -348,7 +314,7 @@ class ExponentsResult:
 
 
 def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion,
-                 nu_inv_table=None, allow_complex=True):
+                 nu_inv_table=None):
     """Exponents at coupling ``g_star`` from order-``k`` summed series.
 
     The susceptibility exponent comes from the summed ``1/gamma`` series, the
@@ -356,13 +322,12 @@ def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion,
     (its two leading powers are stripped; when that order has no admissible
     scale the next order stands in), and ``nu`` both from the scaling
     relation ``gamma = nu (2 - eta)`` and, when a table for ``1/nu`` is
-    supplied, from its own summation.
+    supplied, from its own summation.  Complex-pair scales are admitted.
     """
     g_star = to_mpf(g_star)
     if g_star <= 0:
         raise UsageError("g_star must be positive")
-    gamma_rep = odm_value(gamma_inv_table, k, criterion, g_star,
-                          allow_complex=allow_complex)
+    gamma_rep = odm_value(gamma_inv_table, k, criterion, g_star, allow_complex=True)
     gamma = 1 / gamma_rep.value
     eta_rep = None
     eta = None
@@ -372,7 +337,7 @@ def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion,
                 continue
             try:
                 eta_rep = odm_value(eta_over_g2_table, m, criterion, g_star,
-                                    allow_complex=allow_complex)
+                                    allow_complex=True)
             except SelectionError:
                 continue
             eta = g_star ** 2 * eta_rep.value
@@ -380,8 +345,7 @@ def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion,
     nu_series = None
     nu_rep = None
     if nu_inv_table is not None:
-        nu_rep = odm_value(nu_inv_table, k, criterion, g_star,
-                           allow_complex=allow_complex)
+        nu_rep = odm_value(nu_inv_table, k, criterion, g_star, allow_complex=True)
         nu_series = 1 / nu_rep.value
     nu_scaling = gamma / (2 - eta) if eta is not None else None
     return ExponentsResult(
@@ -449,6 +413,11 @@ def linear_fit(points):
     return _parity_fit([(int(round(float(x))), x, y) for x, y in pts])
 
 
+# Orders below this stay out of the trend fits, which describe the
+# large-order approach of the scale and error trajectories.
+_FIT_MIN_ORDER = 5
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     """Per-order reports plus the scale and error-decay fits.
@@ -475,8 +444,7 @@ class ConvergenceStudy:
         raise KeyError(k)
 
 
-def convergence_study(table, criterion, K, g, oracle=None, fit_min_order=5,
-                      rate_abscissa=None):
+def convergence_study(table, criterion, K, g, oracle=None):
     """Run the summation at every order up to ``K`` and fit its trends.
 
     ``oracle`` may be a number (the exact value at ``g``) or a callable of
@@ -484,8 +452,7 @@ def convergence_study(table, criterion, K, g, oracle=None, fit_min_order=5,
     ``1/rho_k`` against ``k``; the error fit uses ``ln|delta_k|`` against
     ``k`` for the quadratic-exponent mapping (its decay is cleanly geometric)
     and against ``k^(1-1/alpha)`` otherwise.  Orders where selection fails
-    are skipped; fits need at least six surviving orders at or above
-    ``fit_min_order``.
+    are skipped; fits need at least six surviving orders from k = 5 on.
     """
     if K > table.source_order - 1:
         raise UsageError("K=%d needs table order >= %d for error estimates"
@@ -502,13 +469,12 @@ def convergence_study(table, criterion, K, g, oracle=None, fit_min_order=5,
         if exact is not None:
             rep = replace(rep, delta=exact - rep.value)
         reports.append(rep)
-    usable = [r for r in reports if r.k >= fit_min_order]
+    usable = [r for r in reports if r.k >= _FIT_MIN_ORDER]
     if len(usable) < 6:
-        raise FitError("only %d usable orders at or above %d" % (len(usable), fit_min_order))
+        raise FitError("only %d usable orders at or above %d" % (len(usable), _FIT_MIN_ORDER))
     inv_rho_fit = linear_fit([(r.k, 1 / r.rho) for r in usable])
     alpha = table.mapping.alpha
-    if rate_abscissa is None:
-        rate_abscissa = "k" if alpha == 2 else "k^(1-1/alpha)"
+    rate_abscissa = "k" if alpha == 2 else "k^(1-1/alpha)"
 
     def absc(k):
         return mpf(k) if rate_abscissa == "k" else mpf(k) ** (1 - 1 / alpha)

@@ -132,20 +132,18 @@ def _check_reexpansion(approx, s, through):
             )
 
 
-def pade_eval(approx, g, pole_scale=None):
+def pade_eval(approx, g):
     """Value of the rational approximant at ``g``.
 
     Raises :class:`PoleError` when the denominator magnitude falls below the
-    pole-proximity scale (``10^(-digits/2)`` times its coefficient size by
-    default), and :class:`UsageError` for a non-finite ``g``.
+    pole-proximity scale ``10^(-digits/2)`` times its coefficient size, and
+    :class:`UsageError` for a non-finite ``g``.
     """
     g = to_mpf(g)
     if not mp.isfinite(g):
         raise UsageError("Pade evaluation needs a finite g, got %s" % g)
     den = horner(approx.denominator, g)
     scale = mp.fsum(abs(c) * abs(g) ** j for j, c in enumerate(approx.denominator))
-    if pole_scale is None:
-        pole_scale = tolerance(mp.dps // 2)
-    if abs(den) <= pole_scale * max(scale, mpf(1)):
+    if abs(den) <= tolerance(mp.dps // 2) * max(scale, mpf(1)):
         raise PoleError("denominator vanishes near g = %s" % mp.nstr(g, 8))
     return horner(approx.numerator, g) / den

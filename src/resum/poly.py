@@ -118,22 +118,23 @@ def _polish(coeffs, dcoeffs, lo, hi):
                              df=lambda x: horner(dcoeffs, x))
 
 
-def _scan_positive_roots(coeffs, per_octave=8):
+def _scan_positive_roots(coeffs):
     """Positive real roots by descending geometric sign scan, largest first.
 
-    Walks a geometric grid from above the Fujiwara bound down to below the
-    Cauchy lower bound, polishing every sign change; grid cells where the
-    polynomial magnitude dips to a local minimum without changing sign are
-    re-sampled sixteen times finer to catch close root pairs.  Intended for
-    the simple, well-separated positive roots of mapped-series polynomials;
-    arbitrary input should go through :func:`polynomial_real_roots`.
+    Walks a geometric grid of eight points per octave (at most 4000) from
+    above the Fujiwara bound down to below the Cauchy lower bound, polishing
+    every sign change; grid cells where the polynomial magnitude dips to a
+    local minimum without changing sign are re-sampled sixteen times finer to
+    catch close root pairs.  Intended for the simple, well-separated positive
+    roots of mapped-series polynomials; arbitrary input should go through
+    :func:`polynomial_real_roots`.
     """
     dcoeffs = derivative_coeffs(coeffs)
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
     lo = _cauchy_lower_bound(coeffs) / 2
     if lo <= 0 or lo >= hi:
         lo = hi * mpf("1e-20")
-    n = max(int(mp.ceil(mp.log(hi / lo, 2) * per_octave)), 8)
+    n = max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8)
     if n > 4000:
         n = 4000
     ratio = (lo / hi) ** (mpf(1) / n)

@@ -56,14 +56,24 @@ def to_mpf(value):
     """Convert to ``mpf`` keeping every digit of strings and Fractions.
 
     Strings may be plain decimal literals or rationals like ``"-308/729"``;
-    both parse at the active working precision.
+    both parse at the active working precision.  Text that is not a number,
+    or a zero denominator, raises :class:`UsageError` naming the text.
     """
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return mpf(num.strip()) / mpf(den.strip())
-        return mpf(text)
+        num, slash, den = value.strip().partition("/")
+        try:
+            return mpf(num.strip()) / mpf(den.strip()) if slash else mpf(num)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError("cannot read %r as a number" % value) from None
     return mpf(value)
+
+
+def finite_mpf(value, name):
+    """``to_mpf(value)``, raising :class:`UsageError` that names ``name``
+    unless the result is finite."""
+    x = to_mpf(value)
+    if not mp.isfinite(x):
+        raise UsageError("%s must be finite, got %s" % (name, x))
+    return x

@@ -103,10 +103,10 @@ def d0_exact_rate(digits=None):
         return +R, +mp.exp(-3 / R)
 
 
-def predicted_R(alpha, A, digits=None):
+def predicted_R(alpha, A):
     """Predicted scale constant ``R = mu(alpha) * A`` of the trajectory
     ``rho_k ~ R/k`` for a series with inverse growth constant ``A > 0``."""
     A = to_mpf(A)
     if not A > 0:
         raise UsageError("growth constant A must be positive")
-    return solve_saddle(alpha, digits=digits).mu * A
+    return solve_saddle(alpha).mu * A

@@ -167,5 +167,9 @@ def test_config_validation():
         BorelConfig(a=1, sigma=-1)
     with pytest.raises(UsageError):
         BorelConfig(a=1, truncation=0)
+    for bad in ({"a": mp.inf}, {"a": mp.nan}, {"a": 1, "sigma": mp.nan},
+                {"a": 1, "sigma": mp.inf}, {"a": 1, "quad_rel_tol": mp.nan}):
+        with pytest.raises(UsageError):
+            BorelConfig(**bad)
     with pytest.raises(UsageError):
         borel_sum(alternating_factorial(4), BorelConfig(a=1), -1)

@@ -113,7 +113,20 @@ class TestSumCommand:
         path = write(tmp_path, ALT_GEOMETRIC)
         d0_path = write(tmp_path, D0_FILE, "d0.txt")
         pade = ["--method", "pade", "--L", "0", "--M", "1"]
+        odm = ["sum", d0_path, "--method", "odm", "--order", "4", "--g", "1"]
+        borel_map = ["sum", d0_path, "--method", "borel-map", "--g", "1"]
+        borel_pade = ["sum", d0_path, "--method", "borel-pade", "--L", "2", "--M", "2",
+                      "--g", "1"]
         cases = [
+            ({}, odm + ["--alpha", "abc"]),
+            ({}, odm + ["--alpha", "1/0"]),
+            ({}, odm + ["--prefactor-p", "zz"]),
+            ({}, odm + ["--tau", "xyz"]),
+            ({}, odm + ["--tau", "nan"]),
+            ({}, borel_map + ["--sigma", "q"]),
+            ({}, borel_pade + ["--sigma", "q"]),
+            ({}, borel_map + ["--a", "abc"]),
+            ({}, borel_map + ["--a", "1/0"]),
             ({}, ["sum", path, "--method", "pade", "--g", "1"]),
             ({}, ["sum", path] + pade + ["--g", "abc"]),
             ({}, ["sum", path] + pade + ["--g", "nan"]),

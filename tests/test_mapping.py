@@ -13,6 +13,7 @@ from resum import (
     build_rho_table,
     compose,
     d0_partition_coeffs,
+    g_of_lambda,
     lambda_of_g,
     multiply,
     revert,
@@ -49,6 +50,11 @@ def test_spec_validation():
         MappingSpec(SHIFTED, 2, prefactor_p=1, beta_covariant=True)
     with pytest.raises(UsageError):
         MappingSpec(POWER_CUT, 2, beta_covariant=True)
+    for bad in (mp.nan, mp.inf):
+        with pytest.raises(UsageError):
+            MappingSpec(POWER_CUT, bad)
+        with pytest.raises(UsageError):
+            MappingSpec(POWER_CUT, 2, prefactor_p=bad)
 
 
 def test_d0_table_first_orders():
@@ -96,9 +102,19 @@ def test_lambda_of_g_rejects_negative():
     from resum import DomainError
 
     # Negative, NaN, and so large that lambda rounds to 1 at 64 digits.
-    for g in (-1, mp.nan, mpf("1e200")):
-        with pytest.raises(DomainError):
-            lambda_of_g(g, 1, MappingSpec(POWER_CUT, 2))
+    for spec in (MappingSpec(POWER_CUT, 2), MappingSpec(SHIFTED, "1.5")):
+        for g in (-1, mp.nan, mpf("1e200")):
+            with pytest.raises(DomainError):
+                lambda_of_g(g, 1, spec)
+
+
+def test_lambda_of_g_complex_rho():
+    rho = mp.mpc("0.8", "0.3")
+    lam = lambda_of_g(mpf("1.4"), rho, MappingSpec(SHIFTED, "1.5"))
+    assert abs(lam - (1 - (1 + mpf("1.4") / rho) ** (-1 / mpf("1.5")))) < mpf("1e-60")
+    assert mp.im(lam) != 0
+    with pytest.raises(UsageError):
+        lambda_of_g(mpf("1.4"), rho, MappingSpec(POWER_CUT, 2))
 
 
 @given(st.floats(min_value=0.05, max_value=20), st.floats(min_value=0.1, max_value=5))
@@ -108,6 +124,8 @@ def test_lambda_monotone_in_g(g, rho):
         lam1 = lambda_of_g(mpf(g), mpf(rho), spec)
         lam2 = lambda_of_g(mpf(g) * mpf("1.25"), mpf(rho), spec)
         assert 0 < lam1 < lam2 < 1
+        back = g_of_lambda(lam1, mpf(rho), spec)
+        assert abs(back - mpf(g)) <= mpf("1e-50") * mpf(g)
 
 
 @given(st.floats(min_value=1.05, max_value=6))

@@ -102,10 +102,9 @@ class TestSelection:
             select_rho(d0_table, 8, RhoSelectionCriterion(mode=SelectionMode.ROOT))
 
     def test_criterion_validation(self):
-        with pytest.raises(UsageError):
-            RhoSelectionCriterion(smallness_factor=0)
-        with pytest.raises(UsageError):
-            RhoSelectionCriterion(near_real_width=-1)
+        for tau in (0, mp.nan, mp.inf, "nan"):
+            with pytest.raises(UsageError):
+                RhoSelectionCriterion(smallness_factor=tau)
 
 
 class TestValues:
@@ -220,4 +219,4 @@ class TestStudy:
         with pytest.raises(UsageError):
             convergence_study(d0_table, MIXED, 24, mp.inf, oracle=1)
         with pytest.raises(FitError):
-            convergence_study(d0_table, MIXED, 8, mp.inf, oracle=1, fit_min_order=5)
+            convergence_study(d0_table, MIXED, 8, mp.inf, oracle=1)
