@@ -181,9 +181,13 @@ def parse_series_file(path):
     if "large_order_A" in fields:
         text, lineno = fields["large_order_A"]
         try:
-            to_mpf(text)
+            value = to_mpf(text)
         except Exception:
             raise ParseError("cannot parse large_order_A value %r" % text, lineno)
+        if value == 0 or not mp.isfinite(value):
+            # borel-map takes a = 1/large_order_A by default.
+            raise ParseError("large_order_A must be finite and nonzero, got %r" % text,
+                             lineno)
     return SeriesFile(
         name=name, variable=variable, coefficients=coefficients,
         generator=generator, order=order, large_order_A=take("large_order_A"),
@@ -305,9 +309,17 @@ def _write_csv(path, columns, rows, stdout):
     if not path:
         write(stdout)
         return sys.stderr
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_output(path) as handle:
         write(handle)
     return stdout
+
+
+def _open_output(path):
+    """``path`` opened for writing text; an unwritable path is a UsageError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
 def cmd_sum(args, stdout):
@@ -455,21 +467,21 @@ def main(argv=None, stdout=None):
                 payload, code = cmd_reproduce(args, stdout)
             else:
                 payload, code = cmd_study(args, stdout)
+        if getattr(args, "out", None):
+            report = {
+                "schema": SCHEMA_VERSION,
+                "command": args.command,
+                "config": _config_echo(args),
+                "report": payload,
+                "exit_code": code,
+                "wall_time_s": round(time.time() - started, 3),
+            }
+            with _open_output(args.out) as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
     except ResumError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if getattr(args, "out", None):
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "config": _config_echo(args),
-            "report": payload,
-            "exit_code": code,
-            "wall_time_s": round(time.time() - started, 3),
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return code
 
 

@@ -11,6 +11,7 @@ the convergence study with its slope fits.
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 from mpmath import mp, mpc, mpf
 
@@ -116,12 +117,13 @@ _ZERO_SETS = {
 
 
 def _gather(poly, thorough, allow_complex):
-    """Candidate pool (largest modulus first) and the wide-pair fallback."""
+    """Candidate pool (an iterator, largest modulus first) and the wide-pair
+    fallback list."""
     if allow_complex:
         reals, near, wide = _candidate_pools(poly)
         pool = sorted(reals + near, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
         wide = sorted(wide, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
-        return pool, wide
+        return iter(pool), wide
     return positive_roots(poly, thorough), []
 
 
@@ -139,7 +141,9 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
     and wide pairs act as the empty-pool fallback (largest modulus, no
     smallness filtering); the report's ``is_complex`` marks such picks.
     ``thorough`` forces the complete root solver instead of the descending
-    scan on high-degree polynomials.
+    scan on high-degree polynomials.  The scan is read lazily: an order
+    whose candidate passes stops there, and only a flagged order scans the
+    whole range.
     """
     if not 1 <= k <= table.source_order:
         raise UsageError("order k=%d outside table range 1..%d" % (k, table.source_order))
@@ -154,7 +158,8 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
     for mode in _ZERO_SETS[criterion.mode]:
         pool, wide = _gather(poly if mode is SelectionMode.ROOT else dpoly,
                              thorough, allow_complex)
-        if pool or wide:
+        head = list(islice(pool, 1))  # the largest candidate, if any
+        if head or wide:
             break
     else:
         raise SelectionError(
@@ -163,7 +168,7 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         )
     examined = []
     chosen = None
-    for rho in pool:
+    for rho in chain(head, pool):
         pval = abs(horner(poly, rho))
         dval = abs(horner(dpoly, rho))
         examined.append((rho, pval, dval))
@@ -176,7 +181,7 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
             chosen = rho
             break
     flagged = False
-    if chosen is None and pool:
+    if chosen is None and examined:
         chosen = examined[0][0]
         flagged = True
     if chosen is None:

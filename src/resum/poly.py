@@ -49,13 +49,14 @@ def _fujiwara_bound(coeffs):
     return 2 * best if best > 0 else mpf(1)
 
 
-def _cauchy_lower_bound(coeffs):
-    """Lower bound on root moduli via the reversed-polynomial Cauchy bound."""
+def _fujiwara_lower_bound(coeffs):
+    """Lower bound on root moduli: Fujiwara's bound on the reversed polynomial,
+    ``(1/2) min_j |c_0/c_j|^(1/j)`` over nonzero ``c_j`` (zero when ``c_0`` is)."""
     c0 = abs(coeffs[0])
     if c0 == 0:
         return mpf(0)
-    m = max(abs(c) for c in coeffs[1:])
-    return c0 / (c0 + m)
+    return min((c0 / abs(c)) ** (mpf(1) / j)
+               for j, c in enumerate(coeffs) if j and c != 0) / 2
 
 
 def all_roots(coeffs):
@@ -121,36 +122,41 @@ def _polish(coeffs, dcoeffs, lo, hi):
 def _scan_positive_roots(coeffs):
     """Positive real roots by descending geometric sign scan, largest first.
 
-    Walks a geometric grid of eight points per octave (at most 4000) from
-    above the Fujiwara bound down to below the Cauchy lower bound, polishing
-    every sign change; grid cells where the polynomial magnitude dips to a
-    local minimum without changing sign are re-sampled sixteen times finer to
-    catch close root pairs.  Intended for the simple, well-separated positive
-    roots of mapped-series polynomials; arbitrary input should go through
+    A generator: it walks a geometric grid of eight points per octave (at
+    most 4000) from above the Fujiwara upper bound down to half the Fujiwara
+    lower bound, evaluating the polynomial only as far as the caller reads,
+    and yields each sign change polished, duplicates merged.  Grid cells
+    where the polynomial magnitude dips to a local minimum without changing
+    sign are re-sampled sixteen times finer to catch close root pairs.
+    Intended for the simple, well-separated positive roots of mapped-series
+    polynomials; arbitrary input should go through
     :func:`polynomial_real_roots`.
     """
     dcoeffs = derivative_coeffs(coeffs)
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
-    lo = _cauchy_lower_bound(coeffs) / 2
+    lo = _fujiwara_lower_bound(coeffs) / 2
     if lo <= 0 or lo >= hi:
         lo = hi * mpf("1e-20")
     n = max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8)
     if n > 4000:
         n = 4000
     ratio = (lo / hi) ** (mpf(1) / n)
-    xs = [hi]
-    for _ in range(n):
-        xs.append(xs[-1] * ratio)
-    vals = [horner(coeffs, x) for x in xs]
-    roots = []
+    xs, vals = [hi], [horner(coeffs, hi)]
 
-    def handle_cell(a, b, fa, fb, depth):
+    def point(i):
+        # Grid point i and the polynomial there, extending the walk on demand.
+        while len(xs) <= i:
+            xs.append(xs[-1] * ratio)
+            vals.append(horner(coeffs, xs[-1]))
+        return xs[i], vals[i]
+
+    def cell_roots(a, b, fa, fb, depth):
         # a > b on the descending walk
         if fa == 0:
-            roots.append(a)
+            yield a
             return
         if fa * fb < 0:
-            roots.append(_polish(coeffs, dcoeffs, b, a))
+            yield _polish(coeffs, dcoeffs, b, a)
             return
         if depth <= 0:
             return
@@ -159,48 +165,49 @@ def _scan_positive_roots(coeffs):
         fsub = [horner(coeffs, x) for x in sub]
         for j in range(16, 0, -1):
             if fsub[j] * fsub[j - 1] < 0:
-                roots.append(_polish(coeffs, dcoeffs, sub[j - 1], sub[j]))
+                yield _polish(coeffs, dcoeffs, sub[j - 1], sub[j])
 
-    for i in range(n):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0 or fa == 0:
-            handle_cell(a, b, fa, fb, 0)
-        else:
-            # Dip cells: magnitude local minimum with no sign change.
-            here = abs(fb)
-            left = abs(fa)
-            right = abs(vals[i + 2]) if i + 2 <= n else None
-            if right is not None and here < left and here < right:
-                handle_cell(a, b, fa, fb, 1)
-                handle_cell(b, xs[i + 2], fb, vals[i + 2], 1)
-    if vals[-1] == 0:
-        roots.append(xs[-1])
-    out = []
-    for r in roots:  # already descending
-        if out and abs(r - out[-1]) <= tolerance(mp.dps // 2) * max(1, abs(r)):
-            continue
-        out.append(r)
-    return out
+    def descending_roots():
+        for i in range(n):
+            (a, fa), (b, fb) = point(i), point(i + 1)
+            if fa * fb < 0 or fa == 0:
+                yield from cell_roots(a, b, fa, fb, 0)
+            elif i + 2 <= n:
+                # Dip cells: magnitude local minimum with no sign change.
+                c, fc = point(i + 2)
+                if abs(fb) < abs(fa) and abs(fb) < abs(fc):
+                    yield from cell_roots(a, b, fa, fb, 1)
+                    yield from cell_roots(b, c, fb, fc, 1)
+        if vals[n] == 0:
+            yield xs[n]
+
+    last = None
+    for r in descending_roots():
+        if last is None or abs(r - last) > tolerance(mp.dps // 2) * max(1, abs(r)):
+            last = r
+            yield r
 
 
 _SCAN_DEGREE_MIN = 13
 
 
 def positive_roots(coeffs, thorough=False):
-    """Positive real roots, largest first, for the scale selection.
+    """Iterator over the positive real roots, largest first, for the scale
+    selection.
 
     Low degrees (and ``thorough=True``) go through the complete solver;
-    large mapped-table polynomials use the descending scan.
+    large mapped-table polynomials use the descending scan, which does only
+    as much work as the caller reads.
     """
     stripped = strip_zeros(coeffs)
     if len(stripped) < 2:
-        return []
+        return iter(())
     eps = tolerance(mp.dps // 2)
     if thorough or len(stripped) - 1 < _SCAN_DEGREE_MIN:
-        roots = polynomial_real_roots(stripped)
-        return [r for r in sorted(roots, reverse=True) if r > eps]
-    return [r for r in _scan_positive_roots(stripped) if r > eps]
+        roots = sorted(polynomial_real_roots(stripped), reverse=True)
+    else:
+        roots = _scan_positive_roots(stripped)
+    return (r for r in roots if r > eps)
 
 
 def bracket_solve(f, lo, hi, rtol, df=None):

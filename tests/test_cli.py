@@ -72,6 +72,19 @@ class TestSeriesFileParsing:
             parse_series_file(write(tmp_path, "coefficients: 1, fish\n"))
         assert "fish" in str(err.value)
 
+    def test_large_order_A_must_be_finite_and_nonzero(self, tmp_path, capsys):
+        for value in ("0", "0/7", "inf", "nan"):
+            path = write(tmp_path, D0_FILE.replace("large_order_A: 1.5",
+                                                   "large_order_A: %s" % value))
+            with pytest.raises(ParseError) as err:
+                parse_series_file(path)
+            assert "line 5" in str(err.value) and "large_order_A" in str(err.value)
+            # borel-map would otherwise divide by it for its default --a.
+            assert main(["sum", path, "--method", "borel-map", "--g", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "large_order_A" in err
+            assert "Traceback" not in err
+
     def test_unknown_generator(self, tmp_path):
         with pytest.raises(ParseError):
             parse_series_file(write(tmp_path, "generator: nope\norder: 3\n"))
@@ -172,6 +185,15 @@ class TestSumCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, ALT_GEOMETRIC)
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["sum", path, "--method", "pade", "--L", "0", "--M", "1",
+                     "--g", "1", "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % out_path)
+        assert "Traceback" not in err
+
     def test_env_precision(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RESUM_PRECISION", "40")
         path = write(tmp_path, ALT_GEOMETRIC)
@@ -193,6 +215,13 @@ class TestReproduceCommand:
         assert csv_a.read_bytes() == csv_b.read_bytes()
         header = csv_a.read_text().splitlines()[0]
         assert header.startswith("alpha,mu,mu_ref")
+
+    def test_unwritable_csv_path_exits_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "table.csv"
+        assert main(["reproduce", "saddle-table", "--csv", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % csv_path)
+        assert "Traceback" not in err
 
     def test_unknown_table_id(self, capsys):
         assert main(["reproduce", "no-such-table"]) == 1

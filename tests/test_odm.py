@@ -20,6 +20,7 @@ from resum import (
     linear_fit,
     odm_value,
     polynomial_real_roots,
+    rg_series,
     select_rho,
 )
 
@@ -90,6 +91,31 @@ class TestSelection:
             fast = select_rho(d0_table, k, MIXED).rho
             full = select_rho(d0_table, k, MIXED, thorough=True).rho
             assert abs(fast - full) <= mpf("1e-30") * abs(full)
+
+    def test_scan_flagged_picks_match_complete_solver(self, d0_table):
+        # The scan is read lazily; a flagged order reads it to the end and
+        # must still report the largest candidate, as the complete solver does.
+        reports = [(select_rho(d0_table, k, MIXED), select_rho(d0_table, k, MIXED, thorough=True))
+                   for k in range(13, 24, 2)]
+        assert any(fast.flagged for fast, _ in reports)
+        for fast, full in reports:
+            assert fast.flagged == full.flagged, fast.k
+            assert fast.mode is full.mode, fast.k
+            assert len(fast.candidates) == len(full.candidates), fast.k
+            assert abs(fast.rho - full.rho) <= mpf("1e-30") * abs(full.rho), fast.k
+
+    def test_wide_pair_fallback_when_pool_is_empty(self):
+        # Order 3 of the phi4 beta table has neither a positive root nor a
+        # near-real pair, so the empty (already read) pool hands over to the
+        # largest wide pair, unflagged.
+        table = build_rho_table(rg_series().beta, MappingSpec(
+            MappingFamily.SHIFTED_POWER, "1.5", beta_covariant=True))
+        criterion = RhoSelectionCriterion(mode=SelectionMode.STATIONARY_FIRST,
+                                          smallness_factor=1)
+        rep = select_rho(table, 3, criterion, allow_complex=True)
+        assert rep.is_complex and not rep.flagged
+        assert rep.mode is SelectionMode.ROOT
+        assert len(rep.candidates) == 1 and rep.candidates[0][0] == rep.rho
 
     def test_out_of_range(self, d0_table):
         with pytest.raises(UsageError):

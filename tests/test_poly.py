@@ -1,8 +1,10 @@
 """Numeric kernel: Horner, polynomial roots, the bracketed solver, and the
 rule that no public call leaves the working precision changed."""
 
+from itertools import islice
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
@@ -23,7 +25,15 @@ from resum import (
     solve_saddle,
 )
 from resum.cli import main
-from resum.poly import bracket_solve, horner, polynomial_real_roots, positive_roots
+from resum import poly
+from resum.poly import (
+    _fujiwara_lower_bound,
+    all_roots,
+    bracket_solve,
+    horner,
+    polynomial_real_roots,
+    positive_roots,
+)
 
 
 def recorded(fn, seen):
@@ -99,10 +109,55 @@ SEPARATED_ROOTS = st.integers(13, 20).flatmap(lambda n: st.lists(
 def test_scan_matches_complete_solver_on_separated_roots(factors, lead):
     roots = [mpf("1.25") ** e if positive else -mpf("1.4") ** e for positive, e in factors]
     coeffs = _expand(roots, lead)
-    scanned = positive_roots(coeffs)
+    scanned = list(positive_roots(coeffs))
     complete = sorted((r for r in polynomial_real_roots(coeffs) if r > 0), reverse=True)
     assert len(scanned) == len(complete) == sum(1 for r in roots if r > 0)
     for a, b in zip(scanned, complete):
+        assert abs(a - b) <= mpf("1e-30") * b
+
+
+# Integer polynomials of degree 1-12 with nonzero constant and leading
+# terms; about half the inner coefficients are zero.
+SPARSE_POLYS = st.integers(0, 11).flatmap(lambda inner: st.tuples(
+    st.integers(-50, -1) | st.integers(1, 50),
+    st.lists(st.just(0) | st.integers(-50, 50), min_size=inner, max_size=inner),
+    st.integers(-50, -1) | st.integers(1, 50)))
+
+
+@given(SPARSE_POLYS)
+def test_lower_bound_below_every_root_modulus(parts):
+    c0, inner, lead = parts
+    coeffs = [mpf(c) for c in [c0] + inner + [lead]]
+    bound = _fujiwara_lower_bound(coeffs)
+    assert bound > 0
+    # Certificate: on |x| <= bound the constant term outweighs all others.
+    assert mp.fsum(abs(c) * bound ** j for j, c in enumerate(coeffs) if j) < abs(coeffs[0])
+    try:
+        roots = all_roots(coeffs)
+    except SolverError:
+        assume(False)  # the complete solver stalls on roots of multiplicity >= 3
+    assert bound <= min(abs(r) for r in roots)
+
+
+def test_lower_bound_zero_for_root_at_origin():
+    assert _fujiwara_lower_bound([mpf(0), mpf(3), mpf(-1)]) == 0
+
+
+def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
+    # Positive roots 1, 1/2, ..., 2^-13: the largest sits near the top of
+    # the grid, so reading it alone leaves most of the walk undone.
+    roots = [mpf(2) ** -e for e in range(14)]
+    coeffs = _expand(roots, 1)
+    calls = []
+    evaluate = poly.horner
+    monkeypatch.setattr(poly, "horner", lambda c, x: calls.append(x) or evaluate(c, x))
+    first = list(islice(positive_roots(coeffs), 1))
+    first_calls = len(calls)
+    scanned = list(positive_roots(coeffs))
+    assert first == scanned[:1]
+    assert first_calls < (len(calls) - first_calls) / 4
+    assert len(scanned) == len(roots)
+    for a, b in zip(scanned, roots):
         assert abs(a - b) <= mpf("1e-30") * b
 
 
