@@ -117,12 +117,6 @@ class BenchmarkResult:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _ns(x, n=10):
     if x is None:
@@ -170,7 +164,7 @@ def run_saddle_table(digits=64):
         )
 
 
-def _study_rows(study, reference, oracle_abs=None):
+def _study_rows(study, reference):
     rows = []
     for k in sorted(reference):
         rep = study.report(k)

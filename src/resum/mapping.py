@@ -11,7 +11,7 @@ bracketed solver of :mod:`resum.poly`.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
@@ -144,7 +144,6 @@ class RhoPolynomialTable:
     polys: tuple
     mapping: MappingSpec
     source_order: int
-    source: PowerSeries = field(repr=False, compare=False, default=None)
 
     def eval_poly(self, k, rho):
         return horner(self.polys[k], rho)
@@ -195,5 +194,4 @@ def build_rho_table(source, mapping):
         polys=tuple(tuple(p) for p in polys),
         mapping=mapping,
         source_order=K,
-        source=source,
     )

@@ -80,8 +80,10 @@ class OdmReport:
     delta: object = None       # oracle - value, when an oracle was supplied
 
 
-def _candidate_pools(coeffs):
-    """Real positive candidates, near-real pairs, and wide fallback pairs.
+def _complex_pools(coeffs):
+    """Candidates when complex pairs are admitted: an iterator over the
+    positive roots and near-real pairs, and the list of wide fallback pairs,
+    each largest modulus first.
 
     Complex pairs are canonicalized to positive imaginary part.  "Near-real"
     means ``Im <= Re / 2`` (strictly positive real part); the wide pool
@@ -90,20 +92,24 @@ def _candidate_pools(coeffs):
     """
     stripped = strip_zeros(coeffs)
     if len(stripped) < 2:
-        return [], [], []
+        return iter(()), []
     eps = tolerance(mp.dps // 2)
-    reals, near, wide = [], [], []
+    pool, wide = [], []
     for r in all_roots(stripped):
         re, im = mp.re(r), mp.im(r)
         if abs(im) <= eps * max(1, abs(r)):
             if re > eps:
-                reals.append(re)
+                pool.append(re)
         elif im > 0:
             if re > eps and im <= re / 2:
-                near.append(mp.mpc(re, im))
+                pool.append(mp.mpc(re, im))
             elif re >= -eps * max(1, abs(r)):
                 wide.append(mp.mpc(max(re, mpf(0)), im))
-    return reals, near, wide
+
+    def key(r):
+        return (-abs(r), -mp.re(r), -mp.im(r))
+
+    return iter(sorted(pool, key=key)), sorted(wide, key=key)
 
 
 # The zero sets each mode tries, in order: those of P_k (ROOT) or of P_k'
@@ -114,17 +120,6 @@ _ZERO_SETS = {
     SelectionMode.MIXED: (SelectionMode.ROOT, SelectionMode.STATIONARY),
     SelectionMode.STATIONARY_FIRST: (SelectionMode.STATIONARY, SelectionMode.ROOT),
 }
-
-
-def _gather(poly, thorough, allow_complex):
-    """Candidate pool (an iterator, largest modulus first) and the wide-pair
-    fallback list."""
-    if allow_complex:
-        reals, near, wide = _candidate_pools(poly)
-        pool = sorted(reals + near, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
-        wide = sorted(wide, key=lambda r: (-abs(r), -mp.re(r), -mp.im(r)))
-        return iter(pool), wide
-    return positive_roots(poly, thorough), []
 
 
 def select_rho(table, k, criterion, thorough=False, allow_complex=False):
@@ -140,10 +135,10 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
     With ``allow_complex``, near-real conjugate pairs compete in the pool
     and wide pairs act as the empty-pool fallback (largest modulus, no
     smallness filtering); the report's ``is_complex`` marks such picks.
-    ``thorough`` forces the complete root solver instead of the descending
-    scan on high-degree polynomials.  The scan is read lazily: an order
-    whose candidate passes stops there, and only a flagged order scans the
-    whole range.
+    Real candidates come from the descending scan of :mod:`resum.poly`,
+    read lazily: an order whose candidate passes stops there, and only a
+    flagged order scans the whole range.  ``thorough`` takes the complete
+    root solver instead (the reference the tests compare against).
     """
     if not 1 <= k <= table.source_order:
         raise UsageError("order k=%d outside table range 1..%d" % (k, table.source_order))
@@ -156,8 +151,11 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         return OdmReport(k=k, rho=mpf(1), candidates=((mpf(1), mpf(0), mpf(0)),),
                          mode=criterion.mode, flagged=False)
     for mode in _ZERO_SETS[criterion.mode]:
-        pool, wide = _gather(poly if mode is SelectionMode.ROOT else dpoly,
-                             thorough, allow_complex)
+        zeros_of = poly if mode is SelectionMode.ROOT else dpoly
+        if allow_complex:
+            pool, wide = _complex_pools(zeros_of)
+        else:
+            pool, wide = positive_roots(zeros_of, thorough), []
         head = list(islice(pool, 1))  # the largest candidate, if any
         if head or wide:
             break

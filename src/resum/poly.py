@@ -3,9 +3,9 @@
 Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
 the root-modulus bounds, the complete root solver with its real-root filter,
-the descending positive-root scan used on high-degree mapped-table
-polynomials, and one bracketed solver for scalar zeros (the per-order scale
-polish, the mapping inversion, the saddle equations, the Borel-summed flow).
+the descending positive-root scan that yields the real scale candidates,
+and one bracketed solver for scalar zeros (the per-order scale polish, the
+mapping inversion, the saddle equations, the Borel-summed flow).
 """
 
 from mpmath import mp, mpf, polyroots
@@ -60,12 +60,19 @@ def _fujiwara_lower_bound(coeffs):
 
 
 def all_roots(coeffs):
-    """Every complex root of a polynomial with nonzero leading coefficient."""
+    """Every complex root of a polynomial with nonzero leading coefficient.
+
+    A root of multiplicity three or more stalls the first iteration; the
+    retry, with ``degree * prec`` guard bits, resolves up to 9 at 64 digits.
+    """
     monic = list(reversed(coeffs))
-    try:
-        return list(polyroots(monic, maxsteps=400, extraprec=max(mp.prec, 120)))
-    except mp.NoConvergence as exc:
-        raise SolverError("polynomial root iteration did not converge") from exc
+    for maxsteps, extraprec in ((400, max(mp.prec, 120)),
+                                (1000, (len(monic) - 1) * mp.prec)):
+        try:
+            return list(polyroots(monic, maxsteps=maxsteps, extraprec=extraprec))
+        except mp.NoConvergence:
+            pass
+    raise SolverError("polynomial root iteration did not converge")
 
 
 def polynomial_real_roots(coeffs):
@@ -128,8 +135,8 @@ def _scan_positive_roots(coeffs):
     and yields each sign change polished, duplicates merged.  Grid cells
     where the polynomial magnitude dips to a local minimum without changing
     sign are re-sampled sixteen times finer to catch close root pairs.
-    Intended for the simple, well-separated positive roots of mapped-series
-    polynomials; arbitrary input should go through
+    Intended for the simple positive roots of mapped-series polynomials of
+    any degree; arbitrary input should go through
     :func:`polynomial_real_roots`.
     """
     dcoeffs = derivative_coeffs(coeffs)
@@ -188,22 +195,20 @@ def _scan_positive_roots(coeffs):
             yield r
 
 
-_SCAN_DEGREE_MIN = 13
-
-
 def positive_roots(coeffs, thorough=False):
     """Iterator over the positive real roots, largest first, for the scale
     selection.
 
-    Low degrees (and ``thorough=True``) go through the complete solver;
-    large mapped-table polynomials use the descending scan, which does only
-    as much work as the caller reads.
+    The descending scan does only as much work as the caller reads.  A
+    tangent (even-multiplicity) positive root is not a sign change, so the
+    scan does not report it.  ``thorough=True`` takes the complete solver
+    instead, which does report such a root.
     """
     stripped = strip_zeros(coeffs)
     if len(stripped) < 2:
         return iter(())
     eps = tolerance(mp.dps // 2)
-    if thorough or len(stripped) - 1 < _SCAN_DEGREE_MIN:
+    if thorough:
         roots = sorted(polynomial_real_roots(stripped), reverse=True)
     else:
         roots = _scan_positive_roots(stripped)

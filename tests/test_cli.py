@@ -1,10 +1,14 @@
 """Front end: file parsing, subcommands, reports, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
-from mpmath import mpf
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 from resum import ParseError
 from resum.cli import main, parse_series_file
@@ -273,3 +277,68 @@ class TestStudyCommand:
     def test_max_order_budget(self, tmp_path):
         path = write(tmp_path, ALT_GEOMETRIC)
         assert main(["study", path, "--max-order", "3", "--g", "1"]) == 1
+
+
+COEFFICIENT = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.tuples(st.integers(-50, 50), st.integers(1, 50)).map(lambda t: "%d/%d" % t),
+    st.sampled_from(["0.5", "-1.25", "1e3", "-2e-4"]))
+
+
+@st.composite
+def sum_requests(draw):
+    """A series file of 1-9 explicit coefficients and the argv of one ``sum``."""
+    text = "coefficients: %s\n" % ", ".join(draw(st.lists(COEFFICIENT, min_size=1,
+                                                           max_size=9)))
+    if draw(st.booleans()):
+        text += "large_order_A: %s\n" % draw(st.sampled_from(["1.5", "0.25", "-2", "0"]))
+    method = draw(st.sampled_from(["odm", "borel-map", "borel-pade", "pade"]))
+    argv = ["--method", method, "--g",
+            draw(st.sampled_from(["inf", "0", "0.5", "5", "-1", "1e20", "2/3"]))]
+
+    def option(flag, values):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv.extend([flag, value])
+
+    if method == "odm":
+        option("--order", ["0", "1", "2", "5", "8", "12"])
+        option("--family", ["power-cut", "shifted-power"])
+        option("--alpha", ["1", "1.5", "2", "3", "-1"])
+        option("--prefactor-p", ["0", "0.5", "-0.5"])
+        option("--criterion", ["root", "stationary", "mixed", "stationary-first"])
+        option("--tau", ["0.5", "1e6"])
+        if draw(st.booleans()):
+            argv.append("--beta-covariant")
+    elif method == "borel-map":
+        option("--order", ["0", "2", "5", "8", "12"])
+        option("--sigma", ["0", "1.5", "-0.5"])
+        option("--a", ["1", "0.25", "-1", "0"])
+    else:
+        option("--L", ["0", "1", "2", "4"])
+        option("--M", ["0", "1", "2", "4"])
+        if method == "borel-pade":
+            option("--sigma", ["0", "1.5", "-0.5"])
+    return text, argv
+
+
+@settings(derandomize=True, max_examples=100)
+@given(sum_requests())
+def test_sum_fuzz_ends_in_a_finite_value_or_one_error_line(case):
+    text, argv = case
+    dps = mp.dps
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stderr(err):
+            code = main(["sum", path] + argv, stdout=out)
+    assert mp.dps == dps
+    assert code in (0, 1, 2)
+    if code == 0:
+        value = [line for line in out.getvalue().splitlines() if line.startswith("value: ")]
+        assert len(value) == 1 and mp.isfinite(mpf(value[0].split()[1]))
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -95,14 +95,23 @@ class TestSelection:
     def test_scan_flagged_picks_match_complete_solver(self, d0_table):
         # The scan is read lazily; a flagged order reads it to the end and
         # must still report the largest candidate, as the complete solver does.
+        orders = list(range(1, 13)) + list(range(13, 24, 2))
         reports = [(select_rho(d0_table, k, MIXED), select_rho(d0_table, k, MIXED, thorough=True))
-                   for k in range(13, 24, 2)]
+                   for k in orders]
         assert any(fast.flagged for fast, _ in reports)
         for fast, full in reports:
             assert fast.flagged == full.flagged, fast.k
             assert fast.mode is full.mode, fast.k
             assert len(fast.candidates) == len(full.candidates), fast.k
             assert abs(fast.rho - full.rho) <= mpf("1e-30") * abs(full.rho), fast.k
+
+    def test_real_candidates_never_need_the_complete_solver(self, d0_table, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise AssertionError("complete solver called")
+
+        monkeypatch.setattr("resum.poly.polyroots", stalled)
+        for k in range(1, 13):
+            assert select_rho(d0_table, k, MIXED).k == k
 
     def test_wide_pair_fallback_when_pool_is_empty(self):
         # Order 3 of the phi4 beta table has neither a positive root nor a

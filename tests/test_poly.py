@@ -4,7 +4,7 @@ rule that no public call leaves the working precision changed."""
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
@@ -99,9 +99,9 @@ def _expand(roots, lead):
     return coeffs
 
 
-# Degree 13-20, so positive_roots takes the scan; positive roots sit on a
-# 1.25-ratio ladder, wider than the scan's 2^(1/8) grid cells.
-SEPARATED_ROOTS = st.integers(13, 20).flatmap(lambda n: st.lists(
+# Degree 1-20; positive roots sit on a 1.25-ratio ladder, wider than the
+# scan's 2^(1/8) grid cells.
+SEPARATED_ROOTS = st.integers(1, 20).flatmap(lambda n: st.lists(
     st.tuples(st.booleans(), st.integers(-12, 12)), unique=True, min_size=n, max_size=n))
 
 
@@ -132,11 +132,16 @@ def test_lower_bound_below_every_root_modulus(parts):
     assert bound > 0
     # Certificate: on |x| <= bound the constant term outweighs all others.
     assert mp.fsum(abs(c) * bound ** j for j, c in enumerate(coeffs) if j) < abs(coeffs[0])
-    try:
-        roots = all_roots(coeffs)
-    except SolverError:
-        assume(False)  # the complete solver stalls on roots of multiplicity >= 3
-    assert bound <= min(abs(r) for r in roots)
+    # Coefficients in [-50, 50] allow a root multiplicity of at most 7.
+    assert bound <= min(abs(r) for r in all_roots(coeffs))
+
+
+@pytest.mark.parametrize("coeffs, root", [([1, 3, 3, 1], -1), ([-8, 12, -6, 1], 2),
+                                          ([1, 4, 6, 4, 1], -1)])
+def test_roots_of_multiplicity_three_and_four(coeffs, root):
+    roots = polynomial_real_roots(coeffs)
+    assert len(roots) == 1
+    assert abs(roots[0] - root) <= mpf("1e-50")
 
 
 def test_lower_bound_zero_for_root_at_origin():
