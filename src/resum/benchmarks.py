@@ -11,10 +11,11 @@ these functions, so they carry the configuration that reproduces each table
 """
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from mpmath import mp, mpf
 
-from .borel import BorelConfig, borel_sum
+from .borel import BorelConfig, borel_leroy_transform, conformal_map_coeffs, laplace_moments
 from .errors import SelectionError, SolverError
 from .mapping import MappingFamily, MappingSpec, build_rho_table
 from .models import (
@@ -377,11 +378,11 @@ def run_phi4_exponents(digits=64):
         )
 
 
-def _borel_zero(series, cfg):
-    """Zero of the mapped Borel sum of a flow series on [0.5, 3], or None."""
+def _borel_zero(coeffs, laplace):
+    """Zero on [0.5, 3] of the Borel sum ``sum_j coeffs[j] M_j(g)``, or None."""
     try:
-        return bracket_solve(lambda g: borel_sum(series, cfg, g), mpf("0.5"), mpf("3.0"),
-                             mpf("1e-10"))
+        return bracket_solve(lambda g: laplace(g).integral(coeffs)[0], mpf("0.5"),
+                             mpf("3.0"), mpf("1e-10"))
     except SolverError:  # no sign change on the window (or no convergence): no zero
         return None
 
@@ -399,20 +400,21 @@ def run_borel_map_exponents(digits=40):
     with workdps(digits):
         rg = rg_series()
         a = rg.large_order_a
-        gamma_inv = rg.gamma_inv
         nu_inv = nu_inv_series()
         quad_tol = mpf(10) ** (-(digits // 2))
         trajectories = {}
         for sigma in sigmas:
+            cfg = BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol)
+            # The moments at one coupling serve every order and all three series.
+            laplace = cache(partial(laplace_moments, cfg, n=7))
             rows = {}
             for k in range(2, 8):
-                cfg = BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol)
-                g_star = _borel_zero(rg.beta.truncate(k), cfg)
-                if g_star is None:
-                    continue
-                nu = 1 / borel_sum(nu_inv.truncate(k), cfg, g_star)
-                gamma = 1 / borel_sum(gamma_inv.truncate(k), cfg, g_star)
-                rows[k] = (g_star, nu, gamma)
+                beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
+                    s.truncate(k), sigma), a).coeffs for s in (rg.beta, nu_inv, rg.gamma_inv))
+                g_star = _borel_zero(beta, laplace)
+                if g_star is not None:
+                    rows[k] = (g_star, 1 / laplace(g_star).integral(nu)[0],
+                               1 / laplace(g_star).integral(gamma)[0])
             if 6 in rows and 7 in rows:
                 trajectories[sigma] = rows
         if not trajectories:

@@ -6,17 +6,29 @@ truncated transform is continued beyond that circle either by re-expanding in
 the variable of the standard cut-plane-to-disk map ``z = (4/a) u / (1-u)^2``
 or by a rational approximant; the Laplace integral with weight
 ``t^sigma e^(-t)`` then restores the function.
+
+The mapped integrand ``sum_n c_n u(g t)^n`` integrates to ``sum_n c_n M_n(g)``
+with moments ``M_n(g) = int t^sigma e^-t u(g t)^n dt`` (Le Guillou and
+Zinn-Justin), summed in fixed-point integers on cached tanh-sinh nodes in one
+pass per ``(sigma, g)``, within a few units of ``2^-(prec + 40)`` per node.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 from mpmath import mp, mpf
+from mpmath.calculus.quadrature import TanhSinh
 
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
 from .poly import horner, polynomial_real_roots
 from .precision import finite_mpf, to_mpf, tolerance
 from .series import PowerSeries, compose
+
+_TANH_SINH = TanhSinh(mp)  # mp.quad's rule; nodes are built on first use
+_GUARD_BITS = 40  # fixed-point bits beyond the working precision
+_NODE_SETS = 96  # node sets kept: 2 pieces x 10 levels x 4 Leroy shifts fit
+_node_cache = {}
 
 
 @dataclass(frozen=True)
@@ -67,14 +79,6 @@ def borel_leroy_transform(s, sigma):
     )
 
 
-def _map_series(order, a, var="u"):
-    """Taylor series of ``z(u) = (4/a) u / (1-u)^2`` through ``order``."""
-    four_over_a = 4 / to_mpf(a)
-    return PowerSeries(
-        (mpf(0),) + tuple(four_over_a * k for k in range(1, order + 1)), var
-    )
-
-
 def u_of_z(z, a):
     """Inverse map ``u = (sqrt(1+az) - 1) / (sqrt(1+az) + 1)``; sends the cut
     ``z <= -1/a`` onto the unit circle and fixes the origin."""
@@ -83,113 +87,167 @@ def u_of_z(z, a):
 
 
 def conformal_map_coeffs(b, a):
-    """Re-expand a Borel-plane series in the disk variable ``u``."""
+    """Re-expand a Borel-plane series in the disk variable ``u``, composing
+    with ``z(u) = (4/a) u / (1-u)^2 = (4/a) sum_k k u^k``."""
     if not to_mpf(a) > 0:
         raise UsageError("singularity parameter a must be positive")
-    return compose(b, _map_series(b.order, a))
+    four_over_a = 4 / to_mpf(a)
+    return compose(b, PowerSeries(
+        (mpf(0),) + tuple(four_over_a * k for k in range(1, b.order + 1)), "u"))
 
 
-def _laplace_quad(f, sigma, rel_tol):
-    """Adaptive Laplace integral ``int_0^inf t^sigma e^-t f(t) dt``.
+def _weighted_nodes(sigma, lo, hi, level, prec):
+    """``mp.quad``'s tanh-sinh nodes on ``[lo, hi]`` as nonzero integer weights
+    ``w x^sigma e^-x 2^Q`` at ``x 2^Q``, ``Q = prec + 40``; LRU-cached."""
+    key = (sigma, lo, hi, level, prec)
+    nodes = _node_cache.pop(key, None)
+    if nodes is None:
+        if len(_node_cache) >= _NODE_SETS:
+            del _node_cache[next(iter(_node_cache))]
+        nodes, q = ([], []), prec + _GUARD_BITS
+        with mp.workprec(prec + 20):
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            for x, w in _TANH_SINH.get_nodes(-1, 1, level, prec):
+                t = mid + half * x
+                weight = int(mp.ldexp(half * w * t ** sigma * mp.exp(-t), q))
+                if weight:
+                    nodes[0].append(int(mp.ldexp(t, q)))
+                    nodes[1].append(weight)
+    _node_cache[key] = nodes
+    return nodes
 
-    The weight decides the upper cutoff: beyond ``t_max`` the incomplete-Gamma
-    tail of ``t^sigma e^-t max|f|`` is below tolerance and is dropped.  The
-    tanh-sinh node budget is 2^10 levels, then 2^12 if that misses
-    ``rel_tol``.
+
+class Laplace:
+    """``I_j = int t^sigma e^-t F_j(t) dt`` by ``mp.quad``'s tanh-sinh levels on
+    ``[0, t_max/16, t_max]``, the tail beyond ``t_max`` below tolerance.
+
+    ``level_sums(xs, ws)`` gives ``sum_i ws[i] F_j(xs[i] 2^-Q)`` over one
+    level's new nodes.  Levels combine as ``sum_next`` does and are kept; a
+    piece stops once ``estimate_error`` of every ``I_j`` is ``<= eps/8``."""
+
+    def __init__(self, sigma, rel_tol, level_sums):
+        self.sigma, self.rel_tol, self.level_sums = sigma, rel_tol, level_sums
+        self.prec, self.eps = mp.prec, mp.eps / 8
+        # Solve t - sigma ln t = ln(1/tol) + margin for the cutoff.
+        target = -mp.log(rel_tol) + mp.log(mpf(10)) * 6
+        t_max = target + 5
+        for _ in range(60):
+            nxt = target + sigma * mp.log(t_max)
+            if abs(nxt - t_max) < mpf("0.5"):
+                break
+            t_max = nxt
+        # Per piece: its ends, the node sums (scaled by 2^Q) and each level's I_j.
+        self.pieces = ((mpf(0), t_max / 16, [], []), (t_max / 16, t_max, [], []))
+        self.done = [False, False]
+
+    def _refine(self, i, max_level):
+        lo, hi, sums, levels = self.pieces[i]
+        while not self.done[i] and len(levels) < max_level:
+            level = len(levels) + 1
+            new = self.level_sums(*_weighted_nodes(self.sigma, lo, hi, level, self.prec))
+            sums[:] = [s + n for s, n in zip(sums, new)] if sums else new
+            levels.append([mp.ldexp(s, -(self.prec + _GUARD_BITS + level)) for s in sums])
+            self.done[i] = level > 1 and all(
+                _TANH_SINH.estimate_error(seq, self.prec, self.eps) <= self.eps
+                for seq in zip(*levels))
+
+    def integral(self, coeffs):
+        """``(sum_j coeffs[j] I_j, error)``: ``estimate_error`` of this sum's own
+        levels, added over the pieces.  Levels run to 2^10, then 2^12 if the
+        error misses ``rel_tol`` relative (absolute below 1)."""
+        for max_level in (10, 12):
+            val = err = mpf(0)
+            with mp.workprec(self.prec + 20):
+                for i, piece in enumerate(self.pieces):
+                    self._refine(i, max_level)
+                    seq = [mp.fdot(coeffs, level) for level in piece[3]]
+                    val += seq[-1]
+                    err += _TANH_SINH.estimate_error(seq, self.prec, self.eps)
+            val = +val
+            if err <= self.rel_tol * max(abs(val), 1):
+                return val, err
+        raise ResourceError("Laplace quadrature stuck at error %s (tolerance %s)"
+                            % (mp.nstr(err, 3), mp.nstr(self.rel_tol, 3)))
+
+
+def laplace_moments(cfg, g, n):
+    """:class:`Laplace` of ``M_j(g) = int t^sigma e^-t u(g t)^j dt``, ``j <= n``.
+
+    Per node, in integers scaled by ``2^Q`` (``Q = prec + 40``):
+    ``R = isqrt((1 + a g x) 2^2Q)``, ``U = (R - 2^Q) 2^Q // (R + 2^Q)``, then
+    ``S_j += p; p = p U >> Q`` from ``p = W``.  No term is negative, so nothing
+    cancels: against exact arithmetic on the stored nodes, ``U`` is within 1.5
+    units of ``2^-Q``, and ``M_j`` at level ``d`` over ``N`` nodes within
+    ``N 2^-d (j + 1) + 2 j M_0`` units.
     """
-    # Solve t - sigma ln t = ln(1/tol) + margin for the cutoff.
-    target = -mp.log(rel_tol) + mp.log(mpf(10)) * 6
-    t_max = target + 5
-    for _ in range(60):
-        nxt = target + sigma * mp.log(t_max)
-        if abs(nxt - t_max) < mpf("0.5"):
-            break
-        t_max = nxt
+    q = mp.prec + _GUARD_BITS
+    one = 1 << q
+    ag = int(mp.ldexp(mp.fmul(cfg.a, g, exact=True), q))
 
-    def integrand(t):
-        return t ** sigma * mp.exp(-t) * f(t)
+    def level_sums(xs, ws):
+        us = [((r - one) << q) // (r + one) for r in (isqrt((one << q) + ag * x) for x in xs)]
+        sums = [sum(ws)]
+        for _ in range(n):
+            ws = [p * u >> q for p, u in zip(ws, us)]
+            sums.append(sum(ws))
+        return sums
 
-    for degree in (10, 12):
-        val, err = mp.quad(integrand, [0, t_max / 16, t_max], error=True,
-                           maxdegree=degree)
-        if err <= rel_tol * max(abs(val), mpf(1)):
-            return val, err
-    raise ResourceError(
-        "Laplace quadrature stuck at error %s (tolerance %s)"
-        % (mp.nstr(err, 3), mp.nstr(rel_tol, 3))
-    )
+    return Laplace(cfg.sigma, cfg.rel_tol(), level_sums)
 
 
 def borel_sum(s, cfg, g, full_output=False):
     """Sum ``s`` at ``g > 0`` through the mapped Borel-Leroy transform.
 
     The Borel transform is truncated at ``cfg.truncation``, re-expanded in
-    the disk variable, and evaluated at ``u(g t)`` inside the Laplace
-    integral.  With ``full_output`` the mapped-series truncation error (the
-    difference against the order ``K-1`` result) and the quadrature error
-    estimate are returned alongside the value.
+    the disk variable, and integrated against :func:`laplace_moments`.  With
+    ``full_output`` the truncation error (the difference against the order
+    ``K-1`` result of the same moments) and the quadrature error estimate
+    are returned alongside the value.
     """
-    g = to_mpf(g)
+    g = finite_mpf(g, "g")
     if not g > 0:
         raise UsageError("borel_sum needs g > 0")
     K = s.order if cfg.truncation is None else min(cfg.truncation, s.order)
     if K < 1:
         raise UsageError("need at least two coefficients")
-    b = borel_leroy_transform(s.truncate(K), cfg.sigma)
-    mapped = conformal_map_coeffs(b, cfg.a)
-    rel_tol = cfg.rel_tol()
-
-    def value_at(order):
-        coeffs = mapped.coeffs[: order + 1]
-
-        def f(t):
-            return horner(coeffs, u_of_z(g * t, cfg.a))
-
-        return _laplace_quad(f, cfg.sigma, rel_tol)
-
-    val, quad_err = value_at(K)
+    coeffs = conformal_map_coeffs(borel_leroy_transform(s.truncate(K), cfg.sigma),
+                                  cfg.a).coeffs
+    moments = laplace_moments(cfg, g, K)
+    val, quad_err = moments.integral(coeffs)
     if not full_output:
         return val
-    val_prev, _ = value_at(K - 1)
-    return BorelSumResult(
-        value=val,
-        truncation_error=abs(val - val_prev),
-        quadrature_error=quad_err,
-    )
+    val_prev, _ = moments.integral(coeffs[:-1])
+    return BorelSumResult(value=val, truncation_error=abs(val - val_prev),
+                          quadrature_error=quad_err)
 
 
 def borel_pade_sum(s, sigma, L, M, g, full_output=False):
     """Sum ``s`` at ``g > 0`` with a [L/M] rational Borel-Leroy transform.
 
-    The Laplace integral runs to ``10^(8 - digits)`` relative.  Denominator
-    zeros on the positive real axis make it ill-defined and raise
-    :class:`SummabilityError`.
+    The Laplace integral runs to ``10^(8 - digits)`` relative on the same
+    nodes as :func:`laplace_moments`, the rational integrand in ``mpf``.
+    Denominator zeros on the positive real axis raise :class:`SummabilityError`;
+    by Descartes' rule only a denominator with a sign change can have one.
     """
-    g = to_mpf(g)
+    g = finite_mpf(g, "g")
     if not g > 0:
         raise UsageError("borel_pade_sum needs g > 0")
     if L + M > s.order:
         raise UsageError("need L + M <= series order")
-    b = borel_leroy_transform(s, sigma)
-    approx = pade_fit(b, L, M)
-    if M > 0:
-        try:
-            poles = polynomial_real_roots(approx.denominator)
-        except UsageError:
-            poles = []
-        positive = [p for p in poles if p > 0]
-        if positive:
-            raise SummabilityError(
-                "Borel transform has a positive-axis pole at z = %s"
-                % mp.nstr(min(positive), 8)
-            )
+    approx = pade_fit(borel_leroy_transform(s, sigma), L, M)
     num, den = approx.numerator, approx.denominator
+    if len({c > 0 for c in den if c != 0}) > 1:  # a sign change
+        positive = [p for p in polynomial_real_roots(den) if p > 0]
+        if positive:
+            raise SummabilityError("Borel transform has a positive-axis pole at z = %s"
+                                   % mp.nstr(min(positive), 8))
+    q = mp.prec + _GUARD_BITS
 
-    def f(t):
-        z = g * t
-        return horner(num, z) / horner(den, z)
+    def level_sums(xs, ws):
+        zs = (g * mp.ldexp(x, -q) for x in xs)
+        return [mp.fdot((w, horner(num, z) / horner(den, z)) for w, z in zip(ws, zs))]
 
-    val, quad_err = _laplace_quad(f, to_mpf(sigma), tolerance(8))
+    val, quad_err = Laplace(to_mpf(sigma), tolerance(8), level_sums).integral((1,))
     if not full_output:
         return val
     return BorelSumResult(value=val, truncation_error=mpf(0), quadrature_error=quad_err)

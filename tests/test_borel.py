@@ -12,9 +12,14 @@ from resum import (
     borel_pade_sum,
     borel_sum,
     conformal_map_coeffs,
+    d0_partition_coeffs,
+    d0_partition_value,
+    pade_fit,
     rg_series,
 )
+from resum import borel
 from resum.borel import u_of_z
+from resum.poly import horner
 
 
 def alternating_factorial(order):
@@ -122,6 +127,41 @@ def test_borel_sum_sigma_independence():
         assert abs(outs[0].value - outs[1].value) <= 10 * budget
 
 
+@pytest.mark.parametrize("digits", [40, 64])
+def test_moment_kernel_matches_direct_quadrature(digits):
+    # Reference: mp.quad of the mapped integrand t^sigma e^-t sum_n c_n u(g t)^n.
+    with mp.workdps(digits):
+        for sigma in (0, 1, "2.5", 3):
+            cfg = BorelConfig(a=1, sigma=sigma)
+            for K in (2, 7, 24):
+                s = alternating_factorial(K)
+                coeffs = conformal_map_coeffs(borel_leroy_transform(s, cfg.sigma), 1).coeffs
+                for g in (mpf("0.5"), mpf("1.4"), mpf(3), mpf(5)):
+                    want = mp.quad(lambda t: t ** cfg.sigma * mp.exp(-t)
+                                   * horner(coeffs, u_of_z(g * t, 1)), [0, mp.inf])
+                    got = borel_sum(s, cfg, g)
+                    assert abs(got - want) <= mpf(10) ** (5 - digits) * abs(want), (sigma, K, g)
+
+
+def test_truncation_error_is_the_order_k_minus_one_difference():
+    s = alternating_factorial(12)
+    for sigma in (0, 2):
+        out = borel_sum(s, BorelConfig(a=1, sigma=sigma), 2, full_output=True)
+        prev = borel_sum(s, BorelConfig(a=1, sigma=sigma, truncation=11), 2)
+        assert out.value == borel_sum(s, BorelConfig(a=1, sigma=sigma), 2)
+        assert abs(out.truncation_error - abs(out.value - prev)) <= mpf("1e-60") * abs(prev)
+
+
+def test_node_cache_stays_within_its_bound():
+    # Each Leroy shift is a new key set: two pieces times several levels.
+    s = alternating_factorial(3)
+    with mp.workdps(30):
+        for k in range(12):
+            borel_sum(s, BorelConfig(a=1, sigma=mpf(k) / 7), 1)
+            assert len(borel._node_cache) <= borel._NODE_SETS
+    assert len(borel._node_cache) == borel._NODE_SETS
+
+
 def test_borel_pade_alternating_factorial():
     got = borel_pade_sum(alternating_factorial(10), 0, 0, 1, 1)
     oracle = mp.quad(lambda t: mp.exp(-t) / (1 + t), [0, mp.inf])
@@ -134,6 +174,20 @@ def test_borel_pade_rational_source():
     s = PowerSeries(tuple(mp.factorial(k) / mpf(2) ** k for k in range(8)))
     with pytest.raises(SummabilityError):
         borel_pade_sum(s, 0, 0, 1, 1)
+
+
+def test_borel_pade_skips_the_root_solver_without_sign_changes(monkeypatch):
+    # Every [n/n] denominator of the d=0 series alternates in no sign, so by
+    # Descartes' rule it has no positive zero and needs no root solver.
+    def fail(*args, **kwargs):
+        raise AssertionError("polyroots called")
+
+    monkeypatch.setattr("resum.poly.polyroots", fail)
+    s = d0_partition_coeffs(8)
+    approx = pade_fit(borel_leroy_transform(s, 0), 4, 4)
+    assert all(c > 0 for c in approx.denominator)
+    got = borel_pade_sum(s, 0, 4, 4, mpf("0.5"))
+    assert abs(got - d0_partition_value(mpf("0.5"))) < mpf("1e-3")
 
 
 def test_borel_pade_m_zero_matches_plain_integral():
@@ -173,3 +227,12 @@ def test_config_validation():
             BorelConfig(**bad)
     with pytest.raises(UsageError):
         borel_sum(alternating_factorial(4), BorelConfig(a=1), -1)
+
+
+def test_infinite_coupling_rejected_up_front():
+    s = alternating_factorial(6)
+    for call in (lambda g: borel_sum(s, BorelConfig(a=1), g),
+                 lambda g: borel_pade_sum(s, 0, 2, 2, g)):
+        for g in (mp.inf, "inf", mp.nan):
+            with pytest.raises(UsageError, match="g must be finite"):
+                call(g)

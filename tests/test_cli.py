@@ -160,6 +160,15 @@ class TestSumCommand:
             for key in env:
                 monkeypatch.delenv(key)
 
+    def test_borel_at_infinite_coupling_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, D0_FILE)
+        for flags in (["--method", "borel-map"],
+                      ["--method", "borel-pade", "--L", "2", "--M", "2"]):
+            assert main(["sum", path, "--g", "inf"] + flags) == 1
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == 1 and "g must be finite" in errors[0], errors
+
     def test_borel_pade_agrees_with_borel_map_on_flow_series(self, tmp_path, capsys):
         # [4/2] keeps the rational transform free of positive-axis poles for
         # this series at every tabulated Leroy parameter.

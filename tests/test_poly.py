@@ -15,6 +15,7 @@ from resum import (
     RhoSelectionCriterion,
     SolverError,
     UsageError,
+    borel_pade_sum,
     borel_sum,
     build_rho_table,
     d0_exact_rate,
@@ -187,6 +188,8 @@ def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path, m
         (lambda: lambda_of_g(mp.nan, mpf(1), spec), DomainError),
         (lambda: borel_sum(series, cfg, mpf("0.5")), None),
         (lambda: borel_sum(series, cfg, 0), UsageError),
+        (lambda: borel_pade_sum(series, 0, 2, 2, mpf("0.5")), None),
+        (lambda: borel_pade_sum(series, 0, 2, 2, mp.inf), UsageError),
         (lambda: solve_saddle(2, digits=40), None),
         (lambda: solve_saddle(1, digits=40), UsageError),
         (lambda: d0_exact_rate(digits=40), None),
