@@ -38,7 +38,6 @@ from .mapping import (
     zeta_series,
 )
 from .models import (
-    LARGE_ORDER_A,
     RgSeriesSet,
     anharmonic_ground_coeffs,
     anharmonic_ground_value,
@@ -69,13 +68,10 @@ from .precision import DEFAULT_DIGITS, MIN_DIGITS, Precision
 from .saddle import SaddleSolution, d0_exact_rate, predicted_R, solve_saddle
 from .series import (
     PowerSeries,
-    add,
     binomial_series,
     compose,
-    derivative,
     multiply,
     ratio_growth_constant,
-    reciprocal,
     revert,
     scale,
 )

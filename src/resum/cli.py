@@ -395,6 +395,8 @@ def cmd_reproduce(args, stdout):
 
 
 def cmd_study(args, stdout):
+    if args.max_order < 1:
+        raise UsageError("--max-order must be at least 1, got %d" % args.max_order)
     spec_file = parse_series_file(args.series_file)
     series = spec_file.build()
     if args.max_order > series.order - 1:

@@ -26,16 +26,6 @@ from .errors import DomainError, ResourceError, UsageError
 from .precision import to_mpf
 from .series import PowerSeries, multiply
 
-# Inverse growth constants A = 1/a of the quartic coupling expansions,
-# f_k ~ (-1)^k k^b A^(-k) k!, by space dimension.  d=0 and d=1 are checked
-# against the generators below; d=2 and d=3 are documented constants only.
-LARGE_ORDER_A = {
-    0: "1.5",
-    1: "8",
-    2: "35.10268957367896",
-    3: "113.38350781527714",
-}
-
 # Borel-plane singularity parameter of the d=3 beta-function series.
 RG_LARGE_ORDER_A_PARAM = "0.147774232"
 
@@ -55,13 +45,12 @@ def d0_partition_coeffs(K):
     return PowerSeries(coeffs, "g")
 
 
-def d0_partition_value(g, quad_method="tanh-sinh"):
+def d0_partition_value(g):
     """Numeric value of the d=0 partition integral at coupling ``g >= 0``.
 
     ``g = inf`` returns the strong-coupling amplitude
-    ``lim g^(1/4) Z(g) = (1/2) 24^(1/4) sqrt(pi) / Gamma(3/4)``.
-    ``quad_method`` selects the mpmath node family, so two calls with
-    different methods act as independent cross-checks.
+    ``lim g^(1/4) Z(g) = (1/2) 24^(1/4) sqrt(pi) / Gamma(3/4)``.  The
+    integral is taken by mpmath's tanh-sinh quadrature.
     """
     g = to_mpf(g) if g != mp.inf else mp.inf
     if g == mp.inf:
@@ -69,11 +58,7 @@ def d0_partition_value(g, quad_method="tanh-sinh"):
     if g < 0:
         raise DomainError("integral diverges for g < 0")
     with mp.extradps(10):
-        val = mp.quad(
-            lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24),
-            [0, mp.inf],
-            method=quad_method,
-        )
+        val = mp.quad(lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24), [0, mp.inf])
         val = 2 * val / mp.sqrt(2 * mp.pi)
     return +val
 
@@ -263,7 +248,11 @@ def _even_sector_bands(nbasis, omega, c2, c4):
     return diag, off1, off2
 
 
-def anharmonic_ground_value(g, max_basis=3000):
+# Largest even-sector basis the diagonalization oracle may grow to.
+_MAX_BASIS = 3000
+
+
+def anharmonic_ground_value(g):
     """Ground-state energy of the quartic anharmonic oscillator at ``g >= 0``.
 
     Diagonalizes the even sector of the scaled oscillator basis, growing the
@@ -289,7 +278,7 @@ def anharmonic_ground_value(g, max_basis=3000):
             omega = max(mpf(1), (6 * c4) ** (mpf(1) / 3) * 2)
         nbasis = 48
         prev = None
-        while nbasis <= max_basis:
+        while nbasis <= _MAX_BASIS:
             bands = _even_sector_bands(nbasis, omega, c2, c4)
             val = _lowest_even_eigenvalue(*bands, rel_tol=rel_tol / 10)
             if prev is not None and abs(val - prev) <= rel_tol * abs(val):
@@ -297,7 +286,7 @@ def anharmonic_ground_value(g, max_basis=3000):
             prev = val
             nbasis = nbasis * 2
     raise ResourceError(
-        "eigenvalue not stable to %s within %d basis states" % (rel_tol, max_basis)
+        "eigenvalue not stable to %s within %d basis states" % (rel_tol, _MAX_BASIS)
     )
 
 

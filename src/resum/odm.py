@@ -122,7 +122,7 @@ _ZERO_SETS = {
 }
 
 
-def select_rho(table, k, criterion, thorough=False, allow_complex=False):
+def select_rho(table, k, criterion, allow_complex=False):
     """Choose the order-``k`` mapping scale per the selection criterion.
 
     ROOT mode: positive roots of ``P_k``, examined in decreasing modulus
@@ -137,8 +137,7 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
     smallness filtering); the report's ``is_complex`` marks such picks.
     Real candidates come from the descending scan of :mod:`resum.poly`,
     read lazily: an order whose candidate passes stops there, and only a
-    flagged order scans the whole range.  ``thorough`` takes the complete
-    root solver instead (the reference the tests compare against).
+    flagged order scans the whole range.
     """
     if not 1 <= k <= table.source_order:
         raise UsageError("order k=%d outside table range 1..%d" % (k, table.source_order))
@@ -155,7 +154,7 @@ def select_rho(table, k, criterion, thorough=False, allow_complex=False):
         if allow_complex:
             pool, wide = _complex_pools(zeros_of)
         else:
-            pool, wide = positive_roots(zeros_of, thorough), []
+            pool, wide = positive_roots(zeros_of), []
         head = list(islice(pool, 1))  # the largest candidate, if any
         if head or wide:
             break
@@ -370,7 +369,6 @@ class LinearFit:
     intercept: object
     slope_even: object
     slope_odd: object
-    n_points: int
 
     @property
     def parity_mean_slope(self):
@@ -404,7 +402,7 @@ def _parity_fit(rows):
     odd = [(x, y) for k, x, y in rows if k % 2 == 1]
     return LinearFit(slope=slope, intercept=intercept,
                      slope_even=_least_squares(even)[0],
-                     slope_odd=_least_squares(odd)[0], n_points=len(rows))
+                     slope_odd=_least_squares(odd)[0])
 
 
 def linear_fit(points):
@@ -450,19 +448,17 @@ class ConvergenceStudy:
 def convergence_study(table, criterion, K, g, oracle=None):
     """Run the summation at every order up to ``K`` and fit its trends.
 
-    ``oracle`` may be a number (the exact value at ``g``) or a callable of
-    ``g``; deltas are recorded as ``oracle - value``.  The scale fit uses
-    ``1/rho_k`` against ``k``; the error fit uses ``ln|delta_k|`` against
-    ``k`` for the quadratic-exponent mapping (its decay is cleanly geometric)
-    and against ``k^(1-1/alpha)`` otherwise.  Orders where selection fails
+    ``oracle``, when given, is the exact value at ``g``; deltas are recorded
+    as ``oracle - value``.  The scale fit uses ``1/rho_k`` against ``k``; the
+    error fit uses ``ln|delta_k|`` against ``k`` for the quadratic-exponent
+    mapping (its decay is cleanly geometric) and against ``k^(1-1/alpha)``
+    otherwise.  Orders where selection fails
     are skipped; fits need at least six surviving orders from k = 5 on.
     """
     if K > table.source_order - 1:
         raise UsageError("K=%d needs table order >= %d for error estimates"
                          % (K, K + 1))
-    exact = None
-    if oracle is not None:
-        exact = to_mpf(oracle(g)) if callable(oracle) else to_mpf(oracle)
+    exact = None if oracle is None else to_mpf(oracle)
     reports = []
     for k in range(1, K + 1):
         try:

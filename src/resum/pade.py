@@ -65,7 +65,9 @@ def pade_fit(s, L, M):
         rhs[i - 1] = -cc(L + i)
     try:
         sol = mp.lu_solve(A, rhs)
-    except (ZeroDivisionError, ValueError):
+    except (ZeroDivisionError, ValueError, TypeError):
+        # mpmath's LU leaves the pivot index of a column with no nonzero
+        # candidate at None, and its row swap then raises TypeError.
         raise DegeneracyError(
             "singular Pade system for [%d/%d] (rank %d < %d)"
             % (L, M, _rank_estimate(A, M), M)

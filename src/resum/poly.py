@@ -126,19 +126,24 @@ def _polish(coeffs, dcoeffs, lo, hi):
                              df=lambda x: horner(dcoeffs, x))
 
 
-def _scan_positive_roots(coeffs):
-    """Positive real roots by descending geometric sign scan, largest first.
+def positive_roots(coeffs):
+    """Positive real roots by descending geometric sign scan, largest first,
+    for the scale selection.
 
     A generator: it walks a geometric grid of eight points per octave (at
     most 4000) from above the Fujiwara upper bound down to half the Fujiwara
     lower bound, evaluating the polynomial only as far as the caller reads,
-    and yields each sign change polished, duplicates merged.  Grid cells
-    where the polynomial magnitude dips to a local minimum without changing
-    sign are re-sampled sixteen times finer to catch close root pairs.
-    Intended for the simple positive roots of mapped-series polynomials of
-    any degree; arbitrary input should go through
-    :func:`polynomial_real_roots`.
+    and yields each sign change above ``10^(-dps/2)`` polished, duplicates
+    merged.  Grid cells where the polynomial magnitude dips to a local
+    minimum without changing sign are re-sampled sixteen times finer to
+    catch close root pairs.  A tangent (even-multiplicity) root is not a
+    sign change, so the scan does not report it.  Intended for the simple
+    positive roots of mapped-series polynomials of any degree; arbitrary
+    input should go through :func:`polynomial_real_roots`.
     """
+    coeffs = strip_zeros(coeffs)
+    if len(coeffs) < 2:
+        return
     dcoeffs = derivative_coeffs(coeffs)
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
     lo = _fujiwara_lower_bound(coeffs) / 2
@@ -188,31 +193,13 @@ def _scan_positive_roots(coeffs):
         if vals[n] == 0:
             yield xs[n]
 
+    eps = tolerance(mp.dps // 2)
     last = None
     for r in descending_roots():
-        if last is None or abs(r - last) > tolerance(mp.dps // 2) * max(1, abs(r)):
+        if last is None or abs(r - last) > eps * max(1, abs(r)):
             last = r
-            yield r
-
-
-def positive_roots(coeffs, thorough=False):
-    """Iterator over the positive real roots, largest first, for the scale
-    selection.
-
-    The descending scan does only as much work as the caller reads.  A
-    tangent (even-multiplicity) positive root is not a sign change, so the
-    scan does not report it.  ``thorough=True`` takes the complete solver
-    instead, which does report such a root.
-    """
-    stripped = strip_zeros(coeffs)
-    if len(stripped) < 2:
-        return iter(())
-    eps = tolerance(mp.dps // 2)
-    if thorough:
-        roots = sorted(polynomial_real_roots(stripped), reverse=True)
-    else:
-        roots = _scan_positive_roots(stripped)
-    return (r for r in roots if r > eps)
+            if r > eps:
+                yield r
 
 
 def bracket_solve(f, lo, hi, rtol, df=None):

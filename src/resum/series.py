@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from mpmath import isfinite, mp, mpf
 
 from .errors import DiagnosticError, DomainError, UsageError
-from .poly import derivative_coeffs, horner
+from .poly import horner
 from .precision import to_mpf
 
 
@@ -60,12 +60,6 @@ class PowerSeries:
     def order(self):
         return len(self.coeffs) - 1
 
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
     def truncate(self, order):
         """Drop coefficients beyond ``order`` (which must not exceed self.order)."""
         if order < 0 or order > self.order:
@@ -89,15 +83,6 @@ def multiply(a, b):
         raise UsageError("variable mismatch: %r vs %r" % (a.var, b.var))
     order = min(a.order, b.order)
     return PowerSeries(_mul_trunc(a.coeffs, b.coeffs, order), a.var)
-
-
-def add(a, b):
-    if a.var != b.var:
-        raise UsageError("variable mismatch: %r vs %r" % (a.var, b.var))
-    order = min(a.order, b.order)
-    return PowerSeries(
-        tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)), a.var
-    )
 
 
 def scale(s, factor):
@@ -136,24 +121,6 @@ def compose(outer, inner):
         acc = _mul_trunc(acc, inner.coeffs, order)
         acc[0] += outer.coeffs[k]
     return PowerSeries(acc, inner.var)
-
-
-def derivative(s):
-    """Termwise derivative; the order drops by one (a constant gives zero)."""
-    return PowerSeries(derivative_coeffs(s.coeffs) or (mpf(0),), s.var)
-
-
-def reciprocal(s):
-    """Series of ``1/s`` through ``s.order``; requires nonzero constant term."""
-    if s.coeffs[0] == 0:
-        raise DomainError("cannot invert a series with zero constant term")
-    inv = [1 / s.coeffs[0]]
-    for k in range(1, s.order + 1):
-        acc = mpf(0)
-        for j in range(1, k + 1):
-            acc += s.coeffs[j] * inv[k - j]
-        inv.append(-acc / s.coeffs[0])
-    return PowerSeries(inv, s.var)
 
 
 def revert(s, var=None):

@@ -129,6 +129,7 @@ class TestSumCommand:
     def test_missing_flags_exit_one(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
         d0_path = write(tmp_path, D0_FILE, "d0.txt")
+        zero_tail = write(tmp_path, "coefficients: 1, 1, 1, 1, 0, 0\n", "zero_tail.txt")
         pade = ["--method", "pade", "--L", "0", "--M", "1"]
         odm = ["sum", d0_path, "--method", "odm", "--order", "4", "--g", "1"]
         borel_map = ["sum", d0_path, "--method", "borel-map", "--g", "1"]
@@ -149,6 +150,7 @@ class TestSumCommand:
             ({}, ["sum", path] + pade + ["--g", "nan"]),
             ({"RESUM_PRECISION": "abc"}, ["sum", path] + pade + ["--g", "1"]),
             ({}, ["sum", d0_path, "--method", "pade", "--L", "4", "--M", "4", "--g", "inf"]),
+            ({}, ["sum", zero_tail, "--method", "pade", "--L", "1", "--M", "3", "--g", "2"]),
         ]
         for env, argv in cases:
             for key, value in env.items():
@@ -283,9 +285,14 @@ class TestStudyCommand:
         assert main(["study", path, "--max-order", "2", "--g", "1",
                      "--oracle", "quadrature"]) == 1
 
-    def test_max_order_budget(self, tmp_path):
+    def test_max_order_budget(self, tmp_path, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
         assert main(["study", path, "--max-order", "3", "--g", "1"]) == 1
+        capsys.readouterr()
+        for max_order in ("0", "-1"):
+            assert main(["study", path, "--max-order", max_order, "--g", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --max-order must be at least 1"), err
 
 
 COEFFICIENT = st.one_of(
@@ -325,7 +332,7 @@ def sum_requests(draw):
         option("--a", ["1", "0.25", "-1", "0"])
     else:
         option("--L", ["0", "1", "2", "4"])
-        option("--M", ["0", "1", "2", "4"])
+        option("--M", ["0", "1", "2", "3", "4"])
         if method == "borel-pade":
             option("--sigma", ["0", "1.5", "-0.5"])
     return text, argv

@@ -61,6 +61,14 @@ def test_degenerate_system_rejected():
         pade_fit(constant, 1, 1)
 
 
+def test_all_zero_pivot_column_rejected():
+    # Every pivot candidate of one column is zero: mpmath's LU cannot pick a
+    # pivot there, and the fit must report the rank, not a TypeError.
+    s = PowerSeries(tuple(mpf(c) for c in (1, 1, 1, 1, 0, 0)))
+    with pytest.raises(DegeneracyError, match=r"rank 2 < 3"):
+        pade_fit(s, 1, 3)
+
+
 def test_order_budget_enforced():
     with pytest.raises(UsageError):
         pade_fit(geometric(3), 2, 2)

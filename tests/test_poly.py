@@ -1,10 +1,11 @@
 """Numeric kernel: Horner, polynomial roots, the bracketed solver, and the
-rule that no public call leaves the working precision changed."""
+rules that no public call leaves the working precision changed and that every
+summation entry ends in a finite value or a ``ResumError``."""
 
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
@@ -12,6 +13,8 @@ from resum import (
     DomainError,
     MappingFamily,
     MappingSpec,
+    PowerSeries,
+    ResumError,
     RhoSelectionCriterion,
     SolverError,
     UsageError,
@@ -22,6 +25,8 @@ from resum import (
     d0_partition_coeffs,
     lambda_of_g,
     odm_value,
+    pade_eval,
+    pade_fit,
     select_rho,
     solve_saddle,
 )
@@ -190,10 +195,9 @@ def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path, m
         (lambda: borel_sum(series, cfg, 0), UsageError),
         (lambda: borel_pade_sum(series, 0, 2, 2, mpf("0.5")), None),
         (lambda: borel_pade_sum(series, 0, 2, 2, mp.inf), UsageError),
-        (lambda: solve_saddle(2, digits=40), None),
-        (lambda: solve_saddle(1, digits=40), UsageError),
-        (lambda: d0_exact_rate(digits=40), None),
-        (lambda: d0_exact_rate(digits=5), UsageError),
+        (lambda: solve_saddle(2), None),
+        (lambda: solve_saddle(1), UsageError),
+        (lambda: d0_exact_rate(), None),
     ]
     for call, raises in calls:
         if raises is None:
@@ -212,3 +216,39 @@ def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path, m
     monkeypatch.setenv("RESUM_PRECISION", "abc")
     assert main(argv + ["--g", "1"]) == 1
     assert mp.dps == 64
+
+
+@st.composite
+def short_series(draw):
+    """1-6 small integer coefficients padded with 0-4 zeros, an [L/M] split
+    with ``L + M`` up to the order, an ODM order and a coupling.  Few
+    distinct values make exactly singular Pade systems likely."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    coeffs += [0] * draw(st.integers(0, 4))
+    order = len(coeffs) - 1
+    L = draw(st.integers(0, order))
+    M = draw(st.integers(0, order - L))
+    k = draw(st.integers(1, max(order, 1)))
+    g = draw(st.sampled_from(["0.5", "2", "5", "1e6", "-1", "inf"]))
+    return PowerSeries(coeffs), L, M, k, (mp.inf if g == "inf" else mpf(g))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(short_series())
+# A Pade system whose second LU column is exactly zero below the pivot.
+@example((PowerSeries([1, 1, 1, 1, 0, 0]), 1, 3, 2, mpf(2)))
+def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
+    s, L, M, k, g = case
+    mapping = MappingSpec(MappingFamily.POWER_CUT, 2, prefactor_p="0.5")
+    calls = [
+        lambda: odm_value(build_rho_table(s, mapping), k, RhoSelectionCriterion(), g).value,
+        lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5")), g),
+        lambda: borel_pade_sum(s, 0, L, M, g),
+        lambda: pade_eval(pade_fit(s, L, M), g),
+    ]
+    for call in calls:
+        try:
+            value = call()
+        except ResumError:
+            continue
+        assert mp.isfinite(value)
