@@ -37,15 +37,9 @@ def strip_zeros(coeffs):
 
 def _fujiwara_bound(coeffs):
     """Upper bound on root moduli: ``2 max_j |c_j/c_d|^(1/(d-j))``."""
-    d = len(coeffs) - 1
-    cd = abs(coeffs[-1])
-    best = mpf(0)
-    for j in range(d):
-        if coeffs[j] == 0:
-            continue
-        r = (abs(coeffs[j]) / cd) ** (mpf(1) / (d - j))
-        if r > best:
-            best = r
+    d, cd = len(coeffs) - 1, abs(coeffs[-1])
+    best = max(((abs(c) / cd) ** (mpf(1) / (d - j))
+                for j, c in enumerate(coeffs[:-1]) if c != 0), default=0)
     return 2 * best if best > 0 else mpf(1)
 
 
@@ -118,12 +112,92 @@ def polynomial_real_roots(coeffs):
     return merged
 
 
-def _polish(coeffs, dcoeffs, lo, hi):
+def _float_coeffs(coeffs):
+    """``(c_j, |c_j|)`` in float64, highest degree first, or None when a
+    nonzero coefficient lies outside ``1e-290 < |c| < 1e290``."""
+    out = tuple((f, abs(f)) for f in map(float, reversed(coeffs)))
+    ok = all(c == 0 or 1e-290 < a < 1e290 for c, (_, a) in zip(reversed(coeffs), out))
+    return out if ok else None
+
+
+def _float_sums(fcoeffs, x):
+    """``P(x)`` and ``S(x) = sum_j |c_j| |x|^j`` by float64 Horner, or None
+    outside the range where float64 keeps its relative accuracy."""
+    t = float(x)
+    if fcoeffs is None or not 1e-290 < abs(t) < 1e290:
+        return None
+    at, y, s = abs(t), 0.0, 0.0
+    for c, a in fcoeffs:
+        y = y * t + c
+        s = s * at + a
+    return (y, s) if s < 1e300 else None
+
+
+def _float_horner(fcoeffs, x):
+    """``(y, r)``: ``P(x)`` in float64 and a radius ``r`` around ``y`` that
+    holds the exact ``P(x)`` and the :func:`horner` value; None defers.
+
+    With degree ``n``, ``u = 2^-53`` and ``S`` the float64 ``S(x)``:
+    rounding ``c_j`` and ``x`` to float64 moves term ``j`` by at most
+    ``gamma_(j+1) |c_j x^j|``, float64 Horner adds at most ``gamma_2n`` times
+    the rounded terms' sum (Higham 2002, section 5.1), and the computed
+    ``S`` is low by at most a factor ``(1 - u)^(3n+1)``: ``(3n + 1) u S`` to
+    first order, covered with the second-order terms by ``1.25 (3n + 4) u
+    S``.  The mp Horner at ``mp.prec`` bits adds ``gamma_2n`` there, covered
+    by ``2n 2^-prec S`` and the same slack.  Underflowed products cost at
+    most ``2n 2^-1074 max(1, |x|)^n``: under ``1e-300`` plus a negligible
+    part of ``S``, as the leading coefficient exceeds ``1e-290``.  Where
+    ``|y| > r`` the mp value is nonzero with the sign of ``y``, and disjoint
+    magnitude intervals order the mp magnitudes.
+    """
+    got = _float_sums(fcoeffs, x)
+    if got is None:
+        return None
+    n = len(fcoeffs) - 1
+    return got[0], got[1] * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300
+
+
+class _Sample:
+    """``P`` at one scan point ``x``: the float64 value ``y`` with radius
+    ``r``, and the mp :func:`horner` value, computed only when needed."""
+
+    __slots__ = ("coeffs", "x", "y", "r", "_exact")
+
+    def __init__(self, coeffs, fcoeffs, x):
+        self.coeffs, self.x, self._exact = coeffs, x, None
+        self.y, self.r = _float_horner(fcoeffs, x) or (None, None)
+
+    def exact(self):
+        if self._exact is None:
+            self._exact = horner(self.coeffs, self.x)
+        return self._exact
+
+    def sign(self):
+        if self.y is not None and abs(self.y) > self.r:
+            return 1 if self.y > 0 else -1
+        return mp.sign(self.exact())
+
+    def smaller(self, other):  # |P(self.x)| < |P(other.x)|
+        if self.y is not None and other.y is not None:
+            if abs(self.y) + self.r < abs(other.y) - other.r:
+                return True
+            if abs(self.y) - self.r > abs(other.y) + other.r:
+                return False
+        return abs(self.exact()) < abs(other.exact())
+
+
+def _polish(coeffs, dcoeffs, fcoeffs, lo, hi):
     """A bracketed simple root, with guard digits so its accuracy is set by
-    the root's conditioning well below the caller's working precision."""
+    the root's conditioning well below the caller's working precision.
+    The residual reads as exactly zero, which ends the Newton walk at the
+    current iterate, once it is rounding noise: ``|P(x)| <= 16 u S(x)``,
+    ``u`` the unit roundoff at polish precision, ``S`` in float64."""
     with mp.extradps(20):
-        return bracket_solve(lambda x: horner(coeffs, x), lo, hi, tolerance(4),
-                             df=lambda x: horner(dcoeffs, x))
+        def f(x):
+            y, sums = horner(coeffs, x), _float_sums(fcoeffs, x)
+            return mpf(0) if sums and abs(y) <= 16 * 2.0 ** -mp.prec * sums[1] else y
+
+        return bracket_solve(f, lo, hi, tolerance(4), df=lambda x: horner(dcoeffs, x))
 
 
 def positive_roots(coeffs):
@@ -136,62 +210,60 @@ def positive_roots(coeffs):
     and yields each sign change above ``10^(-dps/2)`` polished, duplicates
     merged.  Grid cells where the polynomial magnitude dips to a local
     minimum without changing sign are re-sampled sixteen times finer to
-    catch close root pairs.  A tangent (even-multiplicity) root is not a
-    sign change, so the scan does not report it.  Intended for the simple
-    positive roots of mapped-series polynomials of any degree; arbitrary
-    input should go through :func:`polynomial_real_roots`.
+    catch close root pairs.  Signs and dip comparisons come from the
+    certified float64 values of :func:`_float_horner`, and from the mp
+    :func:`horner` only where those cannot decide.  A tangent
+    (even-multiplicity) root is not a sign change, so the scan does not
+    report it.  Intended for the simple positive roots of mapped-series
+    polynomials of any degree; arbitrary input should go through
+    :func:`polynomial_real_roots`.
     """
     coeffs = strip_zeros(coeffs)
     if len(coeffs) < 2:
         return
     dcoeffs = derivative_coeffs(coeffs)
+    fcoeffs = _float_coeffs(coeffs)
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
     lo = _fujiwara_lower_bound(coeffs) / 2
     if lo <= 0 or lo >= hi:
         lo = hi * mpf("1e-20")
-    n = max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8)
-    if n > 4000:
-        n = 4000
+    n = min(max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8), 4000)
     ratio = (lo / hi) ** (mpf(1) / n)
-    xs, vals = [hi], [horner(coeffs, hi)]
+    grid = [_Sample(coeffs, fcoeffs, hi)]
 
     def point(i):
-        # Grid point i and the polynomial there, extending the walk on demand.
-        while len(xs) <= i:
-            xs.append(xs[-1] * ratio)
-            vals.append(horner(coeffs, xs[-1]))
-        return xs[i], vals[i]
+        # Grid point i, extending the walk on demand.
+        while len(grid) <= i:
+            grid.append(_Sample(coeffs, fcoeffs, grid[-1].x * ratio))
+        return grid[i]
 
-    def cell_roots(a, b, fa, fb, depth):
-        # a > b on the descending walk
-        if fa == 0:
-            yield a
-            return
-        if fa * fb < 0:
-            yield _polish(coeffs, dcoeffs, b, a)
-            return
-        if depth <= 0:
-            return
-        step = (a / b) ** (mpf(1) / 16)
-        sub = [b * step ** j for j in range(17)]
-        fsub = [horner(coeffs, x) for x in sub]
-        for j in range(16, 0, -1):
-            if fsub[j] * fsub[j - 1] < 0:
-                yield _polish(coeffs, dcoeffs, sub[j - 1], sub[j])
+    def cell_roots(fa, fb, depth):
+        # fa.x > fb.x on the descending walk
+        if fa.sign() == 0:
+            yield fa.x
+        elif fa.sign() * fb.sign() < 0:
+            yield _polish(coeffs, dcoeffs, fcoeffs, fb.x, fa.x)
+        elif depth > 0:
+            step = (fa.x / fb.x) ** (mpf(1) / 16)
+            sub = [fb.x * step ** j for j in range(17)]
+            signs = [_Sample(coeffs, fcoeffs, x).sign() for x in sub]
+            for j in range(16, 0, -1):
+                if signs[j] * signs[j - 1] < 0:
+                    yield _polish(coeffs, dcoeffs, fcoeffs, sub[j - 1], sub[j])
 
     def descending_roots():
         for i in range(n):
-            (a, fa), (b, fb) = point(i), point(i + 1)
-            if fa * fb < 0 or fa == 0:
-                yield from cell_roots(a, b, fa, fb, 0)
+            fa, fb = point(i), point(i + 1)
+            if fa.sign() * fb.sign() < 0 or fa.sign() == 0:
+                yield from cell_roots(fa, fb, 0)
             elif i + 2 <= n:
                 # Dip cells: magnitude local minimum with no sign change.
-                c, fc = point(i + 2)
-                if abs(fb) < abs(fa) and abs(fb) < abs(fc):
-                    yield from cell_roots(a, b, fa, fb, 1)
-                    yield from cell_roots(b, c, fb, fc, 1)
-        if vals[n] == 0:
-            yield xs[n]
+                fc = point(i + 2)
+                if fb.smaller(fa) and fb.smaller(fc):
+                    yield from cell_roots(fa, fb, 1)
+                    yield from cell_roots(fb, fc, 1)
+        if grid[n].sign() == 0:
+            yield grid[n].x
 
     eps = tolerance(mp.dps // 2)
     last = None

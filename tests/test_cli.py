@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -299,6 +300,7 @@ COEFFICIENT = st.one_of(
     st.integers(-50, 50).map(str),
     st.tuples(st.integers(-50, 50), st.integers(1, 50)).map(lambda t: "%d/%d" % t),
     st.sampled_from(["0.5", "-1.25", "1e3", "-2e-4"]))
+COUPLINGS = st.sampled_from(["inf", "0", "0.5", "5", "-1", "1e20", "2/3"])
 
 
 @st.composite
@@ -309,8 +311,7 @@ def sum_requests(draw):
     if draw(st.booleans()):
         text += "large_order_A: %s\n" % draw(st.sampled_from(["1.5", "0.25", "-2", "0"]))
     method = draw(st.sampled_from(["odm", "borel-map", "borel-pade", "pade"]))
-    argv = ["--method", method, "--g",
-            draw(st.sampled_from(["inf", "0", "0.5", "5", "-1", "1e20", "2/3"]))]
+    argv = ["--method", method, "--g", draw(COUPLINGS)]
 
     def option(flag, values):
         value = draw(st.none() | st.sampled_from(values))
@@ -338,10 +339,11 @@ def sum_requests(draw):
     return text, argv
 
 
-@settings(derandomize=True, max_examples=100)
-@given(sum_requests())
-def test_sum_fuzz_ends_in_a_finite_value_or_one_error_line(case):
-    text, argv = case
+def run_on_file(text, argv):
+    """``main(argv)`` with ``FILE`` in ``argv`` replaced by a series file
+    holding ``text``: exit code, stdout and stderr.  Asserts that no
+    exception escapes, that the exit code is 0, 1 or 2 and that ``mp.dps``
+    is left as it was."""
     dps = mp.dps
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -349,12 +351,65 @@ def test_sum_fuzz_ends_in_a_finite_value_or_one_error_line(case):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         with contextlib.redirect_stderr(err):
-            code = main(["sum", path] + argv, stdout=out)
+            code = main([path if arg == "FILE" else arg for arg in argv], stdout=out)
     assert mp.dps == dps
     assert code in (0, 1, 2)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@settings(derandomize=True, max_examples=100)
+@given(sum_requests())
+def test_sum_fuzz_ends_in_a_finite_value_or_one_error_line(case):
+    text, argv = case
+    code, out, err = run_on_file(text, ["sum", "FILE"] + argv)
     if code == 0:
-        value = [line for line in out.getvalue().splitlines() if line.startswith("value: ")]
+        value = [line for line in out.splitlines() if line.startswith("value: ")]
         assert len(value) == 1 and mp.isfinite(mpf(value[0].split()[1]))
     else:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert_one_error_line(err)
+
+
+@st.composite
+def study_or_reproduce_requests(draw):
+    """The series file text and argv of one ``study`` (1-12 explicit
+    coefficients, or a d0 or anharmonic generator of order up to 14) or one
+    ``reproduce`` (a bad table id, or the fast saddle table)."""
+    if draw(st.booleans()):
+        table = draw(st.sampled_from(["saddle-table", "odm-d0", "Saddle-Table", ""]))
+        digits = draw(st.none() | st.sampled_from(["10", "29"]))
+        return "", ["reproduce", table] + (["--digits", digits] if digits else [])
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 12) | st.just(12))
+        coeffs = draw(st.lists(COEFFICIENT, min_size=size, max_size=size))
+        text, order = "coefficients: %s\n" % ", ".join(coeffs), len(coeffs) - 1
+    else:
+        order = draw(st.integers(0, 14) | st.integers(11, 14))
+        text = "generator: %s\norder: %d\n" % (draw(st.sampled_from(["d0", "anharmonic"])),
+                                               order)
+    # A convergence fit needs six orders from 5 up: long files, high orders.
+    max_order = draw(st.integers(-1, 14) | st.just(order - 1))
+    argv = ["study", "FILE", "--max-order", str(max_order), "--g", draw(COUPLINGS),
+            "--oracle", draw(st.sampled_from(["quadrature", "diagonalization", "none"]))]
+    for flag, values in (("--family", ["power-cut", "shifted-power"]),
+                         ("--alpha", ["1", "1.5", "2", "3", "-1"]),
+                         ("--criterion", ["root", "stationary", "mixed", "stationary-first"])):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv.extend([flag, value])
+    return text, argv
+
+
+@settings(derandomize=True, max_examples=100)
+@given(study_or_reproduce_requests())
+def test_study_and_reproduce_fuzz_end_in_finite_output_or_one_error_line(case):
+    text, argv = case
+    code, out, err = run_on_file(text, argv)
+    if code == 0:
+        assert out and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    else:
+        assert_one_error_line(err)

@@ -160,8 +160,12 @@ def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
     roots = [mpf(2) ** -e for e in range(14)]
     coeffs = _expand(roots, 1)
     calls = []
-    evaluate = poly.horner
-    monkeypatch.setattr(poly, "horner", lambda c, x: calls.append(x) or evaluate(c, x))
+    # Grid points go through the float64 tier first, the mp Horner only
+    # where it defers, so both evaluators count.
+    for name in ("horner", "_float_horner"):
+        evaluate = getattr(poly, name)
+        monkeypatch.setattr(poly, name, lambda c, x, evaluate=evaluate:
+                            calls.append(x) or evaluate(c, x))
     first = list(islice(positive_roots(coeffs), 1))
     first_calls = len(calls)
     scanned = list(positive_roots(coeffs))
@@ -170,6 +174,93 @@ def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
     assert len(scanned) == len(roots)
     for a, b in zip(scanned, roots):
         assert abs(a - b) <= mpf("1e-30") * b
+
+
+@pytest.fixture(scope="module")
+def d0_alpha2_table():
+    with mp.workdps(64):
+        return build_rho_table(d0_partition_coeffs(62), MappingSpec(
+            MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
+
+
+def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
+    # Newton reaches 5.411 from one side; a stop that returned the bracket
+    # midpoint instead of the iterate moved it to 5.335.
+    table = build_rho_table(d0_partition_coeffs(4), MappingSpec(
+        MappingFamily.POWER_CUT, 4, prefactor_p="0.5"))
+    scanned = list(positive_roots(table.polys[2]))
+    complete = sorted(polynomial_real_roots(table.polys[2]), reverse=True)
+    assert [mp.nstr(r, 6) for r in scanned] == ["5.41108", "0.760344"]
+    assert len(complete) == 2
+    for a, b in zip(scanned, complete):
+        assert abs(a - b) <= mpf("1e-50") * b
+
+
+def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
+    # The first stationary point at order 58: Newton reaches the rounding
+    # noise within a few steps; without the residual stop it wanders there
+    # until the bracket closes, 188 evaluations.
+    base, polish_calls = mp.prec, []
+    evaluate = poly.horner
+
+    def counted(c, x):
+        if mp.prec > base:
+            polish_calls.append(x)
+        return evaluate(c, x)
+
+    monkeypatch.setattr(poly, "horner", counted)
+    dpoly = poly.derivative_coeffs(d0_alpha2_table.polys[58])
+    root = next(positive_roots(dpoly))
+    assert len(polish_calls) <= 30
+    assert abs(horner(dpoly, root)) <= mpf("1e-40") * mp.fsum(
+        abs(c) * root ** j for j, c in enumerate(dpoly))
+
+
+# Relative offsets from a root: on it, and 1e-60 to 1e-2 to either side.
+ROOT_OFFSETS = [0] + [side * mpf(10) ** e for side in (1, -1)
+                      for e in (-60, -40, -20, -15, -10, -5, -2)]
+
+
+@st.composite
+def float_tier_cases(draw, table):
+    """A polynomial (integer coefficients, or a row ``P_k`` or ``P_k'`` of
+    the d0 alpha=2 table) and a point on or near one of its real roots, or
+    a power of two."""
+    if draw(st.booleans()):
+        c0, inner, lead = draw(SPARSE_POLYS)
+        coeffs = [mpf(c) for c in [c0] + inner + [lead]]
+        roots = polynomial_real_roots(coeffs)
+    else:
+        coeffs = table.polys[draw(st.integers(1, 60))]
+        if draw(st.booleans()):
+            coeffs = poly.derivative_coeffs(coeffs)
+        roots = list(positive_roots(coeffs))
+    if roots and draw(st.booleans()):
+        return coeffs, draw(st.sampled_from(roots)) * (1 + draw(st.sampled_from(ROOT_OFFSETS)))
+    return coeffs, mpf(2) ** draw(st.integers(-30, 30))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.data())
+def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
+    coeffs, x = data.draw(float_tier_cases(d0_alpha2_table))
+    got = poly._float_horner(poly._float_coeffs(coeffs), x)
+    if got is None:
+        return
+    y, r = got
+    with mp.workprec(3 * mp.prec):
+        exact = horner(coeffs, x)
+    assert y - r <= exact <= y + r
+    if abs(y) > r:
+        assert mp.sign(horner(coeffs, x)) == (1 if y > 0 else -1)
+
+
+def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkeypatch):
+    polys = [d0_alpha2_table.polys[k] for k in range(1, 61)]
+    rows = polys + [poly.derivative_coeffs(p) for p in polys]
+    filtered = [list(positive_roots(p)) for p in rows]
+    monkeypatch.setattr(poly, "_float_horner", lambda fcoeffs, x: None)
+    assert [list(positive_roots(p)) for p in rows] == filtered
 
 
 @pytest.fixture(scope="module")
