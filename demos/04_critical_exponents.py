@@ -7,13 +7,9 @@ mapping in its flow-covariant form, and the Borel-Leroy transform continued
 through the conformal disk map.
 """
 
-from mpmath import mp
-
 from resum import benchmarks
 
-mp.dps = 64
-
-fp = benchmarks.run_phi4_fixed_point()
+fp = benchmarks.run_benchmark("phi4-fixed-point")
 print("flow zero and derivative by order (shifted covariant mapping):")
 print("  k    g*           omega       complex pair?")
 for row in fp.rows:
@@ -22,7 +18,7 @@ for row in fp.rows:
         "yes" if row["complex_pair"] == "1" else "no"))
 print()
 
-ex = benchmarks.run_phi4_exponents()
+ex = benchmarks.run_benchmark("phi4-exponents")
 print("exponents at the zero (gamma from 1/gamma, nu from its own series,")
 print("eta from the reduced series; exact relation gamma = nu (2 - eta)):")
 print("  k    gamma       nu          eta")
@@ -31,7 +27,7 @@ for row in ex.rows:
         row["k"], row["gamma"][:9], row["nu"][:9], row["eta"][:9] or "-"))
 print()
 
-bm = benchmarks.run_borel_map_exponents()
+bm = benchmarks.run_benchmark("borel-map-exponents")
 print("Borel-Leroy route (sigma tuned to %s):" % bm.config["sigma"])
 print("  k    g*           nu          gamma")
 for row in bm.rows:

@@ -64,7 +64,7 @@ from .odm import (
     select_rho,
 )
 from .pade import PadeApproximant, pade_eval, pade_fit
-from .precision import DEFAULT_DIGITS, MIN_DIGITS, Precision
+from .precision import DEFAULT_DIGITS, MIN_DIGITS
 from .saddle import SaddleSolution, d0_exact_rate, predicted_R, solve_saddle
 from .series import (
     PowerSeries,

@@ -4,10 +4,10 @@ Each runner rebuilds one published benchmark table from scratch -- saddle
 constants, the d=0 strong-coupling and finite-coupling summations, the
 anharmonic oscillator scale fit, the phi^4_3 fixed point and exponents, and
 the Borel-mapping exponents -- and grades the result against the stored
-reference values at the documented tolerances.  The command line's
-``reproduce`` subcommand and the acceptance test suite both run through
-these functions, so they carry the configuration that reproduces each table
-(mapping exponents, prefactors, selection criteria).
+reference values at the documented tolerances.  The runners carry the
+configuration that reproduces each table (mapping exponents, prefactors,
+selection criteria) and compute at the active precision; every caller goes
+through :func:`run_benchmark`, which installs each table's working digits.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from functools import cache, partial
 from mpmath import mp, mpf
 
 from .borel import BorelConfig, borel_leroy_transform, conformal_map_coeffs, laplace_moments
-from .errors import SelectionError, SolverError
+from .errors import SelectionError, SolverError, UsageError
 from .mapping import MappingFamily, MappingSpec, build_rho_table
 from .models import (
     anharmonic_ground_coeffs,
@@ -35,7 +35,7 @@ from .odm import (
     fixed_point,
 )
 from .poly import bracket_solve
-from .precision import to_mpf, workdps
+from .precision import DEFAULT_DIGITS, to_mpf, workdps
 from .saddle import d0_exact_rate, predicted_R, solve_saddle
 from .series import ratio_growth_constant
 
@@ -130,39 +130,38 @@ def _at_most(name, deviation, tol):
     return Check(name, deviation <= to_mpf(tol), _ns(deviation, 3), "<= " + tol)
 
 
-def run_saddle_table(digits=64):
+def run_saddle_table():
     """Saddle constants for the five tabulated mapping exponents."""
-    with workdps(digits):
-        rows, checks = [], []
-        for alpha_s, (mu_s, neg_lam_s) in SADDLE_REFERENCE.items():
-            sol = solve_saddle(to_mpf(alpha_s))
-            dmu = abs(sol.mu - to_mpf(mu_s))
-            dlam = abs(-sol.lambda_saddle - to_mpf(neg_lam_s))
-            rows.append({
-                "alpha": alpha_s, "mu": _ns(sol.mu, 12), "mu_ref": mu_s,
-                "delta_mu": _ns(dmu, 3), "neg_lambda": _ns(-sol.lambda_saddle, 12),
-                "neg_lambda_ref": neg_lam_s, "delta_lambda": _ns(dlam, 3),
-            })
-            checks.append(_at_most("mu[alpha=%s] within 1e-8" % alpha_s, dmu, "1e-8"))
-            checks.append(_at_most("lambda[alpha=%s] within 1e-8" % alpha_s, dlam, "1e-8"))
-            res = max(sol.residuals)
-            checks.append(Check("residuals[alpha=%s] below 1e-12" % alpha_s,
-                                res < mpf("1e-12"), _ns(res, 3), "< 1e-12"))
-        R, rate = d0_exact_rate()
-        # Relative tolerances: the reference prints carry ten digits.
-        dR = abs(R - to_mpf(D0_RATE_REFERENCE["R"])) / R
-        drate = abs(rate - to_mpf(D0_RATE_REFERENCE["rate"])) / rate
-        dratio = abs(R / to_mpf("1.5") - to_mpf(D0_RATE_REFERENCE["R_over_A"])) / (R / to_mpf("1.5"))
-        checks.append(_at_most("exact-rate R within 1e-9 relative", dR, "1e-9"))
-        checks.append(_at_most("exact-rate within 1e-9 relative", drate, "1e-9"))
-        checks.append(_at_most("R/A consistency within 1e-9 relative", dratio, "1e-9"))
-        return BenchmarkResult(
-            table_id="saddle-table",
-            columns=("alpha", "mu", "mu_ref", "delta_mu", "neg_lambda",
-                     "neg_lambda_ref", "delta_lambda"),
-            rows=rows, checks=checks,
-            config={"digits": digits},
-        )
+    rows, checks = [], []
+    for alpha_s, (mu_s, neg_lam_s) in SADDLE_REFERENCE.items():
+        sol = solve_saddle(to_mpf(alpha_s))
+        dmu = abs(sol.mu - to_mpf(mu_s))
+        dlam = abs(-sol.lambda_saddle - to_mpf(neg_lam_s))
+        rows.append({
+            "alpha": alpha_s, "mu": _ns(sol.mu, 12), "mu_ref": mu_s,
+            "delta_mu": _ns(dmu, 3), "neg_lambda": _ns(-sol.lambda_saddle, 12),
+            "neg_lambda_ref": neg_lam_s, "delta_lambda": _ns(dlam, 3),
+        })
+        checks.append(_at_most("mu[alpha=%s] within 1e-8" % alpha_s, dmu, "1e-8"))
+        checks.append(_at_most("lambda[alpha=%s] within 1e-8" % alpha_s, dlam, "1e-8"))
+        res = max(sol.residuals)
+        checks.append(Check("residuals[alpha=%s] below 1e-12" % alpha_s,
+                            res < mpf("1e-12"), _ns(res, 3), "< 1e-12"))
+    R, rate = d0_exact_rate()
+    # Relative tolerances: the reference prints carry ten digits.
+    dR = abs(R - to_mpf(D0_RATE_REFERENCE["R"])) / R
+    drate = abs(rate - to_mpf(D0_RATE_REFERENCE["rate"])) / rate
+    dratio = abs(R / to_mpf("1.5") - to_mpf(D0_RATE_REFERENCE["R_over_A"])) / (R / to_mpf("1.5"))
+    checks.append(_at_most("exact-rate R within 1e-9 relative", dR, "1e-9"))
+    checks.append(_at_most("exact-rate within 1e-9 relative", drate, "1e-9"))
+    checks.append(_at_most("R/A consistency within 1e-9 relative", dratio, "1e-9"))
+    return BenchmarkResult(
+        table_id="saddle-table",
+        columns=("alpha", "mu", "mu_ref", "delta_mu", "neg_lambda",
+                 "neg_lambda_ref", "delta_lambda"),
+        rows=rows, checks=checks,
+        config={},
+    )
 
 
 def _study_rows(study, reference):
@@ -181,201 +180,190 @@ def _study_rows(study, reference):
     return rows
 
 
-def run_d0_strong(digits=64):
+def _odm_study(source, alpha, prefactor_p, tau, g, oracle):
+    """The K=60 power-cut convergence study of ``source`` at coupling ``g``
+    under the mixed criterion with threshold ``tau``; ``oracle`` maps the
+    coupling to its exact value.  Returns the study, that value and the
+    config echo: the same setting strings the computation read."""
+    kmax = 60
+    coupling = to_mpf(g)
+    table = build_rho_table(source, MappingSpec(
+        MappingFamily.POWER_CUT, alpha, prefactor_p=prefactor_p))
+    exact = oracle(coupling)
+    study = convergence_study(table, RhoSelectionCriterion(smallness_factor=tau),
+                              kmax, coupling, oracle=exact)
+    return study, exact, {"order": source.order, "kmax": kmax, "alpha": alpha,
+                          "prefactor_p": prefactor_p, "criterion": "mixed tau=" + tau,
+                          "g": g}
+
+
+def run_d0_strong():
     """Strong-coupling summation of the d=0 series with the quadratic mapping."""
-    order, kmax = 62, 60
-    with workdps(digits):
-        source = d0_partition_coeffs(order)
-        table = build_rho_table(source, MappingSpec(
-            MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
-        criterion = RhoSelectionCriterion()
-        amplitude = d0_partition_value(mp.inf)
-        study = convergence_study(table, criterion, kmax, mp.inf, oracle=amplitude)
-        rows = _study_rows(study, D0_STRONG_REFERENCE)
-        checks = []
-        for k in sorted(D0_STRONG_REFERENCE):
-            rep = study.report(k)
-            ref_inv, ref_ln = D0_STRONG_REFERENCE[k]
-            rel = abs(1 / rep.rho - to_mpf(ref_inv)) / to_mpf(ref_inv)
-            dln = abs(mp.log(abs(rep.delta)) - to_mpf(ref_ln))
-            checks.append(_at_most("1/rho[k=%d] within 2%%" % k, rel, "0.02"))
-            checks.append(_at_most("ln|delta|[k=%d] within 1.5" % k, dln, "1.5"))
-        slope = study.inv_rho_fit.parity_mean_slope
-        checks.append(Check("slope of 1/(k rho_k) = 0.2209 +- 0.005",
-                            abs(slope - to_mpf("0.2209")) <= mpf("0.005"),
-                            _ns(slope, 6), "0.2209 +- 0.005"))
-        decay = -study.rate_fit.slope
-        checks.append(Check("error decay rate in [0.6, 0.75]",
-                            mpf("0.6") <= decay <= mpf("0.75"),
-                            _ns(decay, 5), "[0.6, 0.75]"))
-        return BenchmarkResult(
-            table_id="odm-d0-strong",
-            columns=("k", "inv_rho", "inv_rho_ref", "delta_inv_rho",
-                     "ln_delta", "ln_delta_ref", "delta_ln_delta"),
-            rows=rows, checks=checks,
-            config={"digits": digits, "order": order, "kmax": kmax,
-                    "alpha": "2", "prefactor_p": "0.5", "criterion": "mixed tau=0.5",
-                    "g": "inf"},
-        )
+    study, _, config = _odm_study(d0_partition_coeffs(62), "2", "0.5", "0.5", "inf",
+                                  d0_partition_value)
+    rows = _study_rows(study, D0_STRONG_REFERENCE)
+    checks = []
+    for k in sorted(D0_STRONG_REFERENCE):
+        rep = study.report(k)
+        ref_inv, ref_ln = D0_STRONG_REFERENCE[k]
+        rel = abs(1 / rep.rho - to_mpf(ref_inv)) / to_mpf(ref_inv)
+        dln = abs(mp.log(abs(rep.delta)) - to_mpf(ref_ln))
+        checks.append(_at_most("1/rho[k=%d] within 2%%" % k, rel, "0.02"))
+        checks.append(_at_most("ln|delta|[k=%d] within 1.5" % k, dln, "1.5"))
+    slope = study.inv_rho_fit.parity_mean_slope
+    checks.append(Check("slope of 1/(k rho_k) = 0.2209 +- 0.005",
+                        abs(slope - to_mpf("0.2209")) <= mpf("0.005"),
+                        _ns(slope, 6), "0.2209 +- 0.005"))
+    decay = -study.rate_fit.slope
+    checks.append(Check("error decay rate in [0.6, 0.75]",
+                        mpf("0.6") <= decay <= mpf("0.75"),
+                        _ns(decay, 5), "[0.6, 0.75]"))
+    return BenchmarkResult(
+        table_id="odm-d0-strong",
+        columns=("k", "inv_rho", "inv_rho_ref", "delta_inv_rho",
+                 "ln_delta", "ln_delta_ref", "delta_ln_delta"),
+        rows=rows, checks=checks, config=config,
+    )
 
 
-def run_d0_g5(digits=64):
+def run_d0_g5():
     """Finite-coupling d=0 summation with the quartic-exponent mapping."""
-    order, kmax = 62, 60
-    with workdps(digits):
-        source = d0_partition_coeffs(order)
-        table = build_rho_table(source, MappingSpec(
-            MappingFamily.POWER_CUT, 4, prefactor_p="0.5"))
-        criterion = RhoSelectionCriterion()
-        oracle = d0_partition_value(5)
-        study = convergence_study(table, criterion, kmax, 5, oracle=oracle)
-        rows = _study_rows(study, D0_G5_REFERENCE)
-        checks = []
-        grid = sorted(D0_G5_REFERENCE)
-        for parity in (0, 1):
-            ks = [k for k in grid if k % 2 == parity]
-            deltas = [abs(study.report(k).delta) for k in ks]
-            mono = all(b < a for a, b in zip(deltas, deltas[1:]))
-            checks.append(Check("|delta| decreases on %s orders" % ("even" if parity == 0 else "odd"),
-                                mono, "monotone" if mono else "not monotone", "strictly decreasing"))
-        ln60 = mp.log(abs(study.report(60).delta))
-        checks.append(Check("ln|delta| at k=60 <= -24", ln60 <= mpf(-24), _ns(ln60, 6), "<= -24"))
-        rel = abs(study.r_estimate - to_mpf("9.75")) / to_mpf("9.75")
-        checks.append(Check("fitted R within 15% of 9.75", rel <= mpf("0.15"),
-                            _ns(study.r_estimate, 6), "9.75 +- 15%"))
-        pred = predicted_R(4, "1.5")
-        checks.append(Check("predicted R = 9.2039 +- 1e-4",
-                            abs(pred - to_mpf("9.2039")) <= mpf("1e-4"),
-                            _ns(pred, 8), "9.2039 +- 1e-4"))
-        return BenchmarkResult(
-            table_id="odm-d0-g5",
-            columns=("k", "inv_rho", "inv_rho_ref", "delta_inv_rho",
-                     "ln_delta", "ln_delta_ref", "delta_ln_delta"),
-            rows=rows, checks=checks,
-            config={"digits": digits, "order": order, "kmax": kmax,
-                    "alpha": "4", "prefactor_p": "0.5", "criterion": "mixed tau=0.5",
-                    "g": "5"},
-        )
+    study, _, config = _odm_study(d0_partition_coeffs(62), "4", "0.5", "0.5", "5",
+                                  d0_partition_value)
+    rows = _study_rows(study, D0_G5_REFERENCE)
+    checks = []
+    grid = sorted(D0_G5_REFERENCE)
+    for parity in (0, 1):
+        ks = [k for k in grid if k % 2 == parity]
+        deltas = [abs(study.report(k).delta) for k in ks]
+        mono = all(b < a for a, b in zip(deltas, deltas[1:]))
+        checks.append(Check("|delta| decreases on %s orders" % ("even" if parity == 0 else "odd"),
+                            mono, "monotone" if mono else "not monotone", "strictly decreasing"))
+    ln60 = mp.log(abs(study.report(60).delta))
+    checks.append(Check("ln|delta| at k=60 <= -24", ln60 <= mpf(-24), _ns(ln60, 6), "<= -24"))
+    rel = abs(study.r_estimate - to_mpf("9.75")) / to_mpf("9.75")
+    checks.append(Check("fitted R within 15% of 9.75", rel <= mpf("0.15"),
+                        _ns(study.r_estimate, 6), "9.75 +- 15%"))
+    pred = predicted_R(4, "1.5")
+    checks.append(Check("predicted R = 9.2039 +- 1e-4",
+                        abs(pred - to_mpf("9.2039")) <= mpf("1e-4"),
+                        _ns(pred, 8), "9.2039 +- 1e-4"))
+    return BenchmarkResult(
+        table_id="odm-d0-g5",
+        columns=("k", "inv_rho", "inv_rho_ref", "delta_inv_rho",
+                 "ln_delta", "ln_delta_ref", "delta_ln_delta"),
+        rows=rows, checks=checks, config=config,
+    )
 
 
-def run_oscillator(digits=64):
+def run_oscillator():
     """Oscillator ground-state summation at infinite coupling.
 
     Uses the largest-candidate criterion (the smallness threshold effectively
     disabled): the smallness test hops between root branches on this table
     and degrades the scale trajectory.
     """
-    order, kmax = 61, 60
-    with workdps(digits):
-        source = anharmonic_ground_coeffs(order)
-        a_est = ratio_growth_constant(source, 10)
-        table = build_rho_table(source, MappingSpec(
-            MappingFamily.POWER_CUT, "1.5", prefactor_p="-0.5"))
-        criterion = RhoSelectionCriterion(smallness_factor="1e6")
-        amplitude = anharmonic_ground_value(mp.inf)
-        study = convergence_study(table, criterion, kmax, mp.inf, oracle=amplitude)
-        rows = []
-        for k in range(5, kmax + 1, 5):
-            rep = study.report(k)
-            rows.append({
-                "k": str(k), "rho_k_times_k": _ns(rep.rho * k, 8),
-                "ln_rel_error": _ns(mp.log(abs(rep.delta) / amplitude), 8),
-            })
-        checks = [
-            Check("growth constant within 5% of 8",
-                  abs(a_est - 8) / 8 <= mpf("0.05"), _ns(a_est, 6), "8 +- 5%"),
-            Check("fitted R within 10% of 32.25",
-                  abs(study.r_estimate - to_mpf("32.25")) / to_mpf("32.25") <= mpf("0.10"),
-                  _ns(study.r_estimate, 6), "32.25 +- 10%"),
-            Check("error decay slope vs k^(1/3) in [-11, -8.5]",
-                  mpf("-11") <= study.rate_fit.slope <= mpf("-8.5"),
-                  _ns(study.rate_fit.slope, 5), "[-11, -8.5]"),
-        ]
-        return BenchmarkResult(
-            table_id="odm-oscillator",
-            columns=("k", "rho_k_times_k", "ln_rel_error"),
-            rows=rows, checks=checks,
-            config={"digits": digits, "order": order, "kmax": kmax,
-                    "alpha": "3/2", "prefactor_p": "-0.5",
-                    "criterion": "mixed tau=1e6", "g": "inf"},
-        )
+    source = anharmonic_ground_coeffs(61)
+    a_est = ratio_growth_constant(source, 10)
+    study, amplitude, config = _odm_study(source, "3/2", "-0.5", "1e6", "inf",
+                                          anharmonic_ground_value)
+    rows = []
+    for k in range(5, config["kmax"] + 1, 5):
+        rep = study.report(k)
+        rows.append({
+            "k": str(k), "rho_k_times_k": _ns(rep.rho * k, 8),
+            "ln_rel_error": _ns(mp.log(abs(rep.delta) / amplitude), 8),
+        })
+    checks = [
+        Check("growth constant within 5% of 8",
+              abs(a_est - 8) / 8 <= mpf("0.05"), _ns(a_est, 6), "8 +- 5%"),
+        Check("fitted R within 10% of 32.25",
+              abs(study.r_estimate - to_mpf("32.25")) / to_mpf("32.25") <= mpf("0.10"),
+              _ns(study.r_estimate, 6), "32.25 +- 10%"),
+        Check("error decay slope vs k^(1/3) in [-11, -8.5]",
+              mpf("-11") <= study.rate_fit.slope <= mpf("-8.5"),
+              _ns(study.rate_fit.slope, 5), "[-11, -8.5]"),
+    ]
+    return BenchmarkResult(
+        table_id="odm-oscillator",
+        columns=("k", "rho_k_times_k", "ln_rel_error"),
+        rows=rows, checks=checks, config=config,
+    )
 
 
-def run_phi4_fixed_point(digits=64):
+def run_phi4_fixed_point():
     """Fixed point and flow derivative of the seven-loop beta function."""
-    with workdps(digits):
-        rg = rg_series()
-        table = build_rho_table(rg.beta, MappingSpec(
-            MappingFamily.SHIFTED_POWER, "1.5", beta_covariant=True))
-        criterion = RhoSelectionCriterion(
-            mode=SelectionMode.STATIONARY_FIRST, smallness_factor=1)
-        rows, checks = [], []
-        tolerances = {3: "0.005", 4: None, 5: "0.002", 6: "0.002", 7: "0.002"}
-        for k in sorted(PHI4_FIXED_POINT_REFERENCE):
-            ref_g, ref_w = PHI4_FIXED_POINT_REFERENCE[k]
-            fp = fixed_point(table, k, criterion)
-            dg = abs(fp.g_star - to_mpf(ref_g))
-            dw = abs(fp.omega - to_mpf(ref_w))
-            rows.append({
-                "k": str(k), "g_star": _ns(fp.g_star, 8), "g_star_ref": ref_g,
-                "delta_g_star": _ns(dg, 3), "omega": _ns(fp.omega, 8),
-                "omega_ref": ref_w, "delta_omega": _ns(dw, 3),
-                "complex_pair": "1" if fp.is_complex_pair else "0",
-            })
-            tol = tolerances[k]
-            if tol is not None:
-                checks.append(_at_most("g*[k=%d] within %s" % (k, tol), dg, tol))
-                checks.append(_at_most("omega[k=%d] within %s" % (k, tol), dw, tol))
-        return BenchmarkResult(
-            table_id="phi4-fixed-point",
-            columns=("k", "g_star", "g_star_ref", "delta_g_star", "omega",
-                     "omega_ref", "delta_omega", "complex_pair"),
-            rows=rows, checks=checks,
-            config={"digits": digits, "alpha": "3/2", "family": "shifted-power",
-                    "beta_covariant": True, "criterion": "stationary-first tau=1"},
-        )
+    rg = rg_series()
+    table = build_rho_table(rg.beta, MappingSpec(
+        MappingFamily.SHIFTED_POWER, "1.5", beta_covariant=True))
+    criterion = RhoSelectionCriterion(
+        mode=SelectionMode.STATIONARY_FIRST, smallness_factor=1)
+    rows, checks = [], []
+    tolerances = {3: "0.005", 4: None, 5: "0.002", 6: "0.002", 7: "0.002"}
+    for k in sorted(PHI4_FIXED_POINT_REFERENCE):
+        ref_g, ref_w = PHI4_FIXED_POINT_REFERENCE[k]
+        fp = fixed_point(table, k, criterion)
+        dg = abs(fp.g_star - to_mpf(ref_g))
+        dw = abs(fp.omega - to_mpf(ref_w))
+        rows.append({
+            "k": str(k), "g_star": _ns(fp.g_star, 8), "g_star_ref": ref_g,
+            "delta_g_star": _ns(dg, 3), "omega": _ns(fp.omega, 8),
+            "omega_ref": ref_w, "delta_omega": _ns(dw, 3),
+            "complex_pair": "1" if fp.is_complex_pair else "0",
+        })
+        tol = tolerances[k]
+        if tol is not None:
+            checks.append(_at_most("g*[k=%d] within %s" % (k, tol), dg, tol))
+            checks.append(_at_most("omega[k=%d] within %s" % (k, tol), dw, tol))
+    return BenchmarkResult(
+        table_id="phi4-fixed-point",
+        columns=("k", "g_star", "g_star_ref", "delta_g_star", "omega",
+                 "omega_ref", "delta_omega", "complex_pair"),
+        rows=rows, checks=checks,
+        config={"alpha": "3/2", "family": "shifted-power",
+                "beta_covariant": True, "criterion": "stationary-first tau=1"},
+    )
 
 
-def run_phi4_exponents(digits=64):
+def run_phi4_exponents():
     """Critical exponents summed at the tabulated fixed point."""
     g_star = "1.411"
-    with workdps(digits):
-        rg = rg_series()
-        spec = MappingSpec(MappingFamily.SHIFTED_POWER, "1.5")
-        gamma_table = build_rho_table(rg.gamma_inv, spec)
-        eta_table = build_rho_table(eta_over_g2_series(), spec)
-        nu_table = build_rho_table(nu_inv_series(), spec)
-        criterion = RhoSelectionCriterion(smallness_factor="1e6")
-        rows, checks = [], []
-        for k in sorted(PHI4_EXPONENTS_REFERENCE):
-            ref_gamma, ref_nu, ref_eta = PHI4_EXPONENTS_REFERENCE[k]
-            ex = exponents_at(g_star, gamma_table, eta_table, k, criterion,
-                              nu_inv_table=nu_table)
-            row = {
-                "k": str(k), "gamma": _ns(ex.gamma, 8), "gamma_ref": ref_gamma,
-                "nu": _ns(ex.nu_from_series, 8), "nu_ref": ref_nu,
-                "eta": _ns(ex.eta, 6) if ex.eta is not None else "",
-                "eta_ref": ref_eta or "",
-                "nu_scaling": _ns(ex.nu_from_scaling, 8) if ex.nu_from_scaling else "",
-            }
-            rows.append(row)
-            if k >= 4:
-                gap = abs(ex.gamma - ex.nu_from_series * (2 - ex.eta))
-                checks.append(_at_most("scaling relation gap[k=%d] <= 0.01" % k, gap, "0.01"))
-            if k == 7:
-                for name, got, ref in (("gamma", ex.gamma, ref_gamma),
-                                       ("nu", ex.nu_from_series, ref_nu),
-                                       ("eta", ex.eta, ref_eta)):
-                    checks.append(_at_most("%s[k=7] within 0.002" % name,
-                                           abs(got - to_mpf(ref)), "0.002"))
-        return BenchmarkResult(
-            table_id="phi4-exponents",
-            columns=("k", "gamma", "gamma_ref", "nu", "nu_ref", "eta",
-                     "eta_ref", "nu_scaling"),
-            rows=rows, checks=checks,
-            config={"digits": digits, "g_star": g_star, "alpha": "3/2",
-                    "family": "shifted-power", "criterion": "mixed tau=1e6"},
-        )
+    rg = rg_series()
+    spec = MappingSpec(MappingFamily.SHIFTED_POWER, "1.5")
+    gamma_table = build_rho_table(rg.gamma_inv, spec)
+    eta_table = build_rho_table(eta_over_g2_series(), spec)
+    nu_table = build_rho_table(nu_inv_series(), spec)
+    criterion = RhoSelectionCriterion(smallness_factor="1e6")
+    rows, checks = [], []
+    for k in sorted(PHI4_EXPONENTS_REFERENCE):
+        ref_gamma, ref_nu, ref_eta = PHI4_EXPONENTS_REFERENCE[k]
+        ex = exponents_at(g_star, gamma_table, eta_table, k, criterion,
+                          nu_inv_table=nu_table)
+        row = {
+            "k": str(k), "gamma": _ns(ex.gamma, 8), "gamma_ref": ref_gamma,
+            "nu": _ns(ex.nu_from_series, 8), "nu_ref": ref_nu,
+            "eta": _ns(ex.eta, 6) if ex.eta is not None else "",
+            "eta_ref": ref_eta or "",
+            "nu_scaling": _ns(ex.nu_from_scaling, 8) if ex.nu_from_scaling else "",
+        }
+        rows.append(row)
+        if k >= 4:
+            gap = abs(ex.gamma - ex.nu_from_series * (2 - ex.eta))
+            checks.append(_at_most("scaling relation gap[k=%d] <= 0.01" % k, gap, "0.01"))
+        if k == 7:
+            for name, got, ref in (("gamma", ex.gamma, ref_gamma),
+                                   ("nu", ex.nu_from_series, ref_nu),
+                                   ("eta", ex.eta, ref_eta)):
+                checks.append(_at_most("%s[k=7] within 0.002" % name,
+                                       abs(got - to_mpf(ref)), "0.002"))
+    return BenchmarkResult(
+        table_id="phi4-exponents",
+        columns=("k", "gamma", "gamma_ref", "nu", "nu_ref", "eta",
+                 "eta_ref", "nu_scaling"),
+        rows=rows, checks=checks,
+        config={"g_star": g_star, "alpha": "3/2",
+                "family": "shifted-power", "criterion": "mixed tau=1e6"},
+    )
 
 
 def _borel_zero(coeffs, laplace):
@@ -387,7 +375,7 @@ def _borel_zero(coeffs, laplace):
         return None
 
 
-def run_borel_map_exponents(digits=40):
+def run_borel_map_exponents():
     """Fixed point and exponents through the Borel-Leroy mapped summation.
 
     The Leroy parameter is tuned over the grid 0, 1, 2, 3: the value whose
@@ -397,67 +385,66 @@ def run_borel_map_exponents(digits=40):
     order sequence.
     """
     sigmas = (0, 1, 2, 3)
-    with workdps(digits):
-        rg = rg_series()
-        a = rg.large_order_a
-        nu_inv = nu_inv_series()
-        quad_tol = mpf(10) ** (-(digits // 2))
-        trajectories = {}
-        for sigma in sigmas:
-            cfg = BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol)
-            # The moments at one coupling serve every order and all three series.
-            laplace = cache(partial(laplace_moments, cfg, n=7))
-            rows = {}
-            for k in range(2, 8):
-                beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
-                    s.truncate(k), sigma), a).coeffs for s in (rg.beta, nu_inv, rg.gamma_inv))
-                g_star = _borel_zero(beta, laplace)
-                if g_star is not None:
-                    rows[k] = (g_star, 1 / laplace(g_star).integral(nu)[0],
-                               1 / laplace(g_star).integral(gamma)[0])
-            if 6 in rows and 7 in rows:
-                trajectories[sigma] = rows
-        if not trajectories:
-            raise SelectionError("no Leroy parameter yields a usable trajectory")
-        sigma = min(trajectories, key=lambda s: abs(trajectories[s][7][0] - trajectories[s][6][0]))
-        rows_by_k = trajectories[sigma]
-        rows = []
-        for k in sorted(BOREL_MAP_REFERENCE):
-            ref = BOREL_MAP_REFERENCE[k]
-            got = rows_by_k.get(k)
-            rows.append({
-                "k": str(k),
-                "g_star": _ns(got[0], 8) if got else "",
-                "g_star_ref": ref[0],
-                "nu": _ns(got[1], 8) if got else "", "nu_ref": ref[1],
-                "gamma": _ns(got[2], 8) if got else "", "gamma_ref": ref[2],
-            })
-        checks = []
-        g7, nu7, gamma7 = rows_by_k[7]
-        for name, got, ref, tol in (("g_star", g7, "1.4105", "0.02"),
-                                    ("nu", nu7, "0.6302", "0.01"),
-                                    ("gamma", gamma7, "1.2398", "0.01")):
-            checks.append(_at_most("%s[k=7] within %s" % (name, tol),
-                                   abs(got - to_mpf(ref)), tol))
-        if all(k in rows_by_k for k in (3, 4, 6, 7)):
-            for idx, name in ((0, "g_star"), (1, "nu"), (2, "gamma")):
-                late = abs(rows_by_k[7][idx] - rows_by_k[6][idx])
-                early = abs(rows_by_k[4][idx] - rows_by_k[3][idx])
-                checks.append(Check("%s stabilizes (|d67| < |d34|)" % name,
-                                    late < early,
-                                    "%s vs %s" % (_ns(late, 3), _ns(early, 3)),
-                                    "late movement smaller"))
-        else:
-            checks.append(Check("orders 3,4,6,7 available", False,
-                                str(sorted(rows_by_k)), "3,4,6,7"))
-        return BenchmarkResult(
-            table_id="borel-map-exponents",
-            columns=("k", "g_star", "g_star_ref", "nu", "nu_ref", "gamma",
-                     "gamma_ref"),
-            rows=rows, checks=checks,
-            config={"digits": digits, "sigma": str(sigma), "a": _ns(a, 10),
-                    "sigma_grid": ",".join(str(s) for s in sigmas)},
-        )
+    rg = rg_series()
+    a = rg.large_order_a
+    nu_inv = nu_inv_series()
+    quad_tol = mpf(10) ** (-(mp.dps // 2))
+    trajectories = {}
+    for sigma in sigmas:
+        cfg = BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol)
+        # The moments at one coupling serve every order and all three series.
+        laplace = cache(partial(laplace_moments, cfg, n=7))
+        rows = {}
+        for k in range(2, 8):
+            beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
+                s.truncate(k), sigma), a).coeffs for s in (rg.beta, nu_inv, rg.gamma_inv))
+            g_star = _borel_zero(beta, laplace)
+            if g_star is not None:
+                rows[k] = (g_star, 1 / laplace(g_star).integral(nu)[0],
+                           1 / laplace(g_star).integral(gamma)[0])
+        if 6 in rows and 7 in rows:
+            trajectories[sigma] = rows
+    if not trajectories:
+        raise SelectionError("no Leroy parameter yields a usable trajectory")
+    sigma = min(trajectories, key=lambda s: abs(trajectories[s][7][0] - trajectories[s][6][0]))
+    rows_by_k = trajectories[sigma]
+    rows = []
+    for k in sorted(BOREL_MAP_REFERENCE):
+        ref = BOREL_MAP_REFERENCE[k]
+        got = rows_by_k.get(k)
+        rows.append({
+            "k": str(k),
+            "g_star": _ns(got[0], 8) if got else "",
+            "g_star_ref": ref[0],
+            "nu": _ns(got[1], 8) if got else "", "nu_ref": ref[1],
+            "gamma": _ns(got[2], 8) if got else "", "gamma_ref": ref[2],
+        })
+    checks = []
+    g7, nu7, gamma7 = rows_by_k[7]
+    for name, got, ref, tol in (("g_star", g7, "1.4105", "0.02"),
+                                ("nu", nu7, "0.6302", "0.01"),
+                                ("gamma", gamma7, "1.2398", "0.01")):
+        checks.append(_at_most("%s[k=7] within %s" % (name, tol),
+                               abs(got - to_mpf(ref)), tol))
+    if all(k in rows_by_k for k in (3, 4, 6, 7)):
+        for idx, name in ((0, "g_star"), (1, "nu"), (2, "gamma")):
+            late = abs(rows_by_k[7][idx] - rows_by_k[6][idx])
+            early = abs(rows_by_k[4][idx] - rows_by_k[3][idx])
+            checks.append(Check("%s stabilizes (|d67| < |d34|)" % name,
+                                late < early,
+                                "%s vs %s" % (_ns(late, 3), _ns(early, 3)),
+                                "late movement smaller"))
+    else:
+        checks.append(Check("orders 3,4,6,7 available", False,
+                            str(sorted(rows_by_k)), "3,4,6,7"))
+    return BenchmarkResult(
+        table_id="borel-map-exponents",
+        columns=("k", "g_star", "g_star_ref", "nu", "nu_ref", "gamma",
+                 "gamma_ref"),
+        rows=rows, checks=checks,
+        config={"sigma": str(sigma), "a": _ns(a, 10),
+                "sigma_grid": ",".join(str(s) for s in sigmas)},
+    )
 
 
 RUNNERS = {
@@ -472,12 +459,20 @@ RUNNERS = {
 
 TABLE_IDS = tuple(RUNNERS)
 
+# Working digits per table: the Borel-mapping exponents run at 40, which sets
+# their Laplace quadrature tolerance to 1e-20.
+TABLE_DIGITS = dict.fromkeys(TABLE_IDS, DEFAULT_DIGITS) | {"borel-map-exponents": 40}
+
 
 def run_benchmark(table_id, digits=None):
-    """Run one benchmark table by id; digits of None means each runner's default."""
+    """Run one benchmark table by id at ``digits`` working digits, by
+    default the table's own (``TABLE_DIGITS``); ``config["digits"]`` records
+    the digits it ran at."""
     if table_id not in RUNNERS:
-        raise KeyError(table_id)
-    runner = RUNNERS[table_id]
-    if digits is None:
-        return runner()
-    return runner(digits=digits)
+        raise UsageError("unknown table id %r (choices: %s)"
+                         % (table_id, ", ".join(TABLE_IDS)))
+    digits = TABLE_DIGITS[table_id] if digits is None else digits
+    with workdps(digits):
+        result = RUNNERS[table_id]()
+    result.config = {"digits": digits, **result.config}
+    return result

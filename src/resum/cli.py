@@ -57,7 +57,7 @@ from .odm import (
     odm_value,
 )
 from .pade import pade_eval, pade_fit
-from .precision import DEFAULT_DIGITS, Precision, to_mpf
+from .precision import DEFAULT_DIGITS, to_mpf, workdps
 from .series import PowerSeries
 
 SCHEMA_VERSION = 1
@@ -216,8 +216,8 @@ def build_parser():
     parser = _Parser(prog="resum",
                      description="Summation toolkit for divergent power series")
     parser.add_argument("--precision", "-p", type=int,
-                        help="decimal working digits (env RESUM_PRECISION; default %d)"
-                        % DEFAULT_DIGITS)
+                        help="decimal working digits (env RESUM_PRECISION; default %d, "
+                        "and each table's own digits for reproduce)" % DEFAULT_DIGITS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # The mapping and scale-selection flags that ``sum`` and ``study`` share.
@@ -245,7 +245,6 @@ def build_parser():
 
     p_rep = sub.add_parser("reproduce", help="rebuild a stored benchmark table")
     p_rep.add_argument("table_id", choices=benchmarks.TABLE_IDS)
-    p_rep.add_argument("--digits", type=int, help="override the runner's precision")
     p_rep.add_argument("--csv", help="write the CSV here instead of stdout")
     p_rep.add_argument("--out", help="write a JSON run report here")
 
@@ -274,10 +273,10 @@ def parse_coupling(text):
     return g
 
 
-def _env_precision():
+def _env_precision(default):
     text = os.environ.get("RESUM_PRECISION")
     if text is None:
-        return DEFAULT_DIGITS
+        return default
     try:
         return int(text)
     except ValueError:
@@ -377,7 +376,8 @@ def cmd_sum(args, stdout):
 
 
 def cmd_reproduce(args, stdout):
-    result = benchmarks.run_benchmark(args.table_id, digits=args.digits)
+    result = benchmarks.run_benchmark(args.table_id, args.precision)
+    args.precision = result.config["digits"]  # echo the digits the table ran at
     sink = _write_csv(args.csv, result.columns, result.rows, stdout)
     for check in result.checks:
         print("%s: %s (observed %s, target %s)"
@@ -455,20 +455,20 @@ def main(argv=None, stdout=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.precision is None:
-            args.precision = _env_precision()
+        if args.precision is None:  # reproduce: None runs each table at its own digits
+            args.precision = _env_precision(
+                None if args.command == "reproduce" else DEFAULT_DIGITS)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     started = time.time()
     try:
-        with Precision(args.precision).workdps():
-            if args.command == "sum":
-                payload, code = cmd_sum(args, stdout)
-            elif args.command == "reproduce":
-                payload, code = cmd_reproduce(args, stdout)
-            else:
-                payload, code = cmd_study(args, stdout)
+        if args.command == "reproduce":
+            payload, code = cmd_reproduce(args, stdout)
+        else:
+            with workdps(args.precision):
+                command = cmd_sum if args.command == "sum" else cmd_study
+                payload, code = command(args, stdout)
         if getattr(args, "out", None):
             report = {
                 "schema": SCHEMA_VERSION,

@@ -4,12 +4,11 @@ Coefficients of factorially divergent series grow like ``k!`` while the
 mapped polynomials cancel many leading digits against each other, so double
 precision is unusable beyond order ~30.  Everything in this package therefore
 computes with mpmath floats under an explicit decimal working precision;
-the helpers here wrap the recurring patterns (a validated precision value,
-a context manager, tolerance scales, and lossless parsing of decimal or
+the helpers here wrap the recurring patterns (a validated precision
+context manager, tolerance scales, and lossless parsing of decimal or
 rational coefficient strings).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -20,29 +19,13 @@ MIN_DIGITS = 30
 DEFAULT_DIGITS = 64
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Number of decimal digits carried by all coefficient arithmetic."""
-
-    decimal_digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if int(self.decimal_digits) != self.decimal_digits:
-            raise UsageError("decimal_digits must be an integer")
-        if self.decimal_digits < MIN_DIGITS:
-            raise UsageError(
-                "decimal_digits must be >= %d, got %r"
-                % (MIN_DIGITS, self.decimal_digits)
-            )
-
-    def workdps(self):
-        """Context manager installing this precision on the mpmath context."""
-        return mp.workdps(self.decimal_digits)
-
-
 def workdps(digits):
-    """``mp.workdps`` accepting ``None`` as "keep the active precision"."""
-    return mp.workdps(mp.dps if digits is None else Precision(digits).decimal_digits)
+    """``mp.workdps(digits)`` for a whole number of digits >= ``MIN_DIGITS``;
+    anything else raises :class:`UsageError` naming the value."""
+    if not isinstance(digits, int) or digits < MIN_DIGITS:
+        raise UsageError("precision must be a whole number >= %d, got %r"
+                         % (MIN_DIGITS, digits))
+    return mp.workdps(digits)
 
 
 def tolerance(offset=0):

@@ -1,11 +1,14 @@
 """Acceptance suite: every graded criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
-criterion.  The heavy table rebuilds are shared module-scoped fixtures; the
-whole suite completes in a few minutes at 64-digit precision.
+criterion.  The heavy table rebuilds are shared module-scoped fixtures, each
+run through ``run_benchmark`` at its table's own digits and compared against
+the committed golden rows and checks in ``tests/golden/``.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -34,6 +37,8 @@ from resum import (
 )
 from resum import benchmarks
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def report(criterion, name, result):
     line = "ACCEPTANCE %s [%s]: %s" % (criterion, name, "PASS" if result else "FAIL")
@@ -58,39 +63,52 @@ def precision():
         yield
 
 
-@pytest.fixture(scope="module")
-def saddle_result(precision):
-    return benchmarks.run_saddle_table()
+TABLE_FIXTURES = ("saddle_result", "d0_strong_result", "d0_g5_result", "oscillator_result",
+                  "phi4_fixed_point_result", "phi4_exponents_result", "borel_map_result")
 
 
 @pytest.fixture(scope="module")
-def d0_strong_result(precision):
-    return benchmarks.run_d0_strong()
+def saddle_result():
+    return benchmarks.run_benchmark("saddle-table")
 
 
 @pytest.fixture(scope="module")
-def d0_g5_result(precision):
-    return benchmarks.run_d0_g5()
+def d0_strong_result():
+    return benchmarks.run_benchmark("odm-d0-strong")
 
 
 @pytest.fixture(scope="module")
-def oscillator_result(precision):
-    return benchmarks.run_oscillator()
+def d0_g5_result():
+    return benchmarks.run_benchmark("odm-d0-g5")
 
 
 @pytest.fixture(scope="module")
-def phi4_fixed_point_result(precision):
-    return benchmarks.run_phi4_fixed_point()
+def oscillator_result():
+    return benchmarks.run_benchmark("odm-oscillator")
 
 
 @pytest.fixture(scope="module")
-def phi4_exponents_result(precision):
-    return benchmarks.run_phi4_exponents()
+def phi4_fixed_point_result():
+    return benchmarks.run_benchmark("phi4-fixed-point")
 
 
 @pytest.fixture(scope="module")
-def borel_map_result(precision):
-    return benchmarks.run_borel_map_exponents()
+def phi4_exponents_result():
+    return benchmarks.run_benchmark("phi4-exponents")
+
+
+@pytest.fixture(scope="module")
+def borel_map_result():
+    return benchmarks.run_benchmark("borel-map-exponents")
+
+
+@pytest.mark.parametrize("fixture", TABLE_FIXTURES)
+def test_table_matches_golden(fixture, request):
+    """Rows and graded checks are exactly the committed golden output."""
+    result = request.getfixturevalue(fixture)
+    golden = json.loads((GOLDEN / ("%s.json" % result.table_id)).read_text())
+    assert result.rows == golden["rows"]
+    assert [[c.name, c.passed, c.observed, c.target] for c in result.checks] == golden["checks"]
 
 
 def test_criterion_1_saddle_constants(saddle_result):

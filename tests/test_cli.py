@@ -245,13 +245,57 @@ class TestReproduceCommand:
     def test_tolerance_violation_exits_two(self, monkeypatch, capsys):
         from resum import benchmarks
 
-        def failing(digits=None):
-            result = benchmarks.run_saddle_table(digits=32)
-            result.checks.append(benchmarks.Check("forced", False, "x", "y"))
-            return result
-
-        monkeypatch.setitem(benchmarks.RUNNERS, "saddle-table", failing)
+        result = benchmarks.run_benchmark("saddle-table")
+        result.checks.append(benchmarks.Check("forced", False, "x", "y"))
+        monkeypatch.setitem(benchmarks.RUNNERS, "saddle-table", lambda: result)
         assert main(["reproduce", "saddle-table"]) == 2
+
+    def test_digits_flag_is_gone(self, capsys):
+        assert main(["reproduce", "saddle-table", "--digits", "50"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unrecognized arguments"), err
+
+    def _echo(self, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        return report["config"]["precision"], report["report"]["config"]["digits"]
+
+    def test_precision_flag_sets_and_echoes_table_digits(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("RESUM_PRECISION", raising=False)
+        argv = ["--precision", "40", "reproduce", "saddle-table"]
+        assert self._echo(tmp_path, argv) == (40, 40)
+        assert mp.dps == 64
+
+    def test_env_precision_sets_and_echoes_table_digits(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RESUM_PRECISION", "40")
+        assert self._echo(tmp_path, ["reproduce", "saddle-table"]) == (40, 40)
+        assert mp.dps == 64
+
+    def test_each_table_runs_at_its_own_digits_by_default(self, tmp_path, monkeypatch):
+        from resum import benchmarks
+
+        monkeypatch.delenv("RESUM_PRECISION", raising=False)
+        seen = []
+
+        def borel_stub():
+            seen.append(mp.dps)
+            return benchmarks.BenchmarkResult("borel-map-exponents", ("k",), [], [], {})
+
+        monkeypatch.setitem(benchmarks.RUNNERS, "borel-map-exponents", borel_stub)
+        assert self._echo(tmp_path, ["reproduce", "borel-map-exponents"]) == (40, 40)
+        assert seen == [40]
+        assert self._echo(tmp_path, ["reproduce", "saddle-table"]) == (64, 64)
+        assert mp.dps == 64
+
+    def test_run_benchmark_unknown_id_names_the_choices(self):
+        from resum import UsageError, benchmarks
+
+        with pytest.raises(UsageError) as info:
+            benchmarks.run_benchmark("no-such-table")
+        message = str(info.value)
+        assert "'no-such-table'" in message
+        assert all(table_id in message for table_id in benchmarks.TABLE_IDS)
 
 
 class TestStudyCommand:
@@ -382,7 +426,7 @@ def study_or_reproduce_requests(draw):
     if draw(st.booleans()):
         table = draw(st.sampled_from(["saddle-table", "odm-d0", "Saddle-Table", ""]))
         digits = draw(st.none() | st.sampled_from(["10", "29"]))
-        return "", ["reproduce", table] + (["--digits", digits] if digits else [])
+        return "", (["--precision", digits] if digits else []) + ["reproduce", table]
     if draw(st.booleans()):
         size = draw(st.integers(1, 12) | st.just(12))
         coeffs = draw(st.lists(COEFFICIENT, min_size=size, max_size=size))

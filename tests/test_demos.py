@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/ and
+prints exactly its committed golden output in tests/golden/."""
 
 import os
 import subprocess
@@ -25,3 +26,5 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "Traceback" not in proc.stdout + proc.stderr
+    golden = ROOT / "tests" / "golden" / (demo.stem + ".txt")
+    assert proc.stdout == golden.read_text(encoding="utf-8")

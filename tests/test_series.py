@@ -174,14 +174,14 @@ def test_rejects_non_finite():
 
 
 def test_precision_type_bounds():
-    from resum import Precision
-    from resum.precision import DEFAULT_DIGITS, MIN_DIGITS
+    from resum.precision import DEFAULT_DIGITS, MIN_DIGITS, workdps
 
-    assert Precision().decimal_digits == DEFAULT_DIGITS == 64
+    assert DEFAULT_DIGITS == 64
     assert MIN_DIGITS == 30
-    with Precision(30).workdps():
+    with workdps(30):
         assert mp.dps == 30
-    with pytest.raises(UsageError):
-        Precision(29)
-    with pytest.raises(UsageError):
-        Precision(31.5)
+    assert mp.dps == 64
+    with pytest.raises(UsageError, match="whole number >= 30, got 29"):
+        workdps(29)
+    with pytest.raises(UsageError, match="got 31.5"):
+        workdps(31.5)
