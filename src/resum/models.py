@@ -18,9 +18,7 @@ accuracy claims.
 
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
-from scipy.linalg import eig_banded
 
 from .errors import DomainError, ResourceError, UsageError
 from .precision import to_mpf
@@ -52,11 +50,11 @@ def d0_partition_value(g):
     ``lim g^(1/4) Z(g) = (1/2) 24^(1/4) sqrt(pi) / Gamma(3/4)``.  The
     integral is taken by mpmath's tanh-sinh quadrature.
     """
-    g = to_mpf(g) if g != mp.inf else mp.inf
+    g = to_mpf(g)
+    if not g >= 0:
+        raise DomainError("the integral needs g >= 0 or inf, got %s" % g)
     if g == mp.inf:
         return mpf("0.5") * mpf(24) ** mpf("0.25") * mp.sqrt(mp.pi) / mp.gamma(mpf(3) / 4)
-    if g < 0:
-        raise DomainError("integral diverges for g < 0")
     with mp.extradps(10):
         val = mp.quad(lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24), [0, mp.inf])
         val = 2 * val / mp.sqrt(2 * mp.pi)
@@ -76,7 +74,8 @@ def anharmonic_ground_coeffs(K):
 
     Rayleigh-Schrodinger recursion in the oscillator basis.  The quartic
     perturbation couples ``|n>`` to ``|n +- 2>, |n +- 4>`` only, so order k
-    involves even states up to ``|4k>`` and the whole recursion costs O(K^2).
+    involves even states up to ``|4k>``; with the sum over earlier orders at
+    each state the whole recursion costs O(K^3).
     The recursion cancels many leading digits between orders, hence the
     generous internal guard precision.
     """
@@ -124,50 +123,6 @@ def anharmonic_ground_coeffs(K):
     return PowerSeries(coeffs, "g")
 
 
-def _banded_lu_solve(rows, rhs):
-    """Solve a small banded system by Gaussian elimination with partial pivoting.
-
-    ``rows`` is a list of dicts {column: value}; consumed destructively.
-    """
-    n = len(rows)
-    x = list(rhs)
-    order = list(range(n))
-    for i in range(n):
-        # Pivot among the rows that still carry column i (bandwidth 2 below).
-        pivot = i
-        pmax = abs(rows[order[i]].get(i, mpf(0)))
-        for r in range(i + 1, min(i + 3, n)):
-            v = abs(rows[order[r]].get(i, mpf(0)))
-            if v > pmax:
-                pmax, pivot = v, r
-        if pmax == 0:
-            raise ZeroDivisionError("singular banded matrix")
-        if pivot != i:
-            order[i], order[pivot] = order[pivot], order[i]
-            x[i], x[pivot] = x[pivot], x[i]
-        prow = rows[order[i]]
-        pval = prow[i]
-        for r in range(i + 1, min(i + 3, n)):
-            row = rows[order[r]]
-            v = row.get(i)
-            if v is None or v == 0:
-                continue
-            f = v / pval
-            for c, pv in prow.items():
-                if c > i:
-                    row[c] = row.get(c, mpf(0)) - f * pv
-            del row[i]
-            x[r] -= f * x[i]
-    for i in range(n - 1, -1, -1):
-        row = rows[order[i]]
-        acc = x[i]
-        for c, v in row.items():
-            if c > i:
-                acc -= v * x[c]
-        x[i] = acc / row[i]
-    return x
-
-
 def _band_matvec(diag, off1, off2, v):
     n = len(diag)
     out = []
@@ -185,51 +140,68 @@ def _band_matvec(diag, off1, off2, v):
     return out
 
 
-def _lowest_even_eigenvalue(diag, off1, off2, rel_tol):
-    """Lowest eigenvalue of a symmetric pentadiagonal matrix at working precision.
+def _band_ldl(diag, off1, off2, shift):
+    """``L D L^T`` of the pentadiagonal band minus ``shift`` as ``(d, a, b)``:
+    the pivots, ``a[i] = L[i][i-1]`` and ``b[i] = L[i][i-2]``; None as soon as
+    a pivot is not positive.  All-positive pivots prove, by Sylvester's law of
+    inertia, that ``shift`` lies below every eigenvalue of the band."""
+    d, a, b = [mpf(1)] * 2, [0, 0], [0, 0]  # two virtual rows ahead of row 0
+    for aii, e, f in zip(diag, [0] + off1, [0, 0] + off2):
+        bi = f / d[-2]
+        ai = (e - bi * a[-1] * d[-2]) / d[-1]
+        p = aii - shift - ai * ai * d[-1] - bi * bi * d[-2]
+        if not p > 0:
+            return None
+        d.append(p)
+        a.append(ai)
+        b.append(bi)
+    return d[2:], a[2:], b[2:]
 
-    A float64 `scipy.linalg.eig_banded` pass seeds a Rayleigh-quotient
-    inverse iteration run on the mpmath bands; the banded solves keep each
-    sweep linear in the matrix size.
+
+def _band_ldl_solve(factors, x):
+    """Solve ``L D L^T y = x`` for the factors of :func:`_band_ldl`."""
+    d, a, b = factors
+    y = [0, 0]
+    for xi, ai, bi in zip(x, a, b):
+        y.append(xi - ai * y[-1] - bi * y[-2])
+    # Back substitution with L^T, over two zero rows past the end.
+    y = [v / p for v, p in zip(y[2:], d)] + [0, 0]
+    a, b = a + [0], b + [0, 0]
+    for i in reversed(range(len(d))):
+        y[i] -= a[i + 1] * y[i + 1] + b[i + 2] * y[i + 2]
+    return y[:-2]
+
+
+def _lowest_even_eigenvalue(diag, off1, off2, start, rel_tol):
+    """Lowest eigenvalue and unit eigenvector of a symmetric pentadiagonal
+    band, by shift-and-invert iteration from ``start`` (padded with zeros).
+
+    Each shift is the Rayleigh quotient minus the residual norm, moved down by
+    doubling steps until :func:`_band_ldl` accepts it, and at the latest just
+    below the Gershgorin bound.  Every solve thus runs below the spectrum and
+    converges to the lowest eigenvalue whenever ``start`` overlaps its vector.
     """
     n = len(diag)
-    band = np.zeros((3, n))
-    band[0, :] = [float(x) for x in diag]
-    band[1, : n - 1] = [float(x) for x in off1[: n - 1]]
-    band[2, : n - 2] = [float(x) for x in off2[: n - 2]]
-    vals, vecs = eig_banded(band, lower=True, select="i", select_range=(0, 0))
-    sigma = mpf(vals[0])
-    x = [mpf(v) for v in vecs[:, 0]]
-
-    def rows_for(shift):
-        rows = []
-        for i in range(n):
-            row = {i: diag[i] - shift}
-            if i >= 1:
-                row[i - 1] = off1[i - 1]
-            if i + 1 < n:
-                row[i + 1] = off1[i]
-            if i >= 2:
-                row[i - 2] = off2[i - 2]
-            if i + 2 < n:
-                row[i + 2] = off2[i]
-            rows.append(row)
-        return rows
-
+    radii = _band_matvec([0] * n, [abs(v) for v in off1], [abs(v) for v in off2], [1] * n)
+    floor = min(a - r for a, r in zip(diag, radii))
+    floor -= rel_tol * (1 + abs(floor))
+    x = list(start) + [mpf(0)] * (n - len(start))
     last = None
     for _ in range(60):
-        try:
-            y = _banded_lu_solve(rows_for(sigma), x)
-        except ZeroDivisionError:
-            sigma += abs(sigma) * mpf(10) ** (-mp.dps) + mpf(10) ** (-mp.dps)
-            continue
-        norm = mp.sqrt(mp.fsum(v * v for v in y))
-        x = [v / norm for v in y]
+        norm = mp.sqrt(mp.fsum(v * v for v in x))
+        x = [v / norm for v in x]
         hx = _band_matvec(diag, off1, off2, x)
-        new_sigma = mp.fsum(a * b for a, b in zip(x, hx))
-        if last is not None and abs(new_sigma - sigma) <= rel_tol * max(1, abs(new_sigma)):
-            return new_sigma
-        last, sigma = sigma, new_sigma
+        rq = mp.fsum(a * b for a, b in zip(x, hx))
+        if last is not None and abs(rq - last) <= rel_tol * max(1, abs(rq)):
+            return rq, x
+        last = rq
+        # rel_tol keeps the doubling moving when the residual is exactly zero.
+        step = mp.sqrt(mp.fsum((h - rq * v) ** 2 for h, v in zip(hx, x))) + rel_tol
+        while (factors := _band_ldl(diag, off1, off2, max(rq - step, floor))) is None:
+            if rq - step <= floor:
+                raise ResourceError("band not positive definite below its Gershgorin bound")
+            step *= 2
+        x = _band_ldl_solve(factors, x)
     raise ResourceError("inverse iteration did not stabilize")
 
 
@@ -255,32 +227,31 @@ _MAX_BASIS = 3000
 def anharmonic_ground_value(g):
     """Ground-state energy of the quartic anharmonic oscillator at ``g >= 0``.
 
-    Diagonalizes the even sector of the scaled oscillator basis, growing the
-    basis until the eigenvalue is stable to ``10^(10 - digits)`` relative
-    (well beyond the 1e-12 the contract promises).
+    Finds the lowest eigenvalue of the even sector of the scaled oscillator
+    basis (:func:`_lowest_even_eigenvalue`), growing the basis until it is
+    stable to ``10^(10 - digits)`` relative (well beyond the 1e-12 the
+    contract promises).
     ``g = inf`` returns the strong-coupling amplitude ``lim g^(-1/3) E(g)``,
     the ground energy of ``p^2/2 + x^4/24``.
     """
     rel_tol = mpf(10) ** (10 - mp.dps)
-    strong = g == mp.inf
-    if not strong:
-        g = to_mpf(g)
-        if g < 0:
-            raise DomainError("eigenvalue problem unstable for g < 0")
-        if g == 0:
-            return mpf(1) / 2
+    g = to_mpf(g)
+    if not g >= 0:
+        raise DomainError("the eigenvalue problem needs g >= 0 or inf, got %s" % g)
+    if g == 0:
+        return mpf(1) / 2
     with mp.extradps(15):
-        if strong:
+        if g == mp.inf:
             c2, c4 = mpf(0), mpf(1) / 24
             omega = (6 * c4) ** (mpf(1) / 3) * 2
         else:
             c2, c4 = mpf(1) / 2, g / 24
             omega = max(mpf(1), (6 * c4) ** (mpf(1) / 3) * 2)
         nbasis = 48
-        prev = None
+        prev, vec = None, [mpf(1)]
         while nbasis <= _MAX_BASIS:
             bands = _even_sector_bands(nbasis, omega, c2, c4)
-            val = _lowest_even_eigenvalue(*bands, rel_tol=rel_tol / 10)
+            val, vec = _lowest_even_eigenvalue(*bands, vec, rel_tol=rel_tol / 10)
             if prev is not None and abs(val - prev) <= rel_tol * abs(val):
                 return +val
             prev = val

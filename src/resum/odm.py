@@ -458,7 +458,7 @@ def convergence_study(table, criterion, K, g, oracle=None):
     if K > table.source_order - 1:
         raise UsageError("K=%d needs table order >= %d for error estimates"
                          % (K, K + 1))
-    exact = None if oracle is None else to_mpf(oracle)
+    exact = None if oracle is None else finite_mpf(oracle, "oracle")
     reports = []
     for k in range(1, K + 1):
         try:

@@ -1,5 +1,10 @@
 """Generators for the benchmark series and their independent oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpf
 
@@ -14,7 +19,37 @@ from resum import (
     ratio_growth_constant,
     rg_series,
 )
-from resum.models import _even_sector_bands, _lowest_even_eigenvalue
+from resum.models import _band_ldl, _even_sector_bands, _lowest_even_eigenvalue
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def band_and_lowest():
+    """The g = 1, omega = 2 band at 24 states and its lowest eigenvalue by
+    mpmath's dense symmetric solver."""
+    bands = _even_sector_bands(24, mpf(2), mpf("0.5"), mpf(1) / 24)
+    diag, off1, off2 = bands
+    n = len(diag)
+    a = mp.zeros(n)
+    for i in range(n):
+        a[i, i] = diag[i]
+        if i + 1 < n:
+            a[i, i + 1] = a[i + 1, i] = off1[i]
+        if i + 2 < n:
+            a[i, i + 2] = a[i + 2, i] = off2[i]
+    return bands, min(mp.eigsy(a, eigvals_only=True))
+
+
+def test_package_imports_neither_numpy_nor_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import resum, resum.cli, sys; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestD0Coefficients:
@@ -51,6 +86,11 @@ class TestD0Value:
     def test_rejects_negative_coupling(self):
         with pytest.raises(DomainError):
             d0_partition_value(-1)
+
+    @pytest.mark.parametrize("g", [mp.nan, -mp.inf])
+    def test_rejects_non_finite_coupling(self, g):
+        with pytest.raises(DomainError, match="got %s" % g):
+            d0_partition_value(g)
 
     def test_two_quadrature_schemes_agree(self):
         # The oracle's tanh-sinh value against Gauss-Legendre nodes on the
@@ -95,6 +135,15 @@ class TestOscillatorCoefficients:
         assert abs(got - expect) < mpf("1e-55")
         assert abs(got + mpf(7) / 1536) < mpf("1e-55")
 
+    def test_guard_digits_cover_the_recursion(self):
+        # The recursion cancels leading digits between orders; its 2K + 10
+        # guard digits must leave every coefficient correct at 64 digits.
+        low = anharmonic_ground_coeffs(40).coeffs
+        with mp.workdps(120):
+            high = anharmonic_ground_coeffs(40).coeffs
+        for a, b in zip(low, high):
+            assert abs(a - b) <= mpf("1e-62") * abs(b)
+
     def test_growth_constant(self):
         est = ratio_growth_constant(anharmonic_ground_coeffs(60), 10)
         assert abs(est - 8) / 8 < mpf("0.05")
@@ -113,6 +162,15 @@ class TestOscillatorValue:
         with pytest.raises(DomainError):
             anharmonic_ground_value(-2)
 
+    @pytest.mark.parametrize("g", [mp.nan, -mp.inf])
+    def test_rejects_non_finite_coupling_before_any_iteration(self, g, monkeypatch):
+        def no_bands(*args):
+            raise AssertionError("bands built for an invalid coupling")
+
+        monkeypatch.setattr("resum.models._even_sector_bands", no_bands)
+        with pytest.raises(DomainError, match="got %s" % g):
+            anharmonic_ground_value(g)
+
     def test_partial_sums_bracket_small_coupling(self):
         g = mpf("0.01")
         e = anharmonic_ground_coeffs(4)
@@ -125,8 +183,8 @@ class TestOscillatorValue:
         g = mpf(1)
         bands_a = _even_sector_bands(60, mpf(2), mpf("0.5"), g / 24)
         bands_b = _even_sector_bands(110, mpf(2), mpf("0.5"), g / 24)
-        ea = _lowest_even_eigenvalue(*bands_a, rel_tol=mpf("1e-30"))
-        eb = _lowest_even_eigenvalue(*bands_b, rel_tol=mpf("1e-30"))
+        ea = _lowest_even_eigenvalue(*bands_a, [mpf(1)], rel_tol=mpf("1e-30"))[0]
+        eb = _lowest_even_eigenvalue(*bands_b, [mpf(1)], rel_tol=mpf("1e-30"))[0]
         assert abs(ea - eb) / abs(eb) < mpf("1e-8")
         assert abs(eb - anharmonic_ground_value(1)) / eb < mpf("1e-12")
 
@@ -135,9 +193,29 @@ class TestOscillatorValue:
         values = []
         for omega in (mpf(1), mpf("1.6")):
             bands = _even_sector_bands(140, omega, mpf(0), c4)
-            values.append(_lowest_even_eigenvalue(*bands, rel_tol=mpf("1e-30")))
+            values.append(_lowest_even_eigenvalue(*bands, [mpf(1)], rel_tol=mpf("1e-30"))[0])
         assert abs(values[0] - values[1]) / values[1] < mpf("1e-8")
         assert abs(values[1] - anharmonic_ground_value(mp.inf)) < mpf("1e-8")
+
+    def test_lowest_eigenvalue_matches_dense_solver(self):
+        bands, expect = band_and_lowest()
+        tol = mpf(10) ** (10 - mp.dps)
+        value = _lowest_even_eigenvalue(*bands, [mpf(1)], rel_tol=tol)[0]
+        assert abs(value - expect) <= tol * expect
+
+    def test_excited_start_still_finds_the_lowest_eigenvalue(self):
+        # e_1 overlaps mostly the first excited even state; the shifts stay
+        # below the spectrum, so the iteration still lands on the lowest one.
+        bands, expect = band_and_lowest()
+        tol = mpf(10) ** (10 - mp.dps)
+        value = _lowest_even_eigenvalue(*bands, [mpf(0), mpf(1)], rel_tol=tol)[0]
+        assert abs(value - expect) <= tol * expect
+
+    def test_ldl_accepts_only_shifts_below_the_spectrum(self):
+        bands, lowest = band_and_lowest()
+        assert _band_ldl(*bands, lowest + mpf("1e-6")) is None
+        pivots, _, _ = _band_ldl(*bands, lowest - mpf("1e-6"))
+        assert len(pivots) == 24 and min(pivots) > 0
 
     def test_basis_cap_resource_error(self, monkeypatch):
         from resum import ResourceError

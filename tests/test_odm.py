@@ -265,3 +265,7 @@ class TestStudy:
             convergence_study(d0_table, MIXED, 24, mp.inf, oracle=1)
         with pytest.raises(FitError):
             convergence_study(d0_table, MIXED, 8, mp.inf, oracle=1)
+
+    def test_non_finite_oracle_rejected(self, d0_table):
+        with pytest.raises(UsageError, match="oracle must be finite, got nan"):
+            convergence_study(d0_table, MIXED, 20, mp.inf, oracle=mp.nan)
