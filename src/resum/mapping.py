@@ -162,34 +162,38 @@ def build_rho_table(source, mapping):
     Covariant case (source starting at first order):
     ``(1-lambda)^(alpha+1)/(alpha rho) * source(rho zeta(lambda))`` with the
     leading ``rho`` cancelled against the source's vanishing constant term.
+
+    Power-cut columns have a closed form: ``(1-lambda)^(-p) zeta^n =
+    lambda^n (1-lambda)^(-(p + n alpha))``, one binomial series per column.
+    The shifted-power ``zeta^n = ((1-lambda)^(-alpha) - 1)^n`` has none, so
+    that family keeps the running product of the weight with ``zeta``.
     """
     if source.order < 1:
         raise UsageError("source series must have order >= 1")
     if mapping.beta_covariant and source.coeffs[0] != 0:
         raise UsageError("beta-covariant tables need a source with zero constant term")
     K = source.order
-    if mapping.beta_covariant:
-        weight = binomial_series(mapping.alpha + 1, K, "lambda")
-    else:
-        weight = binomial_series(-mapping.prefactor_p, K, "lambda")
-    zeta = zeta_series(mapping, K)
     polys = [[mpf(0)] * (k + 1) for k in range(K + 1)]
-    shift = 1 if mapping.beta_covariant else 0
-    cur = list(weight.coeffs)  # running product weight * zeta^n
-    for n in range(0, K + 1):
-        if n > 0:
-            cur = _mul_trunc(cur, zeta.coeffs, K)
-        fn = source.coeffs[n]
-        if mapping.beta_covariant:
-            if n == 0:
-                continue
-            fn = fn / mapping.alpha
-        if fn == 0:
-            continue
-        col = n - shift
-        # cur[k] vanishes below k = n because zeta starts at first order.
-        for k in range(n, K + 1):
-            polys[k][col] += fn * cur[k]
+    if mapping.family is MappingFamily.POWER_CUT:
+        for n, fn in enumerate(source.coeffs):
+            if fn != 0:
+                col = binomial_series(-(mapping.prefactor_p + n * mapping.alpha), K - n)
+                for k, c in enumerate(col.coeffs, n):
+                    polys[k][n] = fn * c
+    else:
+        shift = 1 if mapping.beta_covariant else 0
+        zeta = zeta_series(mapping, K).coeffs
+        # Running product weight * zeta^n.
+        cur = list(binomial_series(mapping.alpha + 1 if shift else -mapping.prefactor_p, K).coeffs)
+        for n, fn in enumerate(source.coeffs):
+            if n > 0:
+                cur = _mul_trunc(cur, zeta, K)
+            if shift:
+                fn = fn / mapping.alpha  # f_0 = 0 leaves no rho^(-1) column
+            if fn != 0:
+                # cur[k] vanishes below k = n because zeta starts at first order.
+                for k in range(n, K + 1):
+                    polys[k][n - shift] += fn * cur[k]
     return RhoPolynomialTable(
         polys=tuple(tuple(p) for p in polys),
         mapping=mapping,

@@ -10,17 +10,20 @@ suites:
 * the seven-loop renormalization-group functions of the three-dimensional
   scalar phi^4 model (beta function and the exponent series gamma^-1, eta).
 
-Coefficient generators are exact recursions at working precision; the value
-oracles (adaptive quadrature, harmonic-basis diagonalization) are deliberately
-independent of every summation algorithm in this package so they can arbitrate
-accuracy claims.
+The d=0 coefficients come from a ratio recursion at working precision; the
+oscillator's from the Bender-Wu recursion in integers scaled by ``4^k j!``,
+every division checked exact, each coefficient rounded once at the end.  The
+value oracles (adaptive quadrature, harmonic-basis diagonalization) are
+deliberately independent of every summation algorithm in this package so they
+can arbitrate accuracy claims.
 """
 
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DiagnosticError, DomainError, ResourceError, UsageError
 from .precision import to_mpf
 from .series import PowerSeries, multiply
 
@@ -72,54 +75,33 @@ def _x4_even_elements(n):
 def anharmonic_ground_coeffs(K):
     """Ground-state perturbation coefficients E_k of ``H = p^2/2 + x^2/2 + (g/4!) x^4``.
 
-    Rayleigh-Schrodinger recursion in the oscillator basis.  The quartic
-    perturbation couples ``|n>`` to ``|n +- 2>, |n +- 4>`` only, so order k
-    involves even states up to ``|4k>``; with the sum over earlier orders at
-    each state the whole recursion costs O(K^3).
-    The recursion cancels many leading digits between orders, hence the
-    generous internal guard precision.
+    Bender-Wu recursion (Phys. Rev. D 7 (1973) 1620) in exact integers.  The
+    ansatz ``psi = exp(-x^2/2) sum_k lambda^k sum_j A_kj x^(2j)`` with
+    ``lambda = g/24`` and ``A_k0 = delta_k0`` gives, for the scaled integers
+    ``D_kj = 4^k j! A_kj`` (``D_00 = 1``, zero for ``j > 2k``) and
+    ``e_k = 4^k epsilon_k = -D_k1``, for ``j = 2k .. 1``::
+
+        2j D_kj = (2j+1) D_k,j+1 - 4j(j-1) D_k-1,j-2 + sum_{i<k} e_i D_k-i,j
+
+    A nonzero remainder of any division by ``2j`` raises
+    :class:`DiagnosticError`, so the integers are certified exact; each
+    ``E_k = e_k / 96^k`` is rounded once to the working precision.  O(K^3).
     """
     if K < 0:
         raise UsageError("K must be >= 0")
-    with mp.extradps(2 * K + 10):
-        nmax = 4 * K + 4
-        # W[n][.] = <n|x^4/24|m> for m = n-4, n-2, n, n+2, n+4 (even n).
-        w = {}
-        for n in range(0, nmax + 1, 2):
-            d0, d2, d4 = _x4_even_elements(n)
-            w[n] = (d0 / 24, d2 / 24, d4 / 24)
-        energies = [mpf(1) / 2]
-        # psi[j][n] for even n > 0; intermediate normalization <0|psi_j> = delta_j0.
-        psi = [{0: mpf(1)}]
-        for j in range(1, K + 1):
-            prev = psi[j - 1]
-            applied = {}
-            for n, c in prev.items():
-                if c == 0:
-                    continue
-                d0, d2, d4 = w[n]
-                applied[n] = applied.get(n, mpf(0)) + d0 * c
-                applied[n + 2] = applied.get(n + 2, mpf(0)) + d2 * c
-                applied[n + 4] = applied.get(n + 4, mpf(0)) + d4 * c
-                if n >= 2:
-                    dm2 = w[n - 2][1]
-                    applied[n - 2] = applied.get(n - 2, mpf(0)) + dm2 * c
-                if n >= 4:
-                    dm4 = w[n - 4][2]
-                    applied[n - 4] = applied.get(n - 4, mpf(0)) + dm4 * c
-            energies.append(applied.get(0, mpf(0)))
-            cur = {}
-            for n, v in applied.items():
-                if n == 0:
-                    continue
-                acc = -v
-                for i in range(1, j):
-                    c_prev = psi[j - i].get(n)
-                    if c_prev is not None:
-                        acc += energies[i] * c_prev
-                cur[n] = acc / n
-            psi.append(cur)
-        coeffs = [+e for e in energies]
+    coeffs = [mpf(1) / 2]
+    rows = [[1]]  # rows[k][j] = D_kj for j = 0 .. 2k, so e_k = -rows[k][1]
+    for k in range(1, K + 1):
+        row = [0] * (2 * k + 2)  # row[2k + 1] = 0 seeds the top order
+        for j in range(2 * k, 0, -1):
+            acc = (2 * j + 1) * row[j + 1] - 4 * j * (j - 1) * rows[k - 1][j - 2]  # 0 at j=1
+            for i in range(1, k - (j + 1) // 2 + 1):  # rows[k - i] ends at 2(k - i)
+                acc -= rows[i][1] * rows[k - i][j]
+            row[j], rem = divmod(acc, 2 * j)
+            if rem:
+                raise DiagnosticError("Bender-Wu division by %d inexact at order %d" % (2 * j, k))
+        rows.append(row[:-1])
+        coeffs.append(mp.make_mpf(from_rational(-row[1], 96 ** k, mp.prec, round_nearest)))
     return PowerSeries(coeffs, "g")
 
 

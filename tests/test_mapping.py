@@ -9,6 +9,7 @@ from resum import (
     MappingSpec,
     PowerSeries,
     UsageError,
+    anharmonic_ground_coeffs,
     binomial_series,
     build_rho_table,
     compose,
@@ -21,6 +22,7 @@ from resum import (
     scale,
     zeta_series,
 )
+from resum.series import _mul_trunc
 
 POWER_CUT = MappingFamily.POWER_CUT
 SHIFTED = MappingFamily.SHIFTED_POWER
@@ -62,6 +64,41 @@ def test_d0_table_first_orders():
     table = build_rho_table(source, MappingSpec(POWER_CUT, 2, prefactor_p="0.5"))
     assert table.polys[0] == (mpf(1),)
     assert table.polys[1] == (mpf("0.5"), mpf("-0.125"))
+
+
+def running_product_table(source, mapping):
+    """``polys[k][n] = f_n [lambda^k] (1-lambda)^(-p) zeta^n`` by a running
+    product of the weight with ``zeta``, one truncated product per column."""
+    K = source.order
+    zeta = zeta_series(mapping, K)
+    cur = list(binomial_series(-mapping.prefactor_p, K).coeffs)
+    polys = [[mpf(0)] * (k + 1) for k in range(K + 1)]
+    for n, fn in enumerate(source.coeffs):
+        if n > 0:
+            cur = _mul_trunc(cur, zeta.coeffs, K)
+        if fn != 0:
+            for k in range(n, K + 1):
+                polys[k][n] += fn * cur[k]
+    return tuple(tuple(p) for p in polys)
+
+
+@pytest.mark.parametrize("alpha, p, series, order", [
+    ("2", "0.5", d0_partition_coeffs, 62), ("4", "0.5", d0_partition_coeffs, 62),
+    ("3/2", "-0.5", anharmonic_ground_coeffs, 61)])
+def test_power_cut_closed_form_is_bit_identical(alpha, p, series, order):
+    # Dyadic exponents make both routes exact at 64 digits.
+    source = series(order)
+    mapping = MappingSpec(POWER_CUT, alpha, prefactor_p=p)
+    assert build_rho_table(source, mapping).polys == running_product_table(source, mapping)
+
+
+def test_power_cut_closed_form_matches_product():
+    source = d0_partition_coeffs(62)
+    mapping = MappingSpec(POWER_CUT, "1.7", prefactor_p="0.3")
+    table = build_rho_table(source, mapping)
+    for row, ref_row in zip(table.polys, running_product_table(source, mapping)):
+        for c, ref in zip(row, ref_row):
+            assert abs(c - ref) <= mpf("1e-62") * abs(ref)
 
 
 def test_constant_source_is_mapping_invariant():

@@ -19,7 +19,12 @@ from resum import (
     ratio_growth_constant,
     rg_series,
 )
-from resum.models import _band_ldl, _even_sector_bands, _lowest_even_eigenvalue
+from resum.models import (
+    _band_ldl,
+    _even_sector_bands,
+    _lowest_even_eigenvalue,
+    _x4_even_elements,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +43,43 @@ def band_and_lowest():
         if i + 2 < n:
             a[i, i + 2] = a[i + 2, i] = off2[i]
     return bands, min(mp.eigsy(a, eigvals_only=True))
+
+
+def rayleigh_schrodinger_coeffs(K):
+    """E_0..E_K by Rayleigh-Schrodinger perturbation theory over normalized
+    oscillator states, with 2K + 10 guard digits against the cancellation
+    between orders: an independent route to the Bender-Wu integers."""
+    with mp.extradps(2 * K + 10):
+        # w[n] = <n|x^4/24|m> for m = n, n+2, n+4 (even n).
+        w = {n: tuple(d / 24 for d in _x4_even_elements(n)) for n in range(0, 4 * K + 5, 2)}
+        energies = [mpf(1) / 2]
+        # psi[j][n] for even n > 0; intermediate normalization <0|psi_j> = delta_j0.
+        psi = [{0: mpf(1)}]
+        for j in range(1, K + 1):
+            applied = {}
+            for n, c in psi[j - 1].items():
+                if c == 0:
+                    continue
+                terms = [(n, w[n][0]), (n + 2, w[n][1]), (n + 4, w[n][2])]
+                if n >= 2:
+                    terms.append((n - 2, w[n - 2][1]))
+                if n >= 4:
+                    terms.append((n - 4, w[n - 4][2]))
+                for m, d in terms:
+                    applied[m] = applied.get(m, mpf(0)) + d * c
+            energies.append(applied.get(0, mpf(0)))
+            cur = {}
+            for n, v in applied.items():
+                if n == 0:
+                    continue
+                acc = -v
+                for i in range(1, j):
+                    c_prev = psi[j - i].get(n)
+                    if c_prev is not None:
+                        acc += energies[i] * c_prev
+                cur[n] = acc / n
+            psi.append(cur)
+    return [+e for e in energies]  # rounded once to the working precision
 
 
 def test_package_imports_neither_numpy_nor_scipy():
@@ -96,7 +138,8 @@ class TestD0Value:
         # The oracle's tanh-sinh value against Gauss-Legendre nodes on the
         # same integrand.
         a = d0_partition_value(5)
-        with mp.extradps(10):
+        # 30 digits keep the node set cheap and still resolve 1e-20.
+        with mp.workdps(30):
             b = mp.quad(lambda x: mp.exp(-x * x / 2 - 5 * x ** 4 / 24), [0, mp.inf],
                         method="gauss-legendre")
             b = 2 * b / mp.sqrt(2 * mp.pi)
@@ -134,6 +177,20 @@ class TestOscillatorCoefficients:
         got = anharmonic_ground_coeffs(2).coeffs[2]
         assert abs(got - expect) < mpf("1e-55")
         assert abs(got + mpf(7) / 1536) < mpf("1e-55")
+
+    def test_published_bender_wu_values(self):
+        # epsilon_k = a_k / b_k in lambda = g/24 (Bender and Wu 1973), so
+        # E_k = a_k / (b_k 24^k); every operand is exact at 64 digits.
+        published = [(3, 4), (-21, 8), (333, 16), (-30885, 128), (916731, 256),
+                     (-65518401, 1024), (2723294673, 2048), (-1030495099053, 32768)]
+        e = anharmonic_ground_coeffs(8).coeffs
+        for k, (a, b) in enumerate(published, 1):
+            assert e[k] == mpf(a) / (mpf(b) * mpf(24) ** k)
+
+    @pytest.mark.parametrize("dps", [30, 40, 64])
+    def test_bit_equal_to_rayleigh_schrodinger(self, dps):
+        with mp.workdps(dps):
+            assert list(anharmonic_ground_coeffs(40).coeffs) == rayleigh_schrodinger_coeffs(40)
 
     def test_guard_digits_cover_the_recursion(self):
         # The recursion cancels leading digits between orders; its 2K + 10
