@@ -14,6 +14,7 @@ pass per ``(sigma, g)``, within a few units of ``2^-(prec + 40)`` per node.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpf
@@ -28,7 +29,6 @@ from .series import PowerSeries, compose
 _TANH_SINH = TanhSinh(mp)  # mp.quad's rule; nodes are built on first use
 _GUARD_BITS = 40  # fixed-point bits beyond the working precision
 _NODE_SETS = 96  # node sets kept: 2 pieces x 10 levels x 4 Leroy shifts fit
-_node_cache = {}
 
 
 @dataclass(frozen=True)
@@ -96,24 +96,20 @@ def conformal_map_coeffs(b, a):
         (mpf(0),) + tuple(four_over_a * k for k in range(1, b.order + 1)), "u"))
 
 
+@lru_cache(maxsize=_NODE_SETS)
 def _weighted_nodes(sigma, lo, hi, level, prec):
     """``mp.quad``'s tanh-sinh nodes on ``[lo, hi]`` as nonzero integer weights
-    ``w x^sigma e^-x 2^Q`` at ``x 2^Q``, ``Q = prec + 40``; LRU-cached."""
-    key = (sigma, lo, hi, level, prec)
-    nodes = _node_cache.pop(key, None)
-    if nodes is None:
-        if len(_node_cache) >= _NODE_SETS:
-            del _node_cache[next(iter(_node_cache))]
-        nodes, q = ([], []), prec + _GUARD_BITS
-        with mp.workprec(prec + 20):
-            half, mid = (hi - lo) / 2, (hi + lo) / 2
-            for x, w in _TANH_SINH.get_nodes(-1, 1, level, prec):
-                t = mid + half * x
-                weight = int(mp.ldexp(half * w * t ** sigma * mp.exp(-t), q))
-                if weight:
-                    nodes[0].append(int(mp.ldexp(t, q)))
-                    nodes[1].append(weight)
-    _node_cache[key] = nodes
+    ``w x^sigma e^-x 2^Q`` at ``x 2^Q``, ``Q = prec + 40``.  Cached, so callers
+    must not mutate the returned lists."""
+    nodes, q = ([], []), prec + _GUARD_BITS
+    with mp.workprec(prec + 20):
+        half, mid = (hi - lo) / 2, (hi + lo) / 2
+        for x, w in _TANH_SINH.get_nodes(-1, 1, level, prec):
+            t = mid + half * x
+            weight = int(mp.ldexp(half * w * t ** sigma * mp.exp(-t), q))
+            if weight:
+                nodes[0].append(int(mp.ldexp(t, q)))
+                nodes[1].append(weight)
     return nodes
 
 

@@ -32,6 +32,7 @@ error (bad file, bad flags, solver failure).
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -70,21 +71,23 @@ GENERATORS = {
     "rg_eta": lambda order: rg_series().eta.truncate(min(order, 7)),
 }
 
-_KNOWN_KEYS = {"name", "variable", "coefficients", "generator", "order",
-               "large_order_A"}
+# --oracle choice: (its generator, its value at g); the lambdas bind at call time.
+_ORACLES = {
+    "quadrature": ("d0", lambda g: d0_partition_value(g)),
+    "diagonalization": ("anharmonic", lambda g: anharmonic_ground_value(g)),
+}
 
 
+@dataclasses.dataclass(frozen=True)
 class SeriesFile:
-    """Parsed series file: explicit coefficients or a named generator."""
+    """Parsed series file, one field per key: explicit coefficients or a named generator."""
 
-    def __init__(self, name, variable, coefficients=None, generator=None,
-                 order=None, large_order_A=None):
-        self.name = name
-        self.variable = variable
-        self.coefficients = coefficients
-        self.generator = generator
-        self.order = order
-        self.large_order_A = large_order_A
+    name: str
+    variable: str
+    coefficients: list = None
+    generator: str = None
+    order: int = None
+    large_order_A: str = None
 
     def build(self):
         """Materialize the series at the active working precision."""
@@ -93,15 +96,10 @@ class SeriesFile:
         return PowerSeries(tuple(self.coefficients), self.variable)
 
     def spec_dict(self):
-        out = {"name": self.name, "variable": self.variable}
-        if self.generator is not None:
-            out["generator"] = self.generator
-            out["order"] = self.order
-        else:
-            out["coefficients"] = list(self.coefficients)
-        if self.large_order_A is not None:
-            out["large_order_A"] = self.large_order_A
-        return out
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+
+
+_KNOWN_KEYS = {f.name for f in dataclasses.fields(SeriesFile)}
 
 
 def parse_series_file(path):
@@ -253,8 +251,7 @@ def build_parser():
     p_study.add_argument("series_file")
     p_study.add_argument("--max-order", type=int, required=True)
     p_study.add_argument("--g", default="inf", help="coupling value, or 'inf'")
-    p_study.add_argument("--oracle", choices=("quadrature", "diagonalization", "none"),
-                         default="none")
+    p_study.add_argument("--oracle", choices=(*_ORACLES, "none"), default="none")
     p_study.add_argument("--csv", help="write the CSV here instead of stdout")
     p_study.add_argument("--out", help="write a JSON run report here")
     return parser
@@ -407,14 +404,12 @@ def cmd_study(args, stdout):
     table = build_rho_table(series, mapping)
     oracle = None
     oracle_note = None
-    if args.oracle == "quadrature":
-        if spec_file.generator != "d0":
-            raise UsageError("the quadrature oracle belongs to the d0 generator")
-        oracle = d0_partition_value(g)
-    elif args.oracle == "diagonalization":
-        if spec_file.generator != "anharmonic":
-            raise UsageError("the diagonalization oracle belongs to the anharmonic generator")
-        oracle = anharmonic_ground_value(g)
+    if args.oracle in _ORACLES:
+        generator, value_at = _ORACLES[args.oracle]
+        if spec_file.generator != generator:
+            raise UsageError("the %s oracle belongs to the %s generator"
+                             % (args.oracle, generator))
+        oracle = value_at(g)
     elif spec_file.generator is None:
         oracle_note = "no oracle for custom coefficients; deltas are error estimates"
     study = convergence_study(table, _criterion_from_args(args), args.max_order,

@@ -145,12 +145,9 @@ class RhoPolynomialTable:
     mapping: MappingSpec
     source_order: int
 
-    def eval_poly(self, k, rho):
-        return horner(self.polys[k], rho)
-
     def lambda_coeffs(self, rho, order):
         """The numeric lambda-series ``P_0(rho) .. P_order(rho)``."""
-        return tuple(self.eval_poly(k, rho) for k in range(order + 1))
+        return tuple(horner(self.polys[k], rho) for k in range(order + 1))
 
 
 def build_rho_table(source, mapping):

@@ -169,7 +169,7 @@ def select_rho(table, k, criterion, allow_complex=False):
         pval = abs(horner(poly, rho))
         dval = abs(horner(dpoly, rho))
         examined.append((rho, pval, dval))
-        scale = abs(table.eval_poly(k - 1, rho))  # the neighbor yardstick
+        scale = abs(horner(table.polys[k - 1], rho))  # the neighbor yardstick
         if mode is SelectionMode.ROOT:
             ok = dval <= tau * scale * k / abs(rho)
         else:
@@ -224,7 +224,7 @@ def odm_value(table, k, criterion, g, allow_complex=False):
         value = mp.re((1 - lam) ** mapping.prefactor_p * horner(coeffs, lam))
     err = None
     if k + 1 <= table.source_order:
-        err = abs(table.eval_poly(k + 1, rho) * lam ** (k + 1))
+        err = abs(horner(table.polys[k + 1], rho) * lam ** (k + 1))
     return replace(sel, g=mp.inf if strong else to_mpf(g), lam=lam, value=value,
                    error_estimate=err)
 

@@ -70,7 +70,7 @@ def pade_fit(s, L, M):
         # candidate at None, and its row swap then raises TypeError.
         raise DegeneracyError(
             "singular Pade system for [%d/%d] (rank %d < %d)"
-            % (L, M, _rank_estimate(A, M), M)
+            % (L, M, _rank_estimate(A), M)
         )
     den = [mpf(1)] + [sol[j] for j in range(M)]
     num = []
@@ -84,32 +84,10 @@ def pade_fit(s, L, M):
     return approx
 
 
-def _rank_estimate(A, n):
-    """Crude rank of a small mpmath matrix by row echelon with pivots."""
-    B = A.copy()
-    rank = 0
-    scale = max((abs(B[i, j]) for i in range(n) for j in range(n)), default=mpf(0))
-    if scale == 0:
-        return 0
-    tol = scale * tolerance(8)
-    row = 0
-    for col in range(n):
-        piv, pval = None, tol
-        for r in range(row, n):
-            if abs(B[r, col]) > pval:
-                piv, pval = r, abs(B[r, col])
-        if piv is None:
-            continue
-        if piv != row:
-            for j in range(n):
-                B[piv, j], B[row, j] = B[row, j], B[piv, j]
-        for r in range(row + 1, n):
-            f = B[r, col] / B[row, col]
-            for j in range(col, n):
-                B[r, j] -= f * B[row, j]
-        rank += 1
-        row += 1
-    return rank
+def _rank_estimate(A):
+    """Numerical rank: the singular values above ``max|A_ij| 10^(8 - digits)``."""
+    tol = max(abs(x) for x in A) * tolerance(8)
+    return sum(1 for sv in mp.svd_r(A, compute_uv=False) if sv > tol)
 
 
 def _check_reexpansion(approx, s, through):

@@ -34,32 +34,29 @@ class SaddleSolution:
             raise SolverError("saddle mu must be positive")
 
 
-def _saddle_equations(alpha):
-    def mu_of_lambda(lam):
-        return -(1 / lam) * (1 - lam) ** (alpha - 1) * ((alpha - 1) * lam + 1)
-
-    def second(lam, mu):
-        return (1 / lam) * (1 - lam) ** alpha - mu * mp.log(-lam)
-
-    return mu_of_lambda, second
-
-
 def solve_saddle(alpha):
     """Solve the coupled saddle system at mapping exponent ``alpha > 1``.
 
-    The first equation fixes ``mu`` as a function of the saddle ``lambda``;
-    substituting into the second leaves a scalar root problem on ``(-1, 0)``,
-    bracketed by scanning for a sign change and solved by false position.
-    Among multiple sign changes the one closest to the origin with positive
-    ``mu`` is kept (the other branches are spurious).
+    With ``Phi = (1-lambda)^alpha / lambda - mu ln(-lambda)``, ``Phi' = 0``
+    fixes ``mu`` as a function of the saddle ``lambda``; substituting into
+    ``Phi = 0`` leaves a scalar root problem on ``(-1, 0)``, bracketed by
+    scanning for a sign change and solved by false position.  Among multiple
+    sign changes the one closest to the origin with positive ``mu`` is kept
+    (the other branches are spurious).  The residuals are ``|Phi'|``, by
+    numerical differentiation, and ``|Phi|``.
     """
     alpha = to_mpf(alpha)
     if not alpha > 1:
         raise UsageError("saddle analysis requires alpha > 1")
-    mu_of_lambda, second = _saddle_equations(alpha)
+
+    def mu_of_lambda(lam):
+        return -(1 / lam) * (1 - lam) ** (alpha - 1) * ((alpha - 1) * lam + 1)
+
+    def phi(lam, mu):
+        return (1 / lam) * (1 - lam) ** alpha - mu * mp.log(-lam)
 
     def h(lam):
-        return second(lam, mu_of_lambda(lam))
+        return phi(lam, mu_of_lambda(lam))
 
     # Scan from the origin outward; physical branch sits at small |lambda|.
     grid = [mpf(-1) * i / 200 for i in range(1, 180)]
@@ -76,8 +73,8 @@ def solve_saddle(alpha):
         raise SolverError("no sign change of the reduced saddle equation")
     lam = bracket_solve(h, bracket[0], bracket[1], tolerance(4))
     mu = mu_of_lambda(lam)
-    res1 = abs(mu + (1 / lam) * (1 - lam) ** (alpha - 1) * ((alpha - 1) * lam + 1))
-    res2 = abs(second(lam, mu))
+    res1 = abs(mp.diff(lambda x: (1 - x) ** alpha / x, lam) - mu / lam)
+    res2 = abs(phi(lam, mu))
     return SaddleSolution(alpha=alpha, mu=mu, lambda_saddle=lam, residuals=(res1, res2))
 
 

@@ -66,12 +66,6 @@ class PowerSeries:
             raise UsageError("cannot truncate order-%d series at %d" % (self.order, order))
         return PowerSeries(self.coeffs[: order + 1], self.var)
 
-    def pad(self, order):
-        """Extend with zero coefficients up to ``order``."""
-        if order < self.order:
-            raise UsageError("pad target %d below current order %d" % (order, self.order))
-        return PowerSeries(self.coeffs + (mpf(0),) * (order - self.order), self.var)
-
     def eval(self, x, terms=None):
         """Partial sum of the first ``terms`` coefficients (all by default) at ``x``."""
         return horner(self.coeffs if terms is None else self.coeffs[:max(terms, 0)], x)

@@ -325,6 +325,23 @@ class TestStudyCommand:
         assert lines[0].startswith("k,rho,inv_rho")
         assert len(lines) == 21  # header plus every order through 20
 
+    def test_out_echoes_the_series_file(self, tmp_path):
+        # The report echoes the file's own keys: coefficients as written and
+        # large_order_A for the inline form, generator and order otherwise.
+        coeffs = ["1", "-1"] * 6 + ["1", "-1/2"]
+        inline = write(tmp_path, "name: alt\nvariable: x\ncoefficients: %s\nlarge_order_A: 2\n"
+                       % ", ".join(coeffs), "inline.txt")
+        generated = write(tmp_path, "name: quartic\ngenerator: d0\norder: 24\n", "d0.txt")
+        for path, argv, want in (
+                (inline, ["--g", "0.2"], {"name": "alt", "variable": "x",
+                                          "coefficients": coeffs, "large_order_A": "2"}),
+                (generated, ["--alpha", "2", "--prefactor-p", "0.5"],
+                 {"name": "quartic", "variable": "g", "generator": "d0", "order": 24})):
+            out = tmp_path / "study.json"
+            assert main(["study", path, "--max-order", "12", "--csv", str(tmp_path / "s.csv"),
+                         "--out", str(out)] + argv) == 0
+            assert json.loads(out.read_text())["report"]["series"] == want
+
     def test_oracle_mismatch_rejected(self, tmp_path):
         path = write(tmp_path, ALT_GEOMETRIC)
         assert main(["study", path, "--max-order", "2", "--g", "1",

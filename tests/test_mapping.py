@@ -22,6 +22,7 @@ from resum import (
     scale,
     zeta_series,
 )
+from resum.poly import horner
 from resum.series import _mul_trunc
 
 POWER_CUT = MappingFamily.POWER_CUT
@@ -113,8 +114,8 @@ def test_covariant_first_order_is_minus_one():
     rg = rg_series()
     table = build_rho_table(rg.beta, MappingSpec(SHIFTED, "1.5", beta_covariant=True))
     # P_1 is constant in rho; at rho = 1 it equals the leading flow slope.
-    assert table.eval_poly(1, mpf(1)) == mpf(-1)
-    assert table.eval_poly(1, mpf("2.7")) == mpf(-1)
+    assert horner(table.polys[1], mpf(1)) == mpf(-1)
+    assert horner(table.polys[1], mpf("2.7")) == mpf(-1)
 
 
 def test_covariant_needs_vanishing_constant_term():

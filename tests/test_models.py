@@ -145,6 +145,15 @@ class TestD0Value:
             b = 2 * b / mp.sqrt(2 * mp.pi)
         assert abs(a - b) < mpf("1e-20")
 
+    @pytest.mark.parametrize("g", ["0.1", "0.5", "5", "50"])
+    def test_bessel_closed_form(self, g):
+        # DLMF 10.32: Z(g) = sqrt(3/(2 pi g)) e^(3/(4g)) K_(1/4)(3/(4g)), an
+        # independent route to the quadrature oracle.
+        g = mpf(g)
+        z = 3 / (4 * g)
+        closed = mp.sqrt(3 / (2 * mp.pi * g)) * mp.exp(z) * mp.besselk(mpf(1) / 4, z)
+        assert abs(d0_partition_value(g) - closed) <= mpf("1e-60") * closed
+
     def test_partial_sum_bound_at_small_coupling(self):
         g = mpf("0.1")
         z = d0_partition_coeffs(11)
@@ -193,8 +202,9 @@ class TestOscillatorCoefficients:
             assert list(anharmonic_ground_coeffs(40).coeffs) == rayleigh_schrodinger_coeffs(40)
 
     def test_guard_digits_cover_the_recursion(self):
-        # The recursion cancels leading digits between orders; its 2K + 10
-        # guard digits must leave every coefficient correct at 64 digits.
+        # The generator rounds exact integers once, so every coefficient must
+        # be correct at 64 digits; only the test-side reference
+        # rayleigh_schrodinger_coeffs needs 2K + 10 guard digits.
         low = anharmonic_ground_coeffs(40).coeffs
         with mp.workdps(120):
             high = anharmonic_ground_coeffs(40).coeffs

@@ -64,9 +64,11 @@ def test_degenerate_system_rejected():
 def test_all_zero_pivot_column_rejected():
     # Every pivot candidate of one column is zero: mpmath's LU cannot pick a
     # pivot there, and the fit must report the rank, not a TypeError.
-    s = PowerSeries(tuple(mpf(c) for c in (1, 1, 1, 1, 0, 0)))
-    with pytest.raises(DegeneracyError, match=r"rank 2 < 3"):
-        pade_fit(s, 1, 3)
+    for coeffs, L, M, rank in (((1, 1, 1, 1, 0, 0), 1, 3, "rank 2 < 3"),
+                               ((0, 0, 0), 1, 1, "rank 0 < 1")):
+        s = PowerSeries(tuple(mpf(c) for c in coeffs))
+        with pytest.raises(DegeneracyError, match=rank):
+            pade_fit(s, L, M)
 
 
 def test_order_budget_enforced():

@@ -162,7 +162,6 @@ def test_revert_round_trip():
 def test_truncate_pad_eval():
     s = series([1, 2, 3])
     assert s.truncate(1).coeffs == (mpf(1), mpf(2))
-    assert s.pad(4).order == 4
     assert s.eval(mpf("0.5")) == 1 + 2 * mpf("0.5") + 3 * mpf("0.25")
     assert s.eval(mpf("0.5"), terms=2) == 2
     assert scale(s, -1).coeffs == (mpf(-1), mpf(-2), mpf(-3))
