@@ -6,8 +6,10 @@ anharmonic oscillator scale fit, the phi^4_3 fixed point and exponents, and
 the Borel-mapping exponents -- and grades the result against the stored
 reference values at the documented tolerances.  The runners carry the
 configuration that reproduces each table (mapping exponents, prefactors,
-selection criteria) and compute at the active precision; every caller goes
-through :func:`run_benchmark`, which installs each table's working digits.
+selection criteria) and compute at the active precision.  Each returns its
+rows (dicts in CSV column order), checks and config; every caller goes
+through :func:`run_benchmark`, which installs each table's working digits
+and builds the :class:`BenchmarkResult`.
 """
 
 from dataclasses import dataclass
@@ -91,9 +93,6 @@ BOREL_MAP_REFERENCE = {
     6: ("1.4103", "0.6302", "1.2398"), 7: ("1.4105", "0.6302", "1.2398"),
 }
 
-OSCILLATOR_TARGETS = {"A": "8", "R": "32.25", "rate_low": "-11", "rate_high": "-8.5"}
-
-
 @dataclass(frozen=True)
 class Check:
     """One graded assertion of a benchmark run."""
@@ -104,12 +103,11 @@ class Check:
     target: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkResult:
-    """Rows for the table plus the graded checks."""
+    """Rows for the table, in CSV column order, plus the graded checks."""
 
     table_id: str
-    columns: tuple
     rows: list
     checks: list
     config: dict
@@ -130,6 +128,32 @@ def _at_most(name, deviation, tol):
     return Check(name, deviation <= to_mpf(tol), _ns(deviation, 3), "<= " + tol)
 
 
+def _within(subject, dev, tol):
+    """``subject within tol``: the deviation ``dev`` at most ``tol``."""
+    return _at_most("%s within %s" % (subject, tol), dev, tol)
+
+
+def _near(subject, got, center, tol, digits):
+    """``subject = center +- tol``, ``got`` printed to ``digits``."""
+    return Check("%s = %s +- %s" % (subject, center, tol),
+                 abs(got - to_mpf(center)) <= to_mpf(tol), _ns(got, digits),
+                 "%s +- %s" % (center, tol))
+
+
+def _near_rel(subject, got, center, percent, digits):
+    """``subject within percent% of center``, ``got`` printed to ``digits``."""
+    c = to_mpf(center)
+    return Check("%s within %s%% of %s" % (subject, percent, center),
+                 abs(got - c) / c <= mpf(percent) / 100, _ns(got, digits),
+                 "%s +- %s%%" % (center, percent))
+
+
+def _in_range(subject, got, lo, hi, digits):
+    """``subject in [lo, hi]``, ``got`` printed to ``digits``."""
+    return Check("%s in [%s, %s]" % (subject, lo, hi), to_mpf(lo) <= got <= to_mpf(hi),
+                 _ns(got, digits), "[%s, %s]" % (lo, hi))
+
+
 def run_saddle_table():
     """Saddle constants for the five tabulated mapping exponents."""
     rows, checks = [], []
@@ -142,26 +166,21 @@ def run_saddle_table():
             "delta_mu": _ns(dmu, 3), "neg_lambda": _ns(-sol.lambda_saddle, 12),
             "neg_lambda_ref": neg_lam_s, "delta_lambda": _ns(dlam, 3),
         })
-        checks.append(_at_most("mu[alpha=%s] within 1e-8" % alpha_s, dmu, "1e-8"))
-        checks.append(_at_most("lambda[alpha=%s] within 1e-8" % alpha_s, dlam, "1e-8"))
+        checks.append(_within("mu[alpha=%s]" % alpha_s, dmu, "1e-8"))
+        checks.append(_within("lambda[alpha=%s]" % alpha_s, dlam, "1e-8"))
         res = max(sol.residuals)
-        checks.append(Check("residuals[alpha=%s] below 1e-12" % alpha_s,
-                            res < mpf("1e-12"), _ns(res, 3), "< 1e-12"))
+        below = "1e-12"
+        checks.append(Check("residuals[alpha=%s] below %s" % (alpha_s, below),
+                            res < to_mpf(below), _ns(res, 3), "< " + below))
     R, rate = d0_exact_rate()
     # Relative tolerances: the reference prints carry ten digits.
     dR = abs(R - to_mpf(D0_RATE_REFERENCE["R"])) / R
     drate = abs(rate - to_mpf(D0_RATE_REFERENCE["rate"])) / rate
     dratio = abs(R / to_mpf("1.5") - to_mpf(D0_RATE_REFERENCE["R_over_A"])) / (R / to_mpf("1.5"))
-    checks.append(_at_most("exact-rate R within 1e-9 relative", dR, "1e-9"))
-    checks.append(_at_most("exact-rate within 1e-9 relative", drate, "1e-9"))
-    checks.append(_at_most("R/A consistency within 1e-9 relative", dratio, "1e-9"))
-    return BenchmarkResult(
-        table_id="saddle-table",
-        columns=("alpha", "mu", "mu_ref", "delta_mu", "neg_lambda",
-                 "neg_lambda_ref", "delta_lambda"),
-        rows=rows, checks=checks,
-        config={},
-    )
+    rel_tol = "1e-9"
+    for subject, dev in (("exact-rate R", dR), ("exact-rate", drate), ("R/A consistency", dratio)):
+        checks.append(_at_most("%s within %s relative" % (subject, rel_tol), dev, rel_tol))
+    return rows, checks, {}
 
 
 def _study_rows(study, reference):
@@ -173,8 +192,8 @@ def _study_rows(study, reference):
         ref_inv, ref_ln = reference[k]
         rows.append({
             "k": str(k), "inv_rho": _ns(inv_rho, 8), "inv_rho_ref": ref_inv,
-            "ln_delta": _ns(ln_d, 8), "ln_delta_ref": ref_ln,
             "delta_inv_rho": _ns(inv_rho - to_mpf(ref_inv), 3),
+            "ln_delta": _ns(ln_d, 8), "ln_delta_ref": ref_ln,
             "delta_ln_delta": _ns(ln_d - to_mpf(ref_ln), 3),
         })
     return rows
@@ -203,27 +222,18 @@ def run_d0_strong():
                                   d0_partition_value)
     rows = _study_rows(study, D0_STRONG_REFERENCE)
     checks = []
+    percent = 2  # the 1/rho bound, relative
     for k in sorted(D0_STRONG_REFERENCE):
         rep = study.report(k)
         ref_inv, ref_ln = D0_STRONG_REFERENCE[k]
         rel = abs(1 / rep.rho - to_mpf(ref_inv)) / to_mpf(ref_inv)
         dln = abs(mp.log(abs(rep.delta)) - to_mpf(ref_ln))
-        checks.append(_at_most("1/rho[k=%d] within 2%%" % k, rel, "0.02"))
-        checks.append(_at_most("ln|delta|[k=%d] within 1.5" % k, dln, "1.5"))
-    slope = study.inv_rho_fit.parity_mean_slope
-    checks.append(Check("slope of 1/(k rho_k) = 0.2209 +- 0.005",
-                        abs(slope - to_mpf("0.2209")) <= mpf("0.005"),
-                        _ns(slope, 6), "0.2209 +- 0.005"))
-    decay = -study.rate_fit.slope
-    checks.append(Check("error decay rate in [0.6, 0.75]",
-                        mpf("0.6") <= decay <= mpf("0.75"),
-                        _ns(decay, 5), "[0.6, 0.75]"))
-    return BenchmarkResult(
-        table_id="odm-d0-strong",
-        columns=("k", "inv_rho", "inv_rho_ref", "delta_inv_rho",
-                 "ln_delta", "ln_delta_ref", "delta_ln_delta"),
-        rows=rows, checks=checks, config=config,
-    )
+        checks.append(_at_most("1/rho[k=%d] within %d%%" % (k, percent), rel, str(percent / 100)))
+        checks.append(_within("ln|delta|[k=%d]" % k, dln, "1.5"))
+    checks.append(_near("slope of 1/(k rho_k)", study.inv_rho_fit.parity_mean_slope,
+                        "0.2209", "0.005", 6))
+    checks.append(_in_range("error decay rate", -study.rate_fit.slope, "0.6", "0.75", 5))
+    return rows, checks, config
 
 
 def run_d0_g5():
@@ -240,20 +250,12 @@ def run_d0_g5():
         checks.append(Check("|delta| decreases on %s orders" % ("even" if parity == 0 else "odd"),
                             mono, "monotone" if mono else "not monotone", "strictly decreasing"))
     ln60 = mp.log(abs(study.report(60).delta))
-    checks.append(Check("ln|delta| at k=60 <= -24", ln60 <= mpf(-24), _ns(ln60, 6), "<= -24"))
-    rel = abs(study.r_estimate - to_mpf("9.75")) / to_mpf("9.75")
-    checks.append(Check("fitted R within 15% of 9.75", rel <= mpf("0.15"),
-                        _ns(study.r_estimate, 6), "9.75 +- 15%"))
-    pred = predicted_R(4, "1.5")
-    checks.append(Check("predicted R = 9.2039 +- 1e-4",
-                        abs(pred - to_mpf("9.2039")) <= mpf("1e-4"),
-                        _ns(pred, 8), "9.2039 +- 1e-4"))
-    return BenchmarkResult(
-        table_id="odm-d0-g5",
-        columns=("k", "inv_rho", "inv_rho_ref", "delta_inv_rho",
-                 "ln_delta", "ln_delta_ref", "delta_ln_delta"),
-        rows=rows, checks=checks, config=config,
-    )
+    ceiling = "-24"
+    checks.append(Check("ln|delta| at k=60 <= " + ceiling, ln60 <= to_mpf(ceiling),
+                        _ns(ln60, 6), "<= " + ceiling))
+    checks.append(_near_rel("fitted R", study.r_estimate, "9.75", 15, 6))
+    checks.append(_near("predicted R", predicted_R(4, "1.5"), "9.2039", "1e-4", 8))
+    return rows, checks, config
 
 
 def run_oscillator():
@@ -275,20 +277,11 @@ def run_oscillator():
             "ln_rel_error": _ns(mp.log(abs(rep.delta) / amplitude), 8),
         })
     checks = [
-        Check("growth constant within 5% of 8",
-              abs(a_est - 8) / 8 <= mpf("0.05"), _ns(a_est, 6), "8 +- 5%"),
-        Check("fitted R within 10% of 32.25",
-              abs(study.r_estimate - to_mpf("32.25")) / to_mpf("32.25") <= mpf("0.10"),
-              _ns(study.r_estimate, 6), "32.25 +- 10%"),
-        Check("error decay slope vs k^(1/3) in [-11, -8.5]",
-              mpf("-11") <= study.rate_fit.slope <= mpf("-8.5"),
-              _ns(study.rate_fit.slope, 5), "[-11, -8.5]"),
+        _near_rel("growth constant", a_est, "8", 5, 6),
+        _near_rel("fitted R", study.r_estimate, "32.25", 10, 6),
+        _in_range("error decay slope vs k^(1/3)", study.rate_fit.slope, "-11", "-8.5", 5),
     ]
-    return BenchmarkResult(
-        table_id="odm-oscillator",
-        columns=("k", "rho_k_times_k", "ln_rel_error"),
-        rows=rows, checks=checks, config=config,
-    )
+    return rows, checks, config
 
 
 def run_phi4_fixed_point():
@@ -313,16 +306,10 @@ def run_phi4_fixed_point():
         })
         tol = tolerances[k]
         if tol is not None:
-            checks.append(_at_most("g*[k=%d] within %s" % (k, tol), dg, tol))
-            checks.append(_at_most("omega[k=%d] within %s" % (k, tol), dw, tol))
-    return BenchmarkResult(
-        table_id="phi4-fixed-point",
-        columns=("k", "g_star", "g_star_ref", "delta_g_star", "omega",
-                 "omega_ref", "delta_omega", "complex_pair"),
-        rows=rows, checks=checks,
-        config={"alpha": "3/2", "family": "shifted-power",
-                "beta_covariant": True, "criterion": "stationary-first tau=1"},
-    )
+            checks.append(_within("g*[k=%d]" % k, dg, tol))
+            checks.append(_within("omega[k=%d]" % k, dw, tol))
+    return rows, checks, {"alpha": "3/2", "family": "shifted-power",
+                          "beta_covariant": True, "criterion": "stationary-first tau=1"}
 
 
 def run_phi4_exponents():
@@ -335,6 +322,7 @@ def run_phi4_exponents():
     nu_table = build_rho_table(nu_inv_series(), spec)
     criterion = RhoSelectionCriterion(smallness_factor="1e6")
     rows, checks = [], []
+    gap_tol = "0.01"
     for k in sorted(PHI4_EXPONENTS_REFERENCE):
         ref_gamma, ref_nu, ref_eta = PHI4_EXPONENTS_REFERENCE[k]
         ex = exponents_at(g_star, gamma_table, eta_table, k, criterion,
@@ -349,21 +337,15 @@ def run_phi4_exponents():
         rows.append(row)
         if k >= 4:
             gap = abs(ex.gamma - ex.nu_from_series * (2 - ex.eta))
-            checks.append(_at_most("scaling relation gap[k=%d] <= 0.01" % k, gap, "0.01"))
+            checks.append(_at_most("scaling relation gap[k=%d] <= %s" % (k, gap_tol),
+                                   gap, gap_tol))
         if k == 7:
             for name, got, ref in (("gamma", ex.gamma, ref_gamma),
                                    ("nu", ex.nu_from_series, ref_nu),
                                    ("eta", ex.eta, ref_eta)):
-                checks.append(_at_most("%s[k=7] within 0.002" % name,
-                                       abs(got - to_mpf(ref)), "0.002"))
-    return BenchmarkResult(
-        table_id="phi4-exponents",
-        columns=("k", "gamma", "gamma_ref", "nu", "nu_ref", "eta",
-                 "eta_ref", "nu_scaling"),
-        rows=rows, checks=checks,
-        config={"g_star": g_star, "alpha": "3/2",
-                "family": "shifted-power", "criterion": "mixed tau=1e6"},
-    )
+                checks.append(_within("%s[k=7]" % name, abs(got - to_mpf(ref)), "0.002"))
+    return rows, checks, {"g_star": g_star, "alpha": "3/2",
+                          "family": "shifted-power", "criterion": "mixed tau=1e6"}
 
 
 def _borel_zero(coeffs, laplace):
@@ -424,8 +406,7 @@ def run_borel_map_exponents():
     for name, got, ref, tol in (("g_star", g7, "1.4105", "0.02"),
                                 ("nu", nu7, "0.6302", "0.01"),
                                 ("gamma", gamma7, "1.2398", "0.01")):
-        checks.append(_at_most("%s[k=7] within %s" % (name, tol),
-                               abs(got - to_mpf(ref)), tol))
+        checks.append(_within("%s[k=7]" % name, abs(got - to_mpf(ref)), tol))
     if all(k in rows_by_k for k in (3, 4, 6, 7)):
         for idx, name in ((0, "g_star"), (1, "nu"), (2, "gamma")):
             late = abs(rows_by_k[7][idx] - rows_by_k[6][idx])
@@ -437,14 +418,8 @@ def run_borel_map_exponents():
     else:
         checks.append(Check("orders 3,4,6,7 available", False,
                             str(sorted(rows_by_k)), "3,4,6,7"))
-    return BenchmarkResult(
-        table_id="borel-map-exponents",
-        columns=("k", "g_star", "g_star_ref", "nu", "nu_ref", "gamma",
-                 "gamma_ref"),
-        rows=rows, checks=checks,
-        config={"sigma": str(sigma), "a": _ns(a, 10),
-                "sigma_grid": ",".join(str(s) for s in sigmas)},
-    )
+    return rows, checks, {"sigma": str(sigma), "a": _ns(a, 10),
+                          "sigma_grid": ",".join(str(s) for s in sigmas)}
 
 
 RUNNERS = {
@@ -473,6 +448,5 @@ def run_benchmark(table_id, digits=None):
                          % (table_id, ", ".join(TABLE_IDS)))
     digits = TABLE_DIGITS[table_id] if digits is None else digits
     with workdps(digits):
-        result = RUNNERS[table_id]()
-    result.config = {"digits": digits, **result.config}
-    return result
+        rows, checks, config = RUNNERS[table_id]()
+    return BenchmarkResult(table_id, rows, checks, {"digits": digits, **config})

@@ -29,6 +29,9 @@ from .series import PowerSeries, compose
 _TANH_SINH = TanhSinh(mp)  # mp.quad's rule; nodes are built on first use
 _GUARD_BITS = 40  # fixed-point bits beyond the working precision
 _NODE_SETS = 96  # node sets kept: 2 pieces x 10 levels x 4 Leroy shifts fit
+# Largest Leroy shift: t^sigma e^-t peaks at t = sigma; at 1000 a sum takes
+# seconds, at 1e4 over a minute, and at 1e30 the node weights overflow.
+_MAX_SIGMA = 1000
 
 
 @dataclass(frozen=True)
@@ -69,21 +72,16 @@ class BorelSumResult:
 
 
 def borel_leroy_transform(s, sigma):
-    """Divide coefficient ``k`` by ``Gamma(k + sigma + 1)``."""
+    """Divide coefficient ``k`` by ``Gamma(k + sigma + 1)``, ``0 <= sigma <= _MAX_SIGMA``."""
     sigma = finite_mpf(sigma, "sigma")
     if sigma < 0:
         raise UsageError("sigma must be >= 0")
+    if sigma > _MAX_SIGMA:
+        raise UsageError("sigma must be <= %d, got %s" % (_MAX_SIGMA, mp.nstr(sigma, 8)))
     return PowerSeries(
         tuple(c / mp.gamma(k + sigma + 1) for k, c in enumerate(s.coeffs)),
         s.var,
     )
-
-
-def u_of_z(z, a):
-    """Inverse map ``u = (sqrt(1+az) - 1) / (sqrt(1+az) + 1)``; sends the cut
-    ``z <= -1/a`` onto the unit circle and fixes the origin."""
-    root = mp.sqrt(1 + to_mpf(a) * z)
-    return (root - 1) / (root + 1)
 
 
 def conformal_map_coeffs(b, a):

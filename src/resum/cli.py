@@ -109,17 +109,17 @@ def parse_series_file(path):
             lines = handle.readlines()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    # key -> (its text, its line); the coefficients' text is their list of
+    # (value, line), which indented lines after the key continue.
     fields = {}
-    coeff_lines = []
-    in_coeffs = False
+    key = None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        if in_coeffs and (line.startswith(" ") or line.startswith("\t")):
-            coeff_lines.extend(_split_values(line, lineno))
+        if key == "coefficients" and line[0] in " \t":
+            fields[key][0].extend(_split_values(line, lineno))
             continue
-        in_coeffs = False
         if ":" not in line:
             raise ParseError("expected 'key: value', got %r" % line.strip(), lineno)
         key, _, value = line.partition(":")
@@ -127,29 +127,21 @@ def parse_series_file(path):
         value = value.strip()
         if key not in _KNOWN_KEYS:
             raise ParseError("unknown field %r" % key, lineno)
-        if key in fields or (key == "coefficients" and coeff_lines):
+        if key in fields:
             raise ParseError("duplicate field %r" % key, lineno)
-        if key == "coefficients":
-            in_coeffs = True
-            if value:
-                coeff_lines.extend(_split_values(value, lineno))
-            fields["coefficients"] = True
-            continue
-        fields[key] = (value, lineno)
+        fields[key] = (_split_values(value, lineno) if key == "coefficients" else value, lineno)
 
     def take(key, default=None):
-        if key in fields and key != "coefficients":
-            return fields[key][0]
-        return default
+        return fields[key][0] if key in fields else default
 
     name = take("name", os.path.basename(path))
     variable = take("variable", "g")
     generator = take("generator")
-    has_coeffs = bool(coeff_lines)
-    if generator is not None and has_coeffs:
+    coeff_values = take("coefficients", [])
+    if generator is not None and coeff_values:
         raise ParseError("exactly one of 'coefficients' and 'generator' is allowed",
                          fields["generator"][1])
-    if generator is None and not has_coeffs:
+    if generator is None and not coeff_values:
         raise ParseError("series file needs 'coefficients' or 'generator'")
     order = None
     if generator is not None:
@@ -167,15 +159,11 @@ def parse_series_file(path):
                              fields["order"][1])
         if order < 0:
             raise ParseError("order must be >= 0", fields["order"][1])
-    coefficients = None
-    if has_coeffs:
-        coefficients = []
-        for text, lineno in coeff_lines:
-            try:
-                to_mpf(text)
-            except Exception:
-                raise ParseError("cannot parse coefficient %r" % text, lineno)
-            coefficients.append(text)
+    for text, lineno in coeff_values:
+        try:
+            to_mpf(text)
+        except Exception:
+            raise ParseError("cannot parse coefficient %r" % text, lineno)
     if "large_order_A" in fields:
         text, lineno = fields["large_order_A"]
         try:
@@ -187,7 +175,7 @@ def parse_series_file(path):
             raise ParseError("large_order_A must be finite and nonzero, got %r" % text,
                              lineno)
     return SeriesFile(
-        name=name, variable=variable, coefficients=coefficients,
+        name=name, variable=variable, coefficients=[text for text, _ in coeff_values] or None,
         generator=generator, order=order, large_order_A=take("large_order_A"),
     )
 
@@ -294,13 +282,14 @@ def _criterion_from_args(args):
                                  smallness_factor=args.tau)
 
 
-def _write_csv(path, columns, rows, stdout):
-    """Write ``rows`` (dicts keyed by column) as CSV to ``path``, or to
-    ``stdout`` without one; return the stream that takes the notes."""
+def _write_csv(path, rows, stdout):
+    """Write ``rows`` (dicts whose keys, in order, are the columns) as CSV to
+    ``path``, or to ``stdout`` without one; return the stream that takes the
+    notes."""
     def write(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row.get(col, "") for col in columns] for row in rows)
+        writer = csv.DictWriter(stream, rows[0], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
     if not path:
         write(stdout)
@@ -375,7 +364,7 @@ def cmd_sum(args, stdout):
 def cmd_reproduce(args, stdout):
     result = benchmarks.run_benchmark(args.table_id, args.precision)
     args.precision = result.config["digits"]  # echo the digits the table ran at
-    sink = _write_csv(args.csv, result.columns, result.rows, stdout)
+    sink = _write_csv(args.csv, result.rows, stdout)
     for check in result.checks:
         print("%s: %s (observed %s, target %s)"
               % ("PASS" if check.passed else "FAIL", check.name,
@@ -384,8 +373,7 @@ def cmd_reproduce(args, stdout):
         "table_id": result.table_id,
         "config": result.config,
         "rows": result.rows,
-        "checks": [{"name": c.name, "passed": c.passed, "observed": c.observed,
-                    "target": c.target} for c in result.checks],
+        "checks": [dataclasses.asdict(c) for c in result.checks],
         "passed": result.passed,
     }
     return report, 0 if result.passed else 2
@@ -414,8 +402,6 @@ def cmd_study(args, stdout):
         oracle_note = "no oracle for custom coefficients; deltas are error estimates"
     study = convergence_study(table, _criterion_from_args(args), args.max_order,
                               g, oracle=oracle)
-    columns = ("k", "rho", "inv_rho", "value", "delta", "error_estimate",
-               "lambda", "flagged")
     rows = [{
         "k": str(rep.k), "rho": _num(rep.rho), "inv_rho": _num(1 / rep.rho),
         "value": _num(rep.value),
@@ -423,7 +409,7 @@ def cmd_study(args, stdout):
         "error_estimate": _num(rep.error_estimate) if rep.error_estimate is not None else "",
         "lambda": _num(rep.lam), "flagged": "1" if rep.flagged else "0",
     } for rep in study.reports]
-    sink = _write_csv(args.csv, columns, rows, stdout)
+    sink = _write_csv(args.csv, rows, stdout)
     fits = {
         "inv_rho_slope": _num(study.inv_rho_fit.slope),
         "inv_rho_slope_even": _num(study.inv_rho_fit.slope_even),

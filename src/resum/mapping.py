@@ -96,12 +96,14 @@ def lambda_of_g(g, rho, mapping):
     """Invert ``g = rho zeta(lambda)`` on the principal branch ``lambda in [0, 1)``.
 
     ``g = inf`` maps to ``lambda = 1`` exactly.  The shifted-power family
-    inverts in closed form, ``lambda = 1 - (1 + g/rho)^(-1/alpha)``, which
+    inverts in closed form, ``lambda = 1 - (1 + g/rho)^(-1/alpha)``, computed
+    as ``-expm1(-log1p(g/rho)/alpha)`` so small ``g/rho`` does not cancel; it
     also carries a complex-pair ``rho`` into the complex plane.  The
     power-cut family needs a real ``rho`` and is solved by bracketed Newton
-    on ``[0, 1 - d]``, where ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))`` puts
-    ``zeta`` above ``g/rho``, so ``lambda = 1`` (where ``zeta`` is infinite)
-    is never evaluated; accurate to ``10^(6 - digits)`` relative.
+    on ``[0, min(g/rho, 1 - d)]``: ``zeta(x) >= x`` puts the root below
+    ``g/rho``, and ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))`` puts ``zeta``
+    above ``g/rho``, so ``lambda = 1`` (where ``zeta`` is infinite) is never
+    evaluated; accurate to ``10^(6 - digits)`` relative.
     """
     shifted = mapping.family is MappingFamily.SHIFTED_POWER
     if isinstance(rho, mpc):
@@ -121,9 +123,9 @@ def lambda_of_g(g, rho, mapping):
     alpha = mapping.alpha
     w = g / rho
     if shifted:
-        lam = 1 - (1 + w) ** (-1 / alpha)
+        lam = -mp.expm1(-mp.log1p(w) / alpha)
     else:
-        hi = 1 - min(mpf("0.5"), (2 + 2 * w) ** (-1 / alpha))
+        hi = min(w, 1 - min(mpf("0.5"), (2 + 2 * w) ** (-1 / alpha)))
         lam = hi if hi == 1 else bracket_solve(
             lambda x: zeta_value(mapping, x) - w, mpf(0), hi, tolerance(6),
             df=lambda x: (1 - x) ** (-alpha - 1) * (1 + (alpha - 1) * x))

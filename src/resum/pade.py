@@ -28,14 +28,6 @@ class PadeApproximant:
         if self.denominator[0] != 1:
             raise UsageError("denominator must be normalized to constant term 1")
 
-    @property
-    def L(self):
-        return len(self.numerator) - 1
-
-    @property
-    def M(self):
-        return len(self.denominator) - 1
-
 
 def pade_fit(s, L, M):
     """Fit the [L/M] approximant to ``s``; needs ``L + M <= s.order``.
@@ -95,12 +87,11 @@ def _check_reexpansion(approx, s, through):
     den = approx.denominator
     num = approx.numerator
     got = []
-    inv0 = 1 / den[0]
     for k in range(through + 1):
         acc = num[k] if k < len(num) else mpf(0)
         for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * got[k - j]
-        got.append(acc * inv0)
+        got.append(acc)
     scale = max(abs(x) for x in s.coeffs[: through + 1])
     if scale == 0:
         scale = mpf(1)

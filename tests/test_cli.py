@@ -172,6 +172,16 @@ class TestSumCommand:
                       if line.startswith("error:")]
             assert len(errors) == 1 and "g must be finite" in errors[0], errors
 
+    def test_huge_leroy_sigma_exits_one(self, tmp_path, capsys):
+        # Above the bound the Laplace quadrature ran for minutes or overflowed.
+        path = write(tmp_path, D0_FILE)
+        for flags in (["--method", "borel-map", "--a", "1"],
+                      ["--method", "borel-pade", "--L", "0", "--M", "1"]):
+            assert main(["sum", path, "--g", "1", "--sigma", "1e30"] + flags) == 1
+            err = capsys.readouterr().err
+            assert_one_error_line(err)
+            assert "sigma" in err and "Traceback" not in err
+
     def test_borel_pade_agrees_with_borel_map_on_flow_series(self, tmp_path, capsys):
         # [4/2] keeps the rational transform free of positive-axis poles for
         # this series at every tabulated Leroy parameter.
@@ -247,7 +257,8 @@ class TestReproduceCommand:
 
         result = benchmarks.run_benchmark("saddle-table")
         result.checks.append(benchmarks.Check("forced", False, "x", "y"))
-        monkeypatch.setitem(benchmarks.RUNNERS, "saddle-table", lambda: result)
+        monkeypatch.setitem(benchmarks.RUNNERS, "saddle-table",
+                            lambda: (result.rows, result.checks, result.config))
         assert main(["reproduce", "saddle-table"]) == 2
 
     def test_digits_flag_is_gone(self, capsys):
@@ -280,7 +291,7 @@ class TestReproduceCommand:
 
         def borel_stub():
             seen.append(mp.dps)
-            return benchmarks.BenchmarkResult("borel-map-exponents", ("k",), [], [], {})
+            return [{"k": "7"}], [], {}
 
         monkeypatch.setitem(benchmarks.RUNNERS, "borel-map-exponents", borel_stub)
         assert self._echo(tmp_path, ["reproduce", "borel-map-exponents"]) == (40, 40)
@@ -296,6 +307,29 @@ class TestReproduceCommand:
         message = str(info.value)
         assert "'no-such-table'" in message
         assert all(table_id in message for table_id in benchmarks.TABLE_IDS)
+
+
+# The header of each CSV: its column order is part of the output.
+CSV_HEADERS = {
+    "saddle-table": "alpha,mu,mu_ref,delta_mu,neg_lambda,neg_lambda_ref,delta_lambda",
+    "odm-d0-strong": "k,inv_rho,inv_rho_ref,delta_inv_rho,ln_delta,ln_delta_ref,delta_ln_delta",
+    "odm-d0-g5": "k,inv_rho,inv_rho_ref,delta_inv_rho,ln_delta,ln_delta_ref,delta_ln_delta",
+    "odm-oscillator": "k,rho_k_times_k,ln_rel_error",
+    "phi4-fixed-point": "k,g_star,g_star_ref,delta_g_star,omega,omega_ref,delta_omega,complex_pair",
+    "phi4-exponents": "k,gamma,gamma_ref,nu,nu_ref,eta,eta_ref,nu_scaling",
+    "borel-map-exponents": "k,g_star,g_star_ref,nu,nu_ref,gamma,gamma_ref",
+    "study": "k,rho,inv_rho,value,delta,error_estimate,lambda,flagged",
+}
+
+
+@pytest.mark.parametrize("command", CSV_HEADERS)
+def test_csv_header_order(command, tmp_path, capsys):
+    if command == "study":
+        argv = ["study", write(tmp_path, D0_FILE), "--max-order", "12"]
+    else:
+        argv = ["reproduce", command]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS[command]
 
 
 class TestStudyCommand:

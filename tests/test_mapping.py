@@ -155,6 +155,27 @@ def test_lambda_of_g_complex_rho():
         lambda_of_g(mpf("1.4"), rho, MappingSpec(POWER_CUT, 2))
 
 
+@pytest.mark.parametrize("family, alpha", [(POWER_CUT, "1.5"), (POWER_CUT, "2"), (SHIFTED, "1.5")])
+def test_lambda_of_g_relative_accuracy_at_small_coupling(family, alpha):
+    # 10^(6 - digits) relative for g/rho = 10^-e down to 1e-317.  References at
+    # 800 digits: Newton from lambda = g/rho (power-cut), the closed form (shifted).
+    spec = MappingSpec(family, alpha)
+    tol = mpf(10) ** (6 - mp.dps)
+    for e in range(2, 318, 5):
+        w = mpf(10) ** -e
+        lam = lambda_of_g(w, 1, spec)
+        with mp.workdps(800):
+            a = mpf(alpha)
+            if family is SHIFTED:
+                want = 1 - (1 + w) ** (-1 / a)
+            else:
+                want = w
+                for _ in range(12):
+                    want -= ((want * (1 - want) ** -a - w)
+                             / ((1 - want) ** (-a - 1) * (1 + (a - 1) * want)))
+            assert abs(lam - want) <= tol * want, e
+
+
 @given(st.floats(min_value=0.05, max_value=20), st.floats(min_value=0.1, max_value=5))
 def test_lambda_monotone_in_g(g, rho):
     for family, alpha in ((POWER_CUT, "1.7"), (SHIFTED, "1.5")):

@@ -121,7 +121,7 @@ def test_reexpansion_matches_source():
     got = []
     for k in range(7):
         acc = approx.numerator[k] if k < len(approx.numerator) else mpf(0)
-        for j in range(1, min(k, approx.M) + 1):
+        for j in range(1, min(k, len(approx.denominator) - 1) + 1):
             acc -= approx.denominator[j] * got[k - j]
         got.append(acc)
     for a, b in zip(got, s.coeffs):
