@@ -58,7 +58,6 @@ from .odm import (
     convergence_study,
     exponents_at,
     fixed_point,
-    linear_fit,
     odm_value,
     polynomial_real_roots,
     select_rho,

@@ -37,7 +37,7 @@ from .odm import (
     fixed_point,
 )
 from .poly import bracket_solve
-from .precision import DEFAULT_DIGITS, to_mpf, workdps
+from .precision import DEFAULT_DIGITS, nstr, to_mpf, workdps
 from .saddle import d0_exact_rate, predicted_R, solve_saddle
 from .series import ratio_growth_constant
 
@@ -117,15 +117,9 @@ class BenchmarkResult:
         return all(c.passed for c in self.checks)
 
 
-def _ns(x, n=10):
-    if x is None:
-        return ""
-    return mp.nstr(to_mpf(x) if not hasattr(x, "imag") or mp.im(x) == 0 else x, n)
-
-
 def _at_most(name, deviation, tol):
     """The check ``deviation <= tol``, with ``tol`` given as its printed text."""
-    return Check(name, deviation <= to_mpf(tol), _ns(deviation, 3), "<= " + tol)
+    return Check(name, deviation <= to_mpf(tol), nstr(deviation, 3), "<= " + tol)
 
 
 def _within(subject, dev, tol):
@@ -136,7 +130,7 @@ def _within(subject, dev, tol):
 def _near(subject, got, center, tol, digits):
     """``subject = center +- tol``, ``got`` printed to ``digits``."""
     return Check("%s = %s +- %s" % (subject, center, tol),
-                 abs(got - to_mpf(center)) <= to_mpf(tol), _ns(got, digits),
+                 abs(got - to_mpf(center)) <= to_mpf(tol), nstr(got, digits),
                  "%s +- %s" % (center, tol))
 
 
@@ -144,14 +138,14 @@ def _near_rel(subject, got, center, percent, digits):
     """``subject within percent% of center``, ``got`` printed to ``digits``."""
     c = to_mpf(center)
     return Check("%s within %s%% of %s" % (subject, percent, center),
-                 abs(got - c) / c <= mpf(percent) / 100, _ns(got, digits),
+                 abs(got - c) / c <= mpf(percent) / 100, nstr(got, digits),
                  "%s +- %s%%" % (center, percent))
 
 
 def _in_range(subject, got, lo, hi, digits):
     """``subject in [lo, hi]``, ``got`` printed to ``digits``."""
     return Check("%s in [%s, %s]" % (subject, lo, hi), to_mpf(lo) <= got <= to_mpf(hi),
-                 _ns(got, digits), "[%s, %s]" % (lo, hi))
+                 nstr(got, digits), "[%s, %s]" % (lo, hi))
 
 
 def run_saddle_table():
@@ -162,16 +156,16 @@ def run_saddle_table():
         dmu = abs(sol.mu - to_mpf(mu_s))
         dlam = abs(-sol.lambda_saddle - to_mpf(neg_lam_s))
         rows.append({
-            "alpha": alpha_s, "mu": _ns(sol.mu, 12), "mu_ref": mu_s,
-            "delta_mu": _ns(dmu, 3), "neg_lambda": _ns(-sol.lambda_saddle, 12),
-            "neg_lambda_ref": neg_lam_s, "delta_lambda": _ns(dlam, 3),
+            "alpha": alpha_s, "mu": nstr(sol.mu, 12), "mu_ref": mu_s,
+            "delta_mu": nstr(dmu, 3), "neg_lambda": nstr(-sol.lambda_saddle, 12),
+            "neg_lambda_ref": neg_lam_s, "delta_lambda": nstr(dlam, 3),
         })
         checks.append(_within("mu[alpha=%s]" % alpha_s, dmu, "1e-8"))
         checks.append(_within("lambda[alpha=%s]" % alpha_s, dlam, "1e-8"))
         res = max(sol.residuals)
         below = "1e-12"
         checks.append(Check("residuals[alpha=%s] below %s" % (alpha_s, below),
-                            res < to_mpf(below), _ns(res, 3), "< " + below))
+                            res < to_mpf(below), nstr(res, 3), "< " + below))
     R, rate = d0_exact_rate()
     # Relative tolerances: the reference prints carry ten digits.
     dR = abs(R - to_mpf(D0_RATE_REFERENCE["R"])) / R
@@ -191,10 +185,10 @@ def _study_rows(study, reference):
         ln_d = mp.log(abs(rep.delta))
         ref_inv, ref_ln = reference[k]
         rows.append({
-            "k": str(k), "inv_rho": _ns(inv_rho, 8), "inv_rho_ref": ref_inv,
-            "delta_inv_rho": _ns(inv_rho - to_mpf(ref_inv), 3),
-            "ln_delta": _ns(ln_d, 8), "ln_delta_ref": ref_ln,
-            "delta_ln_delta": _ns(ln_d - to_mpf(ref_ln), 3),
+            "k": str(k), "inv_rho": nstr(inv_rho, 8), "inv_rho_ref": ref_inv,
+            "delta_inv_rho": nstr(inv_rho - to_mpf(ref_inv), 3),
+            "ln_delta": nstr(ln_d, 8), "ln_delta_ref": ref_ln,
+            "delta_ln_delta": nstr(ln_d - to_mpf(ref_ln), 3),
         })
     return rows
 
@@ -252,7 +246,7 @@ def run_d0_g5():
     ln60 = mp.log(abs(study.report(60).delta))
     ceiling = "-24"
     checks.append(Check("ln|delta| at k=60 <= " + ceiling, ln60 <= to_mpf(ceiling),
-                        _ns(ln60, 6), "<= " + ceiling))
+                        nstr(ln60, 6), "<= " + ceiling))
     checks.append(_near_rel("fitted R", study.r_estimate, "9.75", 15, 6))
     checks.append(_near("predicted R", predicted_R(4, "1.5"), "9.2039", "1e-4", 8))
     return rows, checks, config
@@ -273,8 +267,8 @@ def run_oscillator():
     for k in range(5, config["kmax"] + 1, 5):
         rep = study.report(k)
         rows.append({
-            "k": str(k), "rho_k_times_k": _ns(rep.rho * k, 8),
-            "ln_rel_error": _ns(mp.log(abs(rep.delta) / amplitude), 8),
+            "k": str(k), "rho_k_times_k": nstr(rep.rho * k, 8),
+            "ln_rel_error": nstr(mp.log(abs(rep.delta) / amplitude), 8),
         })
     checks = [
         _near_rel("growth constant", a_est, "8", 5, 6),
@@ -299,9 +293,9 @@ def run_phi4_fixed_point():
         dg = abs(fp.g_star - to_mpf(ref_g))
         dw = abs(fp.omega - to_mpf(ref_w))
         rows.append({
-            "k": str(k), "g_star": _ns(fp.g_star, 8), "g_star_ref": ref_g,
-            "delta_g_star": _ns(dg, 3), "omega": _ns(fp.omega, 8),
-            "omega_ref": ref_w, "delta_omega": _ns(dw, 3),
+            "k": str(k), "g_star": nstr(fp.g_star, 8), "g_star_ref": ref_g,
+            "delta_g_star": nstr(dg, 3), "omega": nstr(fp.omega, 8),
+            "omega_ref": ref_w, "delta_omega": nstr(dw, 3),
             "complex_pair": "1" if fp.is_complex_pair else "0",
         })
         tol = tolerances[k]
@@ -325,16 +319,13 @@ def run_phi4_exponents():
     gap_tol = "0.01"
     for k in sorted(PHI4_EXPONENTS_REFERENCE):
         ref_gamma, ref_nu, ref_eta = PHI4_EXPONENTS_REFERENCE[k]
-        ex = exponents_at(g_star, gamma_table, eta_table, k, criterion,
-                          nu_inv_table=nu_table)
-        row = {
-            "k": str(k), "gamma": _ns(ex.gamma, 8), "gamma_ref": ref_gamma,
-            "nu": _ns(ex.nu_from_series, 8), "nu_ref": ref_nu,
-            "eta": _ns(ex.eta, 6) if ex.eta is not None else "",
-            "eta_ref": ref_eta or "",
-            "nu_scaling": _ns(ex.nu_from_scaling, 8) if ex.nu_from_scaling else "",
-        }
-        rows.append(row)
+        ex = exponents_at(g_star, gamma_table, eta_table, k, criterion, nu_table)
+        rows.append({
+            "k": str(k), "gamma": nstr(ex.gamma, 8), "gamma_ref": ref_gamma,
+            "nu": nstr(ex.nu_from_series, 8), "nu_ref": ref_nu,
+            "eta": nstr(ex.eta, 6), "eta_ref": ref_eta or "",
+            "nu_scaling": nstr(ex.nu_from_scaling, 8),
+        })
         if k >= 4:
             gap = abs(ex.gamma - ex.nu_from_series * (2 - ex.eta))
             checks.append(_at_most("scaling relation gap[k=%d] <= %s" % (k, gap_tol),
@@ -393,13 +384,10 @@ def run_borel_map_exponents():
     rows = []
     for k in sorted(BOREL_MAP_REFERENCE):
         ref = BOREL_MAP_REFERENCE[k]
-        got = rows_by_k.get(k)
+        g_star, nu, gamma = rows_by_k.get(k, (None, None, None))
         rows.append({
-            "k": str(k),
-            "g_star": _ns(got[0], 8) if got else "",
-            "g_star_ref": ref[0],
-            "nu": _ns(got[1], 8) if got else "", "nu_ref": ref[1],
-            "gamma": _ns(got[2], 8) if got else "", "gamma_ref": ref[2],
+            "k": str(k), "g_star": nstr(g_star, 8), "g_star_ref": ref[0],
+            "nu": nstr(nu, 8), "nu_ref": ref[1], "gamma": nstr(gamma, 8), "gamma_ref": ref[2],
         })
     checks = []
     g7, nu7, gamma7 = rows_by_k[7]
@@ -413,12 +401,12 @@ def run_borel_map_exponents():
             early = abs(rows_by_k[4][idx] - rows_by_k[3][idx])
             checks.append(Check("%s stabilizes (|d67| < |d34|)" % name,
                                 late < early,
-                                "%s vs %s" % (_ns(late, 3), _ns(early, 3)),
+                                "%s vs %s" % (nstr(late, 3), nstr(early, 3)),
                                 "late movement smaller"))
     else:
         checks.append(Check("orders 3,4,6,7 available", False,
                             str(sorted(rows_by_k)), "3,4,6,7"))
-    return rows, checks, {"sigma": str(sigma), "a": _ns(a, 10),
+    return rows, checks, {"sigma": str(sigma), "a": nstr(a, 10),
                           "sigma_grid": ",".join(str(s) for s in sigmas)}
 
 

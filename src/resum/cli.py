@@ -58,10 +58,13 @@ from .odm import (
     odm_value,
 )
 from .pade import pade_eval, pade_fit
-from .precision import DEFAULT_DIGITS, to_mpf, workdps
+from .precision import DEFAULT_DIGITS, nstr, to_mpf, workdps
 from .series import PowerSeries
 
 SCHEMA_VERSION = 1
+
+# Significant digits of every number the CLI prints.
+DIGITS = 17
 
 GENERATORS = {
     "d0": lambda order: d0_partition_coeffs(order),
@@ -107,7 +110,7 @@ def parse_series_file(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
     # key -> (its text, its line); the coefficients' text is their list of
     # (value, line), which indented lines after the key continue.
@@ -190,12 +193,6 @@ class _Parser(argparse.ArgumentParser):
     # tool reserves for tolerance violations.
     def error(self, message):
         raise UsageError(message)
-
-
-def _num(value):
-    if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
-        return mp.nstr(value, 17)
-    return str(value)
 
 
 def build_parser():
@@ -318,7 +315,7 @@ def cmd_sum(args, stdout):
             raise UsageError("pade needs --L and --M")
         approx = pade_fit(series, args.L, args.M)
         value = pade_eval(approx, g)
-        diagnostics["denominator"] = [_num(c) for c in approx.denominator]
+        diagnostics["denominator"] = [nstr(c, DIGITS) for c in approx.denominator]
         error = None
     elif args.method == "borel-pade":
         if args.L is None or args.M is None:
@@ -337,7 +334,7 @@ def cmd_sum(args, stdout):
         out = borel_sum(series, cfg, g, full_output=True)
         value, error = out.value, out.truncation_error + out.quadrature_error
         diagnostics["sigma"] = args.sigma
-        diagnostics["a"] = _num(cfg.a)
+        diagnostics["a"] = nstr(cfg.a, DIGITS)
     else:  # odm
         if args.order is None:
             raise UsageError("odm needs --order")
@@ -346,12 +343,12 @@ def cmd_sum(args, stdout):
         rep = odm_value(table, args.order, _criterion_from_args(args), g)
         value, error = rep.value, rep.error_estimate
         diagnostics.update({
-            "rho": _num(rep.rho), "lambda": _num(rep.lam),
+            "rho": nstr(rep.rho, DIGITS), "lambda": nstr(rep.lam, DIGITS),
             "mode": rep.mode.value, "flagged": rep.flagged,
         })
-    result["g"] = "inf" if g == mp.inf else _num(g)
-    result["value"] = _num(value)
-    result["error_estimate"] = _num(error) if error is not None else None
+    result["g"] = "inf" if g == mp.inf else nstr(g, DIGITS)
+    result["value"] = nstr(value, DIGITS)
+    result["error_estimate"] = None if error is None else nstr(error, DIGITS)
     result["diagnostics"] = diagnostics
     print("value: %s" % result["value"], file=stdout)
     if error is not None:
@@ -369,14 +366,7 @@ def cmd_reproduce(args, stdout):
         print("%s: %s (observed %s, target %s)"
               % ("PASS" if check.passed else "FAIL", check.name,
                  check.observed, check.target), file=sink)
-    report = {
-        "table_id": result.table_id,
-        "config": result.config,
-        "rows": result.rows,
-        "checks": [dataclasses.asdict(c) for c in result.checks],
-        "passed": result.passed,
-    }
-    return report, 0 if result.passed else 2
+    return {**dataclasses.asdict(result), "passed": result.passed}, 0 if result.passed else 2
 
 
 def cmd_study(args, stdout):
@@ -403,24 +393,23 @@ def cmd_study(args, stdout):
     study = convergence_study(table, _criterion_from_args(args), args.max_order,
                               g, oracle=oracle)
     rows = [{
-        "k": str(rep.k), "rho": _num(rep.rho), "inv_rho": _num(1 / rep.rho),
-        "value": _num(rep.value),
-        "delta": _num(rep.delta) if rep.delta is not None else "",
-        "error_estimate": _num(rep.error_estimate) if rep.error_estimate is not None else "",
-        "lambda": _num(rep.lam), "flagged": "1" if rep.flagged else "0",
+        "k": str(rep.k), "rho": nstr(rep.rho, DIGITS), "inv_rho": nstr(1 / rep.rho, DIGITS),
+        "value": nstr(rep.value, DIGITS), "delta": nstr(rep.delta, DIGITS),
+        "error_estimate": nstr(rep.error_estimate, DIGITS),
+        "lambda": nstr(rep.lam, DIGITS), "flagged": "1" if rep.flagged else "0",
     } for rep in study.reports]
     sink = _write_csv(args.csv, rows, stdout)
     fits = {
-        "inv_rho_slope": _num(study.inv_rho_fit.slope),
-        "inv_rho_slope_even": _num(study.inv_rho_fit.slope_even),
-        "inv_rho_slope_odd": _num(study.inv_rho_fit.slope_odd),
-        "r_estimate": _num(study.r_estimate),
-        "r_slope": _num(study.r_slope),
-        "r_corrected": _num(study.r_corrected),
+        "inv_rho_slope": nstr(study.inv_rho_fit.slope, DIGITS),
+        "inv_rho_slope_even": nstr(study.inv_rho_fit.slope_even, DIGITS),
+        "inv_rho_slope_odd": nstr(study.inv_rho_fit.slope_odd, DIGITS),
+        "r_estimate": nstr(study.r_estimate, DIGITS),
+        "r_slope": nstr(study.r_slope, DIGITS),
+        "r_corrected": nstr(study.r_corrected, DIGITS),
         "rate_abscissa": study.rate_abscissa,
-        "rate_slope": _num(study.rate_fit.slope),
-        "rate_slope_even": _num(study.rate_fit.slope_even),
-        "rate_slope_odd": _num(study.rate_fit.slope_odd),
+        "rate_slope": nstr(study.rate_fit.slope, DIGITS),
+        "rate_slope_even": nstr(study.rate_fit.slope_even, DIGITS),
+        "rate_slope_odd": nstr(study.rate_fit.slope_odd, DIGITS),
     }
     for key, val in fits.items():
         print("%s: %s" % (key, val), file=sink)
@@ -454,7 +443,7 @@ def main(argv=None, stdout=None):
             report = {
                 "schema": SCHEMA_VERSION,
                 "command": args.command,
-                "config": _config_echo(args),
+                "config": {k: v for k, v in vars(args).items() if k not in ("out", "csv")},
                 "report": payload,
                 "exit_code": code,
                 "wall_time_s": round(time.time() - started, 3),
@@ -466,15 +455,6 @@ def main(argv=None, stdout=None):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return code
-
-
-def _config_echo(args):
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("out", "csv"):
-            continue
-        echo[key] = value
-    return echo
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ suites:
 The d=0 coefficients come from a ratio recursion at working precision; the
 oscillator's from the Bender-Wu recursion in integers scaled by ``4^k j!``,
 every division checked exact, each coefficient rounded once at the end.  The
-value oracles (adaptive quadrature, harmonic-basis diagonalization) are
-deliberately independent of every summation algorithm in this package so they
-can arbitrate accuracy claims.
+value oracles (the d=0 integral in closed form through a modified Bessel
+function, the oscillator by harmonic-basis diagonalization) are deliberately
+independent of every summation algorithm in this package so they can
+arbitrate accuracy claims.
 """
 
 from dataclasses import dataclass
@@ -49,18 +50,23 @@ def d0_partition_coeffs(K):
 def d0_partition_value(g):
     """Numeric value of the d=0 partition integral at coupling ``g >= 0``.
 
-    ``g = inf`` returns the strong-coupling amplitude
-    ``lim g^(1/4) Z(g) = (1/2) 24^(1/4) sqrt(pi) / Gamma(3/4)``.  The
-    integral is taken by mpmath's tanh-sinh quadrature.
+    Finite ``g > 0`` takes the closed form (DLMF 10.32)
+    ``Z(g) = sqrt(2z/pi) e^z K_(1/4)(z)`` with ``z = 3/(4g)``: it keeps every
+    digit at large coupling, where quadrature of the narrowing integrand
+    loses them (to 1e-18 at g = 1e60).  ``g = inf`` returns the
+    strong-coupling amplitude
+    ``lim g^(1/4) Z(g) = (1/2) 24^(1/4) sqrt(pi) / Gamma(3/4)``.
     """
     g = to_mpf(g)
     if not g >= 0:
         raise DomainError("the integral needs g >= 0 or inf, got %s" % g)
     if g == mp.inf:
         return mpf("0.5") * mpf(24) ** mpf("0.25") * mp.sqrt(mp.pi) / mp.gamma(mpf(3) / 4)
+    if g == 0:
+        return mpf(1)
     with mp.extradps(10):
-        val = mp.quad(lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24), [0, mp.inf])
-        val = 2 * val / mp.sqrt(2 * mp.pi)
+        z = 3 / (4 * g)
+        val = mp.sqrt(2 * z / mp.pi) * mp.exp(z) * mp.besselk(mpf(1) / 4, z)
     return +val
 
 

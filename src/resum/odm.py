@@ -217,14 +217,13 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     if strong and mapping.family is not MappingFamily.POWER_CUT:
         raise UsageError("strong-coupling evaluation needs the power-cut family")
     lam = lambda_of_g(g, rho, mapping)
-    coeffs = table.lambda_coeffs(rho, k)
+    row = table.lambda_coeffs(rho, min(k + 1, table.source_order))
+    coeffs = row[:k + 1]
     if strong:
         value = rho ** (mapping.prefactor_p / mapping.alpha) * mp.fsum(coeffs)
     else:
         value = mp.re((1 - lam) ** mapping.prefactor_p * horner(coeffs, lam))
-    err = None
-    if k + 1 <= table.source_order:
-        err = abs(horner(table.polys[k + 1], rho) * lam ** (k + 1))
+    err = abs(row[k + 1] * lam ** (k + 1)) if len(row) > k + 1 else None
     return replace(sel, g=mp.inf if strong else to_mpf(g), lam=lam, value=value,
                    error_estimate=err)
 
@@ -310,21 +309,20 @@ class ExponentsResult:
     g_star: object
     gamma: object
     eta: object
-    nu_from_series: object     # 1 / (summed 1/nu), None without a nu table
+    nu_from_series: object     # 1 / (summed 1/nu)
     nu_from_scaling: object    # gamma / (2 - eta)
     reports: dict
 
 
-def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion,
-                 nu_inv_table=None):
+def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion, nu_inv_table):
     """Exponents at coupling ``g_star`` from order-``k`` summed series.
 
     The susceptibility exponent comes from the summed ``1/gamma`` series, the
     anomalous dimension from the summed ``eta/g^2`` series at order ``k - 2``
     (its two leading powers are stripped; when that order has no admissible
-    scale the next order stands in), and ``nu`` both from the scaling
-    relation ``gamma = nu (2 - eta)`` and, when a table for ``1/nu`` is
-    supplied, from its own summation.  Complex-pair scales are admitted.
+    scale the next order stands in, and with neither ``eta`` is None), and
+    ``nu`` both from the scaling relation ``gamma = nu (2 - eta)`` and from
+    the summed ``1/nu`` series.  Complex-pair scales are admitted.
     """
     g_star = to_mpf(g_star)
     if g_star <= 0:
@@ -333,22 +331,17 @@ def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion,
     gamma = 1 / gamma_rep.value
     eta_rep = None
     eta = None
-    if eta_over_g2_table is not None:
-        for m in (k - 2, k - 1):
-            if not 1 <= m <= eta_over_g2_table.source_order:
-                continue
-            try:
-                eta_rep = odm_value(eta_over_g2_table, m, criterion, g_star,
-                                    allow_complex=True)
-            except SelectionError:
-                continue
-            eta = g_star ** 2 * eta_rep.value
-            break
-    nu_series = None
-    nu_rep = None
-    if nu_inv_table is not None:
-        nu_rep = odm_value(nu_inv_table, k, criterion, g_star, allow_complex=True)
-        nu_series = 1 / nu_rep.value
+    for m in (k - 2, k - 1):
+        if not 1 <= m <= eta_over_g2_table.source_order:
+            continue
+        try:
+            eta_rep = odm_value(eta_over_g2_table, m, criterion, g_star, allow_complex=True)
+        except SelectionError:
+            continue
+        eta = g_star ** 2 * eta_rep.value
+        break
+    nu_rep = odm_value(nu_inv_table, k, criterion, g_star, allow_complex=True)
+    nu_series = 1 / nu_rep.value
     nu_scaling = gamma / (2 - eta) if eta is not None else None
     return ExponentsResult(
         k=k,
@@ -403,15 +396,6 @@ def _parity_fit(rows):
     return LinearFit(slope=slope, intercept=intercept,
                      slope_even=_least_squares(even)[0],
                      slope_odd=_least_squares(odd)[0])
-
-
-def linear_fit(points):
-    """Fit ``y = slope x + intercept`` on all points and on each parity class
-    of the integer abscissa."""
-    pts = [(to_mpf(x), to_mpf(y)) for x, y in points]
-    if len(pts) < 2:
-        raise FitError("need at least two points to fit")
-    return _parity_fit([(int(round(float(x))), x, y) for x, y in pts])
 
 
 # Orders below this stay out of the trend fits, which describe the
@@ -471,7 +455,7 @@ def convergence_study(table, criterion, K, g, oracle=None):
     usable = [r for r in reports if r.k >= _FIT_MIN_ORDER]
     if len(usable) < 6:
         raise FitError("only %d usable orders at or above %d" % (len(usable), _FIT_MIN_ORDER))
-    inv_rho_fit = linear_fit([(r.k, 1 / r.rho) for r in usable])
+    inv_rho_fit = _parity_fit([(r.k, mpf(r.k), 1 / r.rho) for r in usable])
     alpha = table.mapping.alpha
     rate_abscissa = "k" if alpha == 2 else "k^(1-1/alpha)"
 

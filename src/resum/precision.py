@@ -5,8 +5,8 @@ mapped polynomials cancel many leading digits against each other, so double
 precision is unusable beyond order ~30.  Everything in this package therefore
 computes with mpmath floats under an explicit decimal working precision;
 the helpers here wrap the recurring patterns (a validated precision
-context manager, tolerance scales, and lossless parsing of decimal or
-rational coefficient strings).
+context manager, tolerance scales, lossless parsing of decimal or rational
+coefficient strings, and printing numbers).
 """
 
 from fractions import Fraction
@@ -60,3 +60,8 @@ def finite_mpf(value, name):
     if not mp.isfinite(x):
         raise UsageError("%s must be finite, got %s" % (name, x))
     return x
+
+
+def nstr(x, digits):
+    """``mp.nstr(x, digits)``, and ``""`` for ``None`` (a blank table cell)."""
+    return "" if x is None else mp.nstr(x, digits)

@@ -98,6 +98,15 @@ class TestSeriesFileParsing:
         with pytest.raises(ParseError):
             parse_series_file(write(tmp_path, "generator: d0\n"))
 
+    def test_undecodable_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["sum", str(path), "--method", "pade", "--g", "0.5",
+                     "--L", "0", "--M", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read %s: " % path) and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSumCommand:
     def test_pade_trivial(self, tmp_path, capsys):

@@ -135,8 +135,7 @@ class TestD0Value:
             d0_partition_value(g)
 
     def test_two_quadrature_schemes_agree(self):
-        # The oracle's tanh-sinh value against Gauss-Legendre nodes on the
-        # same integrand.
+        # The closed-form oracle against Gauss-Legendre nodes on the integral.
         a = d0_partition_value(5)
         # 30 digits keep the node set cheap and still resolve 1e-20.
         with mp.workdps(30):
@@ -147,12 +146,28 @@ class TestD0Value:
 
     @pytest.mark.parametrize("g", ["0.1", "0.5", "5", "50"])
     def test_bessel_closed_form(self, g):
-        # DLMF 10.32: Z(g) = sqrt(3/(2 pi g)) e^(3/(4g)) K_(1/4)(3/(4g)), an
-        # independent route to the quadrature oracle.
+        # The DLMF 10.32 Bessel form of the oracle against tanh-sinh
+        # quadrature of the integral itself, an independent route.
         g = mpf(g)
-        z = 3 / (4 * g)
-        closed = mp.sqrt(3 / (2 * mp.pi * g)) * mp.exp(z) * mp.besselk(mpf(1) / 4, z)
-        assert abs(d0_partition_value(g) - closed) <= mpf("1e-60") * closed
+        with mp.extradps(10):
+            integral = mp.quad(lambda x: mp.exp(-x * x / 2 - g * x ** 4 / 24), [0, mp.inf])
+            integral = 2 * integral / mp.sqrt(2 * mp.pi)
+        assert abs(d0_partition_value(g) - integral) <= mpf("1e-60") * integral
+
+    @pytest.mark.parametrize("g", ["1e30", "1e60", "1e300"])
+    def test_large_coupling_keeps_every_digit(self, g):
+        # With x = s g^(-1/4) the integrand no longer narrows as g grows:
+        # Z = 2 c / sqrt(2 pi) Int exp(-c^2 s^2 / 2 - s^4/24) ds, c = g^(-1/4),
+        # split where s^4/24 turns over.  Quadrature of the unscaled integral
+        # is off by 6e-36 relative at g = 1e30 and has no correct digit at
+        # g = 1e300.
+        g = mpf(g)
+        with mp.extradps(10):
+            c = g ** mpf("-0.25")
+            scaled = mp.quad(lambda s: mp.exp(-c * c * s * s / 2 - s ** 4 / 24),
+                             [0, 1, 3, mp.inf])
+            scaled = 2 * c * scaled / mp.sqrt(2 * mp.pi)
+        assert abs(d0_partition_value(g) - scaled) <= mpf("1e-60") * scaled
 
     def test_partial_sum_bound_at_small_coupling(self):
         g = mpf("0.1")
@@ -166,7 +181,7 @@ class TestD0Value:
         amp = d0_partition_value(mp.inf)
         closed = mpf("0.5") * mpf(24) ** mpf("0.25") * mp.sqrt(mp.pi) / mp.gamma(mpf(3) / 4)
         assert amp == closed
-        # quadrature at large coupling approaches the amplitude like g^(-1/2)
+        # the oracle at large coupling approaches the amplitude like g^(-1/2)
         g = mpf("1e8")
         assert abs(d0_partition_value(g) * g ** mpf("0.25") - amp) < mpf("2e-4")
 

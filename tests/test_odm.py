@@ -17,12 +17,12 @@ from resum import (
     d0_partition_coeffs,
     exponents_at,
     fixed_point,
-    linear_fit,
     odm_value,
     polynomial_real_roots,
     rg_series,
     select_rho,
 )
+from resum import odm
 from resum.precision import tolerance
 
 MIXED = RhoSelectionCriterion()
@@ -226,25 +226,32 @@ class TestFixedPoint:
             fixed_point(table, 2, MIXED)
 
 
+def constant_tables():
+    """A constant order-6 table for 1/gamma and 1/nu, and an order-1 table for
+    eta/g^2, whose orders k-2 and k-1 lie outside it for k = 5."""
+    spec = MappingSpec(MappingFamily.SHIFTED_POWER, "1.5")
+    const = build_rho_table(PowerSeries((mpf(1),) + (mpf(0),) * 6, "gtilde"), spec)
+    short = build_rho_table(PowerSeries((mpf(1), mpf(0)), "gtilde"), spec)
+    return const, short
+
+
 class TestExponents:
     def test_constant_susceptibility_series(self):
-        const = PowerSeries((mpf(1),) + (mpf(0),) * 6, "gtilde")
-        table = build_rho_table(const, MappingSpec(MappingFamily.SHIFTED_POWER, "1.5"))
-        ex = exponents_at("1.4", table, None, 5, MIXED)
+        table, eta_table = constant_tables()
+        ex = exponents_at("1.4", table, eta_table, 5, MIXED, table)
         assert abs(ex.gamma - 1) < mpf("1e-50")
         assert ex.eta is None and ex.nu_from_scaling is None
 
     def test_g_star_validation(self):
-        const = PowerSeries((mpf(1),) + (mpf(0),) * 6, "gtilde")
-        table = build_rho_table(const, MappingSpec(MappingFamily.SHIFTED_POWER, "1.5"))
+        table, eta_table = constant_tables()
         with pytest.raises(UsageError):
-            exponents_at(-1, table, None, 3, MIXED)
+            exponents_at(-1, table, eta_table, 3, MIXED, table)
 
 
 class TestStudy:
     def test_linear_fit_parity_split(self):
-        pts = [(k, 2 * k + (1 if k % 2 else -1)) for k in range(1, 11)]
-        fit = linear_fit(pts)
+        fit = odm._parity_fit([(k, mpf(k), mpf(2 * k + (1 if k % 2 else -1)))
+                               for k in range(1, 11)])
         assert abs(fit.slope_even - 2) < mpf("1e-10")
         assert abs(fit.slope_odd - 2) < mpf("1e-10")
         assert abs(fit.parity_mean_slope - 2) < mpf("1e-10")

@@ -184,3 +184,12 @@ def test_precision_type_bounds():
         workdps(29)
     with pytest.raises(UsageError, match="got 31.5"):
         workdps(31.5)
+
+
+def test_nstr_prints_none_blank_and_numbers_as_mpmath():
+    from resum.precision import nstr
+
+    assert nstr(None, 8) == ""
+    for x in (mp.pi, -mpf("1e-30") / 3, mpf(0)):
+        for digits in (3, 8, 17):
+            assert nstr(x, digits) == mp.nstr(x, digits)
