@@ -15,14 +15,14 @@ pass per ``(sigma, g)``, within a few units of ``2^-(prec + 40)`` per node.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log10
 
 from mpmath import mp, mpf
 from mpmath.calculus.quadrature import TanhSinh
 
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
-from .poly import horner, polynomial_real_roots
+from .poly import _log2_abs, horner, polynomial_real_roots
 from .precision import finite_mpf, to_mpf, tolerance
 from .series import PowerSeries, compose
 
@@ -55,8 +55,10 @@ class BorelConfig:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma", sigma)
         if self.quad_rel_tol is not None:
-            object.__setattr__(self, "quad_rel_tol",
-                               finite_mpf(self.quad_rel_tol, "quad_rel_tol"))
+            tol = finite_mpf(self.quad_rel_tol, "quad_rel_tol")
+            if not tol > 0:
+                raise UsageError("quad_rel_tol must be positive, got %s" % mp.nstr(tol, 8))
+            object.__setattr__(self, "quad_rel_tol", tol)
 
     def rel_tol(self):
         return self.quad_rel_tol if self.quad_rel_tol is not None else tolerance(8)
@@ -111,18 +113,47 @@ def _weighted_nodes(sigma, lo, hi, level, prec):
     return nodes
 
 
-class Laplace:
-    """``I_j = int t^sigma e^-t F_j(t) dt`` by ``mp.quad``'s tanh-sinh levels on
-    ``[0, t_max/16, t_max]``, the tail beyond ``t_max`` below tolerance.
+@lru_cache(maxsize=1024)
+def _power_of_ten(n, prec):
+    """``mpf(10) ** n`` at ``prec`` bits."""
+    with mp.workprec(prec):
+        return mpf(10) ** n
 
-    ``level_sums(xs, ws)`` gives ``sum_i ws[i] F_j(xs[i] 2^-Q)`` over one
-    level's new nodes.  Levels combine as ``sum_next`` does and are kept; a
-    piece stops once ``estimate_error`` of every ``I_j`` is ``<= eps/8``."""
 
-    def __init__(self, sigma, rel_tol, level_sums):
-        self.sigma, self.rel_tol, self.level_sums = sigma, rel_tol, level_sums
-        self.prec, self.eps = mp.prec, mp.eps / 8
-        # Solve t - sigma ln t = ln(1/tol) + margin for the cutoff.
+def _estimate_error(results, prec, eps):
+    """``_TANH_SINH.estimate_error(results, prec, eps)``, bit for bit.
+
+    mpmath returns ``10^int(D4)``, ``D4 = min(0, max(D1^2/D2, 2 D1, -prec))``,
+    where ``D1`` and ``D2`` are the mp ``log10`` of ``|r[-1] - r[-2]|`` and
+    ``|r[-1] - r[-3]|`` and ``prec`` counts bits.  Here float64 gives
+    ``D1, D2`` from the mantissa and exponent (:func:`poly._log2_abs`), each
+    within ``e = 1e-14 (1 + |D|)`` of the mp value, and so an interval that
+    holds the mp ``D4``.  Where both ends truncate to the same integer, that
+    integer is mpmath's; otherwise, with fewer than three results, a zero
+    difference or ``|D2| <= 1e-6``, mpmath's own method decides.
+    """
+    if len(results) > 2:
+        logs = [_log2_abs(results[-1] - r) for r in (results[-2], results[-3])]
+        if None not in logs:
+            d1, d2 = (x * log10(2) for x in logs)
+            if abs(d2) > 1e-6:
+                e1, e2 = 1e-14 * (1 + abs(d1)), 1e-14 * (1 + abs(d2))
+                a = d1 * d1 / d2
+                # |D1^2/D2 - a|, with e2 <= |d2|/2, and the rounding of both sides.
+                ea = 2 * ((2 * abs(d1) + e1) * e1 + d1 * d1 * e2 / abs(d2)) / abs(d2) \
+                    + 1e-15 * abs(a)
+                lo = min(0, max(a - ea, 2 * (d1 - e1), -prec))
+                hi = min(0, max(a + ea, 2 * (d1 + e1), -prec))
+                if int(lo) == int(hi):
+                    return _power_of_ten(int(hi), mp.prec)
+    return _TANH_SINH.estimate_error(results, prec, eps)
+
+
+@lru_cache(maxsize=64)
+def _cutoff(sigma, rel_tol, prec):
+    """``t_max`` with ``t - sigma ln t = ln(1/rel_tol) + 6 ln 10``, to within
+    1/2, at ``prec`` bits: beyond it the tail is below tolerance."""
+    with mp.workprec(prec):
         target = -mp.log(rel_tol) + mp.log(mpf(10)) * 6
         t_max = target + 5
         for _ in range(60):
@@ -130,6 +161,24 @@ class Laplace:
             if abs(nxt - t_max) < mpf("0.5"):
                 break
             t_max = nxt
+        return t_max
+
+
+class Laplace:
+    """``I_j = int t^sigma e^-t F_j(t) dt`` by ``mp.quad``'s tanh-sinh levels on
+    ``[0, t_max/16, t_max]``, the tail beyond ``t_max`` below tolerance.
+
+    ``level_sums(xs, ws)`` gives ``sum_i ws[i] F_j(xs[i] 2^-Q)`` over one
+    level's new nodes.  Levels combine as ``sum_next`` does and are kept; a
+    piece stops once the error estimate of every ``I_j`` is ``<= eps/8``.
+    The estimate is mpmath's ``estimate_error``, reproduced bit for bit by
+    :func:`_estimate_error`: float64 picks its power of ten wherever it can
+    certify the choice, and mpmath only where it cannot."""
+
+    def __init__(self, sigma, rel_tol, level_sums):
+        self.sigma, self.rel_tol, self.level_sums = sigma, rel_tol, level_sums
+        self.prec, self.eps = mp.prec, mp.eps / 8
+        t_max = _cutoff(sigma, rel_tol, self.prec)
         # Per piece: its ends, the node sums (scaled by 2^Q) and each level's I_j.
         self.pieces = ((mpf(0), t_max / 16, [], []), (t_max / 16, t_max, [], []))
         self.done = [False, False]
@@ -142,11 +191,11 @@ class Laplace:
             sums[:] = [s + n for s, n in zip(sums, new)] if sums else new
             levels.append([mp.ldexp(s, -(self.prec + _GUARD_BITS + level)) for s in sums])
             self.done[i] = level > 1 and all(
-                _TANH_SINH.estimate_error(seq, self.prec, self.eps) <= self.eps
+                _estimate_error(seq, self.prec, self.eps) <= self.eps
                 for seq in zip(*levels))
 
     def integral(self, coeffs):
-        """``(sum_j coeffs[j] I_j, error)``: ``estimate_error`` of this sum's own
+        """``(sum_j coeffs[j] I_j, error)``: the error estimate of this sum's own
         levels, added over the pieces.  Levels run to 2^10, then 2^12 if the
         error misses ``rel_tol`` relative (absolute below 1)."""
         for max_level in (10, 12):
@@ -156,7 +205,7 @@ class Laplace:
                     self._refine(i, max_level)
                     seq = [mp.fdot(coeffs, level) for level in piece[3]]
                     val += seq[-1]
-                    err += _TANH_SINH.estimate_error(seq, self.prec, self.eps)
+                    err += _estimate_error(seq, self.prec, self.eps)
             val = +val
             if err <= self.rel_tol * max(abs(val), 1):
                 return val, err

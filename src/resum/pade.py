@@ -60,10 +60,7 @@ def pade_fit(s, L, M):
     except (ZeroDivisionError, ValueError, TypeError):
         # mpmath's LU leaves the pivot index of a column with no nonzero
         # candidate at None, and its row swap then raises TypeError.
-        raise DegeneracyError(
-            "singular Pade system for [%d/%d] (rank %d < %d)"
-            % (L, M, _rank_estimate(A), M)
-        )
+        raise DegeneracyError("singular Pade system for [%d/%d] (%s)" % (L, M, _rank(A)))
     den = [mpf(1)] + [sol[j] for j in range(M)]
     num = []
     for i in range(L + 1):
@@ -76,10 +73,16 @@ def pade_fit(s, L, M):
     return approx
 
 
-def _rank_estimate(A):
-    """Numerical rank: the singular values above ``max|A_ij| 10^(8 - digits)``."""
+def _rank(A):
+    """``"rank r < n"`` for the ``n x n`` matrix ``A``, ``r`` its singular values
+    above ``max|A_ij| 10^(8 - digits)``; ``"rank not determined"`` where
+    ``mp.svd_r`` does not converge."""
     tol = max(abs(x) for x in A) * tolerance(8)
-    return sum(1 for sv in mp.svd_r(A, compute_uv=False) if sv > tol)
+    try:
+        svs = mp.svd_r(A, compute_uv=False)
+    except RuntimeError:  # "svd: no convergence to an eigenvalue after ... iterations"
+        return "rank not determined"
+    return "rank %d < %d" % (sum(1 for sv in svs if sv > tol), A.rows)
 
 
 def _check_reexpansion(approx, s, through):

@@ -8,6 +8,8 @@ and one bracketed solver for scalar zeros (the per-order scale polish, the
 mapping inversion, the saddle equations, the Borel-summed flow).
 """
 
+import math
+
 from mpmath import mp, mpf, polyroots
 
 from .errors import SolverError, UsageError
@@ -35,22 +37,53 @@ def strip_zeros(coeffs):
     return out
 
 
+def _log2_abs(x):
+    """``log2|x|`` in float64 from the mantissa and exponent of the mpf ``x``,
+    within ``2^-50 (1 + |log2|x||)``; None for zero, a special value, a
+    non-mpf or a binary exponent beyond ``2^24``."""
+    try:
+        _, man, exp, bc = x._mpf_
+    except AttributeError:
+        return None
+    if not man or abs(exp) >= 1 << 24:
+        return None
+    return (exp + bc) + math.log2(man / (1 << bc))  # quotient in [1/2, 1)
+
+
+def _contenders(coeffs, pivot, js, order):
+    """The ``js`` whose ``|c_j/c_pivot|^(1/order(j))`` may be the largest: those
+    within 1e-6 of the largest in float64 ``log2`` (:func:`_log2_abs`), or all
+    of them when a logarithm is None.  Each float64 ``log2`` is within 1e-7 of
+    that of the mp power (or of its reciprocal), so the mp power of every
+    ``j`` left out is strictly below (or above) that of one kept."""
+    base, logs = _log2_abs(coeffs[pivot]), [_log2_abs(coeffs[j]) for j in js]
+    if base is None or None in logs:
+        return js
+    keys = [(lj - base) / order(j) for j, lj in zip(js, logs)]
+    top = max(keys, default=0)
+    return [j for j, k in zip(js, keys) if k >= top - 1e-6]
+
+
 def _fujiwara_bound(coeffs):
-    """Upper bound on root moduli: ``2 max_j |c_j/c_d|^(1/(d-j))``."""
+    """Upper bound on root moduli: ``2 max_j |c_j/c_d|^(1/(d-j))``, the mp
+    power taken only for the :func:`_contenders`."""
     d, cd = len(coeffs) - 1, abs(coeffs[-1])
-    best = max(((abs(c) / cd) ** (mpf(1) / (d - j))
-                for j, c in enumerate(coeffs[:-1]) if c != 0), default=0)
+    js = _contenders(coeffs, d, [j for j, c in enumerate(coeffs[:-1]) if c != 0],
+                     lambda j: d - j)
+    best = max(((abs(coeffs[j]) / cd) ** (mpf(1) / (d - j)) for j in js), default=0)
     return 2 * best if best > 0 else mpf(1)
 
 
 def _fujiwara_lower_bound(coeffs):
     """Lower bound on root moduli: Fujiwara's bound on the reversed polynomial,
-    ``(1/2) min_j |c_0/c_j|^(1/j)`` over nonzero ``c_j`` (zero when ``c_0`` is)."""
+    ``(1/2) min_j |c_0/c_j|^(1/j)`` over nonzero ``c_j`` (zero when ``c_0`` is),
+    the mp power taken only for the :func:`_contenders`."""
     c0 = abs(coeffs[0])
     if c0 == 0:
         return mpf(0)
-    return min((c0 / abs(c)) ** (mpf(1) / j)
-               for j, c in enumerate(coeffs) if j and c != 0) / 2
+    js = _contenders(coeffs, 0, [j for j, c in enumerate(coeffs) if j and c != 0],
+                     lambda j: j)
+    return min((c0 / abs(coeffs[j])) ** (mpf(1) / j) for j in js) / 2
 
 
 def all_roots(coeffs):

@@ -222,6 +222,9 @@ def test_config_validation():
                 {"a": 1, "sigma": mp.inf}, {"a": 1, "quad_rel_tol": mp.nan}):
         with pytest.raises(UsageError):
             BorelConfig(**bad)
+    for tol in (0, mpf("-1e-10")):
+        with pytest.raises(UsageError, match="quad_rel_tol"):
+            BorelConfig(a=1, quad_rel_tol=tol)
     with pytest.raises(UsageError):
         borel_sum(alternating_factorial(4), BorelConfig(a=1), -1)
 
@@ -233,3 +236,53 @@ def test_infinite_coupling_rejected_up_front():
         for g in (mp.inf, "inf", mp.nan):
             with pytest.raises(UsageError, match="g must be finite"):
                 call(g)
+
+
+def outcome(call, *args):
+    """``_mpf_`` of the result, or the type of the exception raised."""
+    try:
+        return call(*args)._mpf_
+    except Exception as exc:
+        return type(exc)
+
+
+def test_estimate_error_is_mpmaths_bit_for_bit(monkeypatch):
+    fast, slow = borel._estimate_error, borel._TANH_SINH.estimate_error
+    prec, eps = mp.prec, mp.eps / 8
+    seen = []
+
+    def record(seq, *args):
+        seen.append((list(seq), args, mp.prec))
+        return fast(seq, *args)
+
+    monkeypatch.setattr(borel, "_estimate_error", record)
+    borel_sum(alternating_factorial(8), BorelConfig(a=1, sigma=1), mpf("0.7"))
+    monkeypatch.undo()
+    assert len(seen) > 20
+    # D1 = log10|r[-1] - r[-2]|, D2 = log10|r[-1] - r[-3]|, D4 = min(0, max(D1^2/D2, 2 D1, -prec)).
+    x = mpf("0.3")
+
+    def levels(d1, d2=-2):
+        return [x + 10 ** mpf(d2), x + 10 ** mpf(d1), x]
+
+    # D4 1e-8 from -7: D1^2/D2 with D2 = -2, or 2 D1 above D1^2/D2 with D2 = -1.
+    # float64 decides these.
+    near = [levels(-mp.sqrt(2 * (7 + t))) for t in (mpf("-1e-8"), mpf("1e-8"))] + \
+        [levels(mpf(-3.5) + t, -1) for t in (mpf("5e-9"), mpf("-5e-9"))]
+    deferred = [
+        levels(-mp.sqrt(14)), levels(mpf(-3.5), -1),  # D4 = -7 to working precision
+        [x, 2 * x],                       # two levels: |r[0] - r[1]|
+        [x, x, x],                        # all equal
+        [x, 3 * x, 2 * x, 2 * x],         # r[-1] == r[-2]
+        [x, 2 * x, 3 * x, 2 * x],         # r[-1] == r[-3]
+        [x + 1, x + mpf("1e-9"), x],      # |r[-1] - r[-3]| = 1, D2 = 0
+        [x + mpf("1.000001"), x + mpf("1e-9"), x],  # |D2| < 1e-6
+        [x]]
+    fallbacks = []
+    monkeypatch.setattr(borel._TANH_SINH, "estimate_error",
+                        lambda *args: fallbacks.append(args) or slow(*args))
+    for seq, args, work in seen + [(seq, (prec, eps), prec + 20) for seq in near + deferred]:
+        with mp.workprec(work):
+            assert outcome(borel._estimate_error, seq, *args) == outcome(slow, seq, *args), seq
+    # float64 decides every recorded call beyond two levels.
+    assert len(fallbacks) == sum(len(seq) <= 2 for seq, _, _ in seen) + len(deferred)

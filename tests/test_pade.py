@@ -71,6 +71,23 @@ def test_all_zero_pivot_column_rejected():
             pade_fit(s, L, M)
 
 
+def test_rank_not_determined_when_the_svd_does_not_converge(monkeypatch):
+    # c_0..c_4 = 2, 1, -1, 2, 1 make the [2/3] system [[-1,1,2],[2,-1,1],[1,2,-1]],
+    # on which mp.svd_r does not converge.  The matrix is nonsingular, so the
+    # LU solve is made to fail as it would on a singular one.
+    s = PowerSeries(tuple(mpf(c) for c in (2, 1, -1, 2, 1, 0)))
+
+    def singular(A, b):
+        assert A.tolist() == [[-1, 1, 2], [2, -1, 1], [1, 2, -1]]
+        with pytest.raises(RuntimeError, match="no convergence"):
+            mp.svd_r(A, compute_uv=False)
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(mp, "lu_solve", singular)
+    with pytest.raises(DegeneracyError, match=r"\[2/3\] \(rank not determined\)"):
+        pade_fit(s, 2, 3)
+
+
 def test_order_budget_enforced():
     with pytest.raises(UsageError):
         pade_fit(geometric(3), 2, 2)

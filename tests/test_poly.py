@@ -33,6 +33,7 @@ from resum import (
 from resum.cli import main
 from resum import poly
 from resum.poly import (
+    _fujiwara_bound,
     _fujiwara_lower_bound,
     all_roots,
     bracket_solve,
@@ -152,6 +153,28 @@ def test_roots_of_multiplicity_three_and_four(coeffs, root):
 
 def test_lower_bound_zero_for_root_at_origin():
     assert _fujiwara_lower_bound([mpf(0), mpf(3), mpf(-1)]) == 0
+
+
+def test_fujiwara_bounds_equal_the_direct_mp_formula():
+    def direct(coeffs):
+        d, cd, c0 = len(coeffs) - 1, abs(coeffs[-1]), abs(coeffs[0])
+        upper = max(((abs(c) / cd) ** (mpf(1) / (d - j))
+                     for j, c in enumerate(coeffs[:-1]) if c != 0), default=0)
+        lower = min((c0 / abs(c)) ** (mpf(1) / j) for j, c in enumerate(coeffs) if j and c != 0)
+        return (2 * upper if upper > 0 else mpf(1)), (lower / 2 if c0 else mpf(0))
+
+    wide = [mpf(10) ** (300 - 60 * j) * (-1) ** j for j in range(11)]
+    cases = [
+        [1, 0, 4, 0, 16],           # every candidate of both bounds ties at 1/2
+        [16, 0, 4, 0, 1], [1, -2, 4, -8, 16, -32],
+        [0, 0, 3, 0, -1], [5, 0, 0, 0, 0, 0, 2], [7, 3],
+        wide, wide[::-1], [mpf("1e-300"), 1, mpf("1e300")],
+        [mpf(2) ** 4000, 1, mpf(2) ** -4000, 3],  # beyond float64 range
+    ]
+    for coeffs in cases:
+        coeffs = [mpf(c) for c in coeffs]
+        got = _fujiwara_bound(coeffs), _fujiwara_lower_bound(coeffs)
+        assert [x._mpf_ for x in got] == [x._mpf_ for x in direct(coeffs)], coeffs
 
 
 def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
@@ -334,6 +357,8 @@ def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
     calls = [
         lambda: odm_value(build_rho_table(s, mapping), k, RhoSelectionCriterion(), g).value,
         lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5")), g),
+        lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5"), quad_rel_tol=0), g),
+        lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5"), quad_rel_tol=mpf("-1e-10")), g),
         lambda: borel_pade_sum(s, 0, L, M, g),
         lambda: pade_eval(pade_fit(s, L, M), g),
     ]
