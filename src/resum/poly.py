@@ -167,8 +167,9 @@ def _float_sums(fcoeffs, x):
 
 
 def _float_horner(fcoeffs, x):
-    """``(y, r)``: ``P(x)`` in float64 and a radius ``r`` around ``y`` that
-    holds the exact ``P(x)`` and the :func:`horner` value; None defers.
+    """``(y, r, s)``: ``P(x)`` in float64, a radius ``r`` around ``y`` that
+    holds the exact ``P(x)`` and the :func:`horner` value, and an upper
+    bound ``s`` on ``S(x) = sum_j |c_j| |x|^j``; None defers.
 
     With degree ``n``, ``u = 2^-53`` and ``S`` the float64 ``S(x)``:
     rounding ``c_j`` and ``x`` to float64 moves term ``j`` by at most
@@ -181,34 +182,133 @@ def _float_horner(fcoeffs, x):
     most ``2n 2^-1074 max(1, |x|)^n``: under ``1e-300`` plus a negligible
     part of ``S``, as the leading coefficient exceeds ``1e-290``.  Where
     ``|y| > r`` the mp value is nonzero with the sign of ``y``, and disjoint
-    magnitude intervals order the mp magnitudes.
+    magnitude intervals order the mp magnitudes.  The same slack, which
+    also covers the three roundings that form ``s``, makes ``s`` a bound.
     """
     got = _float_sums(fcoeffs, x)
     if got is None:
         return None
-    n = len(fcoeffs) - 1
-    return got[0], got[1] * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300
+    y, s, n = got[0], got[1], len(fcoeffs) - 1
+    return (y, s * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300,
+            s * (1 + (3 * n + 4) * 1.25 * 2.0 ** -53) + 1e-300)
+
+
+def _fixed_coeffs(coeffs):
+    """Two sequences, highest degree first, or None unless every coefficient
+    is a finite mpf: the exact ``(m, e)`` of each ``c = m 2^e``, and
+    ``(-a, f)`` with ``a 2^f >= |c|`` and ``a < 2^64``."""
+    exact, bounds = [], []
+    for c in reversed(coeffs):
+        try:
+            sign, man, exp, bc = c._mpf_
+        except AttributeError:
+            return None
+        if exp and not man:  # inf or nan
+            return None
+        cut = max(bc - 64, 0)
+        exact.append((-man if sign else man, exp))
+        bounds.append((-man >> cut, exp + cut))
+    return exact, bounds
+
+
+def _fixed_sum(terms, xm, ex, w):
+    """``(y, e)``: Horner of the ``(m, e)`` pairs at ``xm 2^ex``, each step
+    formed exactly and floored to ``w`` bits, as the integer ``y`` times
+    ``2^e``."""
+    terms = iter(terms)
+    y, e = next(terms)
+    for m, em in terms:
+        y, e = y * xm, e + ex
+        if m:
+            if e > em:
+                y, e = (y << (e - em)) + m, em
+            else:
+                y += m << (em - e)
+        cut = y.bit_length() - w
+        if cut > 0:
+            y, e = y >> cut, e + cut
+    return y, e
+
+
+def _fixed_horner(icoeffs, x, s=None):
+    """``(y, r, e)``: ``P(x)`` as the integer ``y`` times ``2^e``, and a radius
+    ``r 2^e`` around it that holds the exact ``P(x)`` and the :func:`horner`
+    value; None defers.  ``s``, when given, bounds ``S(x)`` from above.
+
+    With degree ``n``, ``u = 2^-prec`` and ``S = sum_j |c_j| |x|^j``: each
+    Horner step forms ``y x + c_j`` exactly (``x`` is kept exact) and floors
+    it to ``w = prec + 64`` bits, an error below ``2^(1-w)`` times that
+    exact sum, which is at most ``S_j + |x| E_(j+1)`` with ``S_j`` the
+    tail of ``S`` divided by ``|x|^j`` and ``E_(j+1)`` the error carried in.
+    So the result is within ``(n + 1) 2^(1-w) (1 + 2^(1-w))^n S``, under
+    ``2^-62 (n + 1) u S``.  The mp Horner rounds ``2n + 1`` times (the
+    leading coefficient, then a product and a sum per degree), within
+    ``gamma_(2n+1) S <= ((2n + 1) u + 2 (2n + 1)^2 u^2) S`` (Higham 2002,
+    section 5.1).  With ``(2n + 1)^2 u <= 1/4`` both together are below
+    ``(2n + 2) u S``, the radius, taken with ``s`` for ``S`` or else with
+    the same Horner on ``-a`` and ``|x|`` rounded up to 64 bits: every term
+    is negative, so each floor rounds the magnitude up.  Where ``|y| > r``
+    the mp value is nonzero with the sign of ``y``, and disjoint magnitude
+    intervals order the mp magnitudes.
+    """
+    if icoeffs is None:
+        return None
+    exact, bounds = icoeffs
+    n = len(exact) - 1
+    sign, man, ex, bx = x._mpf_
+    if not man or (2 * n + 1) ** 2 > 1 << (mp.prec - 2):
+        return None
+    y, e = _fixed_sum(exact, -man if sign else man, ex, mp.prec + 64)
+    if s is not None:
+        frac, f = math.frexp(s)
+        a, f = int(math.ldexp(frac, 53)), f - 53
+    else:
+        cut = max(bx - 64, 0)
+        a, f = _fixed_sum(bounds, -(-man >> cut), ex + cut, 64)
+        a = -a
+    shift, r = f - mp.prec - e, (2 * n + 2) * a
+    return y, (r << shift if shift >= 0 else -(-r >> -shift)), e
 
 
 class _Sample:
-    """``P`` at one scan point ``x``: the float64 value ``y`` with radius
-    ``r``, and the mp :func:`horner` value, computed only when needed."""
+    """``P`` at one scan point ``x`` in up to three tiers, each computed only
+    where the ones before cannot decide: the float64 value ``y`` with radius
+    ``r`` (:func:`_float_horner`), the fixed-point value with its radius
+    (:func:`_fixed_horner`), and the mp :func:`horner` value.  Both radii
+    hold the mp value, so every sign and comparison is the one mp gives.
+    ``forms`` is the polynomial as mp, float64 and fixed-point coefficients."""
 
-    __slots__ = ("coeffs", "x", "y", "r", "_exact")
+    __slots__ = ("forms", "x", "y", "r", "s", "_fixed", "_exact")
 
-    def __init__(self, coeffs, fcoeffs, x):
-        self.coeffs, self.x, self._exact = coeffs, x, None
-        self.y, self.r = _float_horner(fcoeffs, x) or (None, None)
+    def __init__(self, forms, x):
+        self.forms, self.x, self._fixed, self._exact = forms, x, False, None
+        self.y, self.r, self.s = _float_horner(forms[1], x) or (None, None, None)
+
+    def fixed(self):
+        if self._fixed is False:
+            self._fixed = _fixed_horner(self.forms[2], self.x, self.s)
+        return self._fixed
 
     def exact(self):
         if self._exact is None:
-            self._exact = horner(self.coeffs, self.x)
+            self._exact = horner(self.forms[0], self.x)
         return self._exact
 
-    def sign(self):
+    def certified(self):
+        """``P(x)`` approximately, from the first tier that certifies its
+        sign; None where neither does."""
         if self.y is not None and abs(self.y) > self.r:
-            return 1 if self.y > 0 else -1
-        return mp.sign(self.exact())
+            return self.y
+        got = self.fixed()
+        if got and abs(got[0]) > got[1]:
+            return mp.ldexp(got[0], got[2])
+        return None
+
+    def sign(self):
+        value = self.certified()
+        if value is None:
+            return mp.sign(self.exact())
+        return 1 if value > 0 else -1
 
     def smaller(self, other):  # |P(self.x)| < |P(other.x)|
         if self.y is not None and other.y is not None:
@@ -216,21 +316,51 @@ class _Sample:
                 return True
             if abs(self.y) - self.r > abs(other.y) + other.r:
                 return False
+        a, b = self.fixed(), other.fixed()
+        if a and b:
+            e = min(a[2], b[2])
+            (ya, ra), (yb, rb) = ((abs(y) << (f - e), r << (f - e)) for y, r, f in (a, b))
+            if ya + ra < yb - rb:
+                return True
+            if ya - ra > yb + rb:
+                return False
         return abs(self.exact()) < abs(other.exact())
 
 
-def _polish(coeffs, dcoeffs, fcoeffs, lo, hi):
-    """A bracketed simple root, with guard digits so its accuracy is set by
-    the root's conditioning well below the caller's working precision.
-    The residual reads as exactly zero, which ends the Newton walk at the
-    current iterate, once it is rounding noise: ``|P(x)| <= 16 u S(x)``,
-    ``u`` the unit roundoff at polish precision, ``S`` in float64."""
+def _polish(forms, dcoeffs, lo, hi):
+    """The simple root between the samples ``lo.x < hi.x``, whose signs differ.
+
+    Illinois false-position steps first narrow the bracket, on signs the
+    float64 and fixed-point tiers certify, until neither certifies one or
+    the bracket is below ``2^-(prec/2)`` of its upper end.  The mp Newton
+    walk of :func:`bracket_solve` then runs on the narrowed bracket with
+    guard digits, so the root's accuracy is set by its conditioning well
+    below the caller's working precision.  The residual reads as exactly
+    zero, which ends the walk at the current iterate, once it is rounding
+    noise: ``|P(x)| <= 16 u S(x)``, ``u`` the unit roundoff at polish
+    precision, ``S`` in float64."""
+    ends, fs, last = [lo, hi], [lo.certified(), hi.certified()], None
+    tol = mp.ldexp(hi.x, -(mp.prec // 2))
+    for _ in range(mp.prec):  # more steps than bisection alone would take
+        (lo, hi), (f_lo, f_hi) = ends, fs
+        if f_lo is None or f_hi is None or hi.x - lo.x <= tol:
+            break
+        x = (lo.x * f_hi - hi.x * f_lo) / (f_hi - f_lo)
+        mid = _Sample(forms, x if lo.x < x < hi.x else (lo.x + hi.x) / 2)
+        fx = mid.certified()
+        if fx is None:
+            break
+        i = int((fx > 0) != (f_lo > 0))  # the end that mid replaces
+        if i == last:
+            fs[1 - i] /= 2  # Illinois: the other end kept twice running
+        ends[i], fs[i], last = mid, fx, i
+    (lo, hi), (coeffs, fcoeffs) = ends, forms[:2]
     with mp.extradps(20):
         def f(x):
             y, sums = horner(coeffs, x), _float_sums(fcoeffs, x)
             return mpf(0) if sums and abs(y) <= 16 * 2.0 ** -mp.prec * sums[1] else y
 
-        return bracket_solve(f, lo, hi, tolerance(4), df=lambda x: horner(dcoeffs, x))
+        return bracket_solve(f, lo.x, hi.x, tolerance(4), df=lambda x: horner(dcoeffs, x))
 
 
 def positive_roots(coeffs):
@@ -244,30 +374,31 @@ def positive_roots(coeffs):
     merged.  Grid cells where the polynomial magnitude dips to a local
     minimum without changing sign are re-sampled sixteen times finer to
     catch close root pairs.  Signs and dip comparisons come from the
-    certified float64 values of :func:`_float_horner`, and from the mp
-    :func:`horner` only where those cannot decide.  A tangent
-    (even-multiplicity) root is not a sign change, so the scan does not
-    report it.  Intended for the simple positive roots of mapped-series
-    polynomials of any degree; arbitrary input should go through
-    :func:`polynomial_real_roots`.
+    certified float64 values of :func:`_float_horner`, then from the
+    certified fixed-point values of :func:`_fixed_horner`, and from the mp
+    :func:`horner` only where neither decides, so each decision is the one
+    mp alone makes.  A tangent (even-multiplicity) root is not a sign
+    change, so the scan does not report it.  Intended for the simple
+    positive roots of mapped-series polynomials of any degree; arbitrary
+    input should go through :func:`polynomial_real_roots`.
     """
     coeffs = strip_zeros(coeffs)
     if len(coeffs) < 2:
         return
     dcoeffs = derivative_coeffs(coeffs)
-    fcoeffs = _float_coeffs(coeffs)
+    forms = (coeffs, _float_coeffs(coeffs), _fixed_coeffs(coeffs))
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
     lo = _fujiwara_lower_bound(coeffs) / 2
     if lo <= 0 or lo >= hi:
         lo = hi * mpf("1e-20")
     n = min(max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8), 4000)
     ratio = (lo / hi) ** (mpf(1) / n)
-    grid = [_Sample(coeffs, fcoeffs, hi)]
+    grid = [_Sample(forms, hi)]
 
     def point(i):
         # Grid point i, extending the walk on demand.
         while len(grid) <= i:
-            grid.append(_Sample(coeffs, fcoeffs, grid[-1].x * ratio))
+            grid.append(_Sample(forms, grid[-1].x * ratio))
         return grid[i]
 
     def cell_roots(fa, fb, depth):
@@ -275,14 +406,13 @@ def positive_roots(coeffs):
         if fa.sign() == 0:
             yield fa.x
         elif fa.sign() * fb.sign() < 0:
-            yield _polish(coeffs, dcoeffs, fcoeffs, fb.x, fa.x)
+            yield _polish(forms, dcoeffs, fb, fa)
         elif depth > 0:
             step = (fa.x / fb.x) ** (mpf(1) / 16)
-            sub = [fb.x * step ** j for j in range(17)]
-            signs = [_Sample(coeffs, fcoeffs, x).sign() for x in sub]
+            sub = [_Sample(forms, fb.x * step ** j) for j in range(17)]
             for j in range(16, 0, -1):
-                if signs[j] * signs[j - 1] < 0:
-                    yield _polish(coeffs, dcoeffs, fcoeffs, sub[j - 1], sub[j])
+                if sub[j].sign() * sub[j - 1].sign() < 0:
+                    yield _polish(forms, dcoeffs, sub[j - 1], sub[j])
 
     def descending_roots():
         for i in range(n):

@@ -43,6 +43,22 @@ def d0_table():
             MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
 
 
+@pytest.fixture(scope="module")
+def complete_picks(d0_table):
+    """``select_rho`` at order ``k`` of ``d0_table`` with the complete solver
+    in place of the scan, each order computed once for the module."""
+    picks = {}
+
+    def pick(k):
+        if k not in picks:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("resum.odm.positive_roots", complete_solver_roots)
+                picks[k] = select_rho(d0_table, k, MIXED)
+        return picks[k]
+
+    return pick
+
+
 class TestPolynomialRoots:
     def test_factorable(self):
         roots = polynomial_real_roots([2, -3, 1])
@@ -94,20 +110,18 @@ class TestSelection:
         b = select_rho(d0_table, 9, MIXED)
         assert a == b
 
-    def test_scan_matches_complete_solver(self, d0_table, monkeypatch):
+    def test_scan_matches_complete_solver(self, d0_table, complete_picks):
         fast = {k: select_rho(d0_table, k, MIXED).rho for k in (7, 14, 19, 23)}
-        monkeypatch.setattr("resum.odm.positive_roots", complete_solver_roots)
         for k, rho in fast.items():
-            full = select_rho(d0_table, k, MIXED).rho
+            full = complete_picks(k).rho
             assert abs(rho - full) <= mpf("1e-30") * abs(full)
 
-    def test_scan_flagged_picks_match_complete_solver(self, d0_table, monkeypatch):
+    def test_scan_flagged_picks_match_complete_solver(self, d0_table, complete_picks):
         # The scan is read lazily; a flagged order reads it to the end and
         # must still report the largest candidate, as the complete solver does.
         orders = list(range(1, 13)) + list(range(13, 24, 2))
         fast = [select_rho(d0_table, k, MIXED) for k in orders]
-        monkeypatch.setattr("resum.odm.positive_roots", complete_solver_roots)
-        reports = list(zip(fast, [select_rho(d0_table, k, MIXED) for k in orders]))
+        reports = list(zip(fast, [complete_picks(k) for k in orders]))
         assert any(fast.flagged for fast, _ in reports)
         for fast, full in reports:
             assert fast.flagged == full.flagged, fast.k

@@ -2,6 +2,7 @@
 rules that no public call leaves the working precision changed and that every
 summation entry ends in a finite value or a ``ResumError``."""
 
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -270,20 +271,83 @@ def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table
     got = poly._float_horner(poly._float_coeffs(coeffs), x)
     if got is None:
         return
-    y, r = got
+    y, r, s = got
     with mp.workprec(3 * mp.prec):
         exact = horner(coeffs, x)
+        assert mp.fsum(abs(c) * abs(x) ** j for j, c in enumerate(coeffs)) <= s
     assert y - r <= exact <= y + r
     if abs(y) > r:
         assert mp.sign(horner(coeffs, x)) == (1 if y > 0 else -1)
 
 
+def _fraction(x):
+    """The finite mpf ``x`` as an exact fraction."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+# Roots 2^-8000, 1 and 2^8000 under a leading 2^-4000: coefficient exponents
+# from -4000 to 4000, far outside float64, which defers there.
+WIDE_ROOTS = [mpf(2) ** -8000, mpf(1), mpf(2) ** 8000]
+WIDE_CASES = st.tuples(st.sampled_from(WIDE_ROOTS), st.sampled_from(ROOT_OFFSETS)).map(
+    lambda case: (_expand(WIDE_ROOTS, mpf(2) ** -4000), case[0] * (1 + case[1])))
+
+
+@settings(derandomize=True, max_examples=50)
+@given(st.data())
+def test_fixed_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
+    coeffs, x = data.draw(float_tier_cases(d0_alpha2_table) | WIDE_CASES)
+    floats = poly._float_horner(poly._float_coeffs(coeffs), x)
+    exact = 0
+    for c in reversed(coeffs):
+        exact = exact * _fraction(x) + _fraction(c)
+    working = _fraction(horner(coeffs, x))
+    # The radius from the float64 bound on S, and from the integer one.
+    for s in {None, floats and floats[2]}:
+        y, r, e = poly._fixed_horner(poly._fixed_coeffs(coeffs), x, s)
+        lo, hi = Fraction(y - r) * Fraction(2) ** e, Fraction(y + r) * Fraction(2) ** e
+        assert lo <= exact <= hi
+        assert lo <= working <= hi
+        if abs(y) > r:
+            assert (working > 0) == (y > 0)
+
+
 def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkeypatch):
+    # Each run records the brackets the scan hands to the polish (its
+    # decisions), the roots, and the mp Horner calls at working precision
+    # (the scan's) and above it (the polish's).  The reference runs on mp
+    # alone, with both certified tiers switched off.
     polys = [d0_alpha2_table.polys[k] for k in range(1, 61)]
     rows = polys + [poly.derivative_coeffs(p) for p in polys]
-    filtered = [list(positive_roots(p)) for p in rows]
+    base, evaluate, polish = mp.prec, poly.horner, poly._polish
+
+    def run():
+        brackets, calls = [], [0, 0]
+
+        def counted(c, x):
+            calls[mp.prec > base] += 1
+            return evaluate(c, x)
+
+        def recorded(forms, dcoeffs, lo, hi):
+            brackets.append((lo.x, hi.x))
+            return polish(forms, dcoeffs, lo, hi)
+
+        monkeypatch.setattr(poly, "horner", counted)
+        monkeypatch.setattr(poly, "_polish", recorded)
+        return brackets, [list(positive_roots(p)) for p in rows], calls
+
+    tiered = run()
+    scan_calls, polish_calls = tiered[2]
+    assert scan_calls == 0 and polish_calls <= 450
     monkeypatch.setattr(poly, "_float_horner", lambda fcoeffs, x: None)
-    assert [list(positive_roots(p)) for p in rows] == filtered
+    fixed_only = run()
+    monkeypatch.setattr(poly, "_fixed_horner", lambda icoeffs, x, s=None: None)
+    brackets, roots, _ = run()
+    for got in (tiered, fixed_only):
+        assert got[0] == brackets
+        assert [len(r) for r in got[1]] == [len(r) for r in roots]
+        for a, b in zip(sum(got[1], []), sum(roots, [])):
+            assert abs(a - b) <= mpf("1e-50") * b
 
 
 @pytest.fixture(scope="module")
