@@ -106,6 +106,11 @@ def main(argv=None):
                         "counts pairs where the change is better, ties counting for neither",
         "workloads": {},
     }
+    if args.traced:
+        out["traced"] = ("traced_seed_1 holds one --trace 1 run per side (seed 1); span times "
+                         "are raw wall seconds, counts totals over the passes each run made (a "
+                         "faster side runs more passes). traced_passes gives the pass count of "
+                         "each side, and traced_per_pass the counts and times divided by it.")
     for i, workload in enumerate(w["name"] for w in bench["workloads"]):
         seeds = [args.first_seed + 100 * i + p for p in range(args.pairs)]
         pairs = []
