@@ -12,11 +12,12 @@ bracketed solver of :mod:`resum.poly`.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
-from .poly import bracket_solve, horner
+from .poly import _fixed_coeffs, _fixed_value, bracket_solve, horner
 from .precision import finite_mpf, to_mpf, tolerance
 from .series import PowerSeries, binomial_series, _mul_trunc
 
@@ -88,7 +89,10 @@ def zeta_value(mapping, lam):
 
 
 def g_of_lambda(lam, rho, mapping):
-    """The physical coupling at a point of the mapped interval."""
+    """The physical coupling at a point of the mapped interval; ``lambda = 1``,
+    where ``zeta`` is infinite, raises :class:`DomainError`."""
+    if lam == 1:
+        raise DomainError("g(lambda) is infinite at lambda = 1")
     return rho * zeta_value(mapping, lam)
 
 
@@ -110,7 +114,7 @@ def lambda_of_g(g, rho, mapping):
         if not shifted:
             raise UsageError("a complex-pair rho needs the shifted-power family")
     else:
-        rho = to_mpf(rho)
+        rho = finite_mpf(rho, "rho")
         if not rho > 0:
             raise UsageError("rho must be positive")
     if g == mp.inf:
@@ -147,9 +151,30 @@ class RhoPolynomialTable:
     mapping: MappingSpec
     source_order: int
 
+    @cached_property
+    def _fixed_rows(self):
+        # The exact integer forms of each row; None where a coefficient is
+        # not a finite mpf.  Not a field, so out of repr and equality.
+        return tuple(f and f[0] for f in map(_fixed_coeffs, self.polys))
+
     def lambda_coeffs(self, rho, order):
-        """The numeric lambda-series ``P_0(rho) .. P_order(rho)``."""
-        return tuple(horner(self.polys[k], rho) for k in range(order + 1))
+        """The numeric lambda-series ``P_0(rho) .. P_order(rho)``.
+
+        ``order`` lies in ``0..source_order``.  At a real ``rho`` each row
+        is evaluated in integers and rounded once
+        (:func:`resum.poly._fixed_value`); a complex ``rho`` and rows that
+        are not all finite mpf go through :func:`horner`.
+        """
+        if not isinstance(order, int) or not 0 <= order <= self.source_order:
+            raise UsageError("order must be a whole number in 0..%d, got %r"
+                             % (self.source_order, order))
+        polys = self.polys[:order + 1]
+        if isinstance(rho, mpc):
+            return tuple(horner(p, rho) for p in polys)
+        x = finite_mpf(rho, "rho")
+        rho = rho if isinstance(rho, mpf) else x  # an mpf keeps its guard bits
+        return tuple(_fixed_value(f, rho) if f else horner(p, rho)
+                     for p, f in zip(polys, self._fixed_rows))
 
 
 def build_rho_table(source, mapping):

@@ -11,6 +11,7 @@ mapping inversion, the saddle equations, the Borel-summed flow).
 import math
 
 from mpmath import mp, mpf, polyroots
+from mpmath.libmp import from_man_exp
 
 from .errors import SolverError, UsageError
 from .precision import to_mpf, tolerance
@@ -268,6 +269,18 @@ def _fixed_horner(icoeffs, x, s=None):
         a = -a
     shift, r = f - mp.prec - e, (2 * n + 2) * a
     return y, (r << shift if shift >= 0 else -(-r >> -shift)), e
+
+
+def _fixed_value(exact, x):
+    """``P(x)`` from the exact ``(m, e)`` forms of :func:`_fixed_coeffs` at
+    a finite mpf ``x``: :func:`_fixed_sum` at ``w = prec + 64``
+    bits, rounded once to nearest at ``prec``.  By the bound proved for
+    :func:`_fixed_horner` it lies within half an ulp plus
+    ``2^-62 (n + 1) u S`` of the exact ``P(x)``, where the mp :func:`horner`
+    is only within ``gamma_(2n+1) S``."""
+    sign, man, ex, _ = x._mpf_
+    y, e = _fixed_sum(exact, -man if sign else man, ex, mp.prec + 64)
+    return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
 
 
 class _Sample:

@@ -1,13 +1,17 @@
 """The change of variables: profiles, tables, inversion, re-expansion."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
+    DomainError,
     MappingFamily,
     MappingSpec,
     PowerSeries,
+    ResumError,
+    RhoPolynomialTable,
+    RhoSelectionCriterion,
     UsageError,
     anharmonic_ground_coeffs,
     binomial_series,
@@ -20,6 +24,7 @@ from resum import (
     revert,
     rg_series,
     scale,
+    select_rho,
     zeta_series,
 )
 from resum.poly import horner
@@ -137,8 +142,6 @@ def test_lambda_of_g_quadratic_case():
 
 
 def test_lambda_of_g_rejects_negative():
-    from resum import DomainError
-
     # Negative, NaN, and so large that lambda rounds to 1 at 64 digits.
     for spec in (MappingSpec(POWER_CUT, 2), MappingSpec(SHIFTED, "1.5")):
         for g in (-1, mp.nan, mpf("1e200")):
@@ -153,6 +156,16 @@ def test_lambda_of_g_complex_rho():
     assert mp.im(lam) != 0
     with pytest.raises(UsageError):
         lambda_of_g(mpf("1.4"), rho, MappingSpec(POWER_CUT, 2))
+
+
+def test_lambda_of_g_rejects_an_infinite_rho():
+    with pytest.raises(UsageError, match="rho must be finite"):
+        lambda_of_g(2, mp.inf, MappingSpec(POWER_CUT, 2))
+
+
+def test_g_of_lambda_at_one_is_a_domain_error():
+    with pytest.raises(DomainError, match="lambda = 1"):
+        g_of_lambda(1, mpf(2), MappingSpec(POWER_CUT, 2))
 
 
 @pytest.mark.parametrize("family, alpha", [(POWER_CUT, "1.5"), (POWER_CUT, "2"), (SHIFTED, "1.5")])
@@ -214,3 +227,81 @@ def test_reexpansion_identity_d0(rho):
     for k in range(13):
         scale_k = max(1, abs(source.coeffs[k]))
         assert abs(back.coeffs[k] - source.coeffs[k]) < scale_k * mpf("1e-50")
+
+
+def small_table():
+    return build_rho_table(d0_partition_coeffs(6), MappingSpec(POWER_CUT, 2, prefactor_p="0.5"))
+
+
+def test_lambda_coeffs_rejects_an_order_outside_the_table():
+    table = small_table()
+    for order in (-1, 7, 2.0):
+        with pytest.raises(UsageError, match=r"0\.\.6, got %r" % order):
+            table.lambda_coeffs(mpf(1), order)
+
+
+def test_lambda_coeffs_reads_rho_like_other_inputs():
+    table = small_table()
+    want = table.lambda_coeffs(mpf("1.5"), 6)
+    assert table.lambda_coeffs("1.5", 6) == want
+    assert table.lambda_coeffs("3/2", 6) == want
+    assert table.lambda_coeffs(2, 6) == table.lambda_coeffs(mpf(2), 6)
+    assert table.lambda_coeffs(0, 6) == tuple(p[0] for p in table.polys)
+    for bad in (mp.inf, -mp.inf, mp.nan, "inf", "abc"):
+        with pytest.raises(ResumError):
+            table.lambda_coeffs(bad, 6)
+
+
+def test_lambda_coeffs_at_a_complex_rho_is_horner():
+    table = small_table()
+    rho = mp.mpc("0.8", "0.3")
+    assert table.lambda_coeffs(rho, 6) == tuple(horner(p, rho) for p in table.polys)
+
+
+def assert_rows_within_the_bound(table, rho, order):
+    """Each row within half an ulp plus ``2^-62 (n + 1) u S`` of ``P(rho)``
+    at three times the working precision (``u = 2^-prec``, ``n`` the degree,
+    ``S = sum_j |c_j| rho^j``)."""
+    got, u = table.lambda_coeffs(rho, order), mp.ldexp(1, -mp.prec)
+    with mp.workprec(3 * mp.prec):
+        for k, (value, row) in enumerate(zip(got, table.polys)):
+            exact = horner(row, rho)
+            S = mp.fsum(abs(c) * rho ** j for j, c in enumerate(row))
+            assert abs(value - exact) <= u * abs(value) + 2 ** -62 * len(row) * u * S, k
+
+
+def _mpf(man_exp):
+    return mp.ldexp(man_exp[0], man_exp[1])
+
+
+@settings(derandomize=True, max_examples=40)
+@given(st.lists(st.tuples(st.integers(-2 ** 240, 2 ** 240), st.integers(-300, 60)),
+                min_size=1, max_size=41),
+       st.tuples(st.integers(1, 2 ** 300), st.integers(-320, 0)))
+def test_fixed_point_rows_lie_within_the_proved_bound(coeffs, rho):
+    # Every prefix is a row, so degrees 0..40; rho may carry more bits than
+    # the working precision, as the polished scale does.
+    coeffs = [_mpf(c) for c in coeffs]
+    with mp.workprec(400):
+        rho = _mpf(rho)
+    polys = tuple(tuple(coeffs[:k + 1]) for k in range(len(coeffs)))
+    table = RhoPolynomialTable(polys, MappingSpec(POWER_CUT, 2), len(polys) - 1)
+    assert_rows_within_the_bound(table, rho, table.source_order)
+
+
+@pytest.fixture(scope="module")
+def odm_tables():
+    """The K = 60 tables and criteria of ``odm-d0-strong`` and ``odm-oscillator``."""
+    with mp.workdps(64):
+        return [(build_rho_table(source, MappingSpec(POWER_CUT, alpha, prefactor_p=p)),
+                 RhoSelectionCriterion(smallness_factor=tau))
+                for source, alpha, p, tau in (
+                    (d0_partition_coeffs(62), "2", "0.5", "0.5"),
+                    (anharmonic_ground_coeffs(61), "3/2", "-0.5", "1e6"))]
+
+
+@pytest.mark.parametrize("k", [10, 30, 60])
+def test_odm_rows_lie_within_the_proved_bound(odm_tables, k):
+    for table, criterion in odm_tables:
+        rho = select_rho(table, k, criterion).rho
+        assert_rows_within_the_bound(table, rho, k + 1)
