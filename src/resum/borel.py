@@ -23,7 +23,7 @@ from mpmath.calculus.quadrature import TanhSinh
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
 from .poly import _log2_abs, horner, polynomial_real_roots
-from .precision import finite_mpf, to_mpf, tolerance
+from .precision import finite_mpf, positive_mpf, tolerance, whole_number
 from .series import PowerSeries, compose
 
 _TANH_SINH = TanhSinh(mp)  # mp.quad's rule; nodes are built on first use
@@ -39,26 +39,18 @@ class BorelConfig:
     """Parameters of the transform, the map and the Laplace quadrature."""
 
     a: object                    # Borel-plane singularity parameter (> 0)
-    sigma: object = 0            # Leroy shift in the Gamma divisor (>= 0)
+    sigma: object = 0            # Leroy shift in the Gamma divisor (0..1000)
     truncation: int = None       # mapped-series truncation order (default: all)
     quad_rel_tol: object = None  # relative tolerance (default 10^(8 - digits))
 
     def __post_init__(self):
-        a = finite_mpf(self.a, "a")
-        sigma = finite_mpf(self.sigma, "sigma")
-        if not a > 0:
-            raise UsageError("singularity parameter a must be positive")
-        if sigma < 0:
-            raise UsageError("Leroy parameter sigma must be >= 0")
-        if self.truncation is not None and self.truncation < 1:
-            raise UsageError("truncation must be >= 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "a", positive_mpf(self.a, "a"))
+        object.__setattr__(self, "sigma", _leroy_sigma(self.sigma))
+        if self.truncation is not None:
+            whole_number(self.truncation, "truncation", 1)
         if self.quad_rel_tol is not None:
-            tol = finite_mpf(self.quad_rel_tol, "quad_rel_tol")
-            if not tol > 0:
-                raise UsageError("quad_rel_tol must be positive, got %s" % mp.nstr(tol, 8))
-            object.__setattr__(self, "quad_rel_tol", tol)
+            object.__setattr__(self, "quad_rel_tol",
+                               positive_mpf(self.quad_rel_tol, "quad_rel_tol"))
 
     def rel_tol(self):
         return self.quad_rel_tol if self.quad_rel_tol is not None else tolerance(8)
@@ -73,13 +65,18 @@ class BorelSumResult:
     quadrature_error: object
 
 
+def _leroy_sigma(sigma):
+    """The Leroy shift as a finite mpf in ``0 .. _MAX_SIGMA``; anything else
+    raises :class:`UsageError`."""
+    sigma = finite_mpf(sigma, "sigma")
+    if not 0 <= sigma <= _MAX_SIGMA:
+        raise UsageError("sigma must be in 0..%d, got %s" % (_MAX_SIGMA, mp.nstr(sigma, 8)))
+    return sigma
+
+
 def borel_leroy_transform(s, sigma):
     """Divide coefficient ``k`` by ``Gamma(k + sigma + 1)``, ``0 <= sigma <= _MAX_SIGMA``."""
-    sigma = finite_mpf(sigma, "sigma")
-    if sigma < 0:
-        raise UsageError("sigma must be >= 0")
-    if sigma > _MAX_SIGMA:
-        raise UsageError("sigma must be <= %d, got %s" % (_MAX_SIGMA, mp.nstr(sigma, 8)))
+    sigma = _leroy_sigma(sigma)
     return PowerSeries(
         tuple(c / mp.gamma(k + sigma + 1) for k, c in enumerate(s.coeffs)),
         s.var,
@@ -89,9 +86,7 @@ def borel_leroy_transform(s, sigma):
 def conformal_map_coeffs(b, a):
     """Re-expand a Borel-plane series in the disk variable ``u``, composing
     with ``z(u) = (4/a) u / (1-u)^2 = (4/a) sum_k k u^k``."""
-    if not to_mpf(a) > 0:
-        raise UsageError("singularity parameter a must be positive")
-    four_over_a = 4 / to_mpf(a)
+    four_over_a = 4 / positive_mpf(a, "a")
     return compose(b, PowerSeries(
         (mpf(0),) + tuple(four_over_a * k for k in range(1, b.order + 1)), "u"))
 
@@ -247,9 +242,7 @@ def borel_sum(s, cfg, g, full_output=False):
     ``K-1`` result of the same moments) and the quadrature error estimate
     are returned alongside the value.
     """
-    g = finite_mpf(g, "g")
-    if not g > 0:
-        raise UsageError("borel_sum needs g > 0")
+    g = positive_mpf(g, "g")
     K = s.order if cfg.truncation is None else min(cfg.truncation, s.order)
     if K < 1:
         raise UsageError("need at least two coefficients")
@@ -272,11 +265,7 @@ def borel_pade_sum(s, sigma, L, M, g, full_output=False):
     Denominator zeros on the positive real axis raise :class:`SummabilityError`;
     by Descartes' rule only a denominator with a sign change can have one.
     """
-    g = finite_mpf(g, "g")
-    if not g > 0:
-        raise UsageError("borel_pade_sum needs g > 0")
-    if L + M > s.order:
-        raise UsageError("need L + M <= series order")
+    g, sigma = positive_mpf(g, "g"), _leroy_sigma(sigma)
     approx = pade_fit(borel_leroy_transform(s, sigma), L, M)
     num, den = approx.numerator, approx.denominator
     if len({c > 0 for c in den if c != 0}) > 1:  # a sign change
@@ -290,7 +279,7 @@ def borel_pade_sum(s, sigma, L, M, g, full_output=False):
         zs = (g * mp.ldexp(x, -q) for x in xs)
         return [mp.fdot((w, horner(num, z) / horner(den, z)) for w, z in zip(ws, zs))]
 
-    val, quad_err = Laplace(to_mpf(sigma), tolerance(8), level_sums).integral((1,))
+    val, quad_err = Laplace(sigma, tolerance(8), level_sums).integral((1,))
     if not full_output:
         return val
     return BorelSumResult(value=val, truncation_error=mpf(0), quadrature_error=quad_err)

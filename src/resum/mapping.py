@@ -18,7 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
 from .poly import _fixed_coeffs, _fixed_value, bracket_solve, horner
-from .precision import finite_mpf, to_mpf, tolerance
+from .precision import finite_mpf, member, positive_mpf, to_mpf, tolerance, whole_number
 from .series import PowerSeries, binomial_series, _mul_trunc
 
 
@@ -46,6 +46,7 @@ class MappingSpec:
     beta_covariant: bool = False
 
     def __post_init__(self):
+        member(MappingFamily, self.family, "family")
         alpha = finite_mpf(self.alpha, "alpha")
         p = finite_mpf(self.prefactor_p, "prefactor_p")
         object.__setattr__(self, "alpha", alpha)
@@ -70,9 +71,7 @@ def zeta_series(mapping, order, var="lambda"):
     ``(1-lambda)^(-alpha) - 1`` (linear coefficient ``alpha``; the scale is
     absorbed by ``rho``, so rho values are not comparable across families).
     """
-    if order < 1:
-        raise UsageError("order must be >= 1")
-    binom = binomial_series(-mapping.alpha, order, var)
+    binom = binomial_series(-mapping.alpha, whole_number(order, "order", 1), var)
     if mapping.family is MappingFamily.POWER_CUT:
         coeffs = (mpf(0),) + binom.coeffs[:order]
     else:
@@ -89,10 +88,18 @@ def zeta_value(mapping, lam):
 
 
 def g_of_lambda(lam, rho, mapping):
-    """The physical coupling at a point of the mapped interval; ``lambda = 1``,
-    where ``zeta`` is infinite, raises :class:`DomainError`."""
-    if lam == 1:
-        raise DomainError("g(lambda) is infinite at lambda = 1")
+    """The physical coupling at a point of the mapped interval.
+
+    A real ``lambda`` must be finite and below 1, where ``zeta`` is infinite
+    (:class:`DomainError`), and a real ``rho`` positive; a complex ``lambda``
+    or ``rho`` (a complex-pair fixed point) is used as given."""
+    if not isinstance(rho, mpc):
+        rho = positive_mpf(rho, "rho")
+    if not isinstance(lam, mpc):
+        lam = finite_mpf(lam, "lambda")
+        if not lam < 1:
+            raise DomainError("lambda must lie below 1 (g is infinite at lambda = 1), "
+                              "got lambda = %s" % lam)
     return rho * zeta_value(mapping, lam)
 
 
@@ -114,12 +121,10 @@ def lambda_of_g(g, rho, mapping):
         if not shifted:
             raise UsageError("a complex-pair rho needs the shifted-power family")
     else:
-        rho = finite_mpf(rho, "rho")
-        if not rho > 0:
-            raise UsageError("rho must be positive")
+        rho = positive_mpf(rho, "rho")
+    g = to_mpf(g, "g")
     if g == mp.inf:
         return mpf(1)
-    g = to_mpf(g)
     if not g >= 0:
         raise DomainError("inversion implemented on the real branch g >= 0 only, got %s" % g)
     if g == 0:
@@ -160,19 +165,15 @@ class RhoPolynomialTable:
     def lambda_coeffs(self, rho, order):
         """The numeric lambda-series ``P_0(rho) .. P_order(rho)``.
 
-        ``order`` lies in ``0..source_order``.  At a real ``rho`` each row
-        is evaluated in integers and rounded once
-        (:func:`resum.poly._fixed_value`); a complex ``rho`` and rows that
-        are not all finite mpf go through :func:`horner`.
+        ``order`` lies in ``0..source_order``.  A real ``rho`` is read at the
+        working precision, and each row is evaluated there in integers and
+        rounded once (:func:`resum.poly._fixed_value`); a complex ``rho`` and
+        rows that are not all finite mpf go through :func:`horner`.
         """
-        if not isinstance(order, int) or not 0 <= order <= self.source_order:
-            raise UsageError("order must be a whole number in 0..%d, got %r"
-                             % (self.source_order, order))
-        polys = self.polys[:order + 1]
+        polys = self.polys[:whole_number(order, "order", 0, self.source_order) + 1]
         if isinstance(rho, mpc):
             return tuple(horner(p, rho) for p in polys)
-        x = finite_mpf(rho, "rho")
-        rho = rho if isinstance(rho, mpf) else x  # an mpf keeps its guard bits
+        rho = finite_mpf(rho, "rho")
         return tuple(_fixed_value(f, rho) if f else horner(p, rho)
                      for p, f in zip(polys, self._fixed_rows))
 

@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DiagnosticError, DomainError, ResourceError, UsageError
-from .precision import to_mpf
+from .precision import to_mpf, whole_number
 from .series import PowerSeries, multiply
 
 # Borel-plane singularity parameter of the d=3 beta-function series.
@@ -39,10 +39,8 @@ def d0_partition_coeffs(K):
     ratio recursion ``Z_k = -Z_{k-1} (4k-1)(4k-3) / (24 k)`` reproduces
     without ever forming the factorials.
     """
-    if K < 0:
-        raise UsageError("K must be >= 0")
     coeffs = [mpf(1)]
-    for k in range(1, K + 1):
+    for k in range(1, whole_number(K, "K", 0) + 1):
         coeffs.append(-coeffs[-1] * (4 * k - 1) * (4 * k - 3) / (24 * k))
     return PowerSeries(coeffs, "g")
 
@@ -57,7 +55,7 @@ def d0_partition_value(g):
     strong-coupling amplitude
     ``lim g^(1/4) Z(g) = (1/2) 24^(1/4) sqrt(pi) / Gamma(3/4)``.
     """
-    g = to_mpf(g)
+    g = to_mpf(g, "g")
     if not g >= 0:
         raise DomainError("the integral needs g >= 0 or inf, got %s" % g)
     if g == mp.inf:
@@ -93,8 +91,7 @@ def anharmonic_ground_coeffs(K):
     :class:`DiagnosticError`, so the integers are certified exact; each
     ``E_k = e_k / 96^k`` is rounded once to the working precision.  O(K^3).
     """
-    if K < 0:
-        raise UsageError("K must be >= 0")
+    whole_number(K, "K", 0)
     coeffs = [mpf(1) / 2]
     rows = [[1]]  # rows[k][j] = D_kj for j = 0 .. 2k, so e_k = -rows[k][1]
     for k in range(1, K + 1):
@@ -223,7 +220,7 @@ def anharmonic_ground_value(g):
     the ground energy of ``p^2/2 + x^4/24``.
     """
     rel_tol = mpf(10) ** (10 - mp.dps)
-    g = to_mpf(g)
+    g = to_mpf(g, "g")
     if not g >= 0:
         raise DomainError("the eigenvalue problem needs g >= 0 or inf, got %s" % g)
     if g == 0:

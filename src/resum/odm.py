@@ -26,7 +26,7 @@ from .poly import all_roots, derivative_coeffs, horner, positive_roots, strip_ze
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
-from .precision import finite_mpf, to_mpf, tolerance
+from .precision import finite_mpf, member, positive_mpf, to_mpf, tolerance, whole_number
 
 
 class SelectionMode(enum.Enum):
@@ -57,10 +57,9 @@ class RhoSelectionCriterion:
     smallness_factor: object = "0.5"
 
     def __post_init__(self):
-        tau = finite_mpf(self.smallness_factor, "smallness_factor")
-        if tau <= 0:
-            raise UsageError("smallness_factor must be positive")
-        object.__setattr__(self, "smallness_factor", tau)
+        member(SelectionMode, self.mode, "mode")
+        object.__setattr__(self, "smallness_factor",
+                           positive_mpf(self.smallness_factor, "smallness_factor"))
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ def select_rho(table, k, criterion, allow_complex=False):
     read lazily: an order whose candidate passes stops there, and only a
     flagged order scans the whole range.
     """
-    if not 1 <= k <= table.source_order:
-        raise UsageError("order k=%d outside table range 1..%d" % (k, table.source_order))
+    whole_number(k, "k", 1, table.source_order)
     tau = criterion.smallness_factor
     poly = table.polys[k]
     dpoly = derivative_coeffs(poly)
@@ -210,6 +208,7 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     is admitted: the mapped point follows the inversion into the complex
     plane and the real part of the approximant is reported.
     """
+    g = to_mpf(g, "g")
     sel = select_rho(table, k, criterion, allow_complex=allow_complex)
     mapping = table.mapping
     rho = sel.rho
@@ -224,8 +223,7 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     else:
         value = mp.re((1 - lam) ** mapping.prefactor_p * horner(coeffs, lam))
     err = abs(row[k + 1] * lam ** (k + 1)) if len(row) > k + 1 else None
-    return replace(sel, g=mp.inf if strong else to_mpf(g), lam=lam, value=value,
-                   error_estimate=err)
+    return replace(sel, g=g, lam=lam, value=value, error_estimate=err)
 
 
 @dataclass(frozen=True)
@@ -324,9 +322,7 @@ def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion, nu_in
     ``nu`` both from the scaling relation ``gamma = nu (2 - eta)`` and from
     the summed ``1/nu`` series.  Complex-pair scales are admitted.
     """
-    g_star = to_mpf(g_star)
-    if g_star <= 0:
-        raise UsageError("g_star must be positive")
+    g_star = positive_mpf(g_star, "g_star")
     gamma_rep = odm_value(gamma_inv_table, k, criterion, g_star, allow_complex=True)
     gamma = 1 / gamma_rep.value
     eta_rep = None
@@ -439,9 +435,7 @@ def convergence_study(table, criterion, K, g, oracle=None):
     otherwise.  Orders where selection fails
     are skipped; fits need at least six surviving orders from k = 5 on.
     """
-    if K > table.source_order - 1:
-        raise UsageError("K=%d needs table order >= %d for error estimates"
-                         % (K, K + 1))
+    whole_number(K, "K", 1, table.source_order - 1)  # P_(K+1) estimates the error
     exact = None if oracle is None else finite_mpf(oracle, "oracle")
     reports = []
     for k in range(1, K + 1):

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from .errors import DegeneracyError, PoleError, UsageError
 from .poly import horner
-from .precision import to_mpf, tolerance
+from .precision import finite_mpf, to_mpf, tolerance, whole_number
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ def pade_fit(s, L, M):
     the numerator.  A singular or numerically rank-deficient system raises
     :class:`DegeneracyError` carrying the detected rank.
     """
-    if L < 0 or M < 0:
-        raise UsageError("L and M must be >= 0")
-    if L + M > s.order:
-        raise UsageError("need L + M <= series order (%d > %d)" % (L + M, s.order))
+    whole_number(M, "M", 0, s.order - whole_number(L, "L", 0, s.order))  # L + M <= order
     c = s.coeffs
 
     def cc(n):
@@ -113,9 +110,7 @@ def pade_eval(approx, g):
     pole-proximity scale ``10^(-digits/2)`` times its coefficient size, and
     :class:`UsageError` for a non-finite ``g``.
     """
-    g = to_mpf(g)
-    if not mp.isfinite(g):
-        raise UsageError("Pade evaluation needs a finite g, got %s" % g)
+    g = finite_mpf(g, "g")
     den = horner(approx.denominator, g)
     scale = mp.fsum(abs(c) * abs(g) ** j for j, c in enumerate(approx.denominator))
     if abs(den) <= tolerance(mp.dps // 2) * max(scale, mpf(1)):

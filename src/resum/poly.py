@@ -348,7 +348,8 @@ def _polish(forms, dcoeffs, lo, hi):
     the bracket is below ``2^-(prec/2)`` of its upper end.  The mp Newton
     walk of :func:`bracket_solve` then runs on the narrowed bracket with
     guard digits, so the root's accuracy is set by its conditioning well
-    below the caller's working precision.  The residual reads as exactly
+    below the caller's working precision; the root is then rounded once to
+    that precision, like every other candidate.  The residual reads as exactly
     zero, which ends the walk at the current iterate, once it is rounding
     noise: ``|P(x)| <= 16 u S(x)``, ``u`` the unit roundoff at polish
     precision, ``S`` in float64."""
@@ -373,7 +374,8 @@ def _polish(forms, dcoeffs, lo, hi):
             y, sums = horner(coeffs, x), _float_sums(fcoeffs, x)
             return mpf(0) if sums and abs(y) <= 16 * 2.0 ** -mp.prec * sums[1] else y
 
-        return bracket_solve(f, lo.x, hi.x, tolerance(4), df=lambda x: horner(dcoeffs, x))
+        root = bracket_solve(f, lo.x, hi.x, tolerance(4), df=lambda x: horner(dcoeffs, x))
+    return +root
 
 
 def positive_roots(coeffs):

@@ -7,6 +7,12 @@ computes with mpmath floats under an explicit decimal working precision;
 the helpers here wrap the recurring patterns (a validated precision
 context manager, tolerance scales, lossless parsing of decimal or rational
 coefficient strings, and printing numbers).
+
+This module is also the one reader of public inputs: every entry of the
+package turns a number, an order or a choice into a checked value through
+:func:`to_mpf`, :func:`finite_mpf`, :func:`positive_mpf`,
+:func:`whole_number` or :func:`member`, each raising :class:`UsageError`
+that names the parameter.
 """
 
 from fractions import Fraction
@@ -22,10 +28,7 @@ DEFAULT_DIGITS = 64
 def workdps(digits):
     """``mp.workdps(digits)`` for a whole number of digits >= ``MIN_DIGITS``;
     anything else raises :class:`UsageError` naming the value."""
-    if not isinstance(digits, int) or digits < MIN_DIGITS:
-        raise UsageError("precision must be a whole number >= %d, got %r"
-                         % (MIN_DIGITS, digits))
-    return mp.workdps(digits)
+    return mp.workdps(whole_number(digits, "precision", MIN_DIGITS))
 
 
 def tolerance(offset=0):
@@ -35,31 +38,60 @@ def tolerance(offset=0):
     return mpf(10) ** (offset - mp.dps)
 
 
-def to_mpf(value):
+def to_mpf(value, name=None):
     """Convert to ``mpf`` keeping every digit of strings and Fractions.
 
     Strings may be plain decimal literals or rationals like ``"-308/729"``;
     both parse at the active working precision.  Text that is not a number,
-    or a zero denominator, raises :class:`UsageError` naming the text.
+    a zero denominator, or a value that is not real (a complex, ``None``)
+    raises :class:`UsageError` naming the parameter ``name``.
     """
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
-    if isinstance(value, str):
-        num, slash, den = value.strip().partition("/")
-        try:
+    try:
+        if isinstance(value, str):
+            num, slash, den = value.strip().partition("/")
             return mpf(num.strip()) / mpf(den.strip()) if slash else mpf(num)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("cannot read %r as a number" % value) from None
-    return mpf(value)
+        return mpf(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError("%s must be a real number, got %r" % (name or "value", value)) from None
 
 
 def finite_mpf(value, name):
     """``to_mpf(value)``, raising :class:`UsageError` that names ``name``
     unless the result is finite."""
-    x = to_mpf(value)
+    x = to_mpf(value, name)
     if not mp.isfinite(x):
         raise UsageError("%s must be finite, got %s" % (name, x))
     return x
+
+
+def positive_mpf(value, name):
+    """:func:`finite_mpf`, and also :class:`UsageError` unless the value is
+    above zero."""
+    x = finite_mpf(value, name)
+    if not x > 0:
+        raise UsageError("%s must be positive, got %s" % (name, x))
+    return x
+
+
+def whole_number(value, name, low, high=None):
+    """``value`` when it is an ``int`` in ``low..high`` (no upper end for
+    ``high=None``); anything else, ``2.0`` included, raises
+    :class:`UsageError` naming ``name``."""
+    if isinstance(value, int) and low <= value and (high is None or value <= high):
+        return value
+    bounds = ">= %d" % low if high is None else "in %d..%d" % (low, high)
+    raise UsageError("%s must be a whole number %s, got %r" % (name, bounds, value))
+
+
+def member(enum, value, name):
+    """``value`` when it is a member of ``enum``; anything else, the member's
+    string value included, raises :class:`UsageError` naming ``name``."""
+    if isinstance(value, enum):
+        return value
+    raise UsageError("%s must be a %s member (%s), got %r"
+                     % (name, enum.__name__, ", ".join(m.name for m in enum), value))
 
 
 def nstr(x, digits):

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 
 from .errors import SolverError, UsageError
 from .poly import bracket_solve
-from .precision import to_mpf, tolerance
+from .precision import finite_mpf, positive_mpf, tolerance
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def solve_saddle(alpha):
     (the other branches are spurious).  The residuals are ``|Phi'|``, by
     numerical differentiation, and ``|Phi|``.
     """
-    alpha = to_mpf(alpha)
+    alpha = finite_mpf(alpha, "alpha")
     if not alpha > 1:
         raise UsageError("saddle analysis requires alpha > 1")
 
@@ -99,7 +99,4 @@ def d0_exact_rate():
 def predicted_R(alpha, A):
     """Predicted scale constant ``R = mu(alpha) * A`` of the trajectory
     ``rho_k ~ R/k`` for a series with inverse growth constant ``A > 0``."""
-    A = to_mpf(A)
-    if not A > 0:
-        raise UsageError("growth constant A must be positive")
-    return solve_saddle(alpha).mu * A
+    return solve_saddle(alpha).mu * positive_mpf(A, "A")

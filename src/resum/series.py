@@ -15,7 +15,7 @@ from mpmath import isfinite, mp, mpf
 
 from .errors import DiagnosticError, DomainError, UsageError
 from .poly import horner
-from .precision import to_mpf
+from .precision import to_mpf, whole_number
 
 
 def _as_coeffs(values):
@@ -62,9 +62,8 @@ class PowerSeries:
 
     def truncate(self, order):
         """Drop coefficients beyond ``order`` (which must not exceed self.order)."""
-        if order < 0 or order > self.order:
-            raise UsageError("cannot truncate order-%d series at %d" % (self.order, order))
-        return PowerSeries(self.coeffs[: order + 1], self.var)
+        return PowerSeries(self.coeffs[: whole_number(order, "order", 0, self.order) + 1],
+                           self.var)
 
     def eval(self, x, terms=None):
         """Partial sum of the first ``terms`` coefficients (all by default) at ``x``."""
@@ -90,11 +89,9 @@ def binomial_series(p, order, var="x"):
     Uses the stable ratio recursion ``c_k = c_{k-1} (k - 1 - p) / k`` with
     ``c_0 = 1``; for non-negative integer ``p`` the tail is exactly zero.
     """
-    if order < 0:
-        raise UsageError("order must be >= 0")
     p = to_mpf(p)
     coeffs = [mpf(1)]
-    for k in range(1, order + 1):
+    for k in range(1, whole_number(order, "order", 0) + 1):
         coeffs.append(coeffs[-1] * (k - 1 - p) / k)
     return PowerSeries(coeffs, var)
 
@@ -152,11 +149,7 @@ def ratio_growth_constant(s, tail):
     from the power prefactor.  Returns the plain average of that ratio over
     the last ``tail`` orders.
     """
-    if tail < 4:
-        raise UsageError("tail must be >= 4")
-    if s.order < tail:
-        raise UsageError("series order %d shorter than tail %d" % (s.order, tail))
-    lo = s.order - tail
+    lo = s.order - whole_number(tail, "tail", 4, s.order)
     window = s.coeffs[lo:]
     for k in range(len(window) - 1):
         if window[k] == 0 or window[k + 1] == 0 or window[k] * window[k + 1] > 0:

@@ -1,9 +1,10 @@
 """Acceptance suite: every graded criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
-criterion.  The heavy table rebuilds are shared module-scoped fixtures, each
-run through ``run_benchmark`` at its table's own digits and compared against
-the committed golden rows and checks in ``tests/golden/``.
+criterion.  The heavy table rebuilds come from the session fixture
+``table_result`` (``tests/conftest.py``), each run through ``run_benchmark``
+at its table's own digits and compared against the committed golden rows and
+checks in ``tests/golden/``.
 """
 
 import json
@@ -35,7 +36,6 @@ from resum import (
     scale,
     zeta_series,
 )
-from resum import benchmarks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -63,84 +63,52 @@ def precision():
         yield
 
 
-TABLE_FIXTURES = ("saddle_result", "d0_strong_result", "d0_g5_result", "oscillator_result",
-                  "phi4_fixed_point_result", "phi4_exponents_result", "borel_map_result")
+# The id under which each table's golden test runs, and the table.
+RESULTS = {"saddle_result": "saddle-table", "d0_strong_result": "odm-d0-strong",
+           "d0_g5_result": "odm-d0-g5", "oscillator_result": "odm-oscillator",
+           "phi4_fixed_point_result": "phi4-fixed-point",
+           "phi4_exponents_result": "phi4-exponents", "borel_map_result": "borel-map-exponents"}
 
 
-@pytest.fixture(scope="module")
-def saddle_result():
-    return benchmarks.run_benchmark("saddle-table")
-
-
-@pytest.fixture(scope="module")
-def d0_strong_result():
-    return benchmarks.run_benchmark("odm-d0-strong")
-
-
-@pytest.fixture(scope="module")
-def d0_g5_result():
-    return benchmarks.run_benchmark("odm-d0-g5")
-
-
-@pytest.fixture(scope="module")
-def oscillator_result():
-    return benchmarks.run_benchmark("odm-oscillator")
-
-
-@pytest.fixture(scope="module")
-def phi4_fixed_point_result():
-    return benchmarks.run_benchmark("phi4-fixed-point")
-
-
-@pytest.fixture(scope="module")
-def phi4_exponents_result():
-    return benchmarks.run_benchmark("phi4-exponents")
-
-
-@pytest.fixture(scope="module")
-def borel_map_result():
-    return benchmarks.run_benchmark("borel-map-exponents")
-
-
-@pytest.mark.parametrize("fixture", TABLE_FIXTURES)
-def test_table_matches_golden(fixture, request):
+@pytest.mark.parametrize("name", RESULTS)
+def test_table_matches_golden(name, table_result):
     """Rows and graded checks are exactly the committed golden output."""
-    result = request.getfixturevalue(fixture)
+    result = table_result(RESULTS[name])
     golden = json.loads((GOLDEN / ("%s.json" % result.table_id)).read_text())
     assert result.rows == golden["rows"]
     assert [[c.name, c.passed, c.observed, c.target] for c in result.checks] == golden["checks"]
 
 
-def test_criterion_1_saddle_constants(saddle_result):
-    assert_benchmark("1", saddle_result, names=("mu[", "lambda[", "residuals["))
+def test_criterion_1_saddle_constants(table_result):
+    assert_benchmark("1", table_result("saddle-table"), names=("mu[", "lambda[", "residuals["))
 
 
-def test_criterion_2_exact_rate(saddle_result):
-    assert_benchmark("2", saddle_result, names=("exact-rate", "R/A"))
+def test_criterion_2_exact_rate(table_result):
+    assert_benchmark("2", table_result("saddle-table"), names=("exact-rate", "R/A"))
 
 
-def test_criterion_3_d0_strong_coupling(d0_strong_result):
-    assert_benchmark("3", d0_strong_result)
+def test_criterion_3_d0_strong_coupling(table_result):
+    assert_benchmark("3", table_result("odm-d0-strong"))
 
 
-def test_criterion_4_d0_alternative_mapping(d0_g5_result):
-    assert_benchmark("4", d0_g5_result)
+def test_criterion_4_d0_alternative_mapping(table_result):
+    assert_benchmark("4", table_result("odm-d0-g5"))
 
 
-def test_criterion_5_oscillator(oscillator_result):
-    assert_benchmark("5", oscillator_result)
+def test_criterion_5_oscillator(table_result):
+    assert_benchmark("5", table_result("odm-oscillator"))
 
 
-def test_criterion_6_phi4_fixed_point(phi4_fixed_point_result):
-    assert_benchmark("6", phi4_fixed_point_result)
+def test_criterion_6_phi4_fixed_point(table_result):
+    assert_benchmark("6", table_result("phi4-fixed-point"))
 
 
-def test_criterion_7_phi4_exponents(phi4_exponents_result):
-    assert_benchmark("7", phi4_exponents_result)
+def test_criterion_7_phi4_exponents(table_result):
+    assert_benchmark("7", table_result("phi4-exponents"))
 
 
-def test_criterion_8_borel_mapping(borel_map_result):
-    assert_benchmark("8", borel_map_result)
+def test_criterion_8_borel_mapping(table_result):
+    assert_benchmark("8", table_result("borel-map-exponents"))
 
 
 class TestCriterion9PropertySuite:

@@ -332,13 +332,17 @@ CSV_HEADERS = {
 
 
 @pytest.mark.parametrize("command", CSV_HEADERS)
-def test_csv_header_order(command, tmp_path, capsys):
-    if command == "study":
-        argv = ["study", write(tmp_path, D0_FILE), "--max-order", "12"]
+def test_csv_header_order(command, tmp_path, capsys, table_result):
+    # The CSV columns are the keys of the first row, in order, so the shared
+    # table results stand in for the slow reproduce runs.
+    if command in ("study", "saddle-table"):
+        argv = (["study", write(tmp_path, D0_FILE), "--max-order", "12"]
+                if command == "study" else ["reproduce", command])
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
     else:
-        argv = ["reproduce", command]
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS[command]
+        header = ",".join(table_result(command).rows[0])
+    assert header == CSV_HEADERS[command]
 
 
 class TestStudyCommand:

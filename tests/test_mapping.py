@@ -263,6 +263,7 @@ def assert_rows_within_the_bound(table, rho, order):
     at three times the working precision (``u = 2^-prec``, ``n`` the degree,
     ``S = sum_j |c_j| rho^j``)."""
     got, u = table.lambda_coeffs(rho, order), mp.ldexp(1, -mp.prec)
+    rho = +rho  # the working-precision rho that lambda_coeffs reads
     with mp.workprec(3 * mp.prec):
         for k, (value, row) in enumerate(zip(got, table.polys)):
             exact = horner(row, rho)
@@ -280,7 +281,7 @@ def _mpf(man_exp):
        st.tuples(st.integers(1, 2 ** 300), st.integers(-320, 0)))
 def test_fixed_point_rows_lie_within_the_proved_bound(coeffs, rho):
     # Every prefix is a row, so degrees 0..40; rho may carry more bits than
-    # the working precision, as the polished scale does.
+    # the working precision, which lambda_coeffs rounds away.
     coeffs = [_mpf(c) for c in coeffs]
     with mp.workprec(400):
         rho = _mpf(rho)

@@ -1,6 +1,7 @@
 """Numeric kernel: Horner, polynomial roots, the bracketed solver, and the
-rules that no public call leaves the working precision changed and that every
-summation entry ends in a finite value or a ``ResumError``."""
+rules that no public call leaves the working precision changed, that every
+summation entry ends in a finite value or a ``ResumError``, and that a bad
+public input is a ``ResumError`` naming that input."""
 
 from fractions import Fraction
 from itertools import islice
@@ -22,14 +23,20 @@ from resum import (
     borel_pade_sum,
     borel_sum,
     build_rho_table,
+    conformal_map_coeffs,
+    convergence_study,
     d0_exact_rate,
     d0_partition_coeffs,
+    d0_partition_value,
+    g_of_lambda,
     lambda_of_g,
     odm_value,
     pade_eval,
     pade_fit,
+    predicted_R,
     select_rho,
     solve_saddle,
+    zeta_series,
 )
 from resum.cli import main
 from resum import poly
@@ -399,16 +406,16 @@ def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path, m
 @st.composite
 def short_series(draw):
     """1-6 small integer coefficients padded with 0-4 zeros, an [L/M] split
-    with ``L + M`` up to the order, an ODM order and a coupling.  Few
-    distinct values make exactly singular Pade systems likely."""
+    with ``L + M`` up to the order, an ODM order and a coupling, possibly
+    complex.  Few distinct values make exactly singular Pade systems likely."""
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
     coeffs += [0] * draw(st.integers(0, 4))
     order = len(coeffs) - 1
     L = draw(st.integers(0, order))
     M = draw(st.integers(0, order - L))
     k = draw(st.integers(1, max(order, 1)))
-    g = draw(st.sampled_from(["0.5", "2", "5", "1e6", "-1", "inf"]))
-    return PowerSeries(coeffs), L, M, k, (mp.inf if g == "inf" else mpf(g))
+    g = draw(st.sampled_from(["0.5", "2", "5", "1e6", "-1", "inf", "1j"]))
+    return PowerSeries(coeffs), L, M, k, (mp.inf if g == "inf" else 1j if g == "1j" else mpf(g))
 
 
 @settings(derandomize=True, max_examples=100)
@@ -432,3 +439,41 @@ def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
         except ResumError:
             continue
         assert mp.isfinite(value)
+
+
+SPEC = MappingSpec(MappingFamily.POWER_CUT, 2)
+
+
+# Each call ended in a TypeError or KeyError, a wrong value or no error at all.
+PROBES = {
+    "family-string": ("family", lambda t: MappingSpec("power-cut", 2)),
+    "mode-string": ("mode", lambda t: RhoSelectionCriterion(mode="mixed")),
+    "truncation-2.5": ("truncation", lambda t: BorelConfig(a=1, truncation=2.5)),
+    "predicted_R-A-inf": ("A", lambda t: predicted_R(2, mp.inf)),
+    "conformal-a-inf": ("a", lambda t: conformal_map_coeffs(d0_partition_coeffs(6), mp.inf)),
+    "g_of_lambda-rho-negative": ("rho", lambda t: g_of_lambda(mpf("0.5"), -1, SPEC)),
+    "g_of_lambda-lambda-inf": ("lambda", lambda t: g_of_lambda(mp.inf, 1, SPEC)),
+    "g_of_lambda-lambda-2": ("lambda", lambda t: g_of_lambda(
+        2, 1, MappingSpec(MappingFamily.POWER_CUT, "1.5"))),
+    "d0_partition_coeffs-2.5": ("K", lambda t: d0_partition_coeffs(2.5)),
+    "zeta_series-2.5": ("order", lambda t: zeta_series(SPEC, 2.5)),
+    "select_rho-2.5": ("k", lambda t: select_rho(t, 2.5, RhoSelectionCriterion())),
+    "convergence_study-2.5": ("K", lambda t: convergence_study(
+        t, RhoSelectionCriterion(), 2.5, mp.inf)),
+    "pade_fit-2.5": ("L", lambda t: pade_fit(d0_partition_coeffs(6), 2.5, 1)),
+    "borel_pade_sum-2.5": ("M", lambda t: borel_pade_sum(d0_partition_coeffs(6), 0, 2, 2.5, 1)),
+    "lambda_of_g-complex": ("g", lambda t: lambda_of_g(1j, 1, SPEC)),
+    "lambda_of_g-None": ("g", lambda t: lambda_of_g(None, 1, SPEC)),
+    "pade_eval-None": ("g", lambda t: pade_eval(pade_fit(d0_partition_coeffs(6), 1, 1), None)),
+    "d0_partition_value-complex": ("g", lambda t: d0_partition_value(1j)),
+    "d0_partition_value-None": ("g", lambda t: d0_partition_value(None)),
+    "odm_value-None": ("g", lambda t: odm_value(t, 6, RhoSelectionCriterion(), None)),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_a_bad_public_input_is_a_resum_error_naming_it(small_table, probe):
+    name, call = PROBES[probe]
+    with pytest.raises(ResumError) as info:
+        call(small_table)
+    assert str(info.value).startswith(name + " "), str(info.value)

@@ -31,15 +31,20 @@ SIDES = ("parent", "change")
 
 
 def run_once(tree, workload, seed, trace):
-    """One benchmark run in ``tree``: its result object (last stdout line)."""
+    """One benchmark run in ``tree``: its result object (last stdout line).
+
+    A run that exits nonzero or reports ``correct: false`` (its outputs
+    failed the benchmark's own check) stops the script: it is no timing."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not lines:
-        sys.exit("run failed in %s (%s, seed %d):\n%s" % (tree, workload, seed, proc.stderr))
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    if result.get("correct") is not True:
+        sys.exit("run failed in %s (%s, seed %d, exit %d):\n%s"
+                 % (tree, workload, seed, proc.returncode, proc.stderr))
+    return result
 
 
 def summary(pairs, metrics):
