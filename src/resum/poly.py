@@ -4,8 +4,8 @@ Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
 the root-modulus bounds, the complete root solver with its real-root filter,
 the descending positive-root scan that yields the real scale candidates,
-and one bracketed solver for scalar zeros (the per-order scale polish, the
-mapping inversion, the saddle equations, the Borel-summed flow).
+and one bracketed solver for scalar zeros (the polish of every scan root,
+the mapping inversion, the saddle equations, the Borel-summed flow).
 """
 
 import math
@@ -154,23 +154,11 @@ def _float_coeffs(coeffs):
     return out if ok else None
 
 
-def _float_sums(fcoeffs, x):
-    """``P(x)`` and ``S(x) = sum_j |c_j| |x|^j`` by float64 Horner, or None
-    outside the range where float64 keeps its relative accuracy."""
-    t = float(x)
-    if fcoeffs is None or not 1e-290 < abs(t) < 1e290:
-        return None
-    at, y, s = abs(t), 0.0, 0.0
-    for c, a in fcoeffs:
-        y = y * t + c
-        s = s * at + a
-    return (y, s) if s < 1e300 else None
-
-
 def _float_horner(fcoeffs, x):
     """``(y, r, s)``: ``P(x)`` in float64, a radius ``r`` around ``y`` that
     holds the exact ``P(x)`` and the :func:`horner` value, and an upper
-    bound ``s`` on ``S(x) = sum_j |c_j| |x|^j``; None defers.
+    bound ``s`` on ``S(x) = sum_j |c_j| |x|^j``; None outside the range
+    where float64 keeps its relative accuracy.
 
     With degree ``n``, ``u = 2^-53`` and ``S`` the float64 ``S(x)``:
     rounding ``c_j`` and ``x`` to float64 moves term ``j`` by at most
@@ -186,10 +174,15 @@ def _float_horner(fcoeffs, x):
     magnitude intervals order the mp magnitudes.  The same slack, which
     also covers the three roundings that form ``s``, makes ``s`` a bound.
     """
-    got = _float_sums(fcoeffs, x)
-    if got is None:
+    t = float(x)
+    if fcoeffs is None or not 1e-290 < abs(t) < 1e290:
         return None
-    y, s, n = got[0], got[1], len(fcoeffs) - 1
+    at, y, s, n = abs(t), 0.0, 0.0, len(fcoeffs) - 1
+    for c, a in fcoeffs:
+        y = y * t + c
+        s = s * at + a
+    if s >= 1e300:
+        return None
     return (y, s * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300,
             s * (1 + (3 * n + 4) * 1.25 * 2.0 ** -53) + 1e-300)
 
@@ -340,41 +333,28 @@ class _Sample:
         return abs(self.exact()) < abs(other.exact())
 
 
-def _polish(forms, dcoeffs, lo, hi):
+def _polish(forms, lo, hi):
     """The simple root between the samples ``lo.x < hi.x``, whose signs differ.
 
-    Illinois false-position steps first narrow the bracket, on signs the
-    float64 and fixed-point tiers certify, until neither certifies one or
-    the bracket is below ``2^-(prec/2)`` of its upper end.  The mp Newton
-    walk of :func:`bracket_solve` then runs on the narrowed bracket with
-    guard digits, so the root's accuracy is set by its conditioning well
-    below the caller's working precision; the root is then rounded once to
-    that precision, like every other candidate.  The residual reads as exactly
-    zero, which ends the walk at the current iterate, once it is rounding
-    noise: ``|P(x)| <= 16 u S(x)``, ``u`` the unit roundoff at polish
-    precision, ``S`` in float64."""
-    ends, fs, last = [lo, hi], [lo.certified(), hi.certified()], None
-    tol = mp.ldexp(hi.x, -(mp.prec // 2))
-    for _ in range(mp.prec):  # more steps than bisection alone would take
-        (lo, hi), (f_lo, f_hi) = ends, fs
-        if f_lo is None or f_hi is None or hi.x - lo.x <= tol:
-            break
-        x = (lo.x * f_hi - hi.x * f_lo) / (f_hi - f_lo)
-        mid = _Sample(forms, x if lo.x < x < hi.x else (lo.x + hi.x) / 2)
-        fx = mid.certified()
-        if fx is None:
-            break
-        i = int((fx > 0) != (f_lo > 0))  # the end that mid replaces
-        if i == last:
-            fs[1 - i] /= 2  # Illinois: the other end kept twice running
-        ends[i], fs[i], last = mid, fx, i
-    (lo, hi), (coeffs, fcoeffs) = ends, forms[:2]
+    One Illinois solve of :func:`bracket_solve` with guard digits, so the
+    root's accuracy is set by its conditioning well below the caller's
+    working precision; the root is then rounded once to that precision, like
+    every other candidate.  ``P`` comes from the first tier that certifies
+    its sign (:meth:`_Sample.certified`), so each bracket update takes the
+    sign mp gives; else from the mp :func:`horner`, read as exactly zero,
+    which ends the solve there, once it is rounding noise:
+    ``|P(x)| <= 16 u s``, ``u`` the unit roundoff at polish precision, ``s``
+    the float64 bound on ``S(x)`` of :func:`_float_horner`."""
     with mp.extradps(20):
         def f(x):
-            y, sums = horner(coeffs, x), _float_sums(fcoeffs, x)
-            return mpf(0) if sums and abs(y) <= 16 * 2.0 ** -mp.prec * sums[1] else y
+            sample = _Sample(forms, x)
+            value = sample.certified()
+            if value is not None:
+                return value
+            y = sample.exact()
+            return mpf(0) if sample.s and abs(y) <= 16 * 2.0 ** -mp.prec * sample.s else y
 
-        root = bracket_solve(f, lo.x, hi.x, tolerance(4), df=lambda x: horner(dcoeffs, x))
+        root = bracket_solve(f, lo.x, hi.x, tolerance(4))
     return +root
 
 
@@ -385,22 +365,22 @@ def positive_roots(coeffs):
     A generator: it walks a geometric grid of eight points per octave (at
     most 4000) from above the Fujiwara upper bound down to half the Fujiwara
     lower bound, evaluating the polynomial only as far as the caller reads,
-    and yields each sign change above ``10^(-dps/2)`` polished, duplicates
-    merged.  Grid cells where the polynomial magnitude dips to a local
-    minimum without changing sign are re-sampled sixteen times finer to
-    catch close root pairs.  Signs and dip comparisons come from the
-    certified float64 values of :func:`_float_horner`, then from the
-    certified fixed-point values of :func:`_fixed_horner`, and from the mp
-    :func:`horner` only where neither decides, so each decision is the one
-    mp alone makes.  A tangent (even-multiplicity) root is not a sign
-    change, so the scan does not report it.  Intended for the simple
-    positive roots of mapped-series polynomials of any degree; arbitrary
-    input should go through :func:`polynomial_real_roots`.
+    and yields each sign change above ``10^(-dps/2)`` polished by
+    :func:`_polish`, duplicates merged.  Grid cells where the polynomial
+    magnitude dips to a local minimum without changing sign are re-sampled
+    sixteen times finer to catch close root pairs.  Signs, dip comparisons
+    and the polish's steps come from the certified float64 values of
+    :func:`_float_horner`, then from the certified fixed-point values of
+    :func:`_fixed_horner`, and from the mp :func:`horner` only where neither
+    decides, so each decision is the one mp alone makes.  A tangent
+    (even-multiplicity) root is not a sign change, so the scan does not
+    report it.  Intended for the simple positive roots of mapped-series
+    polynomials of any degree; arbitrary input should go through
+    :func:`polynomial_real_roots`.
     """
     coeffs = strip_zeros(coeffs)
     if len(coeffs) < 2:
         return
-    dcoeffs = derivative_coeffs(coeffs)
     forms = (coeffs, _float_coeffs(coeffs), _fixed_coeffs(coeffs))
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
     lo = _fujiwara_lower_bound(coeffs) / 2
@@ -421,13 +401,13 @@ def positive_roots(coeffs):
         if fa.sign() == 0:
             yield fa.x
         elif fa.sign() * fb.sign() < 0:
-            yield _polish(forms, dcoeffs, fb, fa)
+            yield _polish(forms, fb, fa)
         elif depth > 0:
             step = (fa.x / fb.x) ** (mpf(1) / 16)
             sub = [_Sample(forms, fb.x * step ** j) for j in range(17)]
             for j in range(16, 0, -1):
                 if sub[j].sign() * sub[j - 1].sign() < 0:
-                    yield _polish(forms, dcoeffs, sub[j - 1], sub[j])
+                    yield _polish(forms, sub[j - 1], sub[j])
 
     def descending_roots():
         for i in range(n):
@@ -459,7 +439,9 @@ def bracket_solve(f, lo, hi, rtol, df=None):
     Illinois false-position step.  A step that would leave the shrinking
     bracket is replaced by bisection, so ``f`` is never evaluated outside
     the starting bracket.  Stops once the step or the bracket is below
-    ``rtol`` relative (absolute ``rtol**2`` near zero).  Raises
+    ``rtol`` relative (absolute ``rtol**2`` near zero); a Newton step that
+    small returns at once, before any bisection, and returns the iterate
+    itself when the step would leave the bracket.  Raises
     :class:`SolverError` when the endpoints do not differ in sign, or after
     ``mp.prec + 64`` steps -- more than bisection alone needs to resolve the
     working precision from a bracket within 2^64 of the root's size.
@@ -494,6 +476,8 @@ def bracket_solve(f, lo, hi, rtol, df=None):
         else:
             d = df(x)
             nxt = x - fx / d if d != 0 else hi  # a flat point bisects
+            if abs(nxt - x) <= rtol * max(abs(nxt), rtol):
+                return nxt if lo < nxt < hi else x  # x is now a bracket end
         if not lo < nxt < hi:
             nxt = (lo + hi) / 2
         tol = rtol * max(abs(nxt), rtol)

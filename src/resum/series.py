@@ -66,8 +66,13 @@ class PowerSeries:
                            self.var)
 
     def eval(self, x, terms=None):
-        """Partial sum of the first ``terms`` coefficients (all by default) at ``x``."""
-        return horner(self.coeffs if terms is None else self.coeffs[:max(terms, 0)], x)
+        """Partial sum of the first ``terms`` coefficients at ``x``: all of
+        them by default, none for a negative count."""
+        if terms is None:
+            terms = len(self.coeffs)
+        elif isinstance(terms, int) and terms < 0:
+            terms = 0
+        return horner(self.coeffs[:whole_number(terms, "terms", 0)], x)
 
 
 def multiply(a, b):
@@ -122,7 +127,7 @@ def revert(s, var=None):
     """
     if s.coeffs[0] != 0:
         raise DomainError("series reversion needs zero constant term")
-    if s.coeffs[1] == 0:
+    if s.order < 1 or s.coeffs[1] == 0:
         raise DomainError("series reversion needs nonzero linear term")
     order = s.order
     out_var = var if var is not None else s.var

@@ -27,6 +27,7 @@ from resum import (
     select_rho,
     zeta_series,
 )
+from resum import mapping as mapping_module
 from resum.poly import horner
 from resum.series import _mul_trunc
 
@@ -156,6 +157,25 @@ def test_lambda_of_g_complex_rho():
     assert mp.im(lam) != 0
     with pytest.raises(UsageError):
         lambda_of_g(mpf("1.4"), rho, MappingSpec(POWER_CUT, 2))
+
+
+def test_lambda_of_g_newton_stops_once_its_step_vanishes(monkeypatch):
+    # Newton converges by its 11th evaluation here.  Its last step rounds
+    # to nothing and lands on a bracket end; bisecting on from there would
+    # run to 200 evaluations.
+    spec = MappingSpec(POWER_CUT, 4, prefactor_p="0.5")
+    calls, zeta = [], mapping_module.zeta_value
+
+    def counted(mapping, x):
+        calls.append(x)
+        return zeta(mapping, x)
+
+    monkeypatch.setattr(mapping_module, "zeta_value", counted)
+    lam = lambda_of_g(5, mpf("0.16"), spec)
+    assert len(calls) <= 20
+    with mp.workdps(100):
+        want = mp.findroot(lambda x: zeta(spec, x) - 5 / mpf("0.16"), lam)
+    assert abs(lam - want) <= mpf(10) ** (6 - mp.dps) * want
 
 
 def test_lambda_of_g_rejects_an_infinite_rho():

@@ -215,8 +215,9 @@ def d0_alpha2_table():
 
 
 def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
-    # Newton reaches 5.411 from one side; a stop that returned the bracket
-    # midpoint instead of the iterate moved it to 5.335.
+    # Both roots of this quadratic are simple: the polish must return the
+    # root inside each bracket, 5.411 and 0.7603, not a bracket end or
+    # midpoint (the scan hands it [5.260, 5.734] for the upper root).
     table = build_rho_table(d0_partition_coeffs(4), MappingSpec(
         MappingFamily.POWER_CUT, 4, prefactor_p="0.5"))
     scanned = list(positive_roots(table.polys[2]))
@@ -228,9 +229,9 @@ def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
 
 
 def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
-    # The first stationary point at order 58: Newton reaches the rounding
-    # noise within a few steps; without the residual stop it wanders there
-    # until the bracket closes, 188 evaluations.
+    # The first stationary point at order 58: the Illinois steps on certified
+    # values reach the rounding noise, where the first mp evaluation reads as
+    # zero; without the residual stop the solve wanders there for 43.
     base, polish_calls = mp.prec, []
     evaluate = poly.horner
 
@@ -335,9 +336,9 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
             calls[mp.prec > base] += 1
             return evaluate(c, x)
 
-        def recorded(forms, dcoeffs, lo, hi):
+        def recorded(forms, lo, hi):
             brackets.append((lo.x, hi.x))
-            return polish(forms, dcoeffs, lo, hi)
+            return polish(forms, lo, hi)
 
         monkeypatch.setattr(poly, "horner", counted)
         monkeypatch.setattr(poly, "_polish", recorded)
@@ -345,7 +346,7 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
 
     tiered = run()
     scan_calls, polish_calls = tiered[2]
-    assert scan_calls == 0 and polish_calls <= 450
+    assert scan_calls == 0 and polish_calls <= 100
     monkeypatch.setattr(poly, "_float_horner", lambda fcoeffs, x: None)
     fixed_only = run()
     monkeypatch.setattr(poly, "_fixed_horner", lambda icoeffs, x, s=None: None)

@@ -157,6 +157,8 @@ def test_revert_round_trip():
         revert(series([1, 1]))
     with pytest.raises(DomainError):
         revert(series([0, 0, 1]))
+    with pytest.raises(DomainError, match="nonzero linear term"):
+        revert(series([0]))  # order 0: no linear term at all
 
 
 def test_truncate_pad_eval():
@@ -164,6 +166,9 @@ def test_truncate_pad_eval():
     assert s.truncate(1).coeffs == (mpf(1), mpf(2))
     assert s.eval(mpf("0.5")) == 1 + 2 * mpf("0.5") + 3 * mpf("0.25")
     assert s.eval(mpf("0.5"), terms=2) == 2
+    assert s.eval(mpf("0.5"), terms=-3) == 0  # a negative count means no terms
+    with pytest.raises(UsageError, match="terms"):
+        s.eval(mpf("0.5"), terms=2.5)
     assert scale(s, -1).coeffs == (mpf(-1), mpf(-2), mpf(-3))
 
 
