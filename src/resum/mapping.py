@@ -110,7 +110,7 @@ def lambda_of_g(g, rho, mapping):
     inverts in closed form, ``lambda = 1 - (1 + g/rho)^(-1/alpha)``, computed
     as ``-expm1(-log1p(g/rho)/alpha)`` so small ``g/rho`` does not cancel; it
     also carries a complex-pair ``rho`` into the complex plane.  The
-    power-cut family needs a real ``rho`` and is solved by bracketed Newton
+    power-cut family needs a real ``rho`` and is solved by Illinois steps
     on ``[0, min(g/rho, 1 - d)]``: ``zeta(x) >= x`` puts the root below
     ``g/rho``, and ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))`` puts ``zeta``
     above ``g/rho``, so ``lambda = 1`` (where ``zeta`` is infinite) is never
@@ -136,8 +136,7 @@ def lambda_of_g(g, rho, mapping):
     else:
         hi = min(w, 1 - min(mpf("0.5"), (2 + 2 * w) ** (-1 / alpha)))
         lam = hi if hi == 1 else bracket_solve(
-            lambda x: zeta_value(mapping, x) - w, mpf(0), hi, tolerance(6),
-            df=lambda x: (1 - x) ** (-alpha - 1) * (1 + (alpha - 1) * x))
+            lambda x: zeta_value(mapping, x) - w, mpf(0), hi, tolerance(6))
     if lam == 1:
         raise DomainError("g/rho = %s is too large to resolve lambda below 1 at %d digits"
                           % (mp.nstr(w, 8), mp.dps))

@@ -13,7 +13,7 @@ import math
 from mpmath import mp, mpf, polyroots
 from mpmath.libmp import from_man_exp
 
-from .errors import SolverError, UsageError
+from .errors import ResourceError, SolverError, UsageError
 from .precision import to_mpf, tolerance
 
 
@@ -51,16 +51,16 @@ def _log2_abs(x):
     return (exp + bc) + math.log2(man / (1 << bc))  # quotient in [1/2, 1)
 
 
-def _contenders(coeffs, pivot, js, order):
-    """The ``js`` whose ``|c_j/c_pivot|^(1/order(j))`` may be the largest: those
+def _contenders(coeffs, js):
+    """The ``js`` whose ``|c_j/c_d|^(1/(d-j))`` may be the largest: those
     within 1e-6 of the largest in float64 ``log2`` (:func:`_log2_abs`), or all
     of them when a logarithm is None.  Each float64 ``log2`` is within 1e-7 of
-    that of the mp power (or of its reciprocal), so the mp power of every
-    ``j`` left out is strictly below (or above) that of one kept."""
-    base, logs = _log2_abs(coeffs[pivot]), [_log2_abs(coeffs[j]) for j in js]
+    the mp power's, so every ``j`` left out has a power below one kept."""
+    d = len(coeffs) - 1
+    base, logs = _log2_abs(coeffs[d]), [_log2_abs(coeffs[j]) for j in js]
     if base is None or None in logs:
         return js
-    keys = [(lj - base) / order(j) for j, lj in zip(js, logs)]
+    keys = [(lj - base) / (d - j) for j, lj in zip(js, logs)]
     top = max(keys, default=0)
     return [j for j, k in zip(js, keys) if k >= top - 1e-6]
 
@@ -69,22 +69,15 @@ def _fujiwara_bound(coeffs):
     """Upper bound on root moduli: ``2 max_j |c_j/c_d|^(1/(d-j))``, the mp
     power taken only for the :func:`_contenders`."""
     d, cd = len(coeffs) - 1, abs(coeffs[-1])
-    js = _contenders(coeffs, d, [j for j, c in enumerate(coeffs[:-1]) if c != 0],
-                     lambda j: d - j)
+    js = _contenders(coeffs, [j for j, c in enumerate(coeffs[:-1]) if c != 0])
     best = max(((abs(coeffs[j]) / cd) ** (mpf(1) / (d - j)) for j in js), default=0)
     return 2 * best if best > 0 else mpf(1)
 
 
 def _fujiwara_lower_bound(coeffs):
-    """Lower bound on root moduli: Fujiwara's bound on the reversed polynomial,
-    ``(1/2) min_j |c_0/c_j|^(1/j)`` over nonzero ``c_j`` (zero when ``c_0`` is),
-    the mp power taken only for the :func:`_contenders`."""
-    c0 = abs(coeffs[0])
-    if c0 == 0:
-        return mpf(0)
-    js = _contenders(coeffs, 0, [j for j, c in enumerate(coeffs) if j and c != 0],
-                     lambda j: j)
-    return min((c0 / abs(coeffs[j])) ** (mpf(1) / j) for j in js) / 2
+    """Lower bound on root moduli, zero when ``c_0`` is: the reciprocal of
+    :func:`_fujiwara_bound` on the reversed polynomial (reciprocal roots)."""
+    return mpf(0) if coeffs[0] == 0 else 1 / _fujiwara_bound(coeffs[::-1])
 
 
 def all_roots(coeffs):
@@ -116,9 +109,7 @@ def polynomial_real_roots(coeffs):
     if len(coeffs) < 2:
         raise UsageError("degree must be >= 1 for root finding")
     # Trailing zero coefficients factor out as a root at the origin.
-    lead = 0
-    while coeffs[lead] == 0:
-        lead += 1
+    lead = next(j for j, c in enumerate(coeffs) if c != 0)
     coeffs = coeffs[lead:]
     roots = []
     if len(coeffs) > 1:
@@ -128,22 +119,23 @@ def polynomial_real_roots(coeffs):
             if abs(mp.im(r)) > imag_tol * max(1, abs(r)):
                 continue
             r = mp.re(r)
-            scale = mp.fsum(abs(c) * abs(r) ** j for j, c in enumerate(coeffs))
-            if scale == 0:
-                scale = mpf(1)
+            scale = mp.fsum(abs(c) * abs(r) ** j for j, c in enumerate(coeffs)) or mpf(1)
             if abs(horner(coeffs, r)) > scale * res_tol:
                 continue
             roots.append(r)
     if lead:
         roots.append(mpf(0))
-    roots.sort()
-    merged = []
-    merge_tol = tolerance(mp.dps // 2)
+    return list(_merge_near(sorted(roots)))
+
+
+def _merge_near(roots):
+    """The sorted ``roots`` without each one within ``10^(-dps/2)`` relative
+    of the root kept before it."""
+    eps, last = tolerance(mp.dps // 2), None
     for r in roots:
-        if merged and abs(r - merged[-1]) <= merge_tol * max(1, abs(r)):
-            continue
-        merged.append(r)
-    return merged
+        if last is None or abs(r - last) > eps * max(1, abs(r)):
+            last = r
+            yield r
 
 
 def _float_coeffs(coeffs):
@@ -344,7 +336,9 @@ def _polish(forms, lo, hi):
     sign mp gives; else from the mp :func:`horner`, read as exactly zero,
     which ends the solve there, once it is rounding noise:
     ``|P(x)| <= 16 u s``, ``u`` the unit roundoff at polish precision, ``s``
-    the float64 bound on ``S(x)`` of :func:`_float_horner`."""
+    the float64 bound on ``S(x)`` of :func:`_float_horner`.  Raises
+    :class:`ResourceError` when the guard digits see no sign change: the
+    scan's mp sign at an end was rounding noise at working precision."""
     with mp.extradps(20):
         def f(x):
             sample = _Sample(forms, x)
@@ -354,7 +348,14 @@ def _polish(forms, lo, hi):
             y = sample.exact()
             return mpf(0) if sample.s and abs(y) <= 16 * 2.0 ** -mp.prec * sample.s else y
 
-        root = bracket_solve(f, lo.x, hi.x, tolerance(4))
+        try:
+            root = bracket_solve(f, lo.x, hi.x, tolerance(4))
+        except SolverError:
+            if (f(lo.x) > 0) != (f(hi.x) > 0):
+                raise
+            raise ResourceError("the scan's sign change on [%s, %s] is rounding noise at %d "
+                                "digits; raise the working precision" % (
+                                    mp.nstr(lo.x, 8), mp.nstr(hi.x, 8), mp.dps - 20)) from None
     return +root
 
 
@@ -366,13 +367,15 @@ def positive_roots(coeffs):
     most 4000) from above the Fujiwara upper bound down to half the Fujiwara
     lower bound, evaluating the polynomial only as far as the caller reads,
     and yields each sign change above ``10^(-dps/2)`` polished by
-    :func:`_polish`, duplicates merged.  Grid cells where the polynomial
-    magnitude dips to a local minimum without changing sign are re-sampled
-    sixteen times finer to catch close root pairs.  Signs, dip comparisons
-    and the polish's steps come from the certified float64 values of
-    :func:`_float_horner`, then from the certified fixed-point values of
-    :func:`_fixed_horner`, and from the mp :func:`horner` only where neither
-    decides, so each decision is the one mp alone makes.  A tangent
+    :func:`_polish`, near duplicates merged.  Each grid cell is visited once.
+    At a dip (a grid point whose magnitude is below both neighbours', no sign
+    change) both cells around it are re-sampled sixteen times finer to catch
+    close root pairs, the lower one only if its ends share a nonzero sign.
+    Signs, dip comparisons and the polish's steps come from the certified
+    float64 values of :func:`_float_horner`, then from the certified
+    fixed-point values of :func:`_fixed_horner`, and from the mp
+    :func:`horner` only where neither decides, so each decision is the one
+    mp alone makes.  A tangent
     (even-multiplicity) root is not a sign change, so the scan does not
     report it.  Intended for the simple positive roots of mapped-series
     polynomials of any degree; arbitrary input should go through
@@ -383,9 +386,7 @@ def positive_roots(coeffs):
         return
     forms = (coeffs, _float_coeffs(coeffs), _fixed_coeffs(coeffs))
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
-    lo = _fujiwara_lower_bound(coeffs) / 2
-    if lo <= 0 or lo >= hi:
-        lo = hi * mpf("1e-20")
+    lo = _fujiwara_lower_bound(coeffs) / 2 or hi * mpf("1e-20")  # zero: a root at 0
     n = min(max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8), 4000)
     ratio = (lo / hi) ** (mpf(1) / n)
     grid = [_Sample(forms, hi)]
@@ -396,52 +397,44 @@ def positive_roots(coeffs):
             grid.append(_Sample(forms, grid[-1].x * ratio))
         return grid[i]
 
-    def cell_roots(fa, fb, depth):
-        # fa.x > fb.x on the descending walk
-        if fa.sign() == 0:
-            yield fa.x
-        elif fa.sign() * fb.sign() < 0:
-            yield _polish(forms, fb, fa)
-        elif depth > 0:
-            step = (fa.x / fb.x) ** (mpf(1) / 16)
-            sub = [_Sample(forms, fb.x * step ** j) for j in range(17)]
-            for j in range(16, 0, -1):
-                if sub[j].sign() * sub[j - 1].sign() < 0:
-                    yield _polish(forms, sub[j - 1], sub[j])
+    def refine(fa, fb):
+        # Sign changes among sixteen sub-cells of fa.x > fb.x, descending.
+        step = (fa.x / fb.x) ** (mpf(1) / 16)
+        sub = [_Sample(forms, fb.x * step ** j) for j in range(17)]
+        for j in range(16, 0, -1):
+            if sub[j].sign() * sub[j - 1].sign() < 0:
+                yield _polish(forms, sub[j - 1], sub[j])
 
     def descending_roots():
         for i in range(n):
             fa, fb = point(i), point(i + 1)
-            if fa.sign() * fb.sign() < 0 or fa.sign() == 0:
-                yield from cell_roots(fa, fb, 0)
+            if fa.sign() == 0:
+                yield fa.x
+            elif fa.sign() * fb.sign() < 0:
+                yield _polish(forms, fb, fa)
             elif i + 2 <= n:
-                # Dip cells: magnitude local minimum with no sign change.
+                # A dip at fb; a sign change or zero on (fb, fc) is the next cell's.
                 fc = point(i + 2)
                 if fb.smaller(fa) and fb.smaller(fc):
-                    yield from cell_roots(fa, fb, 1)
-                    yield from cell_roots(fb, fc, 1)
+                    yield from refine(fa, fb)
+                    if fb.sign() * fc.sign() > 0:
+                        yield from refine(fb, fc)
         if grid[n].sign() == 0:
             yield grid[n].x
 
     eps = tolerance(mp.dps // 2)
-    last = None
-    for r in descending_roots():
-        if last is None or abs(r - last) > eps * max(1, abs(r)):
-            last = r
-            if r > eps:
-                yield r
+    yield from (r for r in _merge_near(descending_roots()) if r > eps)
 
 
-def bracket_solve(f, lo, hi, rtol, df=None):
+def bracket_solve(f, lo, hi, rtol):
     """Zero of ``f`` between ``lo`` and ``hi``, where ``f`` changes sign.
 
-    With the derivative ``df`` each step is Newton's; without it, an
-    Illinois false-position step.  A step that would leave the shrinking
-    bracket is replaced by bisection, so ``f`` is never evaluated outside
-    the starting bracket.  Stops once the step or the bracket is below
-    ``rtol`` relative (absolute ``rtol**2`` near zero); a Newton step that
-    small returns at once, before any bisection, and returns the iterate
-    itself when the step would leave the bracket.  Raises
+    Illinois false-position steps (Dowell and Jarratt, BIT 11 (1971) 168).
+    A step below ``rtol`` relative (absolute ``rtol**2`` near zero) returns at
+    once: the step if it lies inside the bracket, else the iterate, then a
+    bracket end.  Any other step that would leave the shrinking bracket is
+    replaced by bisection, so ``f`` is never evaluated outside the starting
+    bracket, and the solve stops once the bracket is below ``rtol``.  Raises
     :class:`SolverError` when the endpoints do not differ in sign, or after
     ``mp.prec + 64`` steps -- more than bisection alone needs to resolve the
     working precision from a bracket within 2^64 of the root's size.
@@ -455,7 +448,7 @@ def bracket_solve(f, lo, hi, rtol, df=None):
         return hi
     if (f_lo > 0) == (f_hi > 0):
         raise SolverError("no sign change on [%s, %s]" % (mp.nstr(lo, 8), mp.nstr(hi, 8)))
-    x = (lo + hi) / 2 if df is not None else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
     kept = 0  # the endpoint kept by the last step: -1 lo, +1 hi
     for _ in range(mp.prec + 64):
         fx = f(x)
@@ -471,13 +464,9 @@ def bracket_solve(f, lo, hi, rtol, df=None):
             if kept < 0:
                 f_lo /= 2
             kept = -1
-        if df is None:
-            nxt = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        else:
-            d = df(x)
-            nxt = x - fx / d if d != 0 else hi  # a flat point bisects
-            if abs(nxt - x) <= rtol * max(abs(nxt), rtol):
-                return nxt if lo < nxt < hi else x  # x is now a bracket end
+        nxt = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if abs(nxt - x) <= rtol * max(abs(nxt), rtol):
+            return nxt if lo < nxt < hi else x  # x is now a bracket end
         if not lo < nxt < hi:
             nxt = (lo + hi) / 2
         tol = rtol * max(abs(nxt), rtol)

@@ -6,7 +6,7 @@ at negative ``lambda``.  Eliminating the scale leaves a two-equation system
 in ``(mu, lambda)`` whose solution predicts ``R = mu * A`` for the asymptotic
 scale trajectory ``rho_k ~ R / k``.  The d=0 partition function admits an
 exact one-equation version with an explicit geometric rate.  Both scalar
-equations go to the bracketed solver of :mod:`resum.poly`.
+equations go to the Illinois solver of :mod:`resum.poly`.
 """
 
 from dataclasses import dataclass
@@ -82,17 +82,13 @@ def d0_exact_rate():
     """Exact scale constant and geometric rate for the d=0 partition function.
 
     Solves ``exp(sqrt(R^2+9)/R) = (sqrt(R^2+9) + R) / 3`` by bracketed
-    Newton on [3, 6] and returns ``(R, exp(-3/R))``.
+    false position on [3, 6] and returns ``(R, exp(-3/R))``.
     """
     def q(R):
         root = mp.sqrt(R * R + 9)
         return mp.exp(root / R) - (root + R) / 3
 
-    def dq(R):
-        root = mp.sqrt(R * R + 9)
-        return mp.exp(root / R) * (-9 / (root * R * R)) - (R / root + 1) / 3
-
-    R = bracket_solve(q, mpf(3), mpf(6), tolerance(4), df=dq)
+    R = bracket_solve(q, mpf(3), mpf(6), tolerance(4))
     return R, mp.exp(-3 / R)
 
 

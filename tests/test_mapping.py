@@ -159,10 +159,9 @@ def test_lambda_of_g_complex_rho():
         lambda_of_g(mpf("1.4"), rho, MappingSpec(POWER_CUT, 2))
 
 
-def test_lambda_of_g_newton_stops_once_its_step_vanishes(monkeypatch):
-    # Newton converges by its 11th evaluation here.  Its last step rounds
-    # to nothing and lands on a bracket end; bisecting on from there would
-    # run to 200 evaluations.
+def _counted_inversion(monkeypatch, rho):
+    """``lambda_of_g(5, rho)`` at alpha = 4, p = 1/2: lambda, its 100-digit
+    reference and the number of ``zeta_value`` calls the inversion made."""
     spec = MappingSpec(POWER_CUT, 4, prefactor_p="0.5")
     calls, zeta = [], mapping_module.zeta_value
 
@@ -171,10 +170,26 @@ def test_lambda_of_g_newton_stops_once_its_step_vanishes(monkeypatch):
         return zeta(mapping, x)
 
     monkeypatch.setattr(mapping_module, "zeta_value", counted)
-    lam = lambda_of_g(5, mpf("0.16"), spec)
-    assert len(calls) <= 20
+    lam = lambda_of_g(5, mpf(rho), spec)
     with mp.workdps(100):
-        want = mp.findroot(lambda x: zeta(spec, x) - 5 / mpf("0.16"), lam)
+        want = mp.findroot(lambda x: zeta(spec, x) - 5 / mpf(rho), lam)
+    return lam, want, len(calls)
+
+
+def test_lambda_of_g_newton_stops_once_its_step_vanishes(monkeypatch):
+    # The Illinois steps reach the root by the 15th evaluation here and stop
+    # once a step falls below the tolerance.
+    lam, want, calls = _counted_inversion(monkeypatch, "0.16")
+    assert calls <= 20
+    assert abs(lam - want) <= mpf(10) ** (6 - mp.dps) * want
+
+
+def test_lambda_of_g_stops_when_a_step_rounds_onto_a_bracket_end(monkeypatch):
+    # Here a secant step rounds onto the bracket end it started from.  The
+    # vanished step must stop the solve before the bisection fallback, which
+    # would otherwise halve the bracket down to 91 evaluations.
+    lam, want, calls = _counted_inversion(monkeypatch, "0.1684537626198761745")
+    assert calls <= 20
     assert abs(lam - want) <= mpf(10) ** (6 - mp.dps) * want
 
 

@@ -8,6 +8,7 @@ from resum import (
     MappingFamily,
     MappingSpec,
     PowerSeries,
+    ResourceError,
     RhoSelectionCriterion,
     SelectionError,
     SelectionMode,
@@ -159,6 +160,20 @@ class TestSelection:
     def test_root_mode_fails_on_even_order(self, d0_table):
         with pytest.raises(SelectionError):
             select_rho(d0_table, 8, RhoSelectionCriterion(mode=SelectionMode.ROOT))
+
+    def test_scan_sign_lost_to_rounding_asks_for_more_precision(self):
+        # At order 114 of the K = 130 d0 table the scan's 64-digit mp sign at
+        # a cell end is rounding noise: the polish's guard digits see no sign
+        # change there, which only a higher working precision resolves.
+        spec = MappingSpec(MappingFamily.POWER_CUT, 2, prefactor_p="0.5")
+        with mp.workdps(64):
+            table = build_rho_table(d0_partition_coeffs(130), spec)
+            with pytest.raises(ResourceError, match="64 digits; raise the working precision"):
+                select_rho(table, 114, MIXED)
+        with mp.workdps(80):
+            table = build_rho_table(d0_partition_coeffs(130), spec)
+            rho = select_rho(table, 114, MIXED).rho
+            assert abs(rho - mpf("0.0394860886020404666")) <= mpf("1e-18")
 
     def test_criterion_validation(self):
         for tau in (0, mp.nan, mp.inf, "nan"):

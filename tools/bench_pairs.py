@@ -13,8 +13,11 @@ the change.  Workload ``i`` (in ``BENCHMARK.json`` order) takes the seeds
 ``first_seed + 100 i + p`` for pair ``p``; pick a ``--first-seed`` no earlier
 run used.  With ``--traced`` it then runs ``--trace 1 --seed 1`` once per side
 for each named workload.  The output holds every pair, the median and the
-inclusive quartiles of each end-to-end metric per side, and ``change_wins``:
-the pairs where the change is better, ties counting for neither.
+inclusive quartiles of each end-to-end metric per side, ``change_wins``:
+the pairs where the change is better, ties counting for neither, and
+``within_bound``: whether the change's median is worse than the parent's by
+at most the metric's ``BENCHMARK.json`` ``bound``, relative to the parent
+median.
 """
 
 import argparse
@@ -48,7 +51,9 @@ def run_once(tree, workload, seed, trace):
 
 
 def summary(pairs, metrics):
-    """Median, inclusive quartiles and wins of each end-to-end metric."""
+    """Median, inclusive quartiles and wins of each end-to-end metric, and
+    ``within_bound``: whether the change's median is worse than the parent's
+    by no more than the metric's ``bound``, relative to the parent median."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -61,9 +66,12 @@ def summary(pairs, metrics):
         for side in SIDES:
             q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             stats[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        parent, change = (statistics.median(values[side]) for side in SIDES)
+        worse = change - parent if lower else parent - change
         out[name] = dict(stats, change_wins=wins, ties=ties, pairs=len(pairs),
                          change_over_parent_median=round(
-                             stats["change"]["median"] / stats["parent"]["median"], 4))
+                             stats["change"]["median"] / stats["parent"]["median"], 4),
+                         within_bound=worse <= spec["bound"] * abs(parent))
     return out
 
 
@@ -108,7 +116,9 @@ def main(argv=None):
         "seeds_note": "workload i of BENCHMARK.json takes seeds %d + 100 i + pair; "
                       "traced runs use seed 1" % args.first_seed,
         "summary_note": "median and inclusive quartiles over the pairs; change_wins "
-                        "counts pairs where the change is better, ties counting for neither",
+                        "counts pairs where the change is better, ties counting for neither; "
+                        "within_bound: the change's median is worse than the parent's by at "
+                        "most the metric's BENCHMARK.json bound, relative to the parent median",
         "workloads": {},
     }
     if args.traced:
