@@ -62,11 +62,12 @@ def summary(pairs, metrics):
         for a, b in zip(values["parent"], values["change"]):
             ties += a == b
             wins += (b < a) if lower else (b > a)
-        stats = {}
+        stats, medians = {}, {}
         for side in SIDES:
-            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
-            stats[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
-        parent, change = (statistics.median(values[side]) for side in SIDES)
+            q1, medians[side], q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            stats[side] = {"median": round(medians[side], 4), "q1": round(q1, 4),
+                           "q3": round(q3, 4)}
+        parent, change = medians["parent"], medians["change"]
         worse = change - parent if lower else parent - change
         out[name] = dict(stats, change_wins=wins, ties=ties, pairs=len(pairs),
                          change_over_parent_median=round(
