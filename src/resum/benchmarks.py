@@ -351,36 +351,36 @@ def _borel_zero(coeffs, laplace):
 def run_borel_map_exponents():
     """Fixed point and exponents through the Borel-Leroy mapped summation.
 
-    The Leroy parameter is tuned over the grid 0, 1, 2, 3: the value whose
-    order-6 -> 7 fixed-point movement is smallest wins.  Checks grade the
-    order-7 values (loose windows; the historical pipeline carried further
-    optimizations that are not reconstructed) and the stabilization of the
-    order sequence.
+    The Leroy parameter is tuned over the grid 0, 1, 2, 3: of the values with
+    order-6 and order-7 zeros, the one whose fixed point moves least between
+    them wins, the first on a tie; orders 2..5 are solved for it alone.  Checks
+    grade the order-7 values (loose windows; the historical pipeline's further
+    optimizations are not reconstructed) and the stabilization of the orders.
     """
     sigmas = (0, 1, 2, 3)
     rg = rg_series()
-    a = rg.large_order_a
-    nu_inv = nu_inv_series()
+    a, series = rg.large_order_a, (rg.beta, nu_inv_series(), rg.gamma_inv)
     quad_tol = mpf(10) ** (-(mp.dps // 2))
-    trajectories = {}
-    for sigma in sigmas:
+
+    def solve(sigma, orders):
+        """``{k: (g*, nu, gamma)}`` over the ``orders`` with a zero; the moments
+        at one coupling serve every order and all three series."""
         cfg = BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol)
-        # The moments at one coupling serve every order and all three series.
-        laplace = cache(partial(laplace_moments, cfg, n=7))
-        rows = {}
-        for k in range(2, 8):
+        laplace, rows = cache(partial(laplace_moments, cfg, n=7)), {}
+        for k in orders:
             beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
-                s.truncate(k), sigma), a).coeffs for s in (rg.beta, nu_inv, rg.gamma_inv))
+                s.truncate(k), sigma), a).coeffs for s in series)
             g_star = _borel_zero(beta, laplace)
             if g_star is not None:
-                rows[k] = (g_star, 1 / laplace(g_star).integral(nu)[0],
-                           1 / laplace(g_star).integral(gamma)[0])
-        if 6 in rows and 7 in rows:
-            trajectories[sigma] = rows
-    if not trajectories:
+                rows[k] = (g_star, *(1 / laplace(g_star).integral(c)[0] for c in (nu, gamma)))
+        return rows
+
+    late = {sigma: solve(sigma, (6, 7)) for sigma in sigmas}
+    moves = {s: abs(r[7][0] - r[6][0]) for s, r in late.items() if 6 in r and 7 in r}
+    if not moves:
         raise SelectionError("no Leroy parameter yields a usable trajectory")
-    sigma = min(trajectories, key=lambda s: abs(trajectories[s][7][0] - trajectories[s][6][0]))
-    rows_by_k = trajectories[sigma]
+    sigma = min(moves, key=moves.get)
+    rows_by_k = solve(sigma, range(2, 6)) | late[sigma]
     rows = []
     for k in sorted(BOREL_MAP_REFERENCE):
         ref = BOREL_MAP_REFERENCE[k]

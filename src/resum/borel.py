@@ -192,12 +192,16 @@ class Laplace:
     def integral(self, coeffs):
         """``(sum_j coeffs[j] I_j, error)``: the error estimate of this sum's own
         levels, added over the pieces.  Levels run to 2^10, then 2^12 if the
-        error misses ``rel_tol`` relative (absolute below 1)."""
+        error misses ``rel_tol`` relative (absolute below 1).  More ``coeffs``
+        than integrals ``I_j`` raise :class:`UsageError`."""
         for max_level in (10, 12):
             val = err = mpf(0)
             with mp.workprec(self.prec + 20):
                 for i, piece in enumerate(self.pieces):
                     self._refine(i, max_level)
+                    if len(coeffs) > len(piece[3][0]):
+                        raise UsageError("%d coefficients for %d Laplace integrals"
+                                         % (len(coeffs), len(piece[3][0])))
                     seq = [mp.fdot(coeffs, level) for level in piece[3]]
                     val += seq[-1]
                     err += _estimate_error(seq, self.prec, self.eps)

@@ -36,6 +36,7 @@ from resum import (
     scale,
     zeta_series,
 )
+from resum import benchmarks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -109,6 +110,35 @@ def test_criterion_7_phi4_exponents(table_result):
 
 def test_criterion_8_borel_mapping(table_result):
     assert_benchmark("8", table_result("borel-map-exponents"))
+
+
+def test_borel_map_config_names_the_chosen_shift(table_result):
+    assert table_result("borel-map-exponents").config == {
+        "digits": 40, "sigma": "1", "a": "0.147774232", "sigma_grid": "0,1,2,3"}
+
+
+def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch):
+    """Orders 6 and 7 of each of the four shifts pick the winner, and only
+    the winner's orders 2..5 follow: 12 zero solves, where every shift at
+    every order would take 24."""
+    zeros, builds = [], []
+
+    def zero(*args):
+        zeros.append(args)
+        return borel_zero(*args)
+
+    def moments(*args, **kwargs):
+        builds.append(args)
+        return laplace_moments(*args, **kwargs)
+
+    borel_zero, laplace_moments = benchmarks._borel_zero, benchmarks.laplace_moments
+    monkeypatch.setattr(benchmarks, "_borel_zero", zero)
+    monkeypatch.setattr(benchmarks, "laplace_moments", moments)
+    result = benchmarks.run_benchmark("borel-map-exponents")
+    assert len(zeros) == 12
+    assert len(builds) <= 125
+    golden = json.loads((GOLDEN / "borel-map-exponents.json").read_text())
+    assert result.rows == golden["rows"]
 
 
 class TestCriterion9PropertySuite:

@@ -31,3 +31,31 @@ def test_within_bound_reads_the_bound_relative_to_the_parent_median(better, chan
     got = bench_pairs.summary(_pairs("m", [0.9, 1.0, 1.1], change), [spec])["m"]
     assert got["parent"]["median"] == 1.0
     assert got["within_bound"] is within
+
+
+# Ten parent runs 1.00 .. 1.18: median 1.09, q1 1.045, q3 1.135, spread 0.09.
+PARENT = [1 + 0.02 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("better, change, shown", [
+    # Ten wins, and the medians 0.59 apart: shown.
+    ("lower", [v - 0.5 for v in PARENT], True),
+    # Ten wins, but the medians only 0.05 apart, inside the parent's spread.
+    ("lower", [v - 0.05 for v in PARENT], False),
+    # Nine wins and one tie: the tie counts for neither, and 9/10 suffice.
+    ("lower", [v - 0.5 for v in PARENT[:9]] + PARENT[9:], True),
+    # Eight wins and two ties: not enough.
+    ("lower", [v - 0.5 for v in PARENT[:8]] + PARENT[8:], False),
+    # Eight wins and two losses.
+    ("lower", [v - 0.5 for v in PARENT[:8]] + [v + 0.5 for v in PARENT[8:]], False),
+    # Higher-better: a large drop is ten losses, a large rise ten wins.
+    ("higher", [v - 0.5 for v in PARENT], False),
+    ("higher", [v + 0.5 for v in PARENT], True),
+])
+def test_gain_shown_needs_nine_tenths_and_a_gap_beyond_the_parent_spread(better, change,
+                                                                          shown):
+    spec = {"name": "m", "better": better, "bound": 0.2}
+    got = bench_pairs.summary(_pairs("m", PARENT, change), [spec])["m"]
+    assert (got["parent"]["q1"], got["parent"]["median"], got["parent"]["q3"]) == (
+        1.045, 1.09, 1.135)
+    assert got["gain_shown"] is shown

@@ -149,6 +149,15 @@ def test_truncation_error_is_the_order_k_minus_one_difference():
         assert abs(out.truncation_error - abs(out.value - prev)) <= mpf("1e-60") * abs(prev)
 
 
+def test_laplace_integral_rejects_more_coefficients_than_moments():
+    moments = borel.laplace_moments(BorelConfig(a=1), 1, 2)
+    full = moments.integral((1, 1, 1))
+    assert moments.integral((1, 1)) != full
+    with pytest.raises(UsageError, match="4 coefficients for 3 Laplace integrals"):
+        moments.integral((1, 1, 1, 1000))
+    assert moments.integral((1, 1, 1)) == full
+
+
 def test_node_cache_stays_within_its_bound():
     # Each Leroy shift is a new key set: two pieces times several levels.
     s = alternating_factorial(3)

@@ -17,7 +17,9 @@ inclusive quartiles of each end-to-end metric per side, ``change_wins``:
 the pairs where the change is better, ties counting for neither, and
 ``within_bound``: whether the change's median is worse than the parent's by
 at most the metric's ``BENCHMARK.json`` ``bound``, relative to the parent
-median.
+median, and ``gain_shown``: whether the change wins at least nine tenths of
+the pairs and its median differs from the parent's by more than the parent's
+interquartile range ``q3 - q1``.
 """
 
 import argparse
@@ -51,9 +53,12 @@ def run_once(tree, workload, seed, trace):
 
 
 def summary(pairs, metrics):
-    """Median, inclusive quartiles and wins of each end-to-end metric, and
+    """Median, inclusive quartiles and wins of each end-to-end metric,
     ``within_bound``: whether the change's median is worse than the parent's
-    by no more than the metric's ``bound``, relative to the parent median."""
+    by no more than the metric's ``bound``, relative to the parent median, and
+    ``gain_shown``: whether the change wins at least 9/10 of the pairs (ties
+    count for neither) and the medians differ by more than the parent's
+    ``q3 - q1``."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -62,17 +67,18 @@ def summary(pairs, metrics):
         for a, b in zip(values["parent"], values["change"]):
             ties += a == b
             wins += (b < a) if lower else (b > a)
-        stats, medians = {}, {}
-        for side in SIDES:
-            q1, medians[side], q3 = statistics.quantiles(values[side], n=4, method="inclusive")
-            stats[side] = {"median": round(medians[side], 4), "q1": round(q1, 4),
-                           "q3": round(q3, 4)}
-        parent, change = medians["parent"], medians["change"]
+        quartiles = {side: statistics.quantiles(values[side], n=4, method="inclusive")
+                     for side in SIDES}
+        stats = {side: {"median": round(q[1], 4), "q1": round(q[0], 4), "q3": round(q[2], 4)}
+                 for side, q in quartiles.items()}
+        (q1, parent, q3), change = quartiles["parent"], quartiles["change"][1]
         worse = change - parent if lower else parent - change
         out[name] = dict(stats, change_wins=wins, ties=ties, pairs=len(pairs),
                          change_over_parent_median=round(
                              stats["change"]["median"] / stats["parent"]["median"], 4),
-                         within_bound=worse <= spec["bound"] * abs(parent))
+                         within_bound=worse <= spec["bound"] * abs(parent),
+                         gain_shown=10 * wins >= 9 * len(pairs)
+                         and abs(change - parent) > q3 - q1)
     return out
 
 
@@ -119,7 +125,9 @@ def main(argv=None):
         "summary_note": "median and inclusive quartiles over the pairs; change_wins "
                         "counts pairs where the change is better, ties counting for neither; "
                         "within_bound: the change's median is worse than the parent's by at "
-                        "most the metric's BENCHMARK.json bound, relative to the parent median",
+                        "most the metric's BENCHMARK.json bound, relative to the parent median; "
+                        "gain_shown: the change wins at least 9/10 of the pairs and the medians "
+                        "differ by more than the parent's q3 - q1",
         "workloads": {},
     }
     if args.traced:
