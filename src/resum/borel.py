@@ -5,7 +5,9 @@ series with a finite radius of convergence ``1/a`` in the Borel plane.  The
 truncated transform is continued beyond that circle either by re-expanding in
 the variable of the standard cut-plane-to-disk map ``z = (4/a) u / (1-u)^2``
 or by a rational approximant; the Laplace integral with weight
-``t^sigma e^(-t)`` then restores the function.
+``t^sigma e^(-t)`` then restores the function.  The map's powers have the
+closed form ``[u^m] z^n = (4/a)^n C(m+n-1, m-n)``, so each re-expanded
+coefficient is an exact integer sum, rounded once.
 
 The mapped integrand ``sum_n c_n u(g t)^n`` integrates to ``sum_n c_n M_n(g)``
 with moments ``M_n(g) = int t^sigma e^-t u(g t)^n dt`` (Le Guillou and
@@ -15,16 +17,17 @@ pass per ``(sigma, g)``, within a few units of ``2^-(prec + 40)`` per node.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log10
+from math import comb, isqrt, log10
 
 from mpmath import mp, mpf
 from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp import from_man_exp
 
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
 from .poly import _log2_abs, horner, polynomial_real_roots
 from .precision import finite_mpf, positive_mpf, tolerance, whole_number
-from .series import PowerSeries, compose
+from .series import PowerSeries
 
 _TANH_SINH = TanhSinh(mp)  # mp.quad's rule; nodes are built on first use
 _GUARD_BITS = 40  # fixed-point bits beyond the working precision
@@ -32,6 +35,7 @@ _NODE_SETS = 96  # node sets kept: 2 pieces x 10 levels x 4 Leroy shifts fit
 # Largest Leroy shift: t^sigma e^-t peaks at t = sigma; at 1000 a sum takes
 # seconds, at 1e4 over a minute, and at 1e30 the node weights overflow.
 _MAX_SIGMA = 1000
+_MAP_SPAN_BITS = 1 << 16  # magnitudes the conformal map sums exactly
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,28 @@ def borel_leroy_transform(s, sigma):
 
 
 def conformal_map_coeffs(b, a):
-    """Re-expand a Borel-plane series in the disk variable ``u``, composing
-    with ``z(u) = (4/a) u / (1-u)^2 = (4/a) sum_k k u^k``."""
-    four_over_a = 4 / positive_mpf(a, "a")
-    return compose(b, PowerSeries(
-        (mpf(0),) + tuple(four_over_a * k for k in range(1, b.order + 1)), "u"))
+    """Re-expand a Borel-plane series in the disk variable ``u`` of
+    ``z = w u / (1-u)^2``, ``w = 4/a`` rounded once: ``c_0 = b_0`` and
+    ``c_m = sum_(1<=n<=m) b_n w^n C(m+n-1, m-n)``, ``[u^m] z^n`` in closed
+    form.  Each ``b_n w^n`` is an integer times a power of two, so each
+    ``c_m`` is summed exactly and rounded once to nearest.  Where the terms'
+    magnitudes span more than ``_MAP_SPAN_BITS``, bits beyond that depth
+    (plus the terms' own lengths) are floored first: a bound on the integers
+    for coefficients spread over many thousand decades."""
+    _, w, e, _ = (4 / positive_mpf(a, "a"))._mpf_
+    # terms[n - 1] = b_n w^n exactly, as (integer, binary exponent).
+    terms = [((-man if sign else man) * w ** n, x + n * e)
+             for n, (sign, man, x, _) in enumerate((c._mpf_ for c in b.coeffs[1:]), 1)]
+    nonzero = [(man, x) for man, x in terms if man]
+    top = max((x + abs(man).bit_length() for man, x in nonzero), default=0)
+    low = max(min((x for _, x in nonzero), default=0),
+              top - _MAP_SPAN_BITS - (b.order + 1) * mp.prec)
+    ints = [man << (x - low) if x >= low else man >> (low - x) for man, x in terms]
+    coeffs = [b.coeffs[0]]
+    for m in range(1, b.order + 1):
+        c = sum(ints[n - 1] * comb(m + n - 1, m - n) for n in range(1, m + 1))
+        coeffs.append(mp.make_mpf(from_man_exp(c, low, mp.prec, "n")))
+    return PowerSeries(coeffs, "u")
 
 
 @lru_cache(maxsize=_NODE_SETS)

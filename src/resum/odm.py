@@ -22,7 +22,8 @@ from .errors import (
     UsageError,
 )
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
-from .poly import all_roots, derivative_coeffs, horner, positive_roots, strip_zeros
+from .poly import (_fixed_coeffs, _fixed_value, all_roots, derivative_coeffs, horner,
+                   positive_roots, strip_zeros)
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
@@ -161,13 +162,22 @@ def select_rho(table, k, criterion, allow_complex=False):
             "no admissible %s at order %d"
             % ("root" if mode is SelectionMode.ROOT else "stationary point", k)
         )
+    # A real candidate reads P_k, P_k' and P_(k-1) in integers, each rounded
+    # once (poly._fixed_value); a complex one, or a row that is not all
+    # finite mpf, goes through horner.
+    dfixed = _fixed_coeffs(dpoly)
+    rows = ((poly, table._fixed_rows[k]), (dpoly, dfixed and dfixed[0]),
+            (table.polys[k - 1], table._fixed_rows[k - 1]))
+
+    def magnitudes(rho):
+        real = not isinstance(rho, mpc)
+        return [abs(_fixed_value(f, rho) if f and real else horner(p, rho)) for p, f in rows]
+
     examined = []
     chosen = None
     for rho in chain(head, pool):
-        pval = abs(horner(poly, rho))
-        dval = abs(horner(dpoly, rho))
+        pval, dval, scale = magnitudes(rho)  # scale: the neighbor yardstick
         examined.append((rho, pval, dval))
-        scale = abs(horner(table.polys[k - 1], rho))  # the neighbor yardstick
         if mode is SelectionMode.ROOT:
             ok = dval <= tau * scale * k / abs(rho)
         else:

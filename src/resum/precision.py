@@ -77,9 +77,10 @@ def positive_mpf(value, name):
 
 def whole_number(value, name, low, high=None):
     """``value`` when it is an ``int`` in ``low..high`` (no upper end for
-    ``high=None``); anything else, ``2.0`` included, raises
+    ``high=None``); anything else, ``2.0`` and ``True`` included, raises
     :class:`UsageError` naming ``name``."""
-    if isinstance(value, int) and low <= value and (high is None or value <= high):
+    if isinstance(value, int) and not isinstance(value, bool) \
+            and low <= value and (high is None or value <= high):
         return value
     bounds = ">= %d" % low if high is None else "in %d..%d" % (low, high)
     raise UsageError("%s must be a whole number %s, got %r" % (name, bounds, value))

@@ -1,5 +1,8 @@
 """Borel-Leroy transform, disk mapping, Laplace summation, rational variant."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
 from mpmath import mp, mpf
 
@@ -8,6 +11,7 @@ from resum import (
     PowerSeries,
     SummabilityError,
     UsageError,
+    anharmonic_ground_coeffs,
     borel_leroy_transform,
     borel_pade_sum,
     borel_sum,
@@ -75,6 +79,39 @@ def test_map_continues_beyond_radius():
     want = mpf(1) / 11
     assert abs(partials[-1] - want) < mpf("1e-6")
     assert abs(partials[-1] - want) < abs(partials[10] - want)
+
+
+def exact(x):
+    """The finite mpf ``x`` as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("source", [d0_partition_coeffs, anharmonic_ground_coeffs])
+@pytest.mark.parametrize("K", [24, 60])
+@pytest.mark.parametrize("a", [Fraction(2, 3), Fraction(1, 8)], ids=str)
+def test_map_is_the_exact_composition_rounded_once(source, K, a):
+    # Each c_m lies within half an ulp of sum_n b_n w^n C(m+n-1, m-n), taken
+    # exactly in the rounded b_n and the rounded w = 4/a the map itself reads.
+    b = borel_leroy_transform(source(K), 0)
+    a = mpf(a.numerator) / a.denominator
+    mapped = conformal_map_coeffs(b, a)
+    w = exact(4 / a)
+    terms = [exact(c) * w ** n for n, c in enumerate(b.coeffs)]
+    assert mapped.coeffs[0] == b.coeffs[0]
+    for m in range(1, K + 1):
+        want = sum(terms[n] * comb(m + n - 1, m - n) for n in range(1, m + 1))
+        got = mapped.coeffs[m]
+        _, _, exp, bc = got._mpf_
+        assert abs(exact(got) - want) <= Fraction(2) ** (exp + bc - mp.prec - 1), m
+
+
+def test_map_of_coefficients_a_billion_decades_apart():
+    # The exact sums floor what lies beyond 2^16 bits below the largest
+    # term, so a tiny coefficient costs no billion-bit integers.
+    for tiny in ("1e-1000000000", "-1e-1000000000"):
+        mapped = conformal_map_coeffs(PowerSeries((1, 1, mpf(tiny)), "z"), 1)
+        assert mapped.coeffs == (1, 4, 8)
 
 
 def test_borel_sum_alternating_factorial():

@@ -138,6 +138,46 @@ class TestSelection:
         for k in range(1, 13):
             assert select_rho(d0_table, k, MIXED).k == k
 
+    @pytest.mark.parametrize("alpha, flagged", [(2, 30), (4, 0)])
+    def test_real_candidates_read_the_integer_rows(self, alpha, flagged, monkeypatch):
+        # Every order of the K = 62 d0 tables: the pass/flag decision and rho
+        # equal those the mp horner gives on the same candidates, and horner
+        # itself is never asked for a real candidate.
+        table = build_rho_table(d0_partition_coeffs(62), MappingSpec(
+            MappingFamily.POWER_CUT, alpha, prefactor_p="0.5"))
+        horner = odm.horner
+
+        def complex_only(coeffs, x):
+            if not isinstance(x, mp.mpc):
+                raise AssertionError("horner called at a real candidate")
+            return horner(coeffs, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("resum.odm.horner", complex_only)
+            reports = [select_rho(table, k, MIXED) for k in range(1, 63)]
+        assert sum(rep.flagged for rep in reports) == flagged
+        for rep in reports:
+            k, tau = rep.k, MIXED.smallness_factor
+            passes = []
+            rows = (table.polys[k], odm.derivative_coeffs(table.polys[k]), table.polys[k - 1])
+            for rho, pval, dval in rep.candidates:
+                want = [abs(horner(p, rho)) for p in rows]
+                # Both values lie within (2n + 2) 2^-prec S of the exact one,
+                # S = sum_j |c_j| rho^j (resum.poly._fixed_horner).
+                for got, ref, p in zip((pval, dval), want, rows):
+                    size = mp.fsum(abs(c) * rho ** j for j, c in enumerate(p))
+                    assert abs(got - ref) <= 4 * len(p) * mp.eps * size, k
+                if rep.mode is SelectionMode.ROOT:
+                    passes.append(want[1] <= tau * want[2] * k / rho)
+                else:
+                    passes.append(want[0] <= tau * want[2])
+            assert rep.flagged == (not any(passes)), k
+            if rep.flagged:
+                assert rep.rho == rep.candidates[0][0], k
+            else:
+                assert passes == [False] * (len(passes) - 1) + [True], k
+                assert rep.rho == rep.candidates[-1][0], k
+
     def test_wide_pair_fallback_when_pool_is_empty(self):
         # Order 3 of the phi4 beta table has neither a positive root nor a
         # near-real pair, so the empty (already read) pool hands over to the

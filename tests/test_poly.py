@@ -454,6 +454,7 @@ PROBES = {
     "family-string": ("family", lambda t: MappingSpec("power-cut", 2)),
     "mode-string": ("mode", lambda t: RhoSelectionCriterion(mode="mixed")),
     "truncation-2.5": ("truncation", lambda t: BorelConfig(a=1, truncation=2.5)),
+    "truncation-True": ("truncation", lambda t: BorelConfig(a=1, truncation=True)),
     "predicted_R-A-inf": ("A", lambda t: predicted_R(2, mp.inf)),
     "conformal-a-inf": ("a", lambda t: conformal_map_coeffs(d0_partition_coeffs(6), mp.inf)),
     "g_of_lambda-rho-negative": ("rho", lambda t: g_of_lambda(mpf("0.5"), -1, SPEC)),
