@@ -35,7 +35,7 @@ _NODE_SETS = 96  # node sets kept: 2 pieces x 10 levels x 4 Leroy shifts fit
 # Largest Leroy shift: t^sigma e^-t peaks at t = sigma; at 1000 a sum takes
 # seconds, at 1e4 over a minute, and at 1e30 the node weights overflow.
 _MAX_SIGMA = 1000
-_MAP_SPAN_BITS = 1 << 16  # magnitudes the conformal map sums exactly
+_MAP_SPAN_BITS = 1 << 16  # span of magnitudes the conformal map sums exactly
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,10 @@ def borel_leroy_transform(s, sigma):
 
 def conformal_map_coeffs(b, a):
     """Re-expand a Borel-plane series in the disk variable ``u`` of
-    ``z = w u / (1-u)^2``, ``w = 4/a`` rounded once: ``c_0 = b_0`` and
-    ``c_m = sum_(1<=n<=m) b_n w^n C(m+n-1, m-n)``, ``[u^m] z^n`` in closed
-    form.  Each ``b_n w^n`` is an integer times a power of two, so each
-    ``c_m`` is summed exactly and rounded once to nearest.  Where the terms'
-    magnitudes span more than ``_MAP_SPAN_BITS``, bits beyond that depth
-    (plus the terms' own lengths) are floored first: a bound on the integers
-    for coefficients spread over many thousand decades."""
+    ``z = w u / (1-u)^2``, ``w = 4/a`` rounded once: ``c_0 = b_0``,
+    ``c_m = sum_(1<=n<=m) b_n w^n C(m+n-1, m-n)``.  Each ``c_m`` is an exact
+    integer sum rounded once to nearest; bits more than ``_MAP_SPAN_BITS``
+    (plus the terms' own lengths) below the largest term are floored first."""
     _, w, e, _ = (4 / positive_mpf(a, "a"))._mpf_
     # terms[n - 1] = b_n w^n exactly, as (integer, binary exponent).
     terms = [((-man if sign else man) * w ** n, x + n * e)

@@ -162,9 +162,8 @@ def select_rho(table, k, criterion, allow_complex=False):
             "no admissible %s at order %d"
             % ("root" if mode is SelectionMode.ROOT else "stationary point", k)
         )
-    # A real candidate reads P_k, P_k' and P_(k-1) in integers, each rounded
-    # once (poly._fixed_value); a complex one, or a row that is not all
-    # finite mpf, goes through horner.
+    # A real candidate reads the exact integer rows, each value rounded once
+    # (poly._fixed_value); a complex one, or a row not all finite mpf, horner.
     dfixed = _fixed_coeffs(dpoly)
     rows = ((poly, table._fixed_rows[k]), (dpoly, dfixed and dfixed[0]),
             (table.polys[k - 1], table._fixed_rows[k - 1]))
