@@ -362,28 +362,28 @@ def run_borel_map_exponents():
     a, series = rg.large_order_a, (rg.beta, nu_inv_series(), rg.gamma_inv)
     quad_tol = mpf(10) ** (-(mp.dps // 2))
 
-    def solve(sigma, orders):
-        """``{k: (g*, nu, gamma)}`` over the ``orders`` with a zero; the moments
-        at one coupling serve every order and all three series."""
-        cfg = BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol)
-        laplace, rows = cache(partial(laplace_moments, cfg, n=7)), {}
+    moments = cache(lambda sigma, g: laplace_moments(
+        BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol), g, n=7))
+
+    def zeros(sigma, orders):
+        """``(k, (g*, nu, gamma))`` over the ``orders`` with a zero, ``nu`` and
+        ``gamma`` still to integrate; moments at one coupling serve them all."""
         for k in orders:
             beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
                 s.truncate(k), sigma), a).coeffs for s in series)
-            g_star = _borel_zero(beta, laplace)
+            g_star = _borel_zero(beta, partial(moments, sigma))
             if g_star is not None:
-                rows[k] = (g_star, *(1 / laplace(g_star).integral(c)[0] for c in (nu, gamma)))
-        return rows
+                yield k, (g_star, nu, gamma)
 
-    late = {sigma: solve(sigma, (6, 7)) for sigma in sigmas}
+    late = {sigma: dict(zeros(sigma, (6, 7))) for sigma in sigmas}
     moves = {s: abs(r[7][0] - r[6][0]) for s, r in late.items() if 6 in r and 7 in r}
     if not moves:
         raise SelectionError("no Leroy parameter yields a usable trajectory")
     sigma = min(moves, key=moves.get)
-    rows_by_k = solve(sigma, range(2, 6)) | late[sigma]
+    rows_by_k = {k: (g, *(1 / moments(sigma, g).integral(c)[0] for c in (nu, gamma)))
+                 for k, (g, nu, gamma) in (dict(zeros(sigma, range(2, 6))) | late[sigma]).items()}
     rows = []
-    for k in sorted(BOREL_MAP_REFERENCE):
-        ref = BOREL_MAP_REFERENCE[k]
+    for k, ref in sorted(BOREL_MAP_REFERENCE.items()):
         g_star, nu, gamma = rows_by_k.get(k, (None, None, None))
         rows.append({
             "k": str(k), "g_star": nstr(g_star, 8), "g_star_ref": ref[0],

@@ -12,12 +12,11 @@ bracketed solver of :mod:`resum.poly`.
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
-from .poly import _fixed_coeffs, _fixed_value, bracket_solve, horner
+from .poly import Polynomial, bracket_solve
 from .precision import finite_mpf, member, positive_mpf, to_mpf, tolerance, whole_number
 from .series import PowerSeries, binomial_series, _mul_trunc
 
@@ -148,33 +147,32 @@ class RhoPolynomialTable:
     """Coefficients of the mapped series as polynomials in the scale ``rho``.
 
     ``polys[k][j]`` multiplies ``rho^j`` in the order-``k`` lambda
-    coefficient; each polynomial has degree at most ``k``.
+    coefficient; each polynomial has degree at most ``k``.  ``rows[k]``
+    evaluates ``polys[k]`` (:class:`resum.poly.Polynomial`, built once; a
+    coefficient that is not a finite mpf is a :class:`UsageError` naming its
+    row), and ``source_order`` is the last order, ``len(polys) - 1``.
     """
 
     polys: tuple
     mapping: MappingSpec
-    source_order: int
 
-    @cached_property
-    def _fixed_rows(self):
-        # The exact integer forms of each row; None where a coefficient is
-        # not a finite mpf.  Not a field, so out of repr and equality.
-        return tuple(f and f[0] for f in map(_fixed_coeffs, self.polys))
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            Polynomial(p, "polys[%d]" % k) for k, p in enumerate(self.polys)))
+
+    @property
+    def source_order(self):
+        return len(self.polys) - 1
 
     def lambda_coeffs(self, rho, order):
-        """The numeric lambda-series ``P_0(rho) .. P_order(rho)``.
-
-        ``order`` lies in ``0..source_order``.  A real ``rho`` is read at the
-        working precision, and each row is evaluated there in integers and
-        rounded once (:func:`resum.poly._fixed_value`); a complex ``rho`` and
-        rows that are not all finite mpf go through :func:`horner`.
+        """The numeric lambda-series ``P_0(rho) .. P_order(rho)``, ``order``
+        in ``0..source_order``, each from its row evaluator: a real ``rho``
+        is read at the working precision, and each row evaluated there in
+        integers and rounded once; a complex ``rho`` goes through
+        :func:`resum.poly.horner`.
         """
-        polys = self.polys[:whole_number(order, "order", 0, self.source_order) + 1]
-        if isinstance(rho, mpc):
-            return tuple(horner(p, rho) for p in polys)
-        rho = finite_mpf(rho, "rho")
-        return tuple(_fixed_value(f, rho) if f else horner(p, rho)
-                     for p, f in zip(polys, self._fixed_rows))
+        rows = self.rows[:whole_number(order, "order", 0, self.source_order) + 1]
+        return tuple(row(rho, "rho") for row in rows)
 
 
 def build_rho_table(source, mapping):
@@ -218,8 +216,4 @@ def build_rho_table(source, mapping):
                 # cur[k] vanishes below k = n because zeta starts at first order.
                 for k in range(n, K + 1):
                     polys[k][n - shift] += fn * cur[k]
-    return RhoPolynomialTable(
-        polys=tuple(tuple(p) for p in polys),
-        mapping=mapping,
-        source_order=K,
-    )
+    return RhoPolynomialTable(polys=tuple(tuple(p) for p in polys), mapping=mapping)

@@ -22,8 +22,8 @@ from .errors import (
     UsageError,
 )
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
-from .poly import (_fixed_coeffs, _fixed_value, all_roots, derivative_coeffs, horner,
-                   positive_roots, strip_zeros)
+from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, horner,
+                   positive_roots)
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
@@ -80,38 +80,6 @@ class OdmReport:
     delta: object = None       # oracle - value, when an oracle was supplied
 
 
-def _complex_pools(coeffs):
-    """Candidates when complex pairs are admitted: an iterator over the
-    positive roots and near-real pairs, and the list of wide fallback pairs,
-    each largest modulus first.
-
-    Complex pairs are canonicalized to positive imaginary part.  "Near-real"
-    means ``Im <= Re / 2`` (strictly positive real part); the wide pool
-    keeps any remaining pair with nonnegative real part, the last resort when
-    nothing else exists.
-    """
-    stripped = strip_zeros(coeffs)
-    if len(stripped) < 2:
-        return iter(()), []
-    eps = tolerance(mp.dps // 2)
-    pool, wide = [], []
-    for r in all_roots(stripped):
-        re, im = mp.re(r), mp.im(r)
-        if abs(im) <= eps * max(1, abs(r)):
-            if re > eps:
-                pool.append(re)
-        elif im > 0:
-            if re > eps and im <= re / 2:
-                pool.append(mp.mpc(re, im))
-            elif re >= -eps * max(1, abs(r)):
-                wide.append(mp.mpc(max(re, mpf(0)), im))
-
-    def key(r):
-        return (-abs(r), -mp.re(r), -mp.im(r))
-
-    return iter(sorted(pool, key=key)), sorted(wide, key=key)
-
-
 # The zero sets each mode tries, in order: those of P_k (ROOT) or of P_k'
 # (STATIONARY).  The first set with a candidate decides the report's mode.
 _ZERO_SETS = {
@@ -133,11 +101,14 @@ def select_rho(table, k, criterion, allow_complex=False):
     the root pool whenever it is populated; STATIONARY_FIRST is its mirror.
 
     With ``allow_complex``, near-real conjugate pairs compete in the pool
-    and wide pairs act as the empty-pool fallback (largest modulus, no
-    smallness filtering); the report's ``is_complex`` marks such picks.
-    Real candidates come from the descending scan of :mod:`resum.poly`,
-    read lazily: an order whose candidate passes stops there, and only a
-    flagged order scans the whole range.
+    and wide pairs act as the empty-pool fallback (the largest modulus,
+    taken unflagged without the smallness test); the report's
+    ``is_complex`` marks such picks.  Real candidates come from the
+    descending scan of :mod:`resum.poly`, read lazily: an order whose
+    candidate passes stops there, and only a flagged order scans the whole
+    range.  One loop reads every candidate, each magnitude from a row
+    evaluator (:class:`resum.poly.Polynomial`): ``P_k`` and ``P_{k-1}`` from
+    the table's ``rows``, ``P_k'`` from one built here.
     """
     whole_number(k, "k", 1, table.source_order)
     tau = criterion.smallness_factor
@@ -150,10 +121,7 @@ def select_rho(table, k, criterion, allow_complex=False):
                          mode=criterion.mode, flagged=False)
     for mode in _ZERO_SETS[criterion.mode]:
         zeros_of = poly if mode is SelectionMode.ROOT else dpoly
-        if allow_complex:
-            pool, wide = _complex_pools(zeros_of)
-        else:
-            pool, wide = positive_roots(zeros_of), []
+        pool, wide = complex_pools(zeros_of) if allow_complex else (positive_roots(zeros_of), [])
         head = list(islice(pool, 1))  # the largest candidate, if any
         if head or wide:
             break
@@ -162,46 +130,22 @@ def select_rho(table, k, criterion, allow_complex=False):
             "no admissible %s at order %d"
             % ("root" if mode is SelectionMode.ROOT else "stationary point", k)
         )
-    # A real candidate reads the exact integer rows, each value rounded once
-    # (poly._fixed_value); a complex one, or a row not all finite mpf, horner.
-    dfixed = _fixed_coeffs(dpoly)
-    rows = ((poly, table._fixed_rows[k]), (dpoly, dfixed and dfixed[0]),
-            (table.polys[k - 1], table._fixed_rows[k - 1]))
-
-    def magnitudes(rho):
-        real = not isinstance(rho, mpc)
-        return [abs(_fixed_value(f, rho) if f and real else horner(p, rho)) for p, f in rows]
-
+    rows = (table.rows[k], Polynomial(dpoly), table.rows[k - 1])
     examined = []
-    chosen = None
-    for rho in chain(head, pool):
-        pval, dval, scale = magnitudes(rho)  # scale: the neighbor yardstick
+    for rho in chain(head, pool) if head else wide[:1]:
+        pval, dval, scale = (abs(row(rho)) for row in rows)  # scale: the neighbor yardstick
         examined.append((rho, pval, dval))
         if mode is SelectionMode.ROOT:
-            ok = dval <= tau * scale * k / abs(rho)
+            passed = dval <= tau * scale * k / abs(rho)
         else:
-            ok = pval <= tau * scale
-        if ok:
-            chosen = rho
+            passed = pval <= tau * scale
+        if passed or not head:  # a wide pair is taken as it is, unflagged
             break
-    flagged = False
-    if chosen is None and examined:
-        chosen = examined[0][0]
-        flagged = True
-    if chosen is None:
-        # Wide complex pairs: deliberate last resort, largest modulus wins.
-        chosen = wide[0]
-        pval = abs(horner(poly, chosen))
-        dval = abs(horner(dpoly, chosen))
-        examined.append((chosen, pval, dval))
-    return OdmReport(
-        k=k,
-        rho=chosen,
-        candidates=tuple(examined),
-        mode=mode,
-        flagged=flagged,
-        is_complex=isinstance(chosen, mpc),
-    )
+    flagged = bool(head) and not passed
+    if flagged:  # no candidate passed: the largest
+        rho = examined[0][0]
+    return OdmReport(k=k, rho=rho, candidates=tuple(examined), mode=mode, flagged=flagged,
+                     is_complex=isinstance(rho, mpc))
 
 
 def odm_value(table, k, criterion, g, allow_complex=False):
@@ -428,10 +372,13 @@ class ConvergenceStudy:
     r_corrected: object         # corrected-intercept estimate
 
     def report(self, k):
+        """The report of order ``k``; :class:`UsageError` naming ``k`` for an
+        order the study does not hold."""
         for rep in self.reports:
             if rep.k == k:
                 return rep
-        raise KeyError(k)
+        raise UsageError("k must be an order the study holds (%s), got %r"
+                         % (", ".join(str(rep.k) for rep in self.reports), k))
 
 
 def convergence_study(table, criterion, K, g, oracle=None):

@@ -25,8 +25,9 @@ class PadeApproximant:
     def __post_init__(self):
         object.__setattr__(self, "numerator", tuple(to_mpf(c) for c in self.numerator))
         object.__setattr__(self, "denominator", tuple(to_mpf(c) for c in self.denominator))
-        if self.denominator[0] != 1:
-            raise UsageError("denominator must be normalized to constant term 1")
+        if not self.denominator or self.denominator[0] != 1:
+            raise UsageError("denominator must be normalized to constant term 1, got %r"
+                             % (self.denominator,))
 
 
 def pade_fit(s, L, M):

@@ -2,19 +2,20 @@
 
 Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
-the root-modulus bounds, the complete root solver with its real-root filter,
-the descending positive-root scan that yields the real scale candidates,
-and one bracketed solver for scalar zeros (the polish of every scan root,
-the mapping inversion, the saddle equations, the Borel-summed flow).
+the row evaluator of the rho-polynomial tables (:class:`Polynomial`), the
+root-modulus bounds, the complete root solver with its real-root filter,
+the real scale candidates (a descending positive-root scan) and the complex
+ones, and one bracketed solver for scalar zeros (the polish of every scan
+root, the mapping inversion, the saddle equations, the Borel-summed flow).
 """
 
 import math
 
-from mpmath import mp, mpf, polyroots
+from mpmath import mp, mpc, mpf, polyroots
 from mpmath.libmp import from_man_exp
 
 from .errors import ResourceError, SolverError, UsageError
-from .precision import to_mpf, tolerance
+from .precision import finite_mpf, tolerance
 
 
 def horner(coeffs, x):
@@ -105,7 +106,7 @@ def polynomial_real_roots(coeffs):
     (so repeated roots are reported once, without multiplicity counts).
     Roots are returned sorted ascending.
     """
-    coeffs = strip_zeros(to_mpf(c) for c in coeffs)
+    coeffs = strip_zeros(finite_mpf(c, "coeffs[%d]" % j) for j, c in enumerate(coeffs))
     if len(coeffs) < 2:
         raise UsageError("degree must be >= 1 for root finding")
     # Trailing zero coefficients factor out as a root at the origin.
@@ -256,16 +257,34 @@ def _fixed_horner(icoeffs, x, s=None):
     return y, (r << shift if shift >= 0 else -(-r >> -shift)), e
 
 
-def _fixed_value(exact, x):
-    """``P(x)`` from the exact ``(m, e)`` forms of :func:`_fixed_coeffs` at
-    a finite mpf ``x``: :func:`_fixed_sum` at ``w = prec + 64``
-    bits, rounded once to nearest at ``prec``.  By the bound proved for
-    :func:`_fixed_horner` it lies within half an ulp plus
-    ``2^-62 (n + 1) u S`` of the exact ``P(x)``, where the mp :func:`horner`
-    is only within ``gamma_(2n+1) S``."""
-    sign, man, ex, _ = x._mpf_
-    y, e = _fixed_sum(exact, -man if sign else man, ex, mp.prec + 64)
-    return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
+class Polynomial:
+    """One row evaluator: ``P(x)`` for a polynomial whose coefficients are
+    finite mpf, with their exact integer forms (:func:`_fixed_coeffs`) built
+    once; any other coefficient is a :class:`UsageError` naming ``name``.
+
+    At an mpc ``x`` the value is :func:`horner`'s.  Any other ``x`` is read
+    as a finite mpf (a :class:`UsageError` naming ``name`` of the call), and
+    the value is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to
+    nearest at ``prec``.  By the bound proved for :func:`_fixed_horner` it
+    lies within half an ulp plus ``2^-62 (n + 1) u S`` of the exact ``P(x)``,
+    where the mp :func:`horner` is only within ``gamma_(2n+1) S``."""
+
+    __slots__ = ("coeffs", "_exact")
+
+    def __init__(self, coeffs, name="coeffs"):
+        self.coeffs = tuple(coeffs)
+        forms = _fixed_coeffs(self.coeffs)
+        if forms is None or not self.coeffs:
+            raise UsageError("%s must hold one or more finite mpf coefficients, got %r"
+                             % (name, self.coeffs))
+        self._exact = forms[0]
+
+    def __call__(self, x, name="x"):
+        if isinstance(x, mpc):
+            return horner(self.coeffs, x)
+        sign, man, ex, _ = finite_mpf(x, name)._mpf_
+        y, e = _fixed_sum(self._exact, -man if sign else man, ex, mp.prec + 64)
+        return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
 
 
 class _Sample:
@@ -424,6 +443,38 @@ def positive_roots(coeffs):
 
     eps = tolerance(mp.dps // 2)
     yield from (r for r in _merge_near(descending_roots()) if r > eps)
+
+
+def complex_pools(coeffs):
+    """Scale candidates when complex pairs are admitted: an iterator over the
+    positive roots and near-real pairs, and the list of wide fallback pairs,
+    each largest modulus first.
+
+    Complex pairs are canonicalized to positive imaginary part.  "Near-real"
+    means ``Im <= Re / 2`` (strictly positive real part); the wide pool
+    keeps any remaining pair with nonnegative real part, the last resort when
+    nothing else exists.
+    """
+    stripped = strip_zeros(coeffs)
+    if len(stripped) < 2:
+        return iter(()), []
+    eps = tolerance(mp.dps // 2)
+    pool, wide = [], []
+    for r in all_roots(stripped):
+        re, im = mp.re(r), mp.im(r)
+        if abs(im) <= eps * max(1, abs(r)):
+            if re > eps:
+                pool.append(re)
+        elif im > 0:
+            if re > eps and im <= re / 2:
+                pool.append(mp.mpc(re, im))
+            elif re >= -eps * max(1, abs(r)):
+                wide.append(mp.mpc(max(re, mpf(0)), im))
+
+    def key(r):
+        return (-abs(r), -mp.re(r), -mp.im(r))
+
+    return iter(sorted(pool, key=key)), sorted(wide, key=key)
 
 
 def bracket_solve(f, lo, hi, rtol):

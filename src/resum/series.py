@@ -15,7 +15,7 @@ from mpmath import isfinite, mp, mpf
 
 from .errors import DiagnosticError, DomainError, UsageError
 from .poly import horner
-from .precision import to_mpf, whole_number
+from .precision import finite_mpf, to_mpf, whole_number
 
 
 def _as_coeffs(values):
@@ -66,13 +66,13 @@ class PowerSeries:
                            self.var)
 
     def eval(self, x, terms=None):
-        """Partial sum of the first ``terms`` coefficients at ``x``: all of
-        them by default, none for a negative count."""
+        """Partial sum of the first ``terms`` coefficients at the finite real
+        ``x``: all of them by default, none for a negative count."""
         if terms is None:
             terms = len(self.coeffs)
         elif isinstance(terms, int) and terms < 0:
             terms = 0
-        return horner(self.coeffs[:whole_number(terms, "terms", 0)], x)
+        return horner(self.coeffs[:whole_number(terms, "terms", 0)], finite_mpf(x, "x"))
 
 
 def multiply(a, b):

@@ -59,3 +59,14 @@ def test_gain_shown_needs_nine_tenths_and_a_gap_beyond_the_parent_spread(better,
     assert (got["parent"]["q1"], got["parent"]["median"], got["parent"]["q3"]) == (
         1.045, 1.09, 1.135)
     assert got["gain_shown"] is shown
+
+
+def test_clear_bytecode_deletes_every_pycache_and_nothing_else(tmp_path):
+    for cache in ("__pycache__", "src/pkg/__pycache__", "tests/__pycache__"):
+        (tmp_path / cache).mkdir(parents=True)
+        (tmp_path / cache / "mod.cpython-311.pyc").write_bytes(b"")
+    (tmp_path / "src/pkg/mod.py").write_text("")
+    assert bench_pairs.clear_bytecode(tmp_path) == 3
+    assert not list(tmp_path.rglob("__pycache__"))
+    assert (tmp_path / "src/pkg/mod.py").is_file()
+    assert bench_pairs.clear_bytecode(tmp_path) == 0

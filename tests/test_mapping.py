@@ -321,7 +321,7 @@ def test_fixed_point_rows_lie_within_the_proved_bound(coeffs, rho):
     with mp.workprec(400):
         rho = _mpf(rho)
     polys = tuple(tuple(coeffs[:k + 1]) for k in range(len(coeffs)))
-    table = RhoPolynomialTable(polys, MappingSpec(POWER_CUT, 2), len(polys) - 1)
+    table = RhoPolynomialTable(polys, MappingSpec(POWER_CUT, 2))
     assert_rows_within_the_bound(table, rho, table.source_order)
 
 

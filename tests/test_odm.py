@@ -142,18 +142,19 @@ class TestSelection:
     def test_real_candidates_read_the_integer_rows(self, alpha, flagged, monkeypatch):
         # Every order of the K = 62 d0 tables: the pass/flag decision and rho
         # equal those the mp horner gives on the same candidates, and horner
-        # itself is never asked for a real candidate.
+        # itself is never asked for a real candidate at working precision
+        # (the scan's polish runs 20 digits above it).
         table = build_rho_table(d0_partition_coeffs(62), MappingSpec(
             MappingFamily.POWER_CUT, alpha, prefactor_p="0.5"))
-        horner = odm.horner
+        horner, prec = odm.horner, mp.prec
 
         def complex_only(coeffs, x):
-            if not isinstance(x, mp.mpc):
+            if not isinstance(x, mp.mpc) and mp.prec == prec:
                 raise AssertionError("horner called at a real candidate")
             return horner(coeffs, x)
 
         with monkeypatch.context() as patch:
-            patch.setattr("resum.odm.horner", complex_only)
+            patch.setattr("resum.poly.horner", complex_only)
             reports = [select_rho(table, k, MIXED) for k in range(1, 63)]
         assert sum(rep.flagged for rep in reports) == flagged
         for rep in reports:
@@ -335,6 +336,11 @@ class TestStudy:
         assert study.r_estimate is not None
         ln_deltas = [mp.log(abs(r.delta)) for r in study.reports if r.k in (10, 20)]
         assert ln_deltas[1] < ln_deltas[0]
+        assert study.report(20) is study.reports[-1]
+        for k in (0, 21, "20"):
+            with pytest.raises(UsageError, match=r"^k must be an order the study holds .*%r$"
+                               % (k,)):
+                study.report(k)
 
     def test_budget_guard(self, d0_table):
         with pytest.raises(UsageError):

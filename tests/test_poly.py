@@ -15,8 +15,10 @@ from resum import (
     DomainError,
     MappingFamily,
     MappingSpec,
+    PadeApproximant,
     PowerSeries,
     ResumError,
+    RhoPolynomialTable,
     RhoSelectionCriterion,
     SolverError,
     UsageError,
@@ -449,7 +451,8 @@ def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
 SPEC = MappingSpec(MappingFamily.POWER_CUT, 2)
 
 
-# Each call ended in a TypeError or KeyError, a wrong value or no error at all.
+# Each call ended in a TypeError, KeyError or IndexError, a wrong value or no
+# error at all.
 PROBES = {
     "family-string": ("family", lambda t: MappingSpec("power-cut", 2)),
     "mode-string": ("mode", lambda t: RhoSelectionCriterion(mode="mixed")),
@@ -474,6 +477,17 @@ PROBES = {
     "d0_partition_value-complex": ("g", lambda t: d0_partition_value(1j)),
     "d0_partition_value-None": ("g", lambda t: d0_partition_value(None)),
     "odm_value-None": ("g", lambda t: odm_value(t, 6, RhoSelectionCriterion(), None)),
+    "polynomial_real_roots-nan": ("coeffs[0]", lambda t: polynomial_real_roots([mp.nan, 1])),
+    "polynomial_real_roots-inf": ("coeffs[0]", lambda t: polynomial_real_roots([mp.inf, 1])),
+    "polynomial_real_roots-inner-nan": ("coeffs[1]", lambda t: polynomial_real_roots(
+        [1, mp.nan, 1])),
+    "eval-None": ("x", lambda t: d0_partition_coeffs(6).eval(None)),
+    "eval-abc": ("x", lambda t: d0_partition_coeffs(6).eval("abc")),
+    "eval-nan": ("x", lambda t: d0_partition_coeffs(6).eval(mp.nan)),
+    "PadeApproximant-empty": ("denominator", lambda t: PadeApproximant((), ())),
+    "RhoPolynomialTable-nan-row": ("polys[1]", lambda t: RhoPolynomialTable(
+        ((mpf(1),), (mpf(1), mp.nan)), SPEC)),
+    "RhoPolynomialTable-int-row": ("polys[0]", lambda t: RhoPolynomialTable(((1,),), SPEC)),
 }
 
 

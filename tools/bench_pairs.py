@@ -19,13 +19,17 @@ the pairs where the change is better, ties counting for neither, and
 at most the metric's ``BENCHMARK.json`` ``bound``, relative to the parent
 median, and ``gain_shown``: whether the change wins at least nine tenths of
 the pairs and its median differs from the parent's by more than the parent's
-interquartile range ``q3 - q1``.
+interquartile range ``q3 - q1``.  Before the first pair it deletes every
+``__pycache__`` directory under both trees, so neither side starts with
+bytecode the other lacks (it changes ``setup_s``), and records how many it
+deleted per side.
 """
 
 import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,14 @@ def run_once(tree, workload, seed, trace):
         sys.exit("run failed in %s (%s, seed %d, exit %d):\n%s"
                  % (tree, workload, seed, proc.returncode, proc.stderr))
     return result
+
+
+def clear_bytecode(tree):
+    """Delete every ``__pycache__`` directory under ``tree``; their number."""
+    caches = [path for path in Path(tree).rglob("__pycache__") if path.is_dir()]
+    for path in caches:
+        shutil.rmtree(path)
+    return len(caches)
 
 
 def summary(pairs, metrics):
@@ -130,6 +142,9 @@ def main(argv=None):
                         "differ by more than the parent's q3 - q1",
         "workloads": {},
     }
+    out["bytecode_cleared"] = {side: clear_bytecode(trees[side]) for side in SIDES}
+    print("deleted __pycache__ directories before the first pair: %s" % ", ".join(
+        "%s %d" % item for item in out["bytecode_cleared"].items()), file=sys.stderr)
     if args.traced:
         out["traced"] = ("traced_seed_1 holds one --trace 1 run per side (seed 1); span times "
                          "are raw wall seconds, counts totals over the passes each run made (a "
