@@ -362,16 +362,15 @@ def run_borel_map_exponents():
     a, series = rg.large_order_a, (rg.beta, nu_inv_series(), rg.gamma_inv)
     quad_tol = mpf(10) ** (-(mp.dps // 2))
 
-    moments = cache(lambda sigma, g: laplace_moments(
-        BorelConfig(a=a, sigma=sigma, quad_rel_tol=quad_tol), g, n=7))
+    cfgs = {s: BorelConfig(a=a, sigma=s, quad_rel_tol=quad_tol) for s in sigmas}
 
     def zeros(sigma, orders):
-        """``(k, (g*, nu, gamma))`` over the ``orders`` with a zero, ``nu`` and
-        ``gamma`` still to integrate; moments at one coupling serve them all."""
+        """``(k, (g*, nu, gamma))`` at the ``orders`` with a zero, nu and gamma unintegrated."""
+        laplace = cache(partial(laplace_moments, cfgs[sigma], n=7))
         for k in orders:
             beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
                 s.truncate(k), sigma), a).coeffs for s in series)
-            g_star = _borel_zero(beta, partial(moments, sigma))
+            g_star = _borel_zero(beta, laplace)
             if g_star is not None:
                 yield k, (g_star, nu, gamma)
 
@@ -380,7 +379,8 @@ def run_borel_map_exponents():
     if not moves:
         raise SelectionError("no Leroy parameter yields a usable trajectory")
     sigma = min(moves, key=moves.get)
-    rows_by_k = {k: (g, *(1 / moments(sigma, g).integral(c)[0] for c in (nu, gamma)))
+    laplace = cache(partial(laplace_moments, cfgs[sigma], n=7))  # nu and gamma share a build
+    rows_by_k = {k: (g, *(1 / laplace(g).integral(c)[0] for c in (nu, gamma)))
                  for k, (g, nu, gamma) in (dict(zeros(sigma, range(2, 6))) | late[sigma]).items()}
     rows = []
     for k, ref in sorted(BOREL_MAP_REFERENCE.items()):
