@@ -17,7 +17,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
 from .poly import Polynomial, bracket_solve
-from .precision import finite_mpf, member, positive_mpf, to_mpf, tolerance, whole_number
+from .precision import finite_mpf, finite_point, member, positive_mpf, to_mpf, tolerance, whole_number
 from .series import PowerSeries, binomial_series, _mul_trunc
 
 
@@ -172,7 +172,8 @@ class RhoPolynomialTable:
         :func:`resum.poly.horner`.
         """
         rows = self.rows[:whole_number(order, "order", 0, self.source_order) + 1]
-        return tuple(row(rho, "rho") for row in rows)
+        rho = finite_point(rho, "rho")
+        return tuple(row(rho) for row in rows)
 
 
 def build_rho_table(source, mapping):

@@ -262,10 +262,9 @@ class Polynomial:
     finite mpf, with their exact integer forms (:func:`_fixed_coeffs`) built
     once; any other coefficient is a :class:`UsageError` naming ``name``.
 
-    At an mpc ``x`` the value is :func:`horner`'s.  Any other ``x`` is read
-    as a finite mpf (a :class:`UsageError` naming ``name`` of the call), and
-    the value is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to
-    nearest at ``prec``.  By the bound proved for :func:`_fixed_horner` it
+    At an mpc ``x`` the value is :func:`horner`'s.  At a finite mpf ``x`` it
+    is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to nearest
+    at ``prec``.  By the bound proved for :func:`_fixed_horner` it
     lies within half an ulp plus ``2^-62 (n + 1) u S`` of the exact ``P(x)``,
     where the mp :func:`horner` is only within ``gamma_(2n+1) S``."""
 
@@ -279,10 +278,10 @@ class Polynomial:
                              % (name, self.coeffs))
         self._exact = forms[0]
 
-    def __call__(self, x, name="x"):
+    def __call__(self, x):
         if isinstance(x, mpc):
             return horner(self.coeffs, x)
-        sign, man, ex, _ = finite_mpf(x, name)._mpf_
+        sign, man, ex, _ = x._mpf_
         y, e = _fixed_sum(self._exact, -man if sign else man, ex, mp.prec + 64)
         return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
 

@@ -10,14 +10,14 @@ coefficient strings, and printing numbers).
 
 This module is also the one reader of public inputs: every entry of the
 package turns a number, an order or a choice into a checked value through
-:func:`to_mpf`, :func:`finite_mpf`, :func:`positive_mpf`,
-:func:`whole_number` or :func:`member`, each raising :class:`UsageError`
-that names the parameter.
+:func:`to_mpf`, :func:`finite_mpf`, :func:`finite_point` (which passes an
+mpc through), :func:`positive_mpf`, :func:`whole_number` or :func:`member`,
+each raising :class:`UsageError` that names the parameter.
 """
 
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import UsageError
 
@@ -64,6 +64,11 @@ def finite_mpf(value, name):
     if not mp.isfinite(x):
         raise UsageError("%s must be finite, got %s" % (name, x))
     return x
+
+
+def finite_point(value, name):
+    """An mpc as it is; any other value through :func:`finite_mpf`."""
+    return value if isinstance(value, mpc) else finite_mpf(value, name)
 
 
 def positive_mpf(value, name):
