@@ -58,7 +58,7 @@ from .odm import (
     odm_value,
 )
 from .pade import pade_eval, pade_fit
-from .precision import DEFAULT_DIGITS, nstr, to_mpf, workdps
+from .precision import DEFAULT_DIGITS, nstr, to_mpf, whole_number, workdps
 from .series import PowerSeries
 
 SCHEMA_VERSION = 1
@@ -310,6 +310,9 @@ def cmd_sum(args, stdout):
     g = parse_coupling(args.g)
     result = {"series": spec_file.name, "method": args.method}
     diagnostics = {}
+    order = args.order
+    if order is not None and args.method in ("odm", "borel-map"):
+        order = whole_number(order, "--order", 1, series.order)
     if args.method == "pade":
         if args.L is None or args.M is None:
             raise UsageError("pade needs --L and --M")
@@ -330,17 +333,17 @@ def cmd_sum(args, stdout):
             if spec_file.large_order_A is None:
                 raise UsageError("borel-map needs --a or a large_order_A field")
             a = 1 / to_mpf(spec_file.large_order_A)
-        cfg = BorelConfig(a=a, sigma=args.sigma, truncation=args.order)
+        cfg = BorelConfig(a=a, sigma=args.sigma, truncation=order)
         out = borel_sum(series, cfg, g, full_output=True)
         value, error = out.value, out.truncation_error + out.quadrature_error
         diagnostics["sigma"] = args.sigma
         diagnostics["a"] = nstr(cfg.a, DIGITS)
     else:  # odm
-        if args.order is None:
+        if order is None:
             raise UsageError("odm needs --order")
         mapping = _mapping_from_args(args)
         table = build_rho_table(series, mapping)
-        rep = odm_value(table, args.order, _criterion_from_args(args), g)
+        rep = odm_value(table, order, _criterion_from_args(args), g)
         value, error = rep.value, rep.error_estimate
         diagnostics.update({
             "rho": nstr(rep.rho, DIGITS), "lambda": nstr(rep.lam, DIGITS),

@@ -3,12 +3,16 @@
 Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
 the row evaluator of the rho-polynomial tables (:class:`Polynomial`), the
-root-modulus bounds, the complete root solver with its real-root filter,
-the real scale candidates (a descending positive-root scan) and the complex
-ones, and one bracketed solver for scalar zeros (the polish of every scan
-root, the mapping inversion, the saddle equations, the Borel-summed flow).
+root-modulus bounds, the complete root solver with its real-root filter
+(mpmath's Durand-Kerner, started from float64 Durand-Kerner roots, so it
+takes a few sweeps at working precision instead of about ten, for the same
+roots), the real scale candidates (a descending positive-root scan) and the
+complex ones, and one bracketed solver for scalar zeros (the polish of every
+scan root, the mapping inversion, the saddle equations, the Borel-summed
+flow).
 """
 
+import cmath
 import math
 
 from mpmath import mp, mpc, mpf, polyroots
@@ -81,17 +85,65 @@ def _fujiwara_lower_bound(coeffs):
     return mpf(0) if coeffs[0] == 0 else 1 / _fujiwara_bound(coeffs[::-1])
 
 
-def all_roots(coeffs):
-    """Every complex root of a polynomial with nonzero leading coefficient.
+def _float_start(monic):
+    """Durand-Kerner roots of ``monic`` (highest degree first) in Python
+    ``complex``: mpmath's sweep from mpmath's start ``(0.4+0.9i)^n``; None
+    where a coefficient does not fit in float64 (overflow, a nonzero one
+    that underflows to zero, inf or NaN) or a root ends non-finite.
 
-    A root of multiplicity three or more stalls the first iteration; the
-    retry, with ``degree * prec`` guard bits, resolves up to 9 at 64 digits.
+    Sweeps stop once the largest correction, relative to ``max(|root|, 1)``,
+    is below ``2^-40``, or, once below ``2^-10``, no smaller than the sweep
+    before (a multiple root stalls at float64's noise), and after 100."""
+    try:
+        c = [complex(x) for x in monic]
+        c = [x / c[0] for x in c]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
+    if not all(cmath.isfinite(x) and (x != 0 or m == 0) for x, m in zip(c, monic)):
+        return None
+    roots, last = [(0.4 + 0.9j) ** n for n in range(len(c) - 1)], math.inf
+    for _ in range(100):
+        worst = 0.0
+        for i, p in enumerate(roots):
+            x = 0j
+            for a in c:
+                x = x * p + a
+            for j, q in enumerate(roots):
+                if j != i and p != q:
+                    x /= p - q
+            roots[i] = p - x
+            worst = max(worst, abs(x) / max(abs(p), 1.0))
+        if worst < 2.0 ** -40 or last <= worst < 2.0 ** -10:
+            break
+        last = worst
+    return roots if all(cmath.isfinite(r) for r in roots) else None
+
+
+def all_roots(coeffs):
+    """Every complex root of a polynomial with nonzero leading coefficient,
+    real ones first, ordered by ``(|Im|, Re, Im)``.
+
+    mpmath's Durand-Kerner ``polyroots`` starts from the float64 roots of
+    :func:`_float_start`, or from its own start where there are none, and
+    so takes about three sweeps at ``prec + extraprec`` bits instead of
+    about ten.  Its own iteration, convergence test, cleanup and rounding
+    still produce every root, so each agrees with the root from its own
+    start to about ``prec + extraprec`` bits of its modulus and rounds to
+    the same value; only a real or imaginary part below about
+    ``2^-extraprec`` of the modulus, iteration noise at working precision,
+    may differ in its last bits.  The order is a total one, so it does not
+    depend on the start either.  A root of multiplicity three or more
+    stalls the first iteration; the retry, with ``degree * prec`` guard
+    bits, resolves up to 9 at 64 digits.
     """
     monic = list(reversed(coeffs))
+    start = _float_start(monic)
     for maxsteps, extraprec in ((400, max(mp.prec, 120)),
                                 (1000, (len(monic) - 1) * mp.prec)):
         try:
-            return list(polyroots(monic, maxsteps=maxsteps, extraprec=extraprec))
+            roots = polyroots(monic, maxsteps=maxsteps, extraprec=extraprec,
+                              roots_init=start)
+            return sorted(roots, key=lambda r: (abs(mp.im(r)), mp.re(r), mp.im(r)))
         except mp.NoConvergence:
             pass
     raise SolverError("polynomial root iteration did not converge")
@@ -266,7 +318,8 @@ class Polynomial:
     is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to nearest
     at ``prec``.  By the bound proved for :func:`_fixed_horner` it
     lies within half an ulp plus ``2^-62 (n + 1) u S`` of the exact ``P(x)``,
-    where the mp :func:`horner` is only within ``gamma_(2n+1) S``."""
+    where the mp :func:`horner` is only within ``gamma_(2n+1) S``.  An
+    infinite or NaN mpf ``x`` is a :class:`UsageError` naming ``x``."""
 
     __slots__ = ("coeffs", "_exact")
 
@@ -282,6 +335,8 @@ class Polynomial:
         if isinstance(x, mpc):
             return horner(self.coeffs, x)
         sign, man, ex, _ = x._mpf_
+        if ex and not man:  # inf or nan
+            raise UsageError("x must be finite, got %s" % x)
         y, e = _fixed_sum(self._exact, -man if sign else man, ex, mp.prec + 64)
         return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
 

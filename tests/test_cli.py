@@ -172,6 +172,17 @@ class TestSumCommand:
             for key in env:
                 monkeypatch.delenv(key)
 
+    @pytest.mark.parametrize("method", ["odm", "borel-map"])
+    @pytest.mark.parametrize("order", ["0", "9", "100"])
+    def test_order_beyond_the_series_names_the_flag(self, tmp_path, capsys, method, order):
+        # Order 9 was reported as "k", order 0 as "truncation", and order 100
+        # of borel-map silently ran at the series order 8.
+        path = write(tmp_path, D0_FILE.replace("order: 24", "order: 8"))
+        assert main(["sum", path, "--method", method, "--g", "1", "--order", order]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: --order must be a whole number in 1..8"), err
+
     def test_borel_at_infinite_coupling_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, D0_FILE)
         for flags in (["--method", "borel-map"],

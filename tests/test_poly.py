@@ -3,6 +3,7 @@ rules that no public call leaves the working precision changed, that every
 summation entry ends in a finite value or a ``ResumError``, and that a bad
 public input is a ``ResumError`` naming that input."""
 
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -40,6 +41,7 @@ from resum import (
     solve_saddle,
     zeta_series,
 )
+from resum.benchmarks import run_benchmark
 from resum.cli import main
 from resum import poly
 from resum.poly import (
@@ -155,6 +157,68 @@ def test_roots_of_multiplicity_three_and_four(coeffs, root):
     roots = polynomial_real_roots(coeffs)
     assert len(roots) == 1
     assert abs(roots[0] - root) <= mpf("1e-50")
+
+
+def _unseeded_roots(coeffs):
+    """mpmath's ``polyroots`` from its own start, in :func:`all_roots`'s order."""
+    roots = mp.polyroots(list(reversed(coeffs)), maxsteps=400, extraprec=max(mp.prec, 120))
+    return sorted(roots, key=lambda r: (abs(mp.im(r)), mp.re(r), mp.im(r)))
+
+
+def test_seeded_roots_equal_the_unseeded_ones_on_the_phi4_tables(monkeypatch):
+    # Every polynomial the complex-pair tables hand the complete solver.
+    seen, solve = [], poly.polyroots
+
+    def recording(monic, **kwargs):
+        seen.append((list(reversed(monic)), mp.prec, kwargs["roots_init"]))
+        return solve(monic, **kwargs)
+
+    monkeypatch.setattr(poly, "polyroots", recording)
+    for table_id in ("phi4-fixed-point", "phi4-exponents"):
+        assert run_benchmark(table_id).passed
+    monkeypatch.undo()
+    assert seen and all(start is not None for _, _, start in seen)
+    for coeffs, prec, _ in seen:
+        with mp.workprec(prec):
+            got, unseeded = all_roots(coeffs), _unseeded_roots(coeffs)
+            assert got == unseeded
+            assert [type(r) for r in got] == [type(r) for r in unseeded]
+
+
+def test_seeded_roots_equal_the_unseeded_ones_on_separated_roots():
+    # Real coefficients: real roots and conjugate pairs whose parts are both
+    # well away from zero (a part below 2^-extraprec of its root's modulus
+    # is iteration noise and may differ in its last bits).
+    rng = random.Random(1966)
+    for degree in range(2, 9):
+        for _ in range(2):
+            pairs = rng.randint(0, degree // 2)
+            parts = rng.sample([p for p in range(-40, 41) if p], degree)
+            roots = [mpf(p) / 8 for p in parts[2 * pairs:]]
+            for re, im in zip(parts[:pairs], parts[pairs:2 * pairs]):
+                roots += [mp.mpc(re, im) / 8, mp.mpc(re, -im) / 8]
+            coeffs = [mp.re(c) for c in _expand(roots, rng.choice(["1", "-0.3", "7.5"]))]
+            assert poly._float_start(list(reversed(coeffs))) is not None
+            assert all_roots(coeffs) == _unseeded_roots(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[c * mpf("1e400") for c in (2, -3, 1)],
+                                    [c * mpf("1e-400") for c in (2, -3, 1)],
+                                    [c * 10 ** 400 for c in (2, -3, 1)],
+                                    [1, mpf("1e-400"), 1]])
+def test_coefficients_beyond_float64_solve_from_mpmaths_start(coeffs):
+    assert poly._float_start(list(reversed(coeffs))) is None
+    roots = all_roots(coeffs)
+    assert roots == _unseeded_roots(coeffs)
+    for r in roots:
+        assert abs(horner(coeffs, r)) <= mpf("1e-50") * mp.fsum(
+            abs(c) * abs(r) ** j for j, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan])
+def test_row_evaluator_rejects_a_non_finite_point(x):
+    with pytest.raises(UsageError, match="^x must be finite"):
+        poly.Polynomial((mpf(1), mpf(1)))(x)
 
 
 def test_lower_bound_zero_for_root_at_origin():
