@@ -215,12 +215,6 @@ def test_coefficients_beyond_float64_solve_from_mpmaths_start(coeffs):
             abs(c) * abs(r) ** j for j, c in enumerate(coeffs))
 
 
-@pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan])
-def test_row_evaluator_rejects_a_non_finite_point(x):
-    with pytest.raises(UsageError, match="^x must be finite"):
-        poly.Polynomial((mpf(1), mpf(1)))(x)
-
-
 def test_lower_bound_zero_for_root_at_origin():
     assert _fujiwara_lower_bound([mpf(0), mpf(3), mpf(-1)]) == 0
 
@@ -552,6 +546,9 @@ PROBES = {
     "RhoPolynomialTable-nan-row": ("polys[1]", lambda t: RhoPolynomialTable(
         ((mpf(1),), (mpf(1), mp.nan)), SPEC)),
     "RhoPolynomialTable-int-row": ("polys[0]", lambda t: RhoPolynomialTable(((1,),), SPEC)),
+    "Polynomial-x-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.inf)),
+    "Polynomial-x-minus-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(-mp.inf)),
+    "Polynomial-x-nan": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.nan)),
 }
 
 
