@@ -363,14 +363,16 @@ def run_borel_map_exponents():
     quad_tol = mpf(10) ** (-(mp.dps // 2))
 
     cfgs = {s: BorelConfig(a=a, sigma=s, quad_rel_tol=quad_tol) for s in sigmas}
+    # One moment cache per Leroy shift, shared by the selection, the early
+    # orders and the exponent rows.
+    laplaces = {s: cache(partial(laplace_moments, cfg, n=7)) for s, cfg in cfgs.items()}
 
     def zeros(sigma, orders):
         """``(k, (g*, nu, gamma))`` at the ``orders`` with a zero, nu and gamma unintegrated."""
-        laplace = cache(partial(laplace_moments, cfgs[sigma], n=7))
         for k in orders:
             beta, nu, gamma = (conformal_map_coeffs(borel_leroy_transform(
                 s.truncate(k), sigma), a).coeffs for s in series)
-            g_star = _borel_zero(beta, laplace)
+            g_star = _borel_zero(beta, laplaces[sigma])
             if g_star is not None:
                 yield k, (g_star, nu, gamma)
 
@@ -379,8 +381,7 @@ def run_borel_map_exponents():
     if not moves:
         raise SelectionError("no Leroy parameter yields a usable trajectory")
     sigma = min(moves, key=moves.get)
-    laplace = cache(partial(laplace_moments, cfgs[sigma], n=7))  # nu and gamma share a build
-    rows_by_k = {k: (g, *(1 / laplace(g).integral(c)[0] for c in (nu, gamma)))
+    rows_by_k = {k: (g, *(1 / laplaces[sigma](g).integral(c)[0] for c in (nu, gamma)))
                  for k, (g, nu, gamma) in (dict(zeros(sigma, range(2, 6))) | late[sigma]).items()}
     rows = []
     for k, ref in sorted(BOREL_MAP_REFERENCE.items()):
@@ -423,7 +424,7 @@ RUNNERS = {
 TABLE_IDS = tuple(RUNNERS)
 
 # Working digits per table: the Borel-mapping exponents run at 40, which sets
-# their Laplace quadrature tolerance to 1e-20.
+# their Laplace quadrature tolerance to 1e-20, where the quadrature stops.
 TABLE_DIGITS = dict.fromkeys(TABLE_IDS, DEFAULT_DIGITS) | {"borel-map-exponents": 40}
 
 

@@ -40,12 +40,17 @@ _MAP_SPAN_BITS = 1 << 16  # span of magnitudes the conformal map sums exactly
 
 @dataclass(frozen=True)
 class BorelConfig:
-    """Parameters of the transform, the map and the Laplace quadrature."""
+    """Parameters of the transform, the map and the Laplace quadrature.
+
+    ``quad_rel_tol`` in ``(0, 1)`` stops the Laplace quadrature once the
+    asked-for sum's error estimate is below it, relative (absolute below 1).
+    Left None, every moment runs to working precision and the sum is accepted
+    at ``10^(8 - digits)``; see :class:`Laplace`."""
 
     a: object                    # Borel-plane singularity parameter (> 0)
     sigma: object = 0            # Leroy shift in the Gamma divisor (0..1000)
     truncation: int = None       # mapped-series truncation order (default: all)
-    quad_rel_tol: object = None  # relative tolerance (default 10^(8 - digits))
+    quad_rel_tol: object = None  # relative tolerance (default: working precision)
 
     def __post_init__(self):
         object.__setattr__(self, "a", positive_mpf(self.a, "a"))
@@ -53,11 +58,10 @@ class BorelConfig:
         if self.truncation is not None:
             whole_number(self.truncation, "truncation", 1)
         if self.quad_rel_tol is not None:
-            object.__setattr__(self, "quad_rel_tol",
-                               positive_mpf(self.quad_rel_tol, "quad_rel_tol"))
-
-    def rel_tol(self):
-        return self.quad_rel_tol if self.quad_rel_tol is not None else tolerance(8)
+            tol = positive_mpf(self.quad_rel_tol, "quad_rel_tol")
+            if not tol < 1:
+                raise UsageError("quad_rel_tol must be below 1, got %s" % mp.nstr(tol, 8))
+            object.__setattr__(self, "quad_rel_tol", tol)
 
 
 @dataclass(frozen=True)
@@ -182,50 +186,86 @@ class Laplace:
     ``[0, t_max/16, t_max]``, the tail beyond ``t_max`` below tolerance.
 
     ``level_sums(xs, ws)`` gives ``sum_i ws[i] F_j(xs[i] 2^-Q)`` over one
-    level's new nodes.  Levels combine as ``sum_next`` does and are kept; a
-    piece stops once the error estimate of every ``I_j`` is ``<= eps/8``.
+    level's new nodes.  Levels combine as ``sum_next`` does and are kept.
     The estimate is mpmath's ``estimate_error``, reproduced bit for bit by
     :func:`_estimate_error`: float64 picks its power of ten wherever it can
-    certify the choice, and mpmath only where it cannot."""
+    certify the choice, and mpmath only where it cannot.
 
-    def __init__(self, sigma, rel_tol, level_sums):
-        self.sigma, self.rel_tol, self.level_sums = sigma, rel_tol, level_sums
+    Two stop rules.  With ``quad_rel_tol`` None, a piece stops once the
+    estimate of every ``I_j`` is ``<= eps/8`` (working precision), whatever
+    sum is asked for, and the sum is accepted at ``10^(8 - digits)``.  With
+    an explicit ``quad_rel_tol``, levels are added only while the asked-for
+    sum misses it, each to the piece whose estimate of that sum is larger."""
+
+    def __init__(self, sigma, quad_rel_tol, level_sums):
+        self.sigma, self.level_sums, self.quad_rel_tol = sigma, level_sums, quad_rel_tol
+        self.rel_tol = tolerance(8) if quad_rel_tol is None else quad_rel_tol
         self.prec, self.eps = mp.prec, mp.eps / 8
-        t_max = _cutoff(sigma, rel_tol, self.prec)
+        t_max = _cutoff(sigma, self.rel_tol, self.prec)
         # Per piece: its ends, the node sums (scaled by 2^Q) and each level's I_j.
         self.pieces = ((mpf(0), t_max / 16, [], []), (t_max / 16, t_max, [], []))
         self.done = [False, False]
 
-    def _refine(self, i, max_level):
+    def _add_level(self, i):
         lo, hi, sums, levels = self.pieces[i]
-        while not self.done[i] and len(levels) < max_level:
-            level = len(levels) + 1
+        level = len(levels) + 1
+        with mp.workprec(self.prec + 20):
             new = self.level_sums(*_weighted_nodes(self.sigma, lo, hi, level, self.prec))
             sums[:] = [s + n for s, n in zip(sums, new)] if sums else new
             levels.append([mp.ldexp(s, -(self.prec + _GUARD_BITS + level)) for s in sums])
-            self.done[i] = level > 1 and all(
-                _estimate_error(seq, self.prec, self.eps) <= self.eps
-                for seq in zip(*levels))
+
+    def _refine(self, i, max_level):
+        levels = self.pieces[i][3]
+        while not self.done[i] and len(levels) < max_level:
+            self._add_level(i)
+            with mp.workprec(self.prec + 20):
+                self.done[i] = len(levels) > 1 and all(
+                    _estimate_error(seq, self.prec, self.eps) <= self.eps
+                    for seq in zip(*levels))
+
+    def _sum(self, coeffs, seqs):
+        """``(value, error, per-piece errors)`` of ``sum_j coeffs[j] I_j`` on
+        the levels so far: the value rounded to working precision, each error
+        the estimate of the sum's own levels.  ``seqs`` holds the sum at each
+        level of each piece and is extended by the levels added since."""
+        val, errs = mpf(0), []
+        with mp.workprec(self.prec + 20):
+            for (_, _, _, levels), seq in zip(self.pieces, seqs):
+                if len(coeffs) > len(levels[0]):
+                    raise UsageError("%d coefficients for %d Laplace integrals"
+                                     % (len(coeffs), len(levels[0])))
+                seq += [mp.fdot(coeffs, level) for level in levels[len(seq):]]
+                val += seq[-1]
+                errs.append(_estimate_error(seq, self.prec, self.eps))
+            err = errs[0] + errs[1]
+        return +val, err, errs
 
     def integral(self, coeffs):
         """``(sum_j coeffs[j] I_j, error)``: the error estimate of this sum's own
-        levels, added over the pieces.  Levels run to 2^10, then 2^12 if the
-        error misses ``rel_tol`` relative (absolute below 1).  More ``coeffs``
+        levels, added over the pieces, within ``rel_tol`` relative (absolute
+        below 1).  Without an explicit tolerance, levels run to 2^10, then
+        2^12 if that misses; with one, up to 2^12 per piece.  More ``coeffs``
         than integrals ``I_j`` raise :class:`UsageError`."""
-        for max_level in (10, 12):
-            val = err = mpf(0)
-            with mp.workprec(self.prec + 20):
-                for i, piece in enumerate(self.pieces):
+        seqs = ([], [])
+        if self.quad_rel_tol is None:
+            for max_level in (10, 12):
+                for i in (0, 1):
                     self._refine(i, max_level)
-                    if len(coeffs) > len(piece[3][0]):
-                        raise UsageError("%d coefficients for %d Laplace integrals"
-                                         % (len(coeffs), len(piece[3][0])))
-                    seq = [mp.fdot(coeffs, level) for level in piece[3]]
-                    val += seq[-1]
-                    err += _estimate_error(seq, self.prec, self.eps)
-            val = +val
-            if err <= self.rel_tol * max(abs(val), 1):
-                return val, err
+                val, err, _ = self._sum(coeffs, seqs)
+                if err <= self.rel_tol * max(abs(val), 1):
+                    return val, err
+        else:
+            for i in (0, 1):
+                while len(self.pieces[i][3]) < 2:
+                    self._add_level(i)
+            while True:
+                val, err, errs = self._sum(coeffs, seqs)
+                if err <= self.rel_tol * max(abs(val), 1):
+                    return val, err
+                short = [i for i in (0, 1) if len(self.pieces[i][3]) < 12]
+                if not short:
+                    break
+                self._add_level(max(short, key=errs.__getitem__))
         raise ResourceError("Laplace quadrature stuck at error %s (tolerance %s)"
                             % (mp.nstr(err, 3), mp.nstr(self.rel_tol, 3)))
 
@@ -252,7 +292,7 @@ def laplace_moments(cfg, g, n):
             sums.append(sum(ws))
         return sums
 
-    return Laplace(cfg.sigma, cfg.rel_tol(), level_sums)
+    return Laplace(cfg.sigma, cfg.quad_rel_tol, level_sums)
 
 
 def borel_sum(s, cfg, g, full_output=False):
@@ -301,7 +341,7 @@ def borel_pade_sum(s, sigma, L, M, g, full_output=False):
         zs = (g * mp.ldexp(x, -q) for x in xs)
         return [mp.fdot((w, horner(num, z) / horner(den, z)) for w, z in zip(ws, zs))]
 
-    val, quad_err = Laplace(sigma, tolerance(8), level_sums).integral((1,))
+    val, quad_err = Laplace(sigma, None, level_sums).integral((1,))
     if not full_output:
         return val
     return BorelSumResult(value=val, truncation_error=mpf(0), quadrature_error=quad_err)

@@ -70,3 +70,12 @@ def test_clear_bytecode_deletes_every_pycache_and_nothing_else(tmp_path):
     assert not list(tmp_path.rglob("__pycache__"))
     assert (tmp_path / "src/pkg/mod.py").is_file()
     assert bench_pairs.clear_bytecode(tmp_path) == 0
+
+
+def test_span_summary_gives_the_min_and_median_of_the_runs():
+    seconds = [0.21, 0.183, 0.19, 0.25, 0.1875, 0.2, 0.186, 0.3]
+    got = bench_pairs.span_summary(seconds)
+    assert (got["min"], got["median"]) == (0.183, 0.195)
+    assert got["runs"] == seconds
+    assert bench_pairs.span_summary([0.123456])["median"] == 0.1235
+

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from resum import (
     BorelConfig,
     PowerSeries,
+    ResourceError,
     SummabilityError,
     UsageError,
     anharmonic_ground_coeffs,
@@ -18,6 +19,7 @@ from resum import (
     conformal_map_coeffs,
     d0_partition_coeffs,
     d0_partition_value,
+    nu_inv_series,
     pade_fit,
     rg_series,
 )
@@ -195,6 +197,62 @@ def test_laplace_integral_rejects_more_coefficients_than_moments():
     assert moments.integral((1, 1, 1)) == full
 
 
+def count_nodes(monkeypatch):
+    """A list that sums the tanh-sinh nodes handed to ``level_sums`` from now on."""
+    count = [0]
+    weighted_nodes = borel._weighted_nodes
+
+    def counted(*args):
+        nodes = weighted_nodes(*args)
+        count[0] += len(nodes[0])
+        return nodes
+
+    monkeypatch.setattr(borel, "_weighted_nodes", counted)
+    return count
+
+
+def test_explicit_tolerance_stops_at_the_asked_for_sum(monkeypatch):
+    # The borel-map-exponents setting: 40 digits, quad_rel_tol 1e-20, n = 7,
+    # and its three mapped series on one moment build per (sigma, g).
+    count = count_nodes(monkeypatch)
+    with mp.workdps(40):
+        rg = rg_series()
+        tol = mpf("1e-20")
+        for sigma in (0, 1, 2, 3):
+            sums = [conformal_map_coeffs(borel_leroy_transform(s.truncate(7), sigma),
+                                         rg.large_order_a).coeffs
+                    for s in (rg.beta, nu_inv_series(), rg.gamma_inv)]
+            for g in (mpf("0.5"), mpf("1.4"), mpf(3)):
+                nodes, values = [], []
+                for cfg_tol in (None, tol):
+                    count[0] = 0
+                    moments = borel.laplace_moments(
+                        BorelConfig(a=rg.large_order_a, sigma=sigma, quad_rel_tol=cfg_tol), g, 7)
+                    values.append([moments.integral(c)[0] for c in sums])
+                    nodes.append(count[0])
+                for v, got in zip(*values):
+                    assert abs(got - v) <= tol * max(abs(v), 1), (sigma, g)
+                assert nodes[1] < nodes[0], (sigma, g, nodes)
+    # Without a tolerance every moment runs to working precision: the node
+    # counts of the d0 order-8 requests at g = 2 in perfbench's tiny deck.
+    s = d0_partition_coeffs(8)
+    count[0] = 0
+    borel_sum(s, BorelConfig(a=1 / mpf("1.5"), truncation=8), 2, full_output=True)
+    assert count[0] == 1096
+    count[0] = 0
+    borel_pade_sum(s, 0, 4, 4, 2, full_output=True)
+    assert count[0] == 802
+
+
+def test_unreachable_tolerance_raises_after_twelve_levels():
+    # At 40 digits (136 bits) mpmath's estimate is 0 or at least 10^-136.
+    with mp.workdps(40):
+        moments = borel.laplace_moments(BorelConfig(a=1, quad_rel_tol=mpf("1e-140")), 1, 7)
+        with pytest.raises(ResourceError, match=r"tolerance 1\.0e-140"):
+            moments.integral((1,) * 8)
+    assert [len(piece[3]) for piece in moments.pieces] == [12, 12]
+
+
 def test_node_cache_stays_within_its_bound():
     # Each Leroy shift is a new key set: two pieces times several levels.
     s = alternating_factorial(3)
@@ -268,7 +326,7 @@ def test_config_validation():
                 {"a": 1, "sigma": mp.inf}, {"a": 1, "quad_rel_tol": mp.nan}):
         with pytest.raises(UsageError):
             BorelConfig(**bad)
-    for tol in (0, mpf("-1e-10")):
+    for tol in (0, mpf("-1e-10"), 1, 10):
         with pytest.raises(UsageError, match="quad_rel_tol"):
             BorelConfig(a=1, quad_rel_tol=tol)
     with pytest.raises(UsageError):

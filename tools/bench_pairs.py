@@ -23,6 +23,13 @@ interquartile range ``q3 - q1``.  Before the first pair it deletes every
 ``__pycache__`` directory under both trees, so neither side starts with
 bytecode the other lacks (it changes ``setup_s``), and records how many it
 deleted per side.
+
+After the pairs it times, per side, the traced run of perfbench's own self-test
+(``perfbench/tests/test_harness.py``): ``run.run("sum-mix", 3, 0, trace=True)``
+on that test's ``TINY`` deck, ``SELF_TEST_RUNS`` times after one untraced
+warm-up, each in wall seconds.  ``self_test_traced_run_s`` holds their min and
+median: a run shorter than the speed clock's first 0.1 s sample fails that
+self-test.
 """
 
 import argparse
@@ -37,6 +44,21 @@ from pathlib import Path
 
 SECONDS = 5
 SIDES = ("parent", "change")
+SELF_TEST_RUNS = 8
+# Run in a tree's root: the self-test's traced run on the self-test's own deck.
+SELF_TEST_SCRIPT = """
+import json, sys, time
+sys.path.insert(0, "perfbench/tests")
+import test_harness
+test_harness.workloads.DECK = test_harness.TINY
+test_harness.run.run("sum-mix", 3, 0, trace=False)
+seconds = []
+for _ in range(%d):
+    start = time.perf_counter()
+    test_harness.run.run("sum-mix", 3, 0, trace=True)
+    seconds.append(time.perf_counter() - start)
+print(json.dumps(seconds))
+""" % SELF_TEST_RUNS
 
 
 def run_once(tree, workload, seed, trace):
@@ -92,6 +114,23 @@ def summary(pairs, metrics):
                          gain_shown=10 * wins >= 9 * len(pairs)
                          and abs(change - parent) > q3 - q1)
     return out
+
+
+def self_test_seconds(tree):
+    """Wall seconds of each traced self-test run in ``tree``; a failed run
+    stops the script."""
+    proc = subprocess.run([sys.executable, "-c", SELF_TEST_SCRIPT], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit("self-test run failed in %s (exit %d):\n%s"
+                 % (tree, proc.returncode, proc.stderr))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def span_summary(seconds):
+    """Min and median of the self-test's traced run times, and every run."""
+    return {"min": round(min(seconds), 4), "median": round(statistics.median(seconds), 4),
+            "runs": [round(s, 4) for s in seconds]}
 
 
 def per_pass(tree, workload, result):
@@ -172,6 +211,10 @@ def main(argv=None):
                     trees[side], workload, result)
         out["workloads"][workload] = entry
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    out["self_test_traced_run_s"] = {side: span_summary(self_test_seconds(trees[side]))
+                                     for side in SIDES}
+    print("self-test traced run: %s" % out["self_test_traced_run_s"], file=sys.stderr)
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
