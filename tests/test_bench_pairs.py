@@ -74,8 +74,9 @@ def test_clear_bytecode_deletes_every_pycache_and_nothing_else(tmp_path):
 
 def test_span_summary_gives_the_min_and_median_of_the_runs():
     seconds = [0.21, 0.183, 0.19, 0.25, 0.1875, 0.2, 0.186, 0.3]
-    got = bench_pairs.span_summary(seconds)
+    got = bench_pairs.span_summary({"seconds": seconds, "raised": []})
     assert (got["min"], got["median"]) == (0.183, 0.195)
-    assert got["runs"] == seconds
-    assert bench_pairs.span_summary([0.123456])["median"] == 0.1235
-
+    assert got["runs"] == seconds and got["raised"] == []
+    raised = ["RuntimeError('no speed samples taken; the clock was not active')"]
+    got = bench_pairs.span_summary({"seconds": [0.123456, 0.09], "raised": raised})
+    assert (got["min"], got["median"], got["raised"]) == (0.09, 0.1067, raised)

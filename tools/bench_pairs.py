@@ -28,8 +28,8 @@ After the pairs it times, per side, the traced run of perfbench's own self-test
 (``perfbench/tests/test_harness.py``): ``run.run("sum-mix", 3, 0, trace=True)``
 on that test's ``TINY`` deck, ``SELF_TEST_RUNS`` times after one untraced
 warm-up, each in wall seconds.  ``self_test_traced_run_s`` holds their min and
-median: a run shorter than the speed clock's first 0.1 s sample fails that
-self-test.
+median, and what any run raised: a run shorter than the speed clock's first
+0.1 s sample fails that self-test.
 """
 
 import argparse
@@ -52,12 +52,15 @@ sys.path.insert(0, "perfbench/tests")
 import test_harness
 test_harness.workloads.DECK = test_harness.TINY
 test_harness.run.run("sum-mix", 3, 0, trace=False)
-seconds = []
+seconds, raised = [], []
 for _ in range(%d):
     start = time.perf_counter()
-    test_harness.run.run("sum-mix", 3, 0, trace=True)
+    try:
+        test_harness.run.run("sum-mix", 3, 0, trace=True)
+    except Exception as exc:
+        raised.append(repr(exc))
     seconds.append(time.perf_counter() - start)
-print(json.dumps(seconds))
+print(json.dumps({"seconds": seconds, "raised": raised}))
 """ % SELF_TEST_RUNS
 
 
@@ -116,21 +119,24 @@ def summary(pairs, metrics):
     return out
 
 
-def self_test_seconds(tree):
-    """Wall seconds of each traced self-test run in ``tree``; a failed run
-    stops the script."""
+def self_test_runs(tree):
+    """``{"seconds": [...], "raised": [...]}``: the wall seconds of each traced
+    self-test run in ``tree``, and the exceptions the runs raised (a run that
+    raises is timed too).  A failed warm-up stops the script."""
     proc = subprocess.run([sys.executable, "-c", SELF_TEST_SCRIPT], cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit("self-test run failed in %s (exit %d):\n%s"
+        sys.exit("self-test warm-up failed in %s (exit %d):\n%s"
                  % (tree, proc.returncode, proc.stderr))
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def span_summary(seconds):
-    """Min and median of the self-test's traced run times, and every run."""
+def span_summary(runs):
+    """Min and median of the self-test's traced run times, every run, and
+    what the runs raised."""
+    seconds = runs["seconds"]
     return {"min": round(min(seconds), 4), "median": round(statistics.median(seconds), 4),
-            "runs": [round(s, 4) for s in seconds]}
+            "runs": [round(s, 4) for s in seconds], "raised": runs["raised"]}
 
 
 def per_pass(tree, workload, result):
@@ -211,7 +217,7 @@ def main(argv=None):
                     trees[side], workload, result)
         out["workloads"][workload] = entry
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-    out["self_test_traced_run_s"] = {side: span_summary(self_test_seconds(trees[side]))
+    out["self_test_traced_run_s"] = {side: span_summary(self_test_runs(trees[side]))
                                      for side in SIDES}
     print("self-test traced run: %s" % out["self_test_traced_run_s"], file=sys.stderr)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
