@@ -223,22 +223,25 @@ class Laplace:
                     _estimate_error(seq, self.prec, self.eps) <= self.eps
                     for seq in zip(*levels))
 
-    def _sum(self, coeffs, seqs):
-        """``(value, error, per-piece errors)`` of ``sum_j coeffs[j] I_j`` on
-        the levels so far: the value rounded to working precision, each error
-        the estimate of the sum's own levels.  ``seqs`` holds the sum at each
-        level of each piece and is extended by the levels added since."""
-        val, errs = mpf(0), []
+    def _sum(self, coeffs, seqs, errs):
+        """``(value, error)`` of ``sum_j coeffs[j] I_j`` on the levels so far:
+        the value rounded to working precision, the error the estimate of the
+        sum's own levels added over the pieces.  ``seqs[i]`` holds the sum at
+        each level of piece ``i`` and ``errs[i]`` its estimate; both catch up
+        with the levels added since."""
+        val = mpf(0)
         with mp.workprec(self.prec + 20):
-            for (_, _, _, levels), seq in zip(self.pieces, seqs):
+            for i, (_, _, _, levels) in enumerate(self.pieces):
+                seq = seqs[i]
                 if len(coeffs) > len(levels[0]):
                     raise UsageError("%d coefficients for %d Laplace integrals"
                                      % (len(coeffs), len(levels[0])))
-                seq += [mp.fdot(coeffs, level) for level in levels[len(seq):]]
+                if len(seq) < len(levels):
+                    seq += [mp.fdot(coeffs, level) for level in levels[len(seq):]]
+                    errs[i] = _estimate_error(seq, self.prec, self.eps)
                 val += seq[-1]
-                errs.append(_estimate_error(seq, self.prec, self.eps))
             err = errs[0] + errs[1]
-        return +val, err, errs
+        return +val, err
 
     def integral(self, coeffs):
         """``(sum_j coeffs[j] I_j, error)``: the error estimate of this sum's own
@@ -246,12 +249,12 @@ class Laplace:
         below 1).  Without an explicit tolerance, levels run to 2^10, then
         2^12 if that misses; with one, up to 2^12 per piece.  More ``coeffs``
         than integrals ``I_j`` raise :class:`UsageError`."""
-        seqs = ([], [])
+        seqs, errs = ([], []), [None, None]
         if self.quad_rel_tol is None:
             for max_level in (10, 12):
                 for i in (0, 1):
                     self._refine(i, max_level)
-                val, err, _ = self._sum(coeffs, seqs)
+                val, err = self._sum(coeffs, seqs, errs)
                 if err <= self.rel_tol * max(abs(val), 1):
                     return val, err
         else:
@@ -259,7 +262,7 @@ class Laplace:
                 while len(self.pieces[i][3]) < 2:
                     self._add_level(i)
             while True:
-                val, err, errs = self._sum(coeffs, seqs)
+                val, err = self._sum(coeffs, seqs, errs)
                 if err <= self.rel_tol * max(abs(val), 1):
                     return val, err
                 short = [i for i in (0, 1) if len(self.pieces[i][3]) < 12]
