@@ -363,8 +363,7 @@ def run_borel_map_exponents():
     quad_tol = mpf(10) ** (-(mp.dps // 2))
 
     cfgs = {s: BorelConfig(a=a, sigma=s, quad_rel_tol=quad_tol) for s in sigmas}
-    # One moment cache per Leroy shift, shared by the selection, the early
-    # orders and the exponent rows.
+    # One moment cache per Leroy shift: the selection, early orders and rows share it.
     laplaces = {s: cache(partial(laplace_moments, cfg, n=7)) for s, cfg in cfgs.items()}
 
     def zeros(sigma, orders):

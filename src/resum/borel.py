@@ -40,12 +40,9 @@ _MAP_SPAN_BITS = 1 << 16  # span of magnitudes the conformal map sums exactly
 
 @dataclass(frozen=True)
 class BorelConfig:
-    """Parameters of the transform, the map and the Laplace quadrature.
-
-    ``quad_rel_tol`` in ``(0, 1)`` stops the Laplace quadrature once the
-    asked-for sum's error estimate is below it, relative (absolute below 1).
-    Left None, every moment runs to working precision and the sum is accepted
-    at ``10^(8 - digits)``; see :class:`Laplace`."""
+    """Parameters of the transform, the map and the Laplace quadrature; an
+    explicit ``quad_rel_tol`` in ``(0, 1)`` stops the quadrature once the
+    asked-for sum meets it (see :class:`Laplace`)."""
 
     a: object                    # Borel-plane singularity parameter (> 0)
     sigma: object = 0            # Leroy shift in the Gamma divisor (0..1000)
@@ -224,11 +221,10 @@ class Laplace:
                     for seq in zip(*levels))
 
     def _sum(self, coeffs, seqs, errs):
-        """``(value, error)`` of ``sum_j coeffs[j] I_j`` on the levels so far:
-        the value rounded to working precision, the error the estimate of the
-        sum's own levels added over the pieces.  ``seqs[i]`` holds the sum at
+        """``(value, error)`` of ``sum_j coeffs[j] I_j`` on the levels so far,
+        the value rounded to working precision.  ``seqs[i]`` holds the sum at
         each level of piece ``i`` and ``errs[i]`` its estimate; both catch up
-        with the levels added since."""
+        with the levels added since, and the error adds the ``errs``."""
         val = mpf(0)
         with mp.workprec(self.prec + 20):
             for i, (_, _, _, levels) in enumerate(self.pieces):
