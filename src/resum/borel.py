@@ -192,11 +192,18 @@ class Laplace:
     estimate of every ``I_j`` is ``<= eps/8`` (working precision), whatever
     sum is asked for, and the sum is accepted at ``10^(8 - digits)``.  With
     an explicit ``quad_rel_tol``, levels are added only while the asked-for
-    sum misses it, each to the piece whose estimate of that sum is larger."""
+    sum misses it, each to the piece whose estimate of that sum is larger.
+    An explicit ``quad_rel_tol`` below ``10^(8 - digits)`` at the working
+    digits is a :class:`UsageError`: below it the estimate reads the level
+    sums' rounding noise as convergence."""
 
     def __init__(self, sigma, quad_rel_tol, level_sums):
         self.sigma, self.level_sums, self.quad_rel_tol = sigma, level_sums, quad_rel_tol
-        self.rel_tol = tolerance(8) if quad_rel_tol is None else quad_rel_tol
+        floor = tolerance(8)
+        self.rel_tol = floor if quad_rel_tol is None else quad_rel_tol
+        if self.rel_tol < floor:
+            raise UsageError("quad_rel_tol must be at least 10^(8 - digits) = %s at %d digits,"
+                             " got %s" % (mp.nstr(floor, 3), mp.dps, mp.nstr(self.rel_tol, 3)))
         self.prec, self.eps = mp.prec, mp.eps / 8
         t_max = _cutoff(sigma, self.rel_tol, self.prec)
         # Per piece: its ends, the node sums (scaled by 2^Q) and each level's I_j.

@@ -106,21 +106,21 @@ def select_rho(table, k, criterion, allow_complex=False):
     ``is_complex`` marks such picks.  Real candidates come from the
     descending scan of :mod:`resum.poly`, read lazily: an order whose
     candidate passes stops there, and only a flagged order scans the whole
-    range.  One loop reads every candidate, each magnitude from a row
-    evaluator (:class:`resum.poly.Polynomial`): ``P_k`` and ``P_{k-1}`` from
-    the table's ``rows``, ``P_k'`` from one built here.
+    range.  One loop reads every candidate, each magnitude from a
+    :class:`resum.poly.Polynomial`: ``P_k`` and ``P_{k-1}`` are the table's
+    ``rows``, and ``P_k'`` is built here once; the scans read the same two.
     """
     whole_number(k, "k", 1, table.source_order)
     tau = criterion.smallness_factor
     poly = table.polys[k]
-    dpoly = derivative_coeffs(poly)
     if all(c == 0 for c in poly):
         # A vanishing tuning polynomial leaves the scale free (constant
         # sources): any rho reproduces the value, so report unit scale.
         return OdmReport(k=k, rho=mpf(1), candidates=((mpf(1), mpf(0), mpf(0)),),
                          mode=criterion.mode, flagged=False)
+    row, deriv = table.rows[k], Polynomial(derivative_coeffs(poly) or (mpf(0),))
     for mode in _ZERO_SETS[criterion.mode]:
-        zeros_of = poly if mode is SelectionMode.ROOT else dpoly
+        zeros_of = row if mode is SelectionMode.ROOT else deriv
         pool, wide = complex_pools(zeros_of) if allow_complex else (positive_roots(zeros_of), [])
         head = list(islice(pool, 1))  # the largest candidate, if any
         if head or wide:
@@ -130,10 +130,10 @@ def select_rho(table, k, criterion, allow_complex=False):
             "no admissible %s at order %d"
             % ("root" if mode is SelectionMode.ROOT else "stationary point", k)
         )
-    rows = (table.rows[k], Polynomial(dpoly), table.rows[k - 1])
+    rows = (row, deriv, table.rows[k - 1])
     examined = []
     for rho in chain(head, pool) if head else wide[:1]:
-        pval, dval, scale = (abs(row(rho)) for row in rows)  # scale: the neighbor yardstick
+        pval, dval, scale = (abs(p(rho)) for p in rows)  # scale: the neighbor yardstick
         examined.append((rho, pval, dval))
         if mode is SelectionMode.ROOT:
             passed = dval <= tau * scale * k / abs(rho)

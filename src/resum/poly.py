@@ -2,14 +2,15 @@
 
 Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
-the row evaluator of the rho-polynomial tables (:class:`Polynomial`), the
-root-modulus bounds, the complete root solver with its real-root filter
-(mpmath's Durand-Kerner, started from float64 Durand-Kerner roots, so it
-takes a few sweeps at working precision instead of about ten, for the same
-roots), the real scale candidates (a descending positive-root scan) and the
-complex ones, and one bracketed solver for scalar zeros (the polish of every
-scan root, the mapping inversion, the saddle equations, the Borel-summed
-flow).
+one polynomial type (:class:`Polynomial`, whose mp, float64 and exact integer
+forms are built once and read both by row evaluation in the rho-polynomial
+tables and by the positive-root scan), the root-modulus bounds, the complete
+root solver with its real-root filter (mpmath's Durand-Kerner, started from
+float64 Durand-Kerner roots, so it takes a few sweeps at working precision
+instead of about ten, for the same roots), the real scale candidates (a
+descending positive-root scan) and the complex ones, and one bracketed solver
+for scalar zeros (the polish of every scan root, the mapping inversion, the
+saddle equations, the Borel-summed flow).
 """
 
 import cmath
@@ -191,14 +192,6 @@ def _merge_near(roots):
             yield r
 
 
-def _float_coeffs(coeffs):
-    """``(c_j, |c_j|)`` in float64, highest degree first, or None when a
-    nonzero coefficient lies outside ``1e-290 < |c| < 1e290``."""
-    out = tuple((f, abs(f)) for f in map(float, reversed(coeffs)))
-    ok = all(c == 0 or 1e-290 < a < 1e290 for c, (_, a) in zip(reversed(coeffs), out))
-    return out if ok else None
-
-
 def _float_horner(fcoeffs, x):
     """``(y, r, s)``: ``P(x)`` in float64, a radius ``r`` around ``y`` that
     holds the exact ``P(x)`` and the :func:`horner` value, and an upper
@@ -232,24 +225,6 @@ def _float_horner(fcoeffs, x):
             s * (1 + (3 * n + 4) * 1.25 * 2.0 ** -53) + 1e-300)
 
 
-def _fixed_coeffs(coeffs):
-    """Two sequences, highest degree first, or None unless every coefficient
-    is a finite mpf: the exact ``(m, e)`` of each ``c = m 2^e``, and
-    ``(-a, f)`` with ``a 2^f >= |c|`` and ``a < 2^64``."""
-    exact, bounds = [], []
-    for c in reversed(coeffs):
-        try:
-            sign, man, exp, bc = c._mpf_
-        except AttributeError:
-            return None
-        if exp and not man:  # inf or nan
-            return None
-        cut = max(bc - 64, 0)
-        exact.append((-man if sign else man, exp))
-        bounds.append((-man >> cut, exp + cut))
-    return exact, bounds
-
-
 def _fixed_sum(terms, xm, ex, w):
     """``(y, e)``: Horner of the ``(m, e)`` pairs at ``xm 2^ex``, each step
     formed exactly and floored to ``w`` bits, as the integer ``y`` times
@@ -269,10 +244,11 @@ def _fixed_sum(terms, xm, ex, w):
     return y, e
 
 
-def _fixed_horner(icoeffs, x, s=None):
+def _fixed_horner(fixed, x, s=None):
     """``(y, r, e)``: ``P(x)`` as the integer ``y`` times ``2^e``, and a radius
     ``r 2^e`` around it that holds the exact ``P(x)`` and the :func:`horner`
-    value; None defers.  ``s``, when given, bounds ``S(x)`` from above.
+    value; None defers.  ``fixed`` is :attr:`Polynomial.fixed`; ``s``, when
+    given, bounds ``S(x)`` from above.
 
     With degree ``n``, ``u = 2^-prec`` and ``S = sum_j |c_j| |x|^j``: each
     Horner step forms ``y x + c_j`` exactly (``x`` is kept exact) and floors
@@ -285,34 +261,37 @@ def _fixed_horner(icoeffs, x, s=None):
     ``gamma_(2n+1) S <= ((2n + 1) u + 2 (2n + 1)^2 u^2) S`` (Higham 2002,
     section 5.1).  With ``(2n + 1)^2 u <= 1/4`` both together are below
     ``(2n + 2) u S``, the radius, taken with ``s`` for ``S`` or else with
-    the same Horner on ``-a`` and ``|x|`` rounded up to 64 bits: every term
-    is negative, so each floor rounds the magnitude up.  Where ``|y| > r``
-    the mp value is nonzero with the sign of ``y``, and disjoint magnitude
-    intervals order the mp magnitudes.
+    the same :func:`_fixed_sum` at 64 bits on the exact ``(-|m|, e)`` and
+    ``|x|`` rounded up to 64 bits: every term is negative, so each floor
+    rounds the magnitude up.  Where ``|y| > r`` the mp value is nonzero with
+    the sign of ``y``, and disjoint magnitude intervals order the mp
+    magnitudes.
     """
-    if icoeffs is None:
-        return None
-    exact, bounds = icoeffs
-    n = len(exact) - 1
+    n = len(fixed) - 1
     sign, man, ex, bx = x._mpf_
     if not man or (2 * n + 1) ** 2 > 1 << (mp.prec - 2):
         return None
-    y, e = _fixed_sum(exact, -man if sign else man, ex, mp.prec + 64)
+    y, e = _fixed_sum(fixed, -man if sign else man, ex, mp.prec + 64)
     if s is not None:
         frac, f = math.frexp(s)
         a, f = int(math.ldexp(frac, 53)), f - 53
     else:
         cut = max(bx - 64, 0)
-        a, f = _fixed_sum(bounds, -(-man >> cut), ex + cut, 64)
+        a, f = _fixed_sum(((-abs(m), em) for m, em in fixed), -(-man >> cut), ex + cut, 64)
         a = -a
     shift, r = f - mp.prec - e, (2 * n + 2) * a
     return y, (r << shift if shift >= 0 else -(-r >> -shift)), e
 
 
 class Polynomial:
-    """One row evaluator: ``P(x)`` for a polynomial whose coefficients are
-    finite mpf, with their exact integer forms (:func:`_fixed_coeffs`) built
-    once; any other coefficient is a :class:`UsageError` naming ``name``.
+    """A polynomial whose coefficients are finite mpf, in the forms every
+    evaluation and root scan reads, each built once: ``coeffs``, without
+    exactly-zero highest-degree terms (at least one is kept); ``floats``, the
+    ``(c_j, |c_j|)`` of :func:`_float_horner` in float64, highest degree
+    first, or None when a nonzero coefficient lies outside ``1e-290 < |c| <
+    1e290``; and ``fixed``, the exact ``(m, e)`` of each ``c = m 2^e``,
+    highest degree first.  Any other coefficient, a dropped one included, is
+    a :class:`UsageError` naming ``name``.
 
     At an mpc ``x`` the value is :func:`horner`'s.  At a finite mpf ``x`` it
     is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to nearest
@@ -321,15 +300,20 @@ class Polynomial:
     where the mp :func:`horner` is only within ``gamma_(2n+1) S``.  An
     infinite or NaN mpf ``x`` is a :class:`UsageError` naming ``x``."""
 
-    __slots__ = ("coeffs", "_exact")
+    __slots__ = ("coeffs", "floats", "fixed")
 
     def __init__(self, coeffs, name="coeffs"):
-        self.coeffs = tuple(coeffs)
-        forms = _fixed_coeffs(self.coeffs)
-        if forms is None or not self.coeffs:
+        given = tuple(coeffs)
+        parts = [getattr(c, "_mpf_", None) for c in given]
+        if not given or any(p is None or (p[2] and not p[1]) for p in parts):  # inf, nan
             raise UsageError("%s must hold one or more finite mpf coefficients, got %r"
-                             % (name, self.coeffs))
-        self._exact = forms[0]
+                             % (name, given))
+        self.coeffs = tuple(strip_zeros(given)) or given[:1]
+        self.fixed = tuple((-man if sign else man, exp)
+                           for sign, man, exp, _ in reversed(parts[:len(self.coeffs)]))
+        floats = tuple((f, abs(f)) for f in map(float, reversed(self.coeffs)))
+        self.floats = floats if all(m == 0 or 1e-290 < a < 1e290
+                                    for (m, _), (_, a) in zip(self.fixed, floats)) else None
 
     def __call__(self, x):
         if isinstance(x, mpc):
@@ -337,7 +321,7 @@ class Polynomial:
         sign, man, ex, _ = x._mpf_
         if ex and not man:  # inf or nan
             raise UsageError("x must be finite, got %s" % x)
-        y, e = _fixed_sum(self._exact, -man if sign else man, ex, mp.prec + 64)
+        y, e = _fixed_sum(self.fixed, -man if sign else man, ex, mp.prec + 64)
         return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
 
 
@@ -347,22 +331,22 @@ class _Sample:
     ``r`` (:func:`_float_horner`), the fixed-point value with its radius
     (:func:`_fixed_horner`), and the mp :func:`horner` value.  Both radii
     hold the mp value, so every sign and comparison is the one mp gives.
-    ``forms`` is the polynomial as mp, float64 and fixed-point coefficients."""
+    Each tier reads its own form of the :class:`Polynomial` ``poly``."""
 
-    __slots__ = ("forms", "x", "y", "r", "s", "_fixed", "_exact")
+    __slots__ = ("poly", "x", "y", "r", "s", "_fixed", "_exact")
 
-    def __init__(self, forms, x):
-        self.forms, self.x, self._fixed, self._exact = forms, x, False, None
-        self.y, self.r, self.s = _float_horner(forms[1], x) or (None, None, None)
+    def __init__(self, poly, x):
+        self.poly, self.x, self._fixed, self._exact = poly, x, False, None
+        self.y, self.r, self.s = _float_horner(poly.floats, x) or (None, None, None)
 
     def fixed(self):
         if self._fixed is False:
-            self._fixed = _fixed_horner(self.forms[2], self.x, self.s)
+            self._fixed = _fixed_horner(self.poly.fixed, self.x, self.s)
         return self._fixed
 
     def exact(self):
         if self._exact is None:
-            self._exact = horner(self.forms[0], self.x)
+            self._exact = horner(self.poly.coeffs, self.x)
         return self._exact
 
     def certified(self):
@@ -398,8 +382,9 @@ class _Sample:
         return abs(self.exact()) < abs(other.exact())
 
 
-def _polish(forms, lo, hi):
-    """The simple root between the samples ``lo.x < hi.x``, whose signs differ.
+def _polish(poly, lo, hi):
+    """The simple root of ``poly`` between the samples ``lo.x < hi.x``, whose
+    signs differ.
 
     One Illinois solve of :func:`bracket_solve` with guard digits, so the
     root's accuracy is set by its conditioning well below the caller's
@@ -414,7 +399,7 @@ def _polish(forms, lo, hi):
     scan's mp sign at an end was rounding noise at working precision."""
     with mp.extradps(20):
         def f(x):
-            sample = _Sample(forms, x)
+            sample = _Sample(poly, x)
             value = sample.certified()
             if value is not None:
                 return value
@@ -432,9 +417,9 @@ def _polish(forms, lo, hi):
     return +root
 
 
-def positive_roots(coeffs):
-    """Positive real roots by descending geometric sign scan, largest first,
-    for the scale selection.
+def positive_roots(poly):
+    """Positive real roots of the :class:`Polynomial` ``poly`` by descending
+    geometric sign scan, largest first, for the scale selection.
 
     A generator: it walks a geometric grid of eight points per octave (at
     most 4000) from above the Fujiwara upper bound down to half the Fujiwara
@@ -454,29 +439,28 @@ def positive_roots(coeffs):
     polynomials of any degree; arbitrary input should go through
     :func:`polynomial_real_roots`.
     """
-    coeffs = strip_zeros(coeffs)
+    coeffs = poly.coeffs
     if len(coeffs) < 2:
         return
-    forms = (coeffs, _float_coeffs(coeffs), _fixed_coeffs(coeffs))
     hi = _fujiwara_bound(coeffs) * mpf("1.01")
     lo = _fujiwara_lower_bound(coeffs) / 2 or hi * mpf("1e-20")  # zero: a root at 0
     n = min(max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8), 4000)
     ratio = (lo / hi) ** (mpf(1) / n)
-    grid = [_Sample(forms, hi)]
+    grid = [_Sample(poly, hi)]
 
     def point(i):
         # Grid point i, extending the walk on demand.
         while len(grid) <= i:
-            grid.append(_Sample(forms, grid[-1].x * ratio))
+            grid.append(_Sample(poly, grid[-1].x * ratio))
         return grid[i]
 
     def refine(fa, fb):
         # Sign changes among sixteen sub-cells of fa.x > fb.x, descending.
         step = (fa.x / fb.x) ** (mpf(1) / 16)
-        sub = [_Sample(forms, fb.x * step ** j) for j in range(17)]
+        sub = [_Sample(poly, fb.x * step ** j) for j in range(17)]
         for j in range(16, 0, -1):
             if sub[j].sign() * sub[j - 1].sign() < 0:
-                yield _polish(forms, sub[j - 1], sub[j])
+                yield _polish(poly, sub[j - 1], sub[j])
 
     def descending_roots():
         for i in range(n):
@@ -484,7 +468,7 @@ def positive_roots(coeffs):
             if fa.sign() == 0:
                 yield fa.x
             elif fa.sign() * fb.sign() < 0:
-                yield _polish(forms, fb, fa)
+                yield _polish(poly, fb, fa)
             elif i + 2 <= n:
                 # A dip at fb; a sign change or zero on (fb, fc) is the next cell's.
                 fc = point(i + 2)
@@ -499,22 +483,21 @@ def positive_roots(coeffs):
     yield from (r for r in _merge_near(descending_roots()) if r > eps)
 
 
-def complex_pools(coeffs):
-    """Scale candidates when complex pairs are admitted: an iterator over the
-    positive roots and near-real pairs, and the list of wide fallback pairs,
-    each largest modulus first.
+def complex_pools(poly):
+    """Scale candidates from the :class:`Polynomial` ``poly`` when complex
+    pairs are admitted: an iterator over the positive roots and near-real
+    pairs, and the list of wide fallback pairs, each largest modulus first.
 
     Complex pairs are canonicalized to positive imaginary part.  "Near-real"
     means ``Im <= Re / 2`` (strictly positive real part); the wide pool
     keeps any remaining pair with nonnegative real part, the last resort when
     nothing else exists.
     """
-    stripped = strip_zeros(coeffs)
-    if len(stripped) < 2:
+    if len(poly.coeffs) < 2:
         return iter(()), []
     eps = tolerance(mp.dps // 2)
     pool, wide = [], []
-    for r in all_roots(stripped):
+    for r in all_roots(poly.coeffs):
         re, im = mp.re(r), mp.im(r)
         if abs(im) <= eps * max(1, abs(r)):
             if re > eps:

@@ -1,5 +1,6 @@
 """Borel-Leroy transform, disk mapping, Laplace summation, rational variant."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -245,12 +246,19 @@ def test_explicit_tolerance_stops_at_the_asked_for_sum(monkeypatch):
 
 
 def test_unreachable_tolerance_raises_after_twelve_levels():
-    # At 40 digits (136 bits) mpmath's estimate is 0 or at least 10^-136.
+    # Below 10^(8 - digits) the level estimate reads rounding noise as
+    # convergence, so such a tolerance is refused up front.
     with mp.workdps(40):
-        moments = borel.laplace_moments(BorelConfig(a=1, quad_rel_tol=mpf("1e-140")), 1, 7)
-        with pytest.raises(ResourceError, match=r"tolerance 1\.0e-140"):
-            moments.integral((1,) * 8)
-    assert [len(piece[3]) for piece in moments.pieces] == [12, 12]
+        with pytest.raises(UsageError, match=r"quad_rel_tol .* 1\.0e-32 at 40 digits"):
+            borel.laplace_moments(BorelConfig(a=1, quad_rel_tol=mpf("1e-140")), 1, 7)
+        # Level values that never settle: each level adds a seeded random
+        # step of 2^(Q + 12) to the node sum.
+        rng, q = random.Random(7), mp.prec + borel._GUARD_BITS
+        laplace = borel.Laplace(0, mpf("1e-20"), lambda xs, ws: [
+            rng.randrange(-1 << (q + 12), 1 << (q + 12))])
+        with pytest.raises(ResourceError, match=r"tolerance 1\.0e-20"):
+            laplace.integral((1,))
+    assert [len(piece[3]) for piece in laplace.pieces] == [12, 12]
 
 
 def test_node_cache_stays_within_its_bound():

@@ -9,6 +9,7 @@ from resum import (
     MappingSpec,
     PowerSeries,
     ResourceError,
+    RhoPolynomialTable,
     RhoSelectionCriterion,
     SelectionError,
     SelectionMode,
@@ -29,11 +30,11 @@ from resum.precision import tolerance
 MIXED = RhoSelectionCriterion()
 
 
-def complete_solver_roots(coeffs):
+def complete_solver_roots(p):
     """Positive real roots by the complete solver, largest first: the
     reference the descending scan of ``positive_roots`` is checked against."""
     eps = tolerance(mp.dps // 2)
-    return (r for r in sorted(polynomial_real_roots(coeffs), reverse=True) if r > eps)
+    return (r for r in sorted(polynomial_real_roots(p.coeffs), reverse=True) if r > eps)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,25 @@ class TestSelection:
         assert rep.mode is SelectionMode.ROOT
         assert len(rep.candidates) == 1 and rep.candidates[0][0] == rep.rho
 
+    def test_scans_read_the_polynomials_the_candidate_loop_evaluates(self, d0_table,
+                                                                      monkeypatch):
+        # The ROOT scan is handed the table's own row P_k; the STATIONARY scan
+        # the one P_k' that the candidate loop then evaluates.
+        scanned, evaluated = [], []
+        scan, evaluate = odm.positive_roots, odm.Polynomial.__call__
+        monkeypatch.setattr("resum.odm.positive_roots", lambda p: scanned.append(p) or scan(p))
+        monkeypatch.setattr(odm.Polynomial, "__call__",
+                            lambda p, x: evaluated.append(p) or evaluate(p, x))
+        assert select_rho(d0_table, 7, MIXED).mode is SelectionMode.ROOT
+        assert len(scanned) == 1 and scanned[0] is d0_table.rows[7]
+        assert any(p is scanned[0] for p in evaluated)
+        scanned.clear()
+        evaluated.clear()
+        assert select_rho(d0_table, 8, MIXED).mode is SelectionMode.STATIONARY
+        assert len(scanned) == 2 and scanned[0] is d0_table.rows[8]
+        assert scanned[1] not in d0_table.rows
+        assert any(p is scanned[1] for p in evaluated)
+
     def test_out_of_range(self, d0_table):
         with pytest.raises(UsageError):
             select_rho(d0_table, 0, MIXED)
@@ -201,6 +221,15 @@ class TestSelection:
     def test_root_mode_fails_on_even_order(self, d0_table):
         with pytest.raises(SelectionError):
             select_rho(d0_table, 8, RhoSelectionCriterion(mode=SelectionMode.ROOT))
+
+    def test_a_nonzero_constant_row_has_no_admissible_scale(self):
+        # Neither P_1 nor its derivative has a zero, whether the row is held
+        # as one coefficient or padded with a zero.
+        spec = MappingSpec(MappingFamily.POWER_CUT, 2)
+        for row in ((mpf(-1),), (mpf(-1), mpf(0))):
+            table = RhoPolynomialTable(((mpf(1),), row), spec)
+            with pytest.raises(SelectionError, match="order 1"):
+                select_rho(table, 1, MIXED)
 
     def test_scan_sign_lost_to_rounding_asks_for_more_precision(self):
         # At order 114 of the K = 130 d0 table the scan's 64-digit mp sign at

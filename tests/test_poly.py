@@ -45,6 +45,7 @@ from resum.benchmarks import run_benchmark
 from resum.cli import main
 from resum import poly
 from resum.poly import (
+    Polynomial,
     _fujiwara_bound,
     _fujiwara_lower_bound,
     all_roots,
@@ -124,7 +125,7 @@ SEPARATED_ROOTS = st.integers(1, 20).flatmap(lambda n: st.lists(
 def test_scan_matches_complete_solver_on_separated_roots(factors, lead):
     roots = [mpf("1.25") ** e if positive else -mpf("1.4") ** e for positive, e in factors]
     coeffs = _expand(roots, lead)
-    scanned = list(positive_roots(coeffs))
+    scanned = list(positive_roots(Polynomial(coeffs)))
     complete = sorted((r for r in polynomial_real_roots(coeffs) if r > 0), reverse=True)
     assert len(scanned) == len(complete) == sum(1 for r in roots if r > 0)
     for a, b in zip(scanned, complete):
@@ -256,9 +257,9 @@ def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
         evaluate = getattr(poly, name)
         monkeypatch.setattr(poly, name, lambda c, x, evaluate=evaluate:
                             calls.append(x) or evaluate(c, x))
-    first = list(islice(positive_roots(coeffs), 1))
+    first = list(islice(positive_roots(Polynomial(coeffs)), 1))
     first_calls = len(calls)
-    scanned = list(positive_roots(coeffs))
+    scanned = list(positive_roots(Polynomial(coeffs)))
     assert first == scanned[:1]
     assert first_calls < (len(calls) - first_calls) / 4
     assert len(scanned) == len(roots)
@@ -273,13 +274,38 @@ def d0_alpha2_table():
             MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
 
 
+def _raw(value):
+    """The libmp tuple of an mpf or mpc."""
+    return value._mpc_ if isinstance(value, mp.mpc) else value._mpf_
+
+
+@pytest.mark.parametrize("coeffs", [
+    (mpf(2), mpf(-3), mpf(1)),
+    tuple(_expand([mpf(2) ** -e for e in range(6)], "-0.3")),
+    (mpf("1e-400"), mpf(-1), mpf("1e400")),  # beyond float64, which defers
+])
+def test_zero_highest_terms_change_no_value_and_no_root(coeffs):
+    padded, plain = Polynomial(coeffs + (mpf(0),) * 2), Polynomial(coeffs)
+    for x in (mpf(3) / 7, mpf(-5), mpf(2) ** 100, mp.mpc(1, 2), mp.mpc("0.3", "-4")):
+        assert _raw(padded(x)) == _raw(plain(x)), x
+    assert list(positive_roots(padded)) == list(positive_roots(plain))
+
+
+def test_an_all_zero_polynomial_evaluates_to_zero_and_scans_to_nothing():
+    zero = Polynomial((mpf(0),) * 4)
+    assert zero(mpf(3)) == 0 and zero(mp.mpc(1, 2)) == 0
+    assert list(positive_roots(zero)) == []
+    pool, wide = poly.complex_pools(zero)
+    assert list(pool) == [] and wide == []
+
+
 def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
     # Both roots of this quadratic are simple: the polish must return the
     # root inside each bracket, 5.411 and 0.7603, not a bracket end or
     # midpoint (the scan hands it [5.260, 5.734] for the upper root).
     table = build_rho_table(d0_partition_coeffs(4), MappingSpec(
         MappingFamily.POWER_CUT, 4, prefactor_p="0.5"))
-    scanned = list(positive_roots(table.polys[2]))
+    scanned = list(positive_roots(table.rows[2]))
     complete = sorted(polynomial_real_roots(table.polys[2]), reverse=True)
     assert [mp.nstr(r, 6) for r in scanned] == ["5.41108", "0.760344"]
     assert len(complete) == 2
@@ -301,7 +327,7 @@ def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
 
     monkeypatch.setattr(poly, "horner", counted)
     dpoly = poly.derivative_coeffs(d0_alpha2_table.polys[58])
-    root = next(positive_roots(dpoly))
+    root = next(positive_roots(Polynomial(dpoly)))
     assert len(polish_calls) <= 30
     assert abs(horner(dpoly, root)) <= mpf("1e-40") * mp.fsum(
         abs(c) * root ** j for j, c in enumerate(dpoly))
@@ -325,7 +351,7 @@ def float_tier_cases(draw, table):
         coeffs = table.polys[draw(st.integers(1, 60))]
         if draw(st.booleans()):
             coeffs = poly.derivative_coeffs(coeffs)
-        roots = list(positive_roots(coeffs))
+        roots = list(positive_roots(Polynomial(coeffs)))
     if roots and draw(st.booleans()):
         return coeffs, draw(st.sampled_from(roots)) * (1 + draw(st.sampled_from(ROOT_OFFSETS)))
     return coeffs, mpf(2) ** draw(st.integers(-30, 30))
@@ -335,7 +361,7 @@ def float_tier_cases(draw, table):
 @given(st.data())
 def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
     coeffs, x = data.draw(float_tier_cases(d0_alpha2_table))
-    got = poly._float_horner(poly._float_coeffs(coeffs), x)
+    got = poly._float_horner(Polynomial(coeffs).floats, x)
     if got is None:
         return
     y, r, s = got
@@ -364,14 +390,14 @@ WIDE_CASES = st.tuples(st.sampled_from(WIDE_ROOTS), st.sampled_from(ROOT_OFFSETS
 @given(st.data())
 def test_fixed_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
     coeffs, x = data.draw(float_tier_cases(d0_alpha2_table) | WIDE_CASES)
-    floats = poly._float_horner(poly._float_coeffs(coeffs), x)
+    floats = poly._float_horner(Polynomial(coeffs).floats, x)
     exact = 0
     for c in reversed(coeffs):
         exact = exact * _fraction(x) + _fraction(c)
     working = _fraction(horner(coeffs, x))
     # The radius from the float64 bound on S, and from the integer one.
     for s in {None, floats and floats[2]}:
-        y, r, e = poly._fixed_horner(poly._fixed_coeffs(coeffs), x, s)
+        y, r, e = poly._fixed_horner(Polynomial(coeffs).fixed, x, s)
         lo, hi = Fraction(y - r) * Fraction(2) ** e, Fraction(y + r) * Fraction(2) ** e
         assert lo <= exact <= hi
         assert lo <= working <= hi
@@ -395,15 +421,15 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
             calls[mp.prec > base] += 1
             return evaluate(c, x)
 
-        def recorded(forms, lo, hi):
+        def recorded(row, lo, hi):
             brackets[-1].append((lo.x, hi.x))
-            return polish(forms, lo, hi)
+            return polish(row, lo, hi)
 
         monkeypatch.setattr(poly, "horner", counted)
         monkeypatch.setattr(poly, "_polish", recorded)
         for p in rows:
             brackets.append([])
-            roots.append(list(positive_roots(p)))
+            roots.append(list(positive_roots(Polynomial(p))))
         return brackets, roots, calls
 
     tiered = run()
@@ -549,6 +575,13 @@ PROBES = {
     "Polynomial-x-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.inf)),
     "Polynomial-x-minus-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(-mp.inf)),
     "Polynomial-x-nan": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.nan)),
+    "Polynomial-empty": ("row", lambda t: poly.Polynomial((), "row")),
+    "Polynomial-int-top": ("row", lambda t: poly.Polynomial((mpf(1), mpf(1), 0), "row")),
+    "Polynomial-int-inner": ("row", lambda t: poly.Polynomial((mpf(1), 1, mpf(1)), "row")),
+    "Polynomial-inf-top": ("row", lambda t: poly.Polynomial((mpf(1), mp.inf), "row")),
+    "Polynomial-inf-constant": ("row", lambda t: poly.Polynomial((-mp.inf, mpf(1)), "row")),
+    "Polynomial-nan-top": ("row", lambda t: poly.Polynomial((mpf(1), mpf(0), mp.nan), "row")),
+    "Polynomial-nan-inner": ("row", lambda t: poly.Polynomial((mpf(1), mp.nan, mpf(1)), "row")),
 }
 
 

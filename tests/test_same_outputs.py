@@ -1,0 +1,50 @@
+"""The comparison of ``tools/same_outputs.py`` on synthetic dumps."""
+
+import copy
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+DUMP = {
+    "tables": {"odm-d0-strong": {
+        "rows": [{"k": "1", "rho": "4.0"}, {"k": "2", "rho": "1.44"}],
+        "config": {"digits": 64},
+        "checks": [["rho within 1e-3", True, "2.1e-4", "<= 1e-3"]]}},
+    "picks": {"odm-d0-strong": [
+        [1, "root", False, "mpf('4.0')", [["mpf('4.0')", "mpf('0.0')", "mpf('0.125')"]]],
+        ["raised", "SelectionError('no admissible root at order 3')"]]},
+    "sum_mix": {"d0:8:odm:g=2": [0, "value: 0.87\n", ""]},
+}
+
+
+def test_identical_dumps_have_no_differences():
+    assert same_outputs.differences(DUMP, copy.deepcopy(DUMP)) == []
+    assert same_outputs.sizes(DUMP) == {"tables": 1, "picks": 2, "sum_mix": 1}
+
+
+def test_a_changed_leaf_is_reported_with_its_path():
+    change = copy.deepcopy(DUMP)
+    change["picks"]["odm-d0-strong"][0][4][0][1] = "mpf('1.0e-70')"
+    change["sum_mix"]["d0:8:odm:g=2"][1] = "value: 0.88\n"
+    assert same_outputs.differences(DUMP, change) == [
+        "picks/odm-d0-strong/0/4/0/1: \"mpf('0.0')\" != \"mpf('1.0e-70')\"",
+        "sum_mix/d0:8:odm:g=2/1: 'value: 0.87\\n' != 'value: 0.88\\n'",
+    ]
+
+
+def test_missing_keys_extra_items_and_column_order_are_reported():
+    change = copy.deepcopy(DUMP)
+    del change["tables"]["odm-d0-strong"]["config"]
+    change["picks"]["odm-d0-strong"].append(["raised", "SelectionError('again')"])
+    change["sum_mix"]["d0:8:pade:g=2"] = [0, "value: 0.9\n", ""]
+    change["tables"]["odm-d0-strong"]["rows"][0] = {"rho": "4.0", "k": "1"}
+    assert same_outputs.differences(DUMP, change) == [
+        "tables/odm-d0-strong/rows/0: key order ['k', 'rho'] != ['rho', 'k']",
+        "tables/odm-d0-strong/config: only in parent",
+        "picks/odm-d0-strong: 2 items != 3",
+        "sum_mix/d0:8:pade:g=2: only in change",
+    ]

@@ -1,0 +1,129 @@
+"""Check that two trees give the same program outputs, byte for byte.
+
+Usage, from anywhere::
+
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout (for example ``git archive`` of one commit).  In
+each, one subprocess dumps as JSON:
+
+- every table of ``resum.benchmarks.run_benchmark`` at its own digits: its
+  rows, checks and config;
+- every ``resum.odm.select_rho`` pick those tables make, in call order: the
+  order, mode and flag, and the ``repr`` of rho and of each candidate
+  triple, or the ``repr`` of what the call raised;
+- the exit code, stdout and stderr of every ``resum sum`` request of
+  ``perfbench/workloads.DECK``, run as the benchmark runs them.
+
+The script prints how much each dump holds and the first differences, and
+exits 1 on any difference, else 0.
+"""
+
+import json
+import subprocess
+import sys
+
+SHOWN = 20  # differences printed
+# Run in a tree's root: prints the dump as one JSON line.
+DUMP_SCRIPT = """
+import dataclasses, json, sys, tempfile
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import resum.benchmarks, resum.odm, workloads
+
+picks, select = [], resum.odm.select_rho
+
+def recording(*args, **kwargs):
+    try:
+        rep = select(*args, **kwargs)
+    except Exception as exc:
+        picks.append(["raised", repr(exc)])
+        raise
+    picks.append([rep.k, rep.mode.value, rep.flagged, repr(rep.rho),
+                  [[repr(v) for v in c] for c in rep.candidates]])
+    return rep
+
+resum.odm.select_rho = recording
+dump = {"tables": {}, "picks": {}, "sum_mix": {}}
+for table_id in resum.benchmarks.TABLE_IDS:
+    picks.clear()
+    result = resum.benchmarks.run_benchmark(table_id)
+    dump["tables"][table_id] = {"rows": result.rows, "config": result.config,
+                                "checks": [dataclasses.astuple(c) for c in result.checks]}
+    dump["picks"][table_id] = list(picks)
+with tempfile.TemporaryDirectory() as tmp:
+    mix = workloads.SumMix(0, Path(tmp))
+    mix.prepare()
+    for request in workloads.DECK:
+        op = mix.run_op(request)
+        dump["sum_mix"][request.key] = [
+            part.replace(tmp, "<tmp>") if isinstance(part, str) else part
+            for part in (op.output if op.failure is None else (op.failure,))]
+print(json.dumps(dump, default=repr))
+"""
+
+
+def dump(tree):
+    """The outputs of ``tree`` (see :data:`DUMP_SCRIPT`); a failed dump stops
+    the script."""
+    proc = subprocess.run([sys.executable, "-c", DUMP_SCRIPT], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit("dump failed in %s (exit %d):\n%s" % (tree, proc.returncode, proc.stderr))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def differences(parent, change):
+    """Every place where the two dumps differ, one line each, in dump order:
+    a leaf value, a key or item only one side has, or dict keys in another
+    order (table rows are dicts in CSV column order)."""
+    out = []
+
+    def walk(path, a, b):
+        where = "/".join(path) or "<dump>"
+        if isinstance(a, dict) and isinstance(b, dict):
+            if list(a) != list(b) and set(a) == set(b):
+                out.append("%s: key order %s != %s" % (where, list(a), list(b)))
+            for key in list(a) + [k for k in b if k not in a]:
+                if key not in a or key not in b:
+                    out.append("%s: only in %s" % ("/".join(path + (str(key),)),
+                                                  "parent" if key in a else "change"))
+                else:
+                    walk(path + (str(key),), a[key], b[key])
+        elif isinstance(a, list) and isinstance(b, list):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(path + (str(i),), x, y)
+            if len(a) != len(b):
+                out.append("%s: %d items != %d" % (where, len(a), len(b)))
+        elif a != b:
+            out.append("%s: %r != %r" % (where, a, b))
+
+    walk((), parent, change)
+    return out
+
+
+def sizes(dumped):
+    """How many tables, picks and ``sum`` requests a dump holds."""
+    return {"tables": len(dumped["tables"]),
+            "picks": sum(len(p) for p in dumped["picks"].values()),
+            "sum_mix": len(dumped["sum_mix"])}
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.exit(__doc__)
+    parent, change = (dump(tree) for tree in args)
+    print("parent %s, change %s" % (sizes(parent), sizes(change)))
+    found = differences(parent, change)
+    for line in found[:SHOWN]:
+        print(line)
+    if found:
+        print("%d differences" % len(found))
+        return 1
+    print("identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
