@@ -13,7 +13,6 @@ and builds the :class:`BenchmarkResult`.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
 
 from mpmath import mp, mpf
 
@@ -92,6 +91,7 @@ BOREL_MAP_REFERENCE = {
     4: ("1.4149", "0.62966", "1.2386"), 5: ("1.4107", "0.6302", "1.2398"),
     6: ("1.4103", "0.6302", "1.2398"), 7: ("1.4105", "0.6302", "1.2398"),
 }
+_BOREL_BRACKET = (mpf("0.5"), mpf("3.0"))  # every order's zero solve reads both ends
 
 @dataclass(frozen=True)
 class Check:
@@ -342,10 +342,24 @@ def run_phi4_exponents():
 def _borel_zero(coeffs, laplace):
     """Zero on [0.5, 3] of the Borel sum ``sum_j coeffs[j] M_j(g)``, or None."""
     try:
-        return bracket_solve(lambda g: laplace(g).integral(coeffs)[0], mpf("0.5"),
-                             mpf("3.0"), mpf("1e-10"))
+        return bracket_solve(lambda g: laplace(g).integral(coeffs)[0], *_BOREL_BRACKET,
+                             mpf("1e-10"))
     except SolverError:  # no sign change on the window (or no convergence): no zero
         return None
+
+
+def _kept_moments(cfg):
+    """``g -> laplace_moments(cfg, g, n=7)``, keeping only builds read again: the
+    bracket ends' and the latest, which the nu and gamma rows at a zero reread."""
+    ends, latest = {}, {}
+
+    def laplace(g):
+        kept = ends if g in _BOREL_BRACKET else latest
+        if g not in kept:
+            latest.clear()
+            kept[g] = laplace_moments(cfg, g, n=7)
+        return kept[g]
+    return laplace
 
 
 def run_borel_map_exponents():
@@ -363,8 +377,8 @@ def run_borel_map_exponents():
     quad_tol = mpf(10) ** (-(mp.dps // 2))
 
     cfgs = {s: BorelConfig(a=a, sigma=s, quad_rel_tol=quad_tol) for s in sigmas}
-    # One moment cache per Leroy shift: the selection, early orders and rows share it.
-    laplaces = {s: cache(partial(laplace_moments, cfg, n=7)) for s, cfg in cfgs.items()}
+    # One moment store per Leroy shift: the selection, early orders and rows share it.
+    laplaces = {s: _kept_moments(cfg) for s, cfg in cfgs.items()}
 
     def zeros(sigma, orders):
         """``(k, (g*, nu, gamma))`` at the ``orders`` with a zero, nu and gamma unintegrated."""

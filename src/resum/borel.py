@@ -31,7 +31,7 @@ from .series import PowerSeries
 
 _TANH_SINH = TanhSinh(mp)  # mp.quad's rule; nodes are built on first use
 _GUARD_BITS = 40  # fixed-point bits beyond the working precision
-_NODE_SETS = 96  # node sets kept: 2 pieces x 10 levels x 4 Leroy shifts fit
+_NODE_SETS = 96  # node sets kept: 2 pieces x 12 levels x 4 Leroy shifts
 # Largest Leroy shift: t^sigma e^-t peaks at t = sigma; at 1000 a sum takes
 # seconds, at 1e4 over a minute, and at 1e30 the node weights overflow.
 _MAX_SIGMA = 1000

@@ -383,8 +383,7 @@ def cmd_study(args, stdout):
     g = parse_coupling(args.g)
     mapping = _mapping_from_args(args)
     table = build_rho_table(series, mapping)
-    oracle = None
-    oracle_note = None
+    oracle = oracle_note = None
     if args.oracle in _ORACLES:
         generator, value_at = _ORACLES[args.oracle]
         if spec_file.generator != generator:

@@ -15,12 +15,7 @@ from itertools import chain, islice
 
 from mpmath import mp, mpc, mpf
 
-from .errors import (
-    FitError,
-    FixedPointError,
-    SelectionError,
-    UsageError,
-)
+from .errors import FitError, FixedPointError, SelectionError, UsageError
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
 from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, horner,
                    positive_roots)

@@ -153,11 +153,11 @@ def all_roots(coeffs):
 def polynomial_real_roots(coeffs):
     """All real roots of a polynomial given by ascending coefficients.
 
-    Keeps roots whose imaginary part is negligible at working precision,
-    validates each against the residual scale
-    ``sum_j |c_j| |r|^j * 10^(8 - digits)``, and merges near-identical values
-    (so repeated roots are reported once, without multiplicity counts).
-    Roots are returned sorted ascending.
+    Solves for ``y = x 2^-s``, ``2^s`` the power of two nearest the Fujiwara
+    bound; keeps roots whose imaginary part is negligible at working precision,
+    validates each against ``sum_j |c_j| |r|^j * 10^(8 - digits)`` and merges
+    near-identical values (repeated roots once), sorted ascending.  A nonzero
+    root too small to resolve beside the largest is a :class:`ResourceError`.
     """
     coeffs = strip_zeros(finite_mpf(c, "coeffs[%d]" % j) for j, c in enumerate(coeffs))
     if len(coeffs) < 2:
@@ -169,7 +169,11 @@ def polynomial_real_roots(coeffs):
     if len(coeffs) > 1:
         res_tol = tolerance(8)
         imag_tol = tolerance(mp.dps // 2)
-        for r in all_roots(coeffs):
+        s = int(mp.nint(mp.log(_fujiwara_bound(coeffs), 2)))  # largest |y| near 1
+        for r in all_roots([mp.ldexp(c, j * s) for j, c in enumerate(coeffs)]):
+            if r == 0:  # c_0 != 0: polyroots' absolute cleanup zeroed a tiny root
+                raise ResourceError("a tiny root is lost at %d working digits" % mp.dps)
+            r *= mp.ldexp(1, s)  # exact, as is each c_j 2^(js)
             if abs(mp.im(r)) > imag_tol * max(1, abs(r)):
                 continue
             r = mp.re(r)

@@ -9,6 +9,7 @@ checks in ``tests/golden/``.
 
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -121,7 +122,9 @@ def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch):
     """Orders 6 and 7 of each of the four shifts pick the winner, and only
     the winner's orders 2..5 follow: 12 zero solves, where every shift at
     every order would take 24.  Only the winner's zeros are integrated for
-    nu and gamma, so the losers' orders 6 and 7 build no further moments."""
+    nu and gamma, so the losers' orders 6 and 7 build no further moments.
+    Each shift keeps at most three builds alive: the two bracket ends and
+    its latest."""
     zeros, builds = [], []
 
     def zero(*args):
@@ -129,15 +132,17 @@ def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch):
         return borel_zero(*args)
 
     def moments(*args, **kwargs):
-        builds.append(args)
-        return laplace_moments(*args, **kwargs)
+        build = laplace_moments(*args, **kwargs)
+        builds.append(weakref.ref(build))
+        assert sum(ref() is not None for ref in builds) <= 12
+        return build
 
     borel_zero, laplace_moments = benchmarks._borel_zero, benchmarks.laplace_moments
     monkeypatch.setattr(benchmarks, "_borel_zero", zero)
     monkeypatch.setattr(benchmarks, "laplace_moments", moments)
     result = benchmarks.run_benchmark("borel-map-exponents")
     assert len(zeros) == 12
-    assert len(builds) <= 119
+    assert len(builds) <= 117
     golden = json.loads((GOLDEN / "borel-map-exponents.json").read_text())
     assert result.rows == golden["rows"]
 

@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py`` on synthetic pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,24 @@ def test_span_summary_gives_the_min_and_median_of_the_runs():
     raised = ["RuntimeError('no speed samples taken; the clock was not active')"]
     got = bench_pairs.span_summary({"seconds": [0.123456, 0.09], "raised": raised})
     assert (got["min"], got["median"], got["raised"]) == (0.09, 0.1067, raised)
+
+
+def _result_file(tree, workload, seed, trace, report):
+    work = tree / ".perfbench_work"
+    work.mkdir(exist_ok=True)
+    path = work / ("result-%s-seed%d-trace%d.json" % (workload, seed, trace))
+    path.write_text(json.dumps({"result": {"correct": True}, "report": report}))
+
+
+def test_pass_facts_read_the_passes_and_tail_percentile_of_the_untraced_run(tmp_path):
+    # 11 latencies: the tail is read at their minimum, p9.1; 10: at the maximum.
+    _result_file(tmp_path, "rg-tables", 7401, 0, {
+        "passes": 11, "op_tail": {"percentile": 100 / 11, "samples": 11}, "seed": 7401})
+    _result_file(tmp_path, "rg-tables", 7402, 0, {
+        "passes": 10, "op_tail": {"percentile": 100.0, "samples": 10}})
+    _result_file(tmp_path, "rg-tables", 7401, 1, {"passes": 3})
+    assert bench_pairs.pass_facts(tmp_path, "rg-tables", 7401) == {
+        "passes": 11, "op_tail": {"percentile": 100 / 11, "samples": 11}}
+    assert bench_pairs.pass_facts(tmp_path, "rg-tables", 7402) == {
+        "passes": 10, "op_tail": {"percentile": 100.0, "samples": 10}}
+    assert bench_pairs.run_report(tmp_path, "rg-tables", 7401, 1) == {"passes": 3}

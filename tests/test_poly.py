@@ -20,6 +20,7 @@ from resum import (
     PowerSeries,
     ResumError,
     RhoPolynomialTable,
+    ResourceError,
     RhoSelectionCriterion,
     SolverError,
     UsageError,
@@ -158,6 +159,24 @@ def test_roots_of_multiplicity_three_and_four(coeffs, root):
     roots = polynomial_real_roots(coeffs)
     assert len(roots) == 1
     assert abs(roots[0] - root) <= mpf("1e-50")
+
+
+def test_roots_far_from_modulus_one_converge_after_scaling():
+    # Roots +-1e200 i: unscaled, they never meet polyroots' absolute tolerance.
+    assert polynomial_real_roots(["1e400", 0, 1]) == []
+    assert polynomial_real_roots(["-1e400", 0, 1]) == [mpf("-1e200"), mpf("1e200")]
+
+
+def test_a_root_lost_below_the_working_precision_raises():
+    # Roots 3 and 2/3 * 10^-70: the small one is under polyroots' absolute
+    # cleanup at 64 digits, and comes back at 75.
+    coeffs = [2, mpf("-3e70"), mpf("1e70")]
+    with pytest.raises(ResourceError, match="64 working digits"):
+        polynomial_real_roots(coeffs)
+    with mp.workdps(75):
+        small, three = polynomial_real_roots(coeffs)
+        assert abs(small * mpf("1.5e70") - 1) < mpf("1e-70")
+        assert abs(three - 3) < mpf("1e-70")
 
 
 def _unseeded_roots(coeffs):

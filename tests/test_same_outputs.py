@@ -18,12 +18,14 @@ DUMP = {
         [1, "root", False, "mpf('4.0')", [["mpf('4.0')", "mpf('0.0')", "mpf('0.125')"]]],
         ["raised", "SelectionError('no admissible root at order 3')"]]},
     "sum_mix": {"d0:8:odm:g=2": [0, "value: 0.87\n", ""]},
+    "out_reports": {"d0:8:odm:g=2": {"exit_code": 0, "report": {"value": "0.87"}}},
 }
 
 
 def test_identical_dumps_have_no_differences():
     assert same_outputs.differences(DUMP, copy.deepcopy(DUMP)) == []
-    assert same_outputs.sizes(DUMP) == {"tables": 1, "picks": 2, "sum_mix": 1}
+    assert same_outputs.sizes(DUMP) == {"tables": 1, "picks": 2, "sum_mix": 1,
+                                        "out_reports": 1}
 
 
 def test_a_changed_leaf_is_reported_with_its_path():
@@ -48,3 +50,35 @@ def test_missing_keys_extra_items_and_column_order_are_reported():
         "picks/odm-d0-strong: 2 items != 3",
         "sum_mix/d0:8:pade:g=2: only in change",
     ]
+
+
+TMP = "/scratch/tmpq1x9"
+REPORT = """{
+  "command": "sum",
+  "config": {"g": "2", "method": "odm", "series_file": "%s/inputs/d0-8.series"},
+  "exit_code": 0,
+  "report": {"error_estimate": "1.2e-3", "value": "0.87"},
+  "schema": 1,
+  "wall_time_s": %s
+}
+"""
+
+
+def test_a_report_loses_its_wall_time_and_temporary_directory():
+    got = same_outputs.normalized_report(REPORT % (TMP, "0.012"), TMP)
+    assert got == {
+        "command": "sum",
+        "config": {"g": "2", "method": "odm", "series_file": "<tmp>/inputs/d0-8.series"},
+        "exit_code": 0, "report": {"error_estimate": "1.2e-3", "value": "0.87"}, "schema": 1}
+    assert same_outputs.normalized_report(None, TMP) is None
+
+
+def test_reports_differing_only_in_time_and_directory_compare_equal():
+    runs = [same_outputs.normalized_report(REPORT % (tmp, seconds), tmp)
+            for tmp, seconds in ((TMP, "0.012"), ("/scratch/tmpzz07", "1.5"))]
+    assert runs[0] == runs[1]
+    changed = same_outputs.normalized_report(
+        (REPORT % (TMP, "0.012")).replace('"0.87"', '"0.88"'), TMP)
+    parent, change = (dict(DUMP, out_reports={"d0:8:odm:g=2": r}) for r in (runs[0], changed))
+    assert same_outputs.differences(parent, change) == [
+        "out_reports/d0:8:odm:g=2/report/value: '0.87' != '0.88'"]

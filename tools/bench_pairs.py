@@ -19,7 +19,12 @@ the pairs where the change is better, ties counting for neither, and
 at most the metric's ``BENCHMARK.json`` ``bound``, relative to the parent
 median, and ``gain_shown``: whether the change wins at least nine tenths of
 the pairs and its median differs from the parent's by more than the parent's
-interquartile range ``q3 - q1``.  Before the first pair it deletes every
+interquartile range ``q3 - q1``.  Each run of a pair also records, from the
+report file the run left, its ``passes`` and its ``op_tail`` (the percentile
+``op_tail_s`` was read at, and over how many latencies): perfbench reads
+the tail at the highest percentile with ten latencies beyond it, or at the
+maximum below eleven, so one pass more or fewer can move ``op_tail_s`` by
+a switch of percentile alone.  Before the first pair it deletes every
 ``__pycache__`` directory under both trees, so neither side starts with
 bytecode the other lacks (it changes ``setup_s``), and records how many it
 deleted per side.
@@ -139,10 +144,22 @@ def span_summary(runs):
             "runs": [round(s, 4) for s in seconds], "raised": runs["raised"]}
 
 
+def run_report(tree, workload, seed, trace):
+    """The ``report`` of the result file a run in ``tree`` left."""
+    path = Path(tree, ".perfbench_work", "result-%s-seed%d-trace%d.json"
+                % (workload, seed, trace))
+    return json.loads(path.read_text(encoding="utf-8"))["report"]
+
+
+def pass_facts(tree, workload, seed):
+    """``passes`` and ``op_tail`` of the untraced run in ``tree``."""
+    report = run_report(tree, workload, seed, 0)
+    return {"passes": report["passes"], "op_tail": report["op_tail"]}
+
+
 def per_pass(tree, workload, result):
     """Traced counts and times divided by the passes the traced run made."""
-    report = Path(tree, ".perfbench_work", "result-%s-seed1-trace1.json" % workload)
-    passes = json.loads(report.read_text(encoding="utf-8"))["report"]["passes"]
+    passes = run_report(tree, workload, 1, 1)["passes"]
     return passes, {name: round(m["value"] / passes, 4)
                     for name, m in result["metrics"].items()
                     if m["unit"] != "1" and name != "run.warmup_s"}
@@ -184,7 +201,8 @@ def main(argv=None):
                         "within_bound: the change's median is worse than the parent's by at "
                         "most the metric's BENCHMARK.json bound, relative to the parent median; "
                         "gain_shown: the change wins at least 9/10 of the pairs and the medians "
-                        "differ by more than the parent's q3 - q1",
+                        "differ by more than the parent's q3 - q1; each run of a pair "
+                        "records its passes and the percentile op_tail_s was read at",
         "workloads": {},
     }
     out["bytecode_cleared"] = {side: clear_bytecode(trees[side]) for side in SIDES}
@@ -203,6 +221,7 @@ def main(argv=None):
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(trees[side], workload, seed, 0)
+                pair[side].update(pass_facts(trees[side], workload, seed))
                 print("%s seed %d %s wall_s %.4f" % (workload, seed, side,
                       pair[side]["metrics"]["wall_s"]["value"]), file=sys.stderr)
             pairs.append(pair)

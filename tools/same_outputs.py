@@ -13,7 +13,11 @@ each, one subprocess dumps as JSON:
   order, mode and flag, and the ``repr`` of rho and of each candidate
   triple, or the ``repr`` of what the call raised;
 - the exit code, stdout and stderr of every ``resum sum`` request of
-  ``perfbench/workloads.DECK``, run as the benchmark runs them.
+  ``perfbench/workloads.DECK``, run as the benchmark runs them;
+- the ``--out`` JSON report of each of those requests, run a second time
+  with ``--out`` into the temporary directory: without its ``wall_time_s``,
+  and with the temporary directory written ``<tmp>``, as in stdout (None
+  where the request wrote no report, ``{"raised": ...}`` where it raised).
 
 The script prints how much each dump holds and the first differences, and
 exits 1 on any difference, else 0.
@@ -26,7 +30,7 @@ import sys
 SHOWN = 20  # differences printed
 # Run in a tree's root: prints the dump as one JSON line.
 DUMP_SCRIPT = """
-import dataclasses, json, sys, tempfile
+import contextlib, dataclasses, io, json, sys, tempfile
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import resum.benchmarks, resum.odm, workloads
@@ -44,7 +48,7 @@ def recording(*args, **kwargs):
     return rep
 
 resum.odm.select_rho = recording
-dump = {"tables": {}, "picks": {}, "sum_mix": {}}
+dump = {"tables": {}, "picks": {}, "sum_mix": {}, "out_reports": {}}
 for table_id in resum.benchmarks.TABLE_IDS:
     picks.clear()
     result = resum.benchmarks.run_benchmark(table_id)
@@ -54,23 +58,47 @@ for table_id in resum.benchmarks.TABLE_IDS:
 with tempfile.TemporaryDirectory() as tmp:
     mix = workloads.SumMix(0, Path(tmp))
     mix.prepare()
-    for request in workloads.DECK:
+    for i, request in enumerate(workloads.DECK):
         op = mix.run_op(request)
         dump["sum_mix"][request.key] = [
             part.replace(tmp, "<tmp>") if isinstance(part, str) else part
             for part in (op.output if op.failure is None else (op.failure,))]
+        out = Path(tmp, "report-%d.json" % i)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                resum.cli.main(mix.argv(request) + ["--out", str(out)], stdout=io.StringIO())
+            report = out.read_text() if out.exists() else None
+        except Exception as exc:  # recorded, as the run above records it
+            report = json.dumps({"raised": repr(exc)})
+        dump["out_reports"][request.key] = report
+    dump["tmp"] = tmp
 print(json.dumps(dump, default=repr))
 """
 
 
+def normalized_report(text, tmp):
+    """The ``--out`` report ``text`` as data, without the run's
+    ``wall_time_s`` and with the temporary directory ``tmp`` written
+    ``<tmp>``; None stays None."""
+    if text is None:
+        return None
+    report = json.loads(text.replace(tmp, "<tmp>"))
+    report.pop("wall_time_s", None)
+    return report
+
+
 def dump(tree):
-    """The outputs of ``tree`` (see :data:`DUMP_SCRIPT`); a failed dump stops
-    the script."""
+    """The outputs of ``tree`` (see :data:`DUMP_SCRIPT`), each ``--out``
+    report normalized; a failed dump stops the script."""
     proc = subprocess.run([sys.executable, "-c", DUMP_SCRIPT], cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit("dump failed in %s (exit %d):\n%s" % (tree, proc.returncode, proc.stderr))
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    dumped = json.loads(proc.stdout.strip().splitlines()[-1])
+    tmp = dumped.pop("tmp")
+    dumped["out_reports"] = {key: normalized_report(text, tmp)
+                             for key, text in dumped["out_reports"].items()}
+    return dumped
 
 
 def differences(parent, change):
@@ -103,10 +131,12 @@ def differences(parent, change):
 
 
 def sizes(dumped):
-    """How many tables, picks and ``sum`` requests a dump holds."""
+    """How many tables, picks, ``sum`` requests and ``--out`` reports a dump
+    holds."""
     return {"tables": len(dumped["tables"]),
             "picks": sum(len(p) for p in dumped["picks"].values()),
-            "sum_mix": len(dumped["sum_mix"])}
+            "sum_mix": len(dumped["sum_mix"]),
+            "out_reports": sum(r is not None for r in dumped["out_reports"].values())}
 
 
 def main(argv=None):
