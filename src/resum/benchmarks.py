@@ -340,9 +340,11 @@ def run_phi4_exponents():
 
 
 def _borel_zero(coeffs, laplace):
-    """Zero on [0.5, 3] of the Borel sum ``sum_j coeffs[j] M_j(g)``, or None."""
+    """Zero on [0.5, 3] of the Borel sum ``F(g) = sum_j coeffs[j] M_j(g)``, or
+    None.  The beta series starts at ``-g``, so ``F(0) = 0``; the solve runs on
+    ``F(g)/g``, near-linear on the window, with the same zeros and end signs."""
     try:
-        return bracket_solve(lambda g: laplace(g).integral(coeffs)[0], *_BOREL_BRACKET,
+        return bracket_solve(lambda g: laplace(g).integral(coeffs)[0] / g, *_BOREL_BRACKET,
                              mpf("1e-10"))
     except SolverError:  # no sign change on the window (or no convergence): no zero
         return None

@@ -251,7 +251,9 @@ class Laplace:
         levels, added over the pieces, within ``rel_tol`` relative (absolute
         below 1).  Without an explicit tolerance, levels run to 2^10, then
         2^12 if that misses; with one, up to 2^12 per piece.  More ``coeffs``
-        than integrals ``I_j`` raise :class:`UsageError`."""
+        than integrals ``I_j``, or one not finite, raise :class:`UsageError`."""
+        for j, c in enumerate(coeffs):
+            finite_mpf(c, "coeffs[%d]" % j)
         seqs, errs = ([], []), [None, None]
         if self.quad_rel_tol is None:
             for max_level in (10, 12):
@@ -286,9 +288,9 @@ def laplace_moments(cfg, g, n):
     units of ``2^-Q``, and ``M_j`` at level ``d`` over ``N`` nodes within
     ``N 2^-d (j + 1) + 2 j M_0`` units.
     """
-    q = mp.prec + _GUARD_BITS
+    q, n = mp.prec + _GUARD_BITS, whole_number(n, "n", 0)
     one = 1 << q
-    ag = int(mp.ldexp(mp.fmul(cfg.a, g, exact=True), q))
+    ag = int(mp.ldexp(mp.fmul(cfg.a, positive_mpf(g, "g"), exact=True), q))
 
     def level_sums(xs, ws):
         us = [((r - one) << q) // (r + one) for r in (isqrt((one << q) + ag * x) for x in xs)]
@@ -310,7 +312,6 @@ def borel_sum(s, cfg, g, full_output=False):
     ``K-1`` result of the same moments) and the quadrature error estimate
     are returned alongside the value.
     """
-    g = positive_mpf(g, "g")
     K = s.order if cfg.truncation is None else min(cfg.truncation, s.order)
     if K < 1:
         raise UsageError("need at least two coefficients")

@@ -184,8 +184,7 @@ def parse_series_file(path):
 
 
 def _split_values(text, lineno):
-    parts = [p.strip() for p in text.replace(",", " ").split()]
-    return [(p, lineno) for p in parts if p]
+    return [(p, lineno) for p in text.replace(",", " ").split()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,16 +312,14 @@ def cmd_sum(args, stdout):
     order = args.order
     if order is not None and args.method in ("odm", "borel-map"):
         order = whole_number(order, "--order", 1, series.order)
+    if args.method in ("pade", "borel-pade") and (args.L is None or args.M is None):
+        raise UsageError("%s needs --L and --M" % args.method)
     if args.method == "pade":
-        if args.L is None or args.M is None:
-            raise UsageError("pade needs --L and --M")
         approx = pade_fit(series, args.L, args.M)
         value = pade_eval(approx, g)
         diagnostics["denominator"] = [nstr(c, DIGITS) for c in approx.denominator]
         error = None
     elif args.method == "borel-pade":
-        if args.L is None or args.M is None:
-            raise UsageError("borel-pade needs --L and --M")
         out = borel_pade_sum(series, args.sigma, args.L, args.M, g,
                              full_output=True)
         value, error = out.value, out.quadrature_error

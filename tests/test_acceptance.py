@@ -38,6 +38,8 @@ from resum import (
     zeta_series,
 )
 from resum import benchmarks
+from resum.borel import borel_leroy_transform, conformal_map_coeffs, laplace_moments
+from resum.poly import bracket_solve
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -142,9 +144,32 @@ def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch):
     monkeypatch.setattr(benchmarks, "laplace_moments", moments)
     result = benchmarks.run_benchmark("borel-map-exponents")
     assert len(zeros) == 12
-    assert len(builds) <= 117
+    assert len(builds) <= 98
     golden = json.loads((GOLDEN / "borel-map-exponents.json").read_text())
     assert result.rows == golden["rows"]
+
+
+def test_borel_map_zeros_match_a_tight_resolve(monkeypatch):
+    """Each zero the table reports, orders 2..7 of the chosen shift, lies
+    within 1e-15 relative of a 1e-18 re-solve of the undivided Borel sum."""
+    solved = {}
+
+    def zero(coeffs, laplace):
+        solved[tuple(coeffs)] = g = borel_zero(coeffs, laplace)
+        return g
+
+    borel_zero = benchmarks._borel_zero
+    monkeypatch.setattr(benchmarks, "_borel_zero", zero)
+    result = benchmarks.run_benchmark("borel-map-exponents")
+    with mp.workdps(result.config["digits"]):
+        rg, sigma = rg_series(), int(result.config["sigma"])
+        cfg = BorelConfig(a=rg.large_order_a, sigma=sigma, quad_rel_tol=mpf("1e-20"))
+        for k in range(2, 8):
+            beta = conformal_map_coeffs(borel_leroy_transform(rg.beta.truncate(k), sigma),
+                                        rg.large_order_a).coeffs
+            ref = bracket_solve(lambda g: laplace_moments(cfg, g, 7).integral(beta)[0],
+                                mpf("0.5"), mpf(3), mpf("1e-18"))
+            assert abs(solved[tuple(beta)] - ref) <= mpf("1e-15") * ref, k
 
 
 class TestCriterion9PropertySuite:

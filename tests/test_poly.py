@@ -43,6 +43,7 @@ from resum import (
     zeta_series,
 )
 from resum.benchmarks import run_benchmark
+from resum.borel import laplace_moments
 from resum.cli import main
 from resum import poly
 from resum.poly import (
@@ -601,6 +602,15 @@ PROBES = {
     "Polynomial-inf-constant": ("row", lambda t: poly.Polynomial((-mp.inf, mpf(1)), "row")),
     "Polynomial-nan-top": ("row", lambda t: poly.Polynomial((mpf(1), mpf(0), mp.nan), "row")),
     "Polynomial-nan-inner": ("row", lambda t: poly.Polynomial((mpf(1), mp.nan, mpf(1)), "row")),
+    "laplace_moments-g-inf": ("g", lambda t: laplace_moments(BorelConfig(a=1), mp.inf, 2)),
+    "laplace_moments-g-nan": ("g", lambda t: laplace_moments(BorelConfig(a=1), mp.nan, 2)),
+    "laplace_moments-g-negative": ("g", lambda t: laplace_moments(BorelConfig(a=1), -1, 2)),
+    "laplace_moments-n-2.5": ("n", lambda t: laplace_moments(BorelConfig(a=1), 1, 2.5)),
+    "laplace_moments-n-negative": ("n", lambda t: laplace_moments(BorelConfig(a=1), 1, -1)),
+    "integral-inf": ("coeffs[0]", lambda t: laplace_moments(BorelConfig(a=1), 1, 2).integral(
+        (mp.inf, 1))),
+    "integral-nan": ("coeffs[0]", lambda t: laplace_moments(BorelConfig(a=1), 1, 2).integral(
+        (mp.nan,))),
 }
 
 
