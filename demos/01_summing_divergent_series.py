@@ -44,12 +44,12 @@ value = pade_eval(pade_fit(series, 5, 6), G)
 print("Pade [5/6]:            %s  (error %s)" % (
     mp.nstr(value, 15), mp.nstr(abs(value - exact), 3)))
 
-value = borel_pade_sum(series, 0, 0, 1, G)
+value, _ = borel_pade_sum(series, 0, 0, 1, G)
 print("Borel-Pade [0/1]:      %s  (error %s)" % (
     mp.nstr(value, 15), mp.nstr(abs(value - exact), 3)))
 # the transform of this series is exactly 1/(1+z): the [0/1] fit nails it
 
-value = borel_sum(series, BorelConfig(a=1, sigma=0), G)
+value, _ = borel_sum(series, BorelConfig(a=1, sigma=0), G)
 print("mapped Borel-Leroy:    %s  (error %s)" % (
     mp.nstr(value, 15), mp.nstr(abs(value - exact), 3)))
 

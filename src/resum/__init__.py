@@ -7,7 +7,6 @@ and independent oracles for the classic quartic benchmark series.
 
 from .borel import (
     BorelConfig,
-    BorelSumResult,
     borel_leroy_transform,
     borel_pade_sum,
     borel_sum,

@@ -61,15 +61,6 @@ class BorelConfig:
             object.__setattr__(self, "quad_rel_tol", tol)
 
 
-@dataclass(frozen=True)
-class BorelSumResult:
-    """Value plus the separated truncation and quadrature error estimates."""
-
-    value: object
-    truncation_error: object
-    quadrature_error: object
-
-
 def _leroy_sigma(sigma):
     """The Leroy shift as a finite mpf in ``0 .. _MAX_SIGMA``; anything else
     raises :class:`UsageError`."""
@@ -303,14 +294,14 @@ def laplace_moments(cfg, g, n):
     return Laplace(cfg.sigma, cfg.quad_rel_tol, level_sums)
 
 
-def borel_sum(s, cfg, g, full_output=False):
-    """Sum ``s`` at ``g > 0`` through the mapped Borel-Leroy transform.
+def borel_sum(s, cfg, g):
+    """``(value, error)`` of ``s`` summed at ``g > 0`` through the mapped
+    Borel-Leroy transform.
 
     The Borel transform is truncated at ``cfg.truncation``, re-expanded in
-    the disk variable, and integrated against :func:`laplace_moments`.  With
-    ``full_output`` the truncation error (the difference against the order
-    ``K-1`` result of the same moments) and the quadrature error estimate
-    are returned alongside the value.
+    the disk variable, and integrated against :func:`laplace_moments`.  The
+    error is the truncation error (the difference against the order ``K-1``
+    result of the same moments) plus the quadrature error estimate.
     """
     K = s.order if cfg.truncation is None else min(cfg.truncation, s.order)
     if K < 1:
@@ -319,18 +310,17 @@ def borel_sum(s, cfg, g, full_output=False):
                                   cfg.a).coeffs
     moments = laplace_moments(cfg, g, K)
     val, quad_err = moments.integral(coeffs)
-    if not full_output:
-        return val
     val_prev, _ = moments.integral(coeffs[:-1])
-    return BorelSumResult(value=val, truncation_error=abs(val - val_prev),
-                          quadrature_error=quad_err)
+    return val, abs(val - val_prev) + quad_err
 
 
-def borel_pade_sum(s, sigma, L, M, g, full_output=False):
-    """Sum ``s`` at ``g > 0`` with a [L/M] rational Borel-Leroy transform.
+def borel_pade_sum(s, sigma, L, M, g):
+    """``(value, error)`` of ``s`` summed at ``g > 0`` with a [L/M] rational
+    Borel-Leroy transform.
 
     The Laplace integral runs to ``10^(8 - digits)`` relative on the same
-    nodes as :func:`laplace_moments`, the rational integrand in ``mpf``.
+    nodes as :func:`laplace_moments`, the rational integrand in ``mpf``; the
+    error is its quadrature error estimate alone.
     Denominator zeros on the positive real axis raise :class:`SummabilityError`;
     by Descartes' rule only a denominator with a sign change can have one.
     """
@@ -348,7 +338,4 @@ def borel_pade_sum(s, sigma, L, M, g, full_output=False):
         zs = (g * mp.ldexp(x, -q) for x in xs)
         return [mp.fdot((w, horner(num, z) / horner(den, z)) for w, z in zip(ws, zs))]
 
-    val, quad_err = Laplace(sigma, None, level_sums).integral((1,))
-    if not full_output:
-        return val
-    return BorelSumResult(value=val, truncation_error=mpf(0), quadrature_error=quad_err)
+    return Laplace(sigma, None, level_sums).integral((1,))

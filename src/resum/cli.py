@@ -316,13 +316,10 @@ def cmd_sum(args, stdout):
         raise UsageError("%s needs --L and --M" % args.method)
     if args.method == "pade":
         approx = pade_fit(series, args.L, args.M)
-        value = pade_eval(approx, g)
+        value, error = pade_eval(approx, g), None
         diagnostics["denominator"] = [nstr(c, DIGITS) for c in approx.denominator]
-        error = None
     elif args.method == "borel-pade":
-        out = borel_pade_sum(series, args.sigma, args.L, args.M, g,
-                             full_output=True)
-        value, error = out.value, out.quadrature_error
+        value, error = borel_pade_sum(series, args.sigma, args.L, args.M, g)
         diagnostics["sigma"] = args.sigma
     elif args.method == "borel-map":
         a = args.a
@@ -331,8 +328,7 @@ def cmd_sum(args, stdout):
                 raise UsageError("borel-map needs --a or a large_order_A field")
             a = 1 / to_mpf(spec_file.large_order_A)
         cfg = BorelConfig(a=a, sigma=args.sigma, truncation=order)
-        out = borel_sum(series, cfg, g, full_output=True)
-        value, error = out.value, out.truncation_error + out.quadrature_error
+        value, error = borel_sum(series, cfg, g)
         diagnostics["sigma"] = args.sigma
         diagnostics["a"] = nstr(cfg.a, DIGITS)
     else:  # odm

@@ -241,7 +241,7 @@ class TestCriterion9PropertySuite:
         ok = True
         for g in (mpf("0.5"), mpf(1)):
             want = poly.eval(g)
-            ok = ok and abs(borel_sum(poly, cfg, g) - want) < mpf("1e-12") * max(1, abs(want))
+            ok = ok and abs(borel_sum(poly, cfg, g)[0] - want) < mpf("1e-12") * max(1, abs(want))
         assert report("9", "borel-polynomial", ok)
 
     def test_borel_alternating_factorial_oracle(self, precision):
@@ -250,7 +250,7 @@ class TestCriterion9PropertySuite:
         ok = True
         for g in (mpf("0.5"), mpf(1), mpf(2)):
             oracle = mp.quad(lambda t: mp.exp(-t) / (1 + g * t), [0, mp.inf])
-            ok = ok and abs(borel_sum(s, cfg, g) - oracle) < mpf("1e-8")
+            ok = ok and abs(borel_sum(s, cfg, g)[0] - oracle) < mpf("1e-8")
         assert report("9", "borel-oracle", ok)
 
     def test_toy_fixed_point_exact(self, precision):

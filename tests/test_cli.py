@@ -489,6 +489,7 @@ def test_sum_fuzz_ends_in_a_finite_value_or_one_error_line(case):
     if code == 0:
         value = [line for line in out.splitlines() if line.startswith("value: ")]
         assert len(value) == 1 and mp.isfinite(mpf(value[0].split()[1]))
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
     else:
         assert_one_error_line(err)
 

@@ -536,20 +536,26 @@ def short_series(draw):
 def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
     s, L, M, k, g = case
     mapping = MappingSpec(MappingFamily.POWER_CUT, 2, prefactor_p="0.5")
-    calls = [
-        lambda: odm_value(build_rho_table(s, mapping), k, RhoSelectionCriterion(), g).value,
+
+    def odm():
+        report = odm_value(build_rho_table(s, mapping), k, RhoSelectionCriterion(), g)
+        return report.value, report.error_estimate
+
+    borel_calls = [
         lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5")), g),
         lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5"), quad_rel_tol=0), g),
         lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5"), quad_rel_tol=mpf("-1e-10")), g),
         lambda: borel_pade_sum(s, 0, L, M, g),
-        lambda: pade_eval(pade_fit(s, L, M), g),
     ]
-    for call in calls:
+    for call in [odm] + borel_calls + [lambda: (pade_eval(pade_fit(s, L, M), g), None)]:
         try:
-            value = call()
+            value, error = call()
         except ResumError:
             continue
         assert mp.isfinite(value)
+        # Pade has no estimate, ODM none at the table's last order.
+        if error is not None or call in borel_calls:
+            assert mp.isfinite(error) and error >= 0
 
 
 SPEC = MappingSpec(MappingFamily.POWER_CUT, 2)
