@@ -70,8 +70,6 @@ from .series import (
     compose,
     multiply,
     ratio_growth_constant,
-    revert,
-    scale,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .borel import BorelConfig, borel_leroy_transform, conformal_map_coeffs, laplace_moments
-from .errors import SelectionError, SolverError, UsageError
+from .errors import SelectionError, UsageError
 from .mapping import MappingFamily, MappingSpec, build_rho_table
 from .models import (
     anharmonic_ground_coeffs,
@@ -341,18 +341,33 @@ def run_phi4_exponents():
 
 def _borel_zero(coeffs, laplace):
     """Zero on [0.5, 3] of the Borel sum ``F(g) = sum_j coeffs[j] M_j(g)``, or
-    None.  The beta series starts at ``-g``, so ``F(0) = 0``; the solve runs on
-    ``F(g)/g``, near-linear on the window, with the same zeros and end signs."""
-    try:
-        return bracket_solve(lambda g: laplace(g).integral(coeffs)[0] / g, *_BOREL_BRACKET,
-                             mpf("1e-10"))
-    except SolverError:  # no sign change on the window (or no convergence): no zero
+    None when F has one sign at both ends.  The beta series starts at ``-g``,
+    so ``F(0) = 0``; the solve runs on ``F(g)/g``, near-linear on the window,
+    with the same zeros and end signs.  It starts on the half-window with a
+    sign change that ``laplace.latest`` splits off: the last point the store
+    built, where the previous solve for this shift ended, next to the new
+    zero, and like both ends a kept build.  A solve that does not converge
+    raises :class:`SolverError`."""
+    def f(g):
+        return laplace(g).integral(coeffs)[0] / g
+
+    lo, hi = _BOREL_BRACKET
+    f_lo = f(lo)
+    if f_lo * f(hi) > 0:
         return None
+    for g in laplace.latest:  # at most one point
+        if f(g) * f_lo > 0:
+            lo = g
+        else:
+            hi = g
+    return bracket_solve(f, lo, hi, mpf("1e-10"))
 
 
 def _kept_moments(cfg):
-    """``g -> laplace_moments(cfg, g, n=7)``, keeping only builds read again: the
-    bracket ends' and the latest, which the nu and gamma rows at a zero reread."""
+    """``g -> laplace_moments(cfg, g, n=7)``, keeping only builds read again:
+    the bracket ends', which every solve reads, and the latest, which the nu
+    and gamma rows at a zero reread and the next solve starts from.  The
+    function's ``latest`` holds that point, if any, and its build."""
     ends, latest = {}, {}
 
     def laplace(g):
@@ -361,6 +376,7 @@ def _kept_moments(cfg):
             latest.clear()
             kept[g] = laplace_moments(cfg, g, n=7)
         return kept[g]
+    laplace.latest = latest
     return laplace
 
 
@@ -369,8 +385,9 @@ def run_borel_map_exponents():
 
     The Leroy parameter is tuned over the grid 0, 1, 2, 3: of the values with
     order-6 and order-7 zeros, the one whose fixed point moves least between
-    them wins, the first on a tie; orders 2..5 are solved for it alone.  Checks
-    grade the order-7 values (loose windows; the historical pipeline's further
+    them wins, the first on a tie; orders 5, 4, 3, 2 are then solved for it
+    alone, each solve starting next to the zero just found.  Checks grade the
+    order-7 values (loose windows; the historical pipeline's further
     optimizations are not reconstructed) and the stabilization of the orders.
     """
     sigmas = (0, 1, 2, 3)
@@ -396,8 +413,9 @@ def run_borel_map_exponents():
     if not moves:
         raise SelectionError("no Leroy parameter yields a usable trajectory")
     sigma = min(moves, key=moves.get)
+    solved = dict(zeros(sigma, range(5, 1, -1))) | late[sigma]
     rows_by_k = {k: (g, *(1 / laplaces[sigma](g).integral(c)[0] for c in (nu, gamma)))
-                 for k, (g, nu, gamma) in (dict(zeros(sigma, range(2, 6))) | late[sigma]).items()}
+                 for k, (g, nu, gamma) in solved.items()}
     rows = []
     for k, ref in sorted(BOREL_MAP_REFERENCE.items()):
         g_star, nu, gamma = rows_by_k.get(k, (None, None, None))

@@ -83,11 +83,6 @@ def multiply(a, b):
     return PowerSeries(_mul_trunc(a.coeffs, b.coeffs, order), a.var)
 
 
-def scale(s, factor):
-    c = to_mpf(factor)
-    return PowerSeries(tuple(c * x for x in s.coeffs), s.var)
-
-
 def binomial_series(p, order, var="x"):
     """Taylor coefficients of ``(1 - x)**p`` through ``order``.
 
@@ -117,33 +112,6 @@ def compose(outer, inner):
         acc = _mul_trunc(acc, inner.coeffs, order)
         acc[0] += outer.coeffs[k]
     return PowerSeries(acc, inner.var)
-
-
-def revert(s, var=None):
-    """Compositional inverse of ``s``: the series ``t(w)`` with ``s(t(w)) = w``.
-
-    Requires ``s[0] == 0`` and ``s[1] != 0``.  Solved order by order by
-    matching coefficients of ``s(t(w))`` against ``w``.
-    """
-    if s.coeffs[0] != 0:
-        raise DomainError("series reversion needs zero constant term")
-    if s.order < 1 or s.coeffs[1] == 0:
-        raise DomainError("series reversion needs nonzero linear term")
-    order = s.order
-    out_var = var if var is not None else s.var
-    t = [mpf(0), 1 / s.coeffs[1]]
-    for m in range(2, order + 1):
-        # Coefficient of w^m in s(t(w)) with the unknown t_m isolated:
-        # s_1 * t_m + (terms from s_j, j >= 2, using t_1..t_{m-1}) == 0.
-        # [w^m] t^j for j >= 2 never touches t_m because t has no constant term.
-        tm = t + [mpf(0)]
-        coeff = mpf(0)
-        cur = tm[: m + 1]
-        for j in range(2, m + 1):
-            cur = _mul_trunc(cur, tm[: m + 1], m)
-            coeff += s.coeffs[j] * cur[m]
-        t.append(-coeff / s.coeffs[1])
-    return PowerSeries(t, out_var)
 
 
 def ratio_growth_constant(s, tail):

@@ -11,6 +11,7 @@ import json
 import random
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
@@ -22,6 +23,7 @@ from resum import (
     PowerSeries,
     RhoSelectionCriterion,
     SelectionMode,
+    SolverError,
     binomial_series,
     borel_sum,
     build_rho_table,
@@ -32,14 +34,13 @@ from resum import (
     multiply,
     pade_eval,
     pade_fit,
-    revert,
     rg_series,
-    scale,
     zeta_series,
 )
 from resum import benchmarks
 from resum.borel import borel_leroy_transform, conformal_map_coeffs, laplace_moments
 from resum.poly import bracket_solve
+from series_helpers import revert, scale
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -122,11 +123,12 @@ def test_borel_map_config_names_the_chosen_shift(table_result):
 
 def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch):
     """Orders 6 and 7 of each of the four shifts pick the winner, and only
-    the winner's orders 2..5 follow: 12 zero solves, where every shift at
+    the winner's orders 5..2 follow: 12 zero solves, where every shift at
     every order would take 24.  Only the winner's zeros are integrated for
     nu and gamma, so the losers' orders 6 and 7 build no further moments.
     Each shift keeps at most three builds alive: the two bracket ends and
-    its latest."""
+    its latest.  Each solve after a shift's first starts on the half-window
+    its latest splits off: 82 builds, where the full window took 98."""
     zeros, builds = [], []
 
     def zero(*args):
@@ -144,7 +146,7 @@ def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch):
     monkeypatch.setattr(benchmarks, "laplace_moments", moments)
     result = benchmarks.run_benchmark("borel-map-exponents")
     assert len(zeros) == 12
-    assert len(builds) <= 98
+    assert len(builds) <= 82
     golden = json.loads((GOLDEN / "borel-map-exponents.json").read_text())
     assert result.rows == golden["rows"]
 
@@ -170,6 +172,49 @@ def test_borel_map_zeros_match_a_tight_resolve(monkeypatch):
             ref = bracket_solve(lambda g: laplace_moments(cfg, g, 7).integral(beta)[0],
                                 mpf("0.5"), mpf(3), mpf("1e-18"))
             assert abs(solved[tuple(beta)] - ref) <= mpf("1e-15") * ref, k
+
+
+def scripted_laplace(F, latest=None):
+    """Stand-in for a ``_kept_moments`` store: every point's build integrates
+    any coefficients to ``F(g)``; ``latest`` is the point the store kept last.
+    ``reads`` records every point read, in order."""
+    def laplace(g):
+        laplace.reads.append(g)
+        return SimpleNamespace(integral=lambda coeffs: (F(g), mpf(0)))
+    laplace.latest = {} if latest is None else {mpf(latest): None}
+    laplace.reads = []
+    return laplace
+
+
+def test_borel_zero_reports_no_zero_from_the_window_ends_alone():
+    """F of one sign at 0.5 and at 3 has no zero, even where the latest point
+    has the other sign."""
+    laplace = scripted_laplace(lambda g: (g - 1) * (g - 2), "1.5")
+    assert benchmarks._borel_zero((), laplace) is None
+    assert laplace.reads == [mpf("0.5"), mpf(3)]
+
+
+def test_borel_zero_raises_when_its_solve_does_not_converge(monkeypatch):
+    def stuck(f, lo, hi, rtol):
+        raise SolverError("bracketed root did not converge")
+
+    monkeypatch.setattr(benchmarks, "bracket_solve", stuck)
+    with pytest.raises(SolverError, match="did not converge"):
+        benchmarks._borel_zero((), scripted_laplace(lambda g: g - 1, "1.5"))
+
+
+@pytest.mark.parametrize("start", ["1.3", "1.45"])
+def test_borel_zero_warm_start_finds_the_cold_zero(start):
+    """From a latest point on either side of the zero ln 4, the solve reads
+    only its half-window and lands within 1e-15 of the full-window zero."""
+    F = lambda g: mp.exp(g) - 4
+    cold = benchmarks._borel_zero((), scripted_laplace(F))
+    laplace = scripted_laplace(F, start)
+    warm = benchmarks._borel_zero((), laplace)
+    assert abs(warm - cold) <= mpf("1e-15") * cold
+    assert abs(cold - mp.log(4)) <= mpf("1e-15")
+    half = (mpf(start), mpf(3)) if mpf(start) < mp.log(4) else (mpf("0.5"), mpf(start))
+    assert all(half[0] <= g <= half[1] for g in laplace.reads[3:])
 
 
 class TestCriterion9PropertySuite:

@@ -21,15 +21,14 @@ from resum import (
     g_of_lambda,
     lambda_of_g,
     multiply,
-    revert,
     rg_series,
-    scale,
     select_rho,
     zeta_series,
 )
 from resum import mapping as mapping_module
 from resum.poly import horner
 from resum.series import _mul_trunc
+from series_helpers import revert, scale
 
 POWER_CUT = MappingFamily.POWER_CUT
 SHIFTED = MappingFamily.SHIFTED_POWER

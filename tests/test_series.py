@@ -13,9 +13,8 @@ from resum import (
     compose,
     multiply,
     ratio_growth_constant,
-    revert,
-    scale,
 )
+from series_helpers import revert, scale
 
 small_coeffs = st.lists(
     st.integers(min_value=-9, max_value=9).map(mpf), min_size=4, max_size=4
