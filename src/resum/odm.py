@@ -15,10 +15,10 @@ from itertools import chain, islice
 
 from mpmath import mp, mpc, mpf
 
-from .errors import FitError, FixedPointError, SelectionError, UsageError
+from .errors import FitError, FixedPointError, ResourceError, SelectionError, UsageError
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
 from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, horner,
-                   positive_roots)
+                   positive_roots, root_condition)
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
@@ -75,6 +75,8 @@ class OdmReport:
     delta: object = None       # oracle - value, when an oracle was supplied
 
 
+_MIN_DIGITS = 4  # select_rho refuses a scale predicted correct to fewer digits
+
 # The zero sets each mode tries, in order: those of P_k (ROOT) or of P_k'
 # (STATIONARY).  The first set with a candidate decides the report's mode.
 _ZERO_SETS = {
@@ -104,6 +106,11 @@ def select_rho(table, k, criterion, allow_complex=False):
     range.  One loop reads every candidate, each magnitude from a
     :class:`resum.poly.Polynomial`: ``P_k`` and ``P_{k-1}`` are the table's
     ``rows``, and ``P_k'`` is built here once; the scans read the same two.
+
+    A pick predicted correct to fewer than 4 digits, ``dps - log10 kappa -
+    log10(k + 2)`` with ``kappa`` its :func:`resum.poly.root_condition` as a
+    zero of ``P_k`` or ``P_k'``, is a :class:`ResourceError`: the rounded
+    coefficients do not determine it, and only more working digits do.
     """
     whole_number(k, "k", 1, table.source_order)
     tau = criterion.smallness_factor
@@ -137,8 +144,16 @@ def select_rho(table, k, criterion, allow_complex=False):
         if passed or not head:  # a wide pair is taken as it is, unflagged
             break
     flagged = bool(head) and not passed
-    if flagged:  # no candidate passed: the largest
-        rho = examined[0][0]
+    rho, _, dval = examined[0] if flagged else examined[-1]  # flagged: the largest
+    # The pick's condition: |Q'(rho)| for Q = P_k is dval; for Q = P_k' it is P_k''.
+    slope = dval if mode is SelectionMode.ROOT else abs(
+        Polynomial(derivative_coeffs(deriv.coeffs) or (mpf(0),))(rho))
+    digits = mp.dps - mp.log10(root_condition(zeros_of, rho, slope) * (k + 2))
+    if digits < _MIN_DIGITS:
+        raise ResourceError("order %d: rho = %s is predicted correct to %s digits at %d digits; "
+                            "raise the working precision above %s digits" % (
+                                k, mp.nstr(rho, 8), mp.nstr(digits, 3), mp.dps,
+                                mp.nstr(mp.dps + _MIN_DIGITS - digits, 4)))
     return OdmReport(k=k, rho=rho, candidates=tuple(examined), mode=mode, flagged=flagged,
                      is_complex=isinstance(rho, mpc))
 

@@ -8,7 +8,8 @@ tables and by the positive-root scan), the root-modulus bounds, the complete
 root solver with its real-root filter (mpmath's Durand-Kerner, started from
 float64 Durand-Kerner roots, so it takes a few sweeps at working precision
 instead of about ten, for the same roots), the real scale candidates (a
-descending positive-root scan) and the complex ones, and one bracketed solver
+descending positive-root scan) and the complex ones with the root condition
+that predicts a pick's correct digits, and one bracketed solver
 for scalar zeros (the polish of every scan root, the mapping inversion, the
 saddle equations, the Borel-summed flow).
 """
@@ -198,23 +199,24 @@ def _merge_near(roots):
 
 def _float_horner(fcoeffs, x):
     """``(y, r, s)``: ``P(x)`` in float64, a radius ``r`` around ``y`` that
-    holds the exact ``P(x)`` and the :func:`horner` value, and an upper
+    holds the exact ``P(x)`` and the :class:`Polynomial` value, and an upper
     bound ``s`` on ``S(x) = sum_j |c_j| |x|^j``; None outside the range
     where float64 keeps its relative accuracy.
 
-    With degree ``n``, ``u = 2^-53`` and ``S`` the float64 ``S(x)``:
+    With degree ``n >= 1``, ``u = 2^-53`` and ``S`` the float64 ``S(x)``:
     rounding ``c_j`` and ``x`` to float64 moves term ``j`` by at most
     ``gamma_(j+1) |c_j x^j|``, float64 Horner adds at most ``gamma_2n`` times
     the rounded terms' sum (Higham 2002, section 5.1), and the computed
     ``S`` is low by at most a factor ``(1 - u)^(3n+1)``: ``(3n + 1) u S`` to
     first order, covered with the second-order terms by ``1.25 (3n + 4) u
-    S``.  The mp Horner at ``mp.prec`` bits adds ``gamma_2n`` there, covered
-    by ``2n 2^-prec S`` and the same slack.  Underflowed products cost at
-    most ``2n 2^-1074 max(1, |x|)^n``: under ``1e-300`` plus a negligible
-    part of ``S``, as the leading coefficient exceeds ``1e-290``.  Where
-    ``|y| > r`` the mp value is nonzero with the sign of ``y``, and disjoint
-    magnitude intervals order the mp magnitudes.  The same slack, which
-    also covers the three roundings that form ``s``, makes ``s`` a bound.
+    S``.  The :class:`Polynomial` value is within half an ulp plus ``2^-62
+    (n + 1) 2^-prec S`` of the exact one, covered by ``2n 2^-prec S`` and
+    the same slack.  Underflowed products cost at most ``2n 2^-1074 max(1,
+    |x|)^n``: under ``1e-300`` plus a negligible part of ``S``, as the
+    leading coefficient exceeds ``1e-290``.  Where ``|y| > r`` the working
+    value is nonzero with the sign of ``y``, and disjoint magnitude
+    intervals order the working magnitudes.  The same slack, which also
+    covers the three roundings that form ``s``, makes ``s`` a bound.
     """
     t = float(x)
     if fcoeffs is None or not 1e-290 < abs(t) < 1e290:
@@ -248,45 +250,6 @@ def _fixed_sum(terms, xm, ex, w):
     return y, e
 
 
-def _fixed_horner(fixed, x, s=None):
-    """``(y, r, e)``: ``P(x)`` as the integer ``y`` times ``2^e``, and a radius
-    ``r 2^e`` around it that holds the exact ``P(x)`` and the :func:`horner`
-    value; None defers.  ``fixed`` is :attr:`Polynomial.fixed`; ``s``, when
-    given, bounds ``S(x)`` from above.
-
-    With degree ``n``, ``u = 2^-prec`` and ``S = sum_j |c_j| |x|^j``: each
-    Horner step forms ``y x + c_j`` exactly (``x`` is kept exact) and floors
-    it to ``w = prec + 64`` bits, an error below ``2^(1-w)`` times that
-    exact sum, which is at most ``S_j + |x| E_(j+1)`` with ``S_j`` the
-    tail of ``S`` divided by ``|x|^j`` and ``E_(j+1)`` the error carried in.
-    So the result is within ``(n + 1) 2^(1-w) (1 + 2^(1-w))^n S``, under
-    ``2^-62 (n + 1) u S``.  The mp Horner rounds ``2n + 1`` times (the
-    leading coefficient, then a product and a sum per degree), within
-    ``gamma_(2n+1) S <= ((2n + 1) u + 2 (2n + 1)^2 u^2) S`` (Higham 2002,
-    section 5.1).  With ``(2n + 1)^2 u <= 1/4`` both together are below
-    ``(2n + 2) u S``, the radius, taken with ``s`` for ``S`` or else with
-    the same :func:`_fixed_sum` at 64 bits on the exact ``(-|m|, e)`` and
-    ``|x|`` rounded up to 64 bits: every term is negative, so each floor
-    rounds the magnitude up.  Where ``|y| > r`` the mp value is nonzero with
-    the sign of ``y``, and disjoint magnitude intervals order the mp
-    magnitudes.
-    """
-    n = len(fixed) - 1
-    sign, man, ex, bx = x._mpf_
-    if not man or (2 * n + 1) ** 2 > 1 << (mp.prec - 2):
-        return None
-    y, e = _fixed_sum(fixed, -man if sign else man, ex, mp.prec + 64)
-    if s is not None:
-        frac, f = math.frexp(s)
-        a, f = int(math.ldexp(frac, 53)), f - 53
-    else:
-        cut = max(bx - 64, 0)
-        a, f = _fixed_sum(((-abs(m), em) for m, em in fixed), -(-man >> cut), ex + cut, 64)
-        a = -a
-    shift, r = f - mp.prec - e, (2 * n + 2) * a
-    return y, (r << shift if shift >= 0 else -(-r >> -shift)), e
-
-
 class Polynomial:
     """A polynomial whose coefficients are finite mpf, in the forms every
     evaluation and root scan reads, each built once: ``coeffs``, without
@@ -299,10 +262,16 @@ class Polynomial:
 
     At an mpc ``x`` the value is :func:`horner`'s.  At a finite mpf ``x`` it
     is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to nearest
-    at ``prec``.  By the bound proved for :func:`_fixed_horner` it
-    lies within half an ulp plus ``2^-62 (n + 1) u S`` of the exact ``P(x)``,
-    where the mp :func:`horner` is only within ``gamma_(2n+1) S``.  An
-    infinite or NaN mpf ``x`` is a :class:`UsageError` naming ``x``."""
+    at ``prec``.  With degree ``n``, ``u = 2^-prec`` and ``S = sum_j |c_j|
+    |x|^j``, each Horner step forms ``y x + c_j`` exactly (``x`` is kept
+    exact) and floors it to ``w`` bits, an error below ``2^(1-w)`` times
+    that exact sum, which is at most ``S_j + |x| E_(j+1)`` with ``S_j`` the
+    tail of ``S`` divided by ``|x|^j`` and ``E_(j+1)`` the error carried in.
+    So the sum is within ``(n + 1) 2^(1-w) (1 + 2^(1-w))^n S``, under
+    ``2^-62 (n + 1) u S``, and the value within half an ulp more of the
+    exact ``P(x)``, where the mp :func:`horner` is only within
+    ``gamma_(2n+1) S``.  An infinite or NaN mpf ``x`` is a
+    :class:`UsageError` naming ``x``."""
 
     __slots__ = ("coeffs", "floats", "fixed")
 
@@ -330,44 +299,33 @@ class Polynomial:
 
 
 class _Sample:
-    """``P`` at one scan point ``x`` in up to three tiers, each computed only
-    where the ones before cannot decide: the float64 value ``y`` with radius
-    ``r`` (:func:`_float_horner`), the fixed-point value with its radius
-    (:func:`_fixed_horner`), and the mp :func:`horner` value.  Both radii
-    hold the mp value, so every sign and comparison is the one mp gives.
-    Each tier reads its own form of the :class:`Polynomial` ``poly``."""
+    """``P`` at one scan point ``x``: the float64 value ``y`` with radius
+    ``r`` (:func:`_float_horner`), and, only where that radius cannot
+    decide, the :class:`Polynomial` value of ``poly``.  The radius holds
+    that value, so every sign and comparison is the one it gives."""
 
-    __slots__ = ("poly", "x", "y", "r", "s", "_fixed", "_exact")
+    __slots__ = ("poly", "x", "y", "r", "_value")
 
     def __init__(self, poly, x):
-        self.poly, self.x, self._fixed, self._exact = poly, x, False, None
-        self.y, self.r, self.s = _float_horner(poly.floats, x) or (None, None, None)
+        self.poly, self.x, self._value = poly, x, None
+        self.y, self.r = (_float_horner(poly.floats, x) or (None, None))[:2]
 
-    def fixed(self):
-        if self._fixed is False:
-            self._fixed = _fixed_horner(self.poly.fixed, self.x, self.s)
-        return self._fixed
-
-    def exact(self):
-        if self._exact is None:
-            self._exact = horner(self.poly.coeffs, self.x)
-        return self._exact
-
-    def certified(self):
-        """``P(x)`` approximately, from the first tier that certifies its
-        sign; None where neither does."""
+    def value(self):
+        """``P(x)``: the float64 value where its sign is certified, else
+        :meth:`working`."""
         if self.y is not None and abs(self.y) > self.r:
             return self.y
-        got = self.fixed()
-        if got and abs(got[0]) > got[1]:
-            return mp.ldexp(got[0], got[2])
-        return None
+        return self.working()
+
+    def working(self):
+        """The :class:`Polynomial` value, computed once."""
+        if self._value is None:
+            self._value = self.poly(self.x)
+        return self._value
 
     def sign(self):
-        value = self.certified()
-        if value is None:
-            return mp.sign(self.exact())
-        return 1 if value > 0 else -1
+        value = self.value()
+        return (value > 0) - (value < 0)
 
     def smaller(self, other):  # |P(self.x)| < |P(other.x)|
         if self.y is not None and other.y is not None:
@@ -375,15 +333,19 @@ class _Sample:
                 return True
             if abs(self.y) - self.r > abs(other.y) + other.r:
                 return False
-        a, b = self.fixed(), other.fixed()
-        if a and b:
-            e = min(a[2], b[2])
-            (ya, ra), (yb, rb) = ((abs(y) << (f - e), r << (f - e)) for y, r, f in (a, b))
-            if ya + ra < yb - rb:
-                return True
-            if ya - ra > yb + rb:
-                return False
-        return abs(self.exact()) < abs(other.exact())
+        return abs(self.working()) < abs(other.working())
+
+
+def root_condition(poly, x, slope):
+    """``kappa = S(|x|) / |x slope|``: the relative condition of a simple zero
+    ``x`` of the :class:`Polynomial` ``poly`` whose derivative there has
+    modulus ``slope``, with ``S`` the bound ``s`` of :func:`_float_horner`
+    (the mp sum where float64 cannot hold it); infinite where ``x slope`` is
+    zero.  A relative change ``eps`` in the coefficients moves the zero by
+    about ``kappa eps`` relative."""
+    got = _float_horner(poly.floats, abs(x))
+    size = got[2] if got else mp.fsum(abs(c) * abs(x) ** j for j, c in enumerate(poly.coeffs))
+    return size / abs(x * slope) if x * slope else mp.inf
 
 
 def _polish(poly, lo, hi):
@@ -393,31 +355,11 @@ def _polish(poly, lo, hi):
     One Illinois solve of :func:`bracket_solve` with guard digits, so the
     root's accuracy is set by its conditioning well below the caller's
     working precision; the root is then rounded once to that precision, like
-    every other candidate.  ``P`` comes from the first tier that certifies
-    its sign (:meth:`_Sample.certified`), so each bracket update takes the
-    sign mp gives; else from the mp :func:`horner`, read as exactly zero,
-    which ends the solve there, once it is rounding noise:
-    ``|P(x)| <= 16 u s``, ``u`` the unit roundoff at polish precision, ``s``
-    the float64 bound on ``S(x)`` of :func:`_float_horner`.  Raises
-    :class:`ResourceError` when the guard digits see no sign change: the
-    scan's mp sign at an end was rounding noise at working precision."""
+    every other candidate.  ``P`` is :meth:`_Sample.value` at the guard
+    precision, so each bracket update takes the sign of the rounded-once
+    :class:`Polynomial` value, and the solve stops at its ``rtol``."""
     with mp.extradps(20):
-        def f(x):
-            sample = _Sample(poly, x)
-            value = sample.certified()
-            if value is not None:
-                return value
-            y = sample.exact()
-            return mpf(0) if sample.s and abs(y) <= 16 * 2.0 ** -mp.prec * sample.s else y
-
-        try:
-            root = bracket_solve(f, lo.x, hi.x, tolerance(4))
-        except SolverError:
-            if (f(lo.x) > 0) != (f(hi.x) > 0):
-                raise
-            raise ResourceError("the scan's sign change on [%s, %s] is rounding noise at %d "
-                                "digits; raise the working precision" % (
-                                    mp.nstr(lo.x, 8), mp.nstr(hi.x, 8), mp.dps - 20)) from None
+        root = bracket_solve(lambda x: _Sample(poly, x).value(), lo.x, hi.x, tolerance(4))
     return +root
 
 
@@ -434,10 +376,9 @@ def positive_roots(poly):
     change) both cells around it are re-sampled sixteen times finer to catch
     close root pairs, the lower one only if its ends share a nonzero sign.
     Signs, dip comparisons and the polish's steps come from the certified
-    float64 values of :func:`_float_horner`, then from the certified
-    fixed-point values of :func:`_fixed_horner`, and from the mp
-    :func:`horner` only where neither decides, so each decision is the one
-    mp alone makes.  A tangent
+    float64 values of :func:`_float_horner`, and from the rounded-once
+    :class:`Polynomial` value only where those do not decide, so each
+    decision is the one that value alone makes.  A tangent
     (even-multiplicity) root is not a sign change, so the scan does not
     report it.  Intended for the simple positive roots of mapped-series
     polynomials of any degree; arbitrary input should go through

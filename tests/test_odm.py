@@ -14,6 +14,7 @@ from resum import (
     SelectionError,
     SelectionMode,
     UsageError,
+    anharmonic_ground_coeffs,
     build_rho_table,
     convergence_study,
     d0_partition_coeffs,
@@ -25,6 +26,7 @@ from resum import (
     select_rho,
 )
 from resum import odm
+from resum.poly import bracket_solve, horner
 from resum.precision import tolerance
 
 MIXED = RhoSelectionCriterion()
@@ -165,7 +167,7 @@ class TestSelection:
             for rho, pval, dval in rep.candidates:
                 want = [abs(horner(p, rho)) for p in rows]
                 # Both values lie within (2n + 2) 2^-prec S of the exact one,
-                # S = sum_j |c_j| rho^j (resum.poly._fixed_horner).
+                # S = sum_j |c_j| rho^j (resum.poly.Polynomial).
                 for got, ref, p in zip((pval, dval), want, rows):
                     size = mp.fsum(abs(c) * rho ** j for j, c in enumerate(p))
                     assert abs(got - ref) <= 4 * len(p) * mp.eps * size, k
@@ -232,9 +234,10 @@ class TestSelection:
                 select_rho(table, 1, MIXED)
 
     def test_scan_sign_lost_to_rounding_asks_for_more_precision(self):
-        # At order 114 of the K = 130 d0 table the scan's 64-digit mp sign at
-        # a cell end is rounding noise: the polish's guard digits see no sign
-        # change there, which only a higher working precision resolves.
+        # At order 114 of the K = 130 d0 table the pick's root condition
+        # leaves it fewer than four predicted correct digits at 64: the
+        # rounded coefficients do not determine it, and only a higher
+        # working precision resolves it.
         spec = MappingSpec(MappingFamily.POWER_CUT, 2, prefactor_p="0.5")
         with mp.workdps(64):
             table = build_rho_table(d0_partition_coeffs(130), spec)
@@ -244,6 +247,54 @@ class TestSelection:
             table = build_rho_table(d0_partition_coeffs(130), spec)
             rho = select_rho(table, 114, MIXED).rho
             assert abs(rho - mpf("0.0394860886020404666")) <= mpf("1e-18")
+
+    # Order 131 d0 table, alpha = 2, p = 1/2, mixed: mode and 8-digit rho of
+    # each order, built and selected at 140 digits.
+    DEEP_140 = {100: ("stationary", "0.044979048"), 104: ("stationary", "0.043259647"),
+                105: ("root", "0.043061415"), 110: ("stationary", "0.040913655"),
+                113: ("root", "0.04001607"), 115: ("root", "0.039320868"),
+                120: ("stationary", "0.037522239"), 130: ("stationary", "0.034650028")}
+
+    def test_past_the_precision_floor_an_order_is_refused_not_answered_wrong(self):
+        # Past about k = 104 the 64-digit coefficients no longer determine
+        # the pick: each order either matches the 140-digit choice or raises.
+        table = build_rho_table(d0_partition_coeffs(131), MappingSpec(
+            MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
+        matched = []
+        for k, (mode, rho) in self.DEEP_140.items():
+            try:
+                rep = select_rho(table, k, MIXED)
+            except ResourceError as exc:
+                assert "64 digits; raise the working precision" in str(exc), k
+                continue
+            assert (rep.mode.value, mp.nstr(rep.rho, 8)) == (mode, rho), k
+            matched.append(k)
+        assert 100 in matched
+
+    @pytest.mark.parametrize("source, alpha, p, tau, orders", [
+        ("d0", "2", "0.5", "0.5", (52, 55, 57, 58)),
+        ("d0", "4", "0.5", "0.5", (46, 48, 49, 52, 54, 56, 57)),
+        ("oscillator", "3/2", "-0.5", "1e6", (59,)),
+    ])
+    def test_picks_lie_on_the_root_of_their_own_polynomial(self, source, alpha, p, tau,
+                                                           orders):
+        # The graded tables' orders whose rho the mp Horner's noise once
+        # moved by up to 8.3e-56: each pick is within 1e-63 relative of the
+        # 250-digit root of the same 64-digit polynomial, P_k or P_k'.
+        coeffs = d0_partition_coeffs(62) if source == "d0" else anharmonic_ground_coeffs(61)
+        table = build_rho_table(coeffs, MappingSpec(MappingFamily.POWER_CUT, alpha,
+                                                    prefactor_p=p))
+        criterion = RhoSelectionCriterion(smallness_factor=tau)
+        for k in orders:
+            rep = select_rho(table, k, criterion)
+            zeros_of = table.polys[k]
+            if rep.mode is SelectionMode.STATIONARY:
+                zeros_of = odm.derivative_coeffs(zeros_of)
+            with mp.workdps(250):
+                width = rep.rho * mpf("1e-40")
+                root = bracket_solve(lambda x: horner(zeros_of, x),
+                                     rep.rho - width, rep.rho + width, mpf("1e-240"))
+                assert abs(rep.rho - root) <= mpf("1e-63") * root, k
 
     def test_criterion_validation(self):
         for tau in (0, mp.nan, mp.inf, "nan"):

@@ -271,12 +271,10 @@ def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
     roots = [mpf(2) ** -e for e in range(14)]
     coeffs = _expand(roots, 1)
     calls = []
-    # Grid points go through the float64 tier first, the mp Horner only
-    # where it defers, so both evaluators count.
-    for name in ("horner", "_float_horner"):
-        evaluate = getattr(poly, name)
-        monkeypatch.setattr(poly, name, lambda c, x, evaluate=evaluate:
-                            calls.append(x) or evaluate(c, x))
+    # Every scan point, on the grid or in the polish, runs the float64 tier
+    # first (the Polynomial value only where it defers), so it counts them.
+    evaluate = poly._float_horner
+    monkeypatch.setattr(poly, "_float_horner", lambda c, x: calls.append(x) or evaluate(c, x))
     first = list(islice(positive_roots(Polynomial(coeffs)), 1))
     first_calls = len(calls)
     scanned = list(positive_roots(Polynomial(coeffs)))
@@ -334,18 +332,19 @@ def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
 
 
 def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
-    # The first stationary point at order 58: the Illinois steps on certified
-    # values reach the rounding noise, where the first mp evaluation reads as
-    # zero; without the residual stop the solve wanders there for 43.
+    # The first stationary point at order 58: the Illinois steps, on
+    # certified float64 values and then on the rounded-once Polynomial
+    # values at the guard precision, reach the solve's tolerance within a
+    # few evaluations of the Polynomial value.
     base, polish_calls = mp.prec, []
-    evaluate = poly.horner
+    evaluate = Polynomial.__call__
 
-    def counted(c, x):
+    def counted(p, x):
         if mp.prec > base:
             polish_calls.append(x)
-        return evaluate(c, x)
+        return evaluate(p, x)
 
-    monkeypatch.setattr(poly, "horner", counted)
+    monkeypatch.setattr(Polynomial, "__call__", counted)
     dpoly = poly.derivative_coeffs(d0_alpha2_table.polys[58])
     root = next(positive_roots(Polynomial(dpoly)))
     assert len(polish_calls) <= 30
@@ -377,22 +376,6 @@ def float_tier_cases(draw, table):
     return coeffs, mpf(2) ** draw(st.integers(-30, 30))
 
 
-@settings(derandomize=True, max_examples=150)
-@given(st.data())
-def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
-    coeffs, x = data.draw(float_tier_cases(d0_alpha2_table))
-    got = poly._float_horner(Polynomial(coeffs).floats, x)
-    if got is None:
-        return
-    y, r, s = got
-    with mp.workprec(3 * mp.prec):
-        exact = horner(coeffs, x)
-        assert mp.fsum(abs(c) * abs(x) ** j for j, c in enumerate(coeffs)) <= s
-    assert y - r <= exact <= y + r
-    if abs(y) > r:
-        assert mp.sign(horner(coeffs, x)) == (1 if y > 0 else -1)
-
-
 def _fraction(x):
     """The finite mpf ``x`` as an exact fraction."""
     sign, man, exp, _ = x._mpf_
@@ -406,66 +389,73 @@ WIDE_CASES = st.tuples(st.sampled_from(WIDE_ROOTS), st.sampled_from(ROOT_OFFSETS
     lambda case: (_expand(WIDE_ROOTS, mpf(2) ** -4000), case[0] * (1 + case[1])))
 
 
-@settings(derandomize=True, max_examples=50)
+@settings(derandomize=True, max_examples=150)
 @given(st.data())
-def test_fixed_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
+def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
+    # The working value is the rounded-once Polynomial value, which the scan
+    # reads wherever the float64 tier defers.
     coeffs, x = data.draw(float_tier_cases(d0_alpha2_table) | WIDE_CASES)
-    floats = poly._float_horner(Polynomial(coeffs).floats, x)
+    got = poly._float_horner(Polynomial(coeffs).floats, x)
+    if got is None:
+        return
+    y, r, s = got
     exact = 0
     for c in reversed(coeffs):
         exact = exact * _fraction(x) + _fraction(c)
-    working = _fraction(horner(coeffs, x))
-    # The radius from the float64 bound on S, and from the integer one.
-    for s in {None, floats and floats[2]}:
-        y, r, e = poly._fixed_horner(Polynomial(coeffs).fixed, x, s)
-        lo, hi = Fraction(y - r) * Fraction(2) ** e, Fraction(y + r) * Fraction(2) ** e
-        assert lo <= exact <= hi
-        assert lo <= working <= hi
-        if abs(y) > r:
-            assert (working > 0) == (y > 0)
+    working = _fraction(Polynomial(coeffs)(x))
+    with mp.workprec(3 * mp.prec):
+        assert mp.fsum(abs(c) * abs(x) ** j for j, c in enumerate(coeffs)) <= s
+    lo, hi = Fraction(y) - Fraction(r), Fraction(y) + Fraction(r)
+    assert lo <= exact <= hi
+    assert lo <= working <= hi
+    if abs(y) > r:
+        assert (working > 0) == (y > 0)
 
 
 def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkeypatch):
     # Each run records, row by row, the brackets the scan hands to the polish
-    # (its decisions), the roots, and the mp Horner calls at working
+    # (its decisions), the roots, and the Polynomial evaluations at working
     # precision (the scan's) and above it (the polish's).  The reference runs
-    # on mp alone, with both certified tiers switched off.
+    # on the Polynomial value alone, with the float64 tier switched off.
     polys = [d0_alpha2_table.polys[k] for k in range(1, 61)]
     rows = polys + [poly.derivative_coeffs(p) for p in polys]
-    base, evaluate, polish = mp.prec, poly.horner, poly._polish
+    base, evaluate, polish, mp_horner = mp.prec, Polynomial.__call__, poly._polish, poly.horner
+
+    def complex_only(coeffs, x):
+        if not isinstance(x, mp.mpc):
+            raise AssertionError("the scan called horner at a real point")
+        return mp_horner(coeffs, x)
 
     def run():
         brackets, roots, calls = [], [], [0, 0]
 
-        def counted(c, x):
+        def counted(p, x):
             calls[mp.prec > base] += 1
-            return evaluate(c, x)
+            return evaluate(p, x)
 
         def recorded(row, lo, hi):
             brackets[-1].append((lo.x, hi.x))
             return polish(row, lo, hi)
 
-        monkeypatch.setattr(poly, "horner", counted)
+        monkeypatch.setattr(Polynomial, "__call__", counted)
         monkeypatch.setattr(poly, "_polish", recorded)
         for p in rows:
             brackets.append([])
             roots.append(list(positive_roots(Polynomial(p))))
         return brackets, roots, calls
 
+    monkeypatch.setattr(poly, "horner", complex_only)
     tiered = run()
-    scan_calls, polish_calls = tiered[2]
-    assert scan_calls == 0 and polish_calls <= 100
     # Each scan cell is visited once, so no row polishes a bracket twice.
     assert all(len(set(row)) == len(row) for row in tiered[0])
     monkeypatch.setattr(poly, "_float_horner", lambda fcoeffs, x: None)
-    fixed_only = run()
-    monkeypatch.setattr(poly, "_fixed_horner", lambda icoeffs, x, s=None: None)
-    brackets, roots, _ = run()
-    for got in (tiered, fixed_only):
-        assert got[0] == brackets
-        assert [len(r) for r in got[1]] == [len(r) for r in roots]
-        for a, b in zip(sum(got[1], []), sum(roots, [])):
-            assert abs(a - b) <= mpf("1e-50") * b
+    brackets, roots, calls = run()
+    # The float64 tier decides most scan points on its own.
+    assert 4 * tiered[2][0] < calls[0]
+    assert tiered[0] == brackets
+    assert [len(r) for r in tiered[1]] == [len(r) for r in roots]
+    for a, b in zip(sum(tiered[1], []), sum(roots, [])):
+        assert abs(a - b) <= mpf("1e-50") * b
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import copy
 import importlib.util
 from pathlib import Path
 
+from mpmath import mp
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
 same_outputs = importlib.util.module_from_spec(_SPEC)
@@ -36,6 +38,19 @@ def test_a_changed_leaf_is_reported_with_its_path():
         "picks/odm-d0-strong/0/4/0/1: \"mpf('0.0')\" != \"mpf('1.0e-70')\"",
         "sum_mix/d0:8:odm:g=2/1: 'value: 0.87\\n' != 'value: 0.88\\n'",
     ]
+
+
+def test_differing_picks_are_counted_with_their_largest_rho_difference():
+    assert same_outputs.pick_differences(DUMP, copy.deepcopy(DUMP)) == (0, None)
+    change = copy.deepcopy(DUMP)
+    # A candidate triple alone, then rho and its triple, 64 digits apart.
+    change["picks"]["odm-d0-strong"][0][4][0][2] = "mpf('0.126')"
+    assert same_outputs.pick_differences(DUMP, change) == (1, 0)
+    rho = "mpf('4.%s3')" % ("0" * 62)
+    change["picks"]["odm-d0-strong"][0][3] = change["picks"]["odm-d0-strong"][0][4][0][0] = rho
+    change["picks"]["odm-d0-strong"][1] = ["raised", "ResourceError('64 digits')"]
+    count, largest = same_outputs.pick_differences(DUMP, change)
+    assert count == 2 and mp.nstr(largest, 3) == "7.5e-64"
 
 
 def test_missing_keys_extra_items_and_column_order_are_reported():

@@ -19,13 +19,16 @@ each, one subprocess dumps as JSON:
   and with the temporary directory written ``<tmp>``, as in stdout (None
   where the request wrote no report, ``{"raised": ...}`` where it raised).
 
-The script prints how much each dump holds and the first differences, and
-exits 1 on any difference, else 0.
+The script prints how much each dump holds, the first differences, how
+many picks differ and the largest relative difference of rho among them,
+and exits 1 on any difference, else 0.
 """
 
 import json
 import subprocess
 import sys
+
+from mpmath import mp, mpc, mpf
 
 SHOWN = 20  # differences printed
 # Run in a tree's root: prints the dump as one JSON line.
@@ -130,6 +133,32 @@ def differences(parent, change):
     return out
 
 
+def _rho(text):
+    """The mpf or mpc whose ``repr`` is ``text``, at more digits than the
+    text holds."""
+    with mp.workdps(len(text) + 20):
+        return eval(text, {"__builtins__": {}, "mpf": mpf, "mpc": mpc})
+
+
+def pick_differences(parent, change):
+    """``(count, largest)``: how many picks differ between the two dumps,
+    each table's picks paired in call order, and the largest relative
+    difference of rho among the differing pairs where both sides picked
+    (None where no such pair differs)."""
+    count, largest = 0, None
+    for table_id, picks in parent["picks"].items():
+        for a, b in zip(picks, change["picks"].get(table_id, [])):
+            if a == b:
+                continue
+            count += 1
+            if a[0] != "raised" and b[0] != "raised":
+                x, y = _rho(a[3]), _rho(b[3])
+                with mp.workdps(max(len(a[3]), len(b[3])) + 20):
+                    rel = abs(x - y) / abs(x)
+                largest = rel if largest is None else max(largest, rel)
+    return count, largest
+
+
 def sizes(dumped):
     """How many tables, picks, ``sum`` requests and ``--out`` reports a dump
     holds."""
@@ -149,6 +178,9 @@ def main(argv=None):
     for line in found[:SHOWN]:
         print(line)
     if found:
+        count, largest = pick_differences(parent, change)
+        print("%d picks differ; largest relative rho difference %s"
+              % (count, "none" if largest is None else mp.nstr(largest, 3)))
         print("%d differences" % len(found))
         return 1
     print("identical")
