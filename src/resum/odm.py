@@ -18,7 +18,7 @@ from mpmath import mp, mpc, mpf
 from .errors import FitError, FixedPointError, ResourceError, SelectionError, UsageError
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
 from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, horner,
-                   positive_roots, root_condition)
+                   positive_roots)
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
@@ -108,9 +108,11 @@ def select_rho(table, k, criterion, allow_complex=False):
     ``rows``, and ``P_k'`` is built here once; the scans read the same two.
 
     A pick predicted correct to fewer than 4 digits, ``dps - log10 kappa -
-    log10(k + 2)`` with ``kappa`` its :func:`resum.poly.root_condition` as a
-    zero of ``P_k`` or ``P_k'``, is a :class:`ResourceError`: the rounded
-    coefficients do not determine it, and only more working digits do.
+    log10(k + 2)``, is a :class:`ResourceError`: the rounded coefficients do
+    not determine it, and only more working digits do.  ``kappa = sum_j
+    |c_j rho^j| / |rho Q'(rho)|`` is its relative condition as a zero of
+    ``Q = P_k`` or ``P_k'`` with coefficients ``c_j``: a relative change
+    ``eps`` in them moves the zero by about ``kappa eps`` relative.
     """
     whole_number(k, "k", 1, table.source_order)
     tau = criterion.smallness_factor
@@ -148,7 +150,8 @@ def select_rho(table, k, criterion, allow_complex=False):
     # The pick's condition: |Q'(rho)| for Q = P_k is dval; for Q = P_k' it is P_k''.
     slope = dval if mode is SelectionMode.ROOT else abs(
         Polynomial(derivative_coeffs(deriv.coeffs) or (mpf(0),))(rho))
-    digits = mp.dps - mp.log10(root_condition(zeros_of, rho, slope) * (k + 2))
+    size = horner([abs(c) for c in zeros_of.coeffs], abs(rho))  # sum_j |c_j rho^j|
+    digits = mp.dps - mp.log10(size / abs(rho * slope) * (k + 2)) if slope else -mp.inf
     if digits < _MIN_DIGITS:
         raise ResourceError("order %d: rho = %s is predicted correct to %s digits at %d digits; "
                             "raise the working precision above %s digits" % (

@@ -8,8 +8,7 @@ tables and by the positive-root scan), the root-modulus bounds, the complete
 root solver with its real-root filter (mpmath's Durand-Kerner, started from
 float64 Durand-Kerner roots, so it takes a few sweeps at working precision
 instead of about ten, for the same roots), the real scale candidates (a
-descending positive-root scan) and the complex ones with the root condition
-that predicts a pick's correct digits, and one bracketed solver
+descending positive-root scan) and the complex ones, and one bracketed solver
 for scalar zeros (the polish of every scan root, the mapping inversion, the
 saddle equations, the Borel-summed flow).
 """
@@ -198,12 +197,12 @@ def _merge_near(roots):
 
 
 def _float_horner(fcoeffs, x):
-    """``(y, r, s)``: ``P(x)`` in float64, a radius ``r`` around ``y`` that
-    holds the exact ``P(x)`` and the :class:`Polynomial` value, and an upper
-    bound ``s`` on ``S(x) = sum_j |c_j| |x|^j``; None outside the range
-    where float64 keeps its relative accuracy.
+    """``(y, r)``: ``P(x)`` in float64 and a radius ``r`` around ``y`` that
+    holds the exact ``P(x)`` and the :class:`Polynomial` value; None outside
+    the range where float64 keeps its relative accuracy.
 
-    With degree ``n >= 1``, ``u = 2^-53`` and ``S`` the float64 ``S(x)``:
+    With degree ``n >= 1``, ``u = 2^-53`` and ``S`` the float64 value of
+    ``S(x) = sum_j |c_j| |x|^j``:
     rounding ``c_j`` and ``x`` to float64 moves term ``j`` by at most
     ``gamma_(j+1) |c_j x^j|``, float64 Horner adds at most ``gamma_2n`` times
     the rounded terms' sum (Higham 2002, section 5.1), and the computed
@@ -215,8 +214,7 @@ def _float_horner(fcoeffs, x):
     |x|)^n``: under ``1e-300`` plus a negligible part of ``S``, as the
     leading coefficient exceeds ``1e-290``.  Where ``|y| > r`` the working
     value is nonzero with the sign of ``y``, and disjoint magnitude
-    intervals order the working magnitudes.  The same slack, which also
-    covers the three roundings that form ``s``, makes ``s`` a bound.
+    intervals order the working magnitudes.
     """
     t = float(x)
     if fcoeffs is None or not 1e-290 < abs(t) < 1e290:
@@ -227,8 +225,7 @@ def _float_horner(fcoeffs, x):
         s = s * at + a
     if s >= 1e300:
         return None
-    return (y, s * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300,
-            s * (1 + (3 * n + 4) * 1.25 * 2.0 ** -53) + 1e-300)
+    return y, s * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300
 
 
 def _fixed_sum(terms, xm, ex, w):
@@ -308,7 +305,7 @@ class _Sample:
 
     def __init__(self, poly, x):
         self.poly, self.x, self._value = poly, x, None
-        self.y, self.r = (_float_horner(poly.floats, x) or (None, None))[:2]
+        self.y, self.r = _float_horner(poly.floats, x) or (None, None)
 
     def value(self):
         """``P(x)``: the float64 value where its sign is certified, else
@@ -334,18 +331,6 @@ class _Sample:
             if abs(self.y) - self.r > abs(other.y) + other.r:
                 return False
         return abs(self.working()) < abs(other.working())
-
-
-def root_condition(poly, x, slope):
-    """``kappa = S(|x|) / |x slope|``: the relative condition of a simple zero
-    ``x`` of the :class:`Polynomial` ``poly`` whose derivative there has
-    modulus ``slope``, with ``S`` the bound ``s`` of :func:`_float_horner`
-    (the mp sum where float64 cannot hold it); infinite where ``x slope`` is
-    zero.  A relative change ``eps`` in the coefficients moves the zero by
-    about ``kappa eps`` relative."""
-    got = _float_horner(poly.floats, abs(x))
-    size = got[2] if got else mp.fsum(abs(c) * abs(x) ** j for j, c in enumerate(poly.coeffs))
-    return size / abs(x * slope) if x * slope else mp.inf
 
 
 def _polish(poly, lo, hi):

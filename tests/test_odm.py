@@ -271,6 +271,18 @@ class TestSelection:
             matched.append(k)
         assert 100 in matched
 
+    def test_guard_digits_that_lose_the_scan_sign_change_still_end_in_a_refusal(self):
+        # The orders of the K = 201 d0 table whose scan sign change the
+        # polish's guard digits once did not see, at 64 digits: each is a
+        # ResourceError asking for more precision, never a SolverError.
+        with mp.workdps(64):
+            table = build_rho_table(d0_partition_coeffs(201), MappingSpec(
+                MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
+            for k in (114, 116, 132, 138, 141, 146, 148, 149, 151, 152, 154, 155, 158, 159,
+                      171, 175, 179, 180, 181, 184, 198, 200):
+                with pytest.raises(ResourceError, match="64 digits; raise the working precision"):
+                    select_rho(table, k, MIXED)
+
     @pytest.mark.parametrize("source, alpha, p, tau, orders", [
         ("d0", "2", "0.5", "0.5", (52, 55, 57, 58)),
         ("d0", "4", "0.5", "0.5", (46, 48, 49, 52, 54, 56, 57)),

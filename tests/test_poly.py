@@ -389,27 +389,43 @@ WIDE_CASES = st.tuples(st.sampled_from(WIDE_ROOTS), st.sampled_from(ROOT_OFFSETS
     lambda case: (_expand(WIDE_ROOTS, mpf(2) ** -4000), case[0] * (1 + case[1])))
 
 
+def _exact_value(coeffs, x):
+    """``P(x)`` as an exact fraction."""
+    exact = 0
+    for c in reversed(coeffs):
+        exact = exact * _fraction(x) + _fraction(c)
+    return exact
+
+
 @settings(derandomize=True, max_examples=150)
 @given(st.data())
 def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table, data):
     # The working value is the rounded-once Polynomial value, which the scan
     # reads wherever the float64 tier defers.
-    coeffs, x = data.draw(float_tier_cases(d0_alpha2_table) | WIDE_CASES)
+    coeffs, x = data.draw(float_tier_cases(d0_alpha2_table))
     got = poly._float_horner(Polynomial(coeffs).floats, x)
     if got is None:
         return
-    y, r, s = got
-    exact = 0
-    for c in reversed(coeffs):
-        exact = exact * _fraction(x) + _fraction(c)
-    working = _fraction(Polynomial(coeffs)(x))
-    with mp.workprec(3 * mp.prec):
-        assert mp.fsum(abs(c) * abs(x) ** j for j, c in enumerate(coeffs)) <= s
+    y, r = got
+    exact, working = _exact_value(coeffs, x), _fraction(Polynomial(coeffs)(x))
     lo, hi = Fraction(y) - Fraction(r), Fraction(y) + Fraction(r)
     assert lo <= exact <= hi
     assert lo <= working <= hi
     if abs(y) > r:
         assert (working > 0) == (y > 0)
+
+
+@settings(derandomize=True, max_examples=50)
+@given(st.data())
+def test_polynomial_value_lies_within_the_proved_bound(d0_alpha2_table, data):
+    # Within half an ulp plus 2^-62 (n + 1) u S of the exact value, also
+    # beside roots 2^8000 apart and with coefficient exponents thousands of
+    # bits apart (WIDE_CASES), where the float64 tier defers.
+    coeffs, x = data.draw(float_tier_cases(d0_alpha2_table) | WIDE_CASES)
+    working, exact = _fraction(Polynomial(coeffs)(x)), _exact_value(coeffs, x)
+    u, ax = Fraction(1, 2 ** mp.prec), abs(_fraction(x))
+    size = sum(abs(_fraction(c)) * ax ** j for j, c in enumerate(coeffs))
+    assert abs(working - exact) <= u * abs(working) + Fraction(len(coeffs), 2 ** 62) * u * size
 
 
 def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkeypatch):
@@ -446,6 +462,8 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
 
     monkeypatch.setattr(poly, "horner", complex_only)
     tiered = run()
+    # The polish's steps read the Polynomial value 989 times on these rows.
+    assert tiered[2][1] <= 1000
     # Each scan cell is visited once, so no row polishes a bracket twice.
     assert all(len(set(row)) == len(row) for row in tiered[0])
     monkeypatch.setattr(poly, "_float_horner", lambda fcoeffs, x: None)
