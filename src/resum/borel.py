@@ -40,25 +40,18 @@ _MAP_SPAN_BITS = 1 << 16  # span of magnitudes the conformal map sums exactly
 
 @dataclass(frozen=True)
 class BorelConfig:
-    """Parameters of the transform, the map and the Laplace quadrature; an
-    explicit ``quad_rel_tol`` in ``(0, 1)`` stops the quadrature once the
-    asked-for sum meets it (see :class:`Laplace`)."""
+    """Parameters of the transform and the map; the Laplace quadrature runs
+    to the working precision (see :class:`Laplace`)."""
 
-    a: object                    # Borel-plane singularity parameter (> 0)
-    sigma: object = 0            # Leroy shift in the Gamma divisor (0..1000)
-    truncation: int = None       # mapped-series truncation order (default: all)
-    quad_rel_tol: object = None  # relative tolerance (default: working precision)
+    a: object               # Borel-plane singularity parameter (> 0)
+    sigma: object = 0       # Leroy shift in the Gamma divisor (0..1000)
+    truncation: int = None  # mapped-series truncation order (default: all)
 
     def __post_init__(self):
         object.__setattr__(self, "a", positive_mpf(self.a, "a"))
         object.__setattr__(self, "sigma", _leroy_sigma(self.sigma))
         if self.truncation is not None:
             whole_number(self.truncation, "truncation", 1)
-        if self.quad_rel_tol is not None:
-            tol = positive_mpf(self.quad_rel_tol, "quad_rel_tol")
-            if not tol < 1:
-                raise UsageError("quad_rel_tol must be below 1, got %s" % mp.nstr(tol, 8))
-            object.__setattr__(self, "quad_rel_tol", tol)
 
 
 def _leroy_sigma(sigma):
@@ -179,92 +172,53 @@ class Laplace:
     :func:`_estimate_error`: float64 picks its power of ten wherever it can
     certify the choice, and mpmath only where it cannot.
 
-    Two stop rules.  With ``quad_rel_tol`` None, a piece stops once the
-    estimate of every ``I_j`` is ``<= eps/8`` (working precision), whatever
-    sum is asked for, and the sum is accepted at ``10^(8 - digits)``.  With
-    an explicit ``quad_rel_tol``, levels are added only while the asked-for
-    sum misses it, each to the piece whose estimate of that sum is larger.
-    An explicit ``quad_rel_tol`` below ``10^(8 - digits)`` at the working
-    digits is a :class:`UsageError`: below it the estimate reads the level
-    sums' rounding noise as convergence."""
+    One stop rule: a piece stops once the estimate of every ``I_j`` is
+    ``<= eps/8`` (working precision), whatever sum is asked for, and the sum
+    is accepted at ``rel_tol = 10^(8 - digits)``; below that the estimate
+    would read the level sums' rounding noise as convergence."""
 
-    def __init__(self, sigma, quad_rel_tol, level_sums):
-        self.sigma, self.level_sums, self.quad_rel_tol = sigma, level_sums, quad_rel_tol
-        floor = tolerance(8)
-        self.rel_tol = floor if quad_rel_tol is None else quad_rel_tol
-        if self.rel_tol < floor:
-            raise UsageError("quad_rel_tol must be at least 10^(8 - digits) = %s at %d digits,"
-                             " got %s" % (mp.nstr(floor, 3), mp.dps, mp.nstr(self.rel_tol, 3)))
-        self.prec, self.eps = mp.prec, mp.eps / 8
+    def __init__(self, sigma, level_sums):
+        self.sigma, self.level_sums = sigma, level_sums
+        self.rel_tol, self.prec, self.eps = tolerance(8), mp.prec, mp.eps / 8
         t_max = _cutoff(sigma, self.rel_tol, self.prec)
         # Per piece: its ends, the node sums (scaled by 2^Q) and each level's I_j.
         self.pieces = ((mpf(0), t_max / 16, [], []), (t_max / 16, t_max, [], []))
         self.done = [False, False]
 
-    def _add_level(self, i):
+    def _refine(self, i, max_level):
+        """Add levels to piece ``i`` until the estimate of every ``I_j`` is
+        ``<= eps`` or it has ``max_level``, at :meth:`integral`'s precision."""
         lo, hi, sums, levels = self.pieces[i]
-        level = len(levels) + 1
-        with mp.workprec(self.prec + 20):
+        while not self.done[i] and len(levels) < max_level:
+            level = len(levels) + 1
             new = self.level_sums(*_weighted_nodes(self.sigma, lo, hi, level, self.prec))
             sums[:] = [s + n for s, n in zip(sums, new)] if sums else new
             levels.append([mp.ldexp(s, -(self.prec + _GUARD_BITS + level)) for s in sums])
-
-    def _refine(self, i, max_level):
-        levels = self.pieces[i][3]
-        while not self.done[i] and len(levels) < max_level:
-            self._add_level(i)
-            with mp.workprec(self.prec + 20):
-                self.done[i] = len(levels) > 1 and all(
-                    _estimate_error(seq, self.prec, self.eps) <= self.eps
-                    for seq in zip(*levels))
-
-    def _sum(self, coeffs, seqs, errs):
-        """``(value, error)`` of ``sum_j coeffs[j] I_j`` on the levels so far,
-        the value rounded to working precision.  ``seqs[i]`` holds the sum at
-        each level of piece ``i`` and ``errs[i]`` its estimate; both catch up
-        with the levels added since, and the error adds the ``errs``."""
-        val = mpf(0)
-        with mp.workprec(self.prec + 20):
-            for i, (_, _, _, levels) in enumerate(self.pieces):
-                seq = seqs[i]
-                if len(coeffs) > len(levels[0]):
-                    raise UsageError("%d coefficients for %d Laplace integrals"
-                                     % (len(coeffs), len(levels[0])))
-                if len(seq) < len(levels):
-                    seq += [mp.fdot(coeffs, level) for level in levels[len(seq):]]
-                    errs[i] = _estimate_error(seq, self.prec, self.eps)
-                val += seq[-1]
-            err = errs[0] + errs[1]
-        return +val, err
+            self.done[i] = len(levels) > 1 and all(
+                _estimate_error(seq, self.prec, self.eps) <= self.eps for seq in zip(*levels))
 
     def integral(self, coeffs):
-        """``(sum_j coeffs[j] I_j, error)``: the error estimate of this sum's own
-        levels, added over the pieces, within ``rel_tol`` relative (absolute
-        below 1).  Without an explicit tolerance, levels run to 2^10, then
-        2^12 if that misses; with one, up to 2^12 per piece.  More ``coeffs``
-        than integrals ``I_j``, or one not finite, raise :class:`UsageError`."""
+        """``(sum_j coeffs[j] I_j, error)``, the value rounded to working
+        precision: the error adds each piece's estimate of this sum's own
+        levels, and is within ``rel_tol`` relative (absolute below 1).
+        Levels run to 2^10, then 2^12 if that misses.  More ``coeffs`` than
+        integrals ``I_j``, or one not finite, raise :class:`UsageError`."""
         for j, c in enumerate(coeffs):
             finite_mpf(c, "coeffs[%d]" % j)
-        seqs, errs = ([], []), [None, None]
-        if self.quad_rel_tol is None:
-            for max_level in (10, 12):
-                for i in (0, 1):
+        for max_level in (10, 12):
+            val = err = mpf(0)
+            with mp.workprec(self.prec + 20):
+                for i, (_, _, _, levels) in enumerate(self.pieces):
                     self._refine(i, max_level)
-                val, err = self._sum(coeffs, seqs, errs)
-                if err <= self.rel_tol * max(abs(val), 1):
-                    return val, err
-        else:
-            for i in (0, 1):
-                while len(self.pieces[i][3]) < 2:
-                    self._add_level(i)
-            while True:
-                val, err = self._sum(coeffs, seqs, errs)
-                if err <= self.rel_tol * max(abs(val), 1):
-                    return val, err
-                short = [i for i in (0, 1) if len(self.pieces[i][3]) < 12]
-                if not short:
-                    break
-                self._add_level(max(short, key=errs.__getitem__))
+                    if len(coeffs) > len(levels[0]):
+                        raise UsageError("%d coefficients for %d Laplace integrals"
+                                         % (len(coeffs), len(levels[0])))
+                    seq = [mp.fdot(coeffs, level) for level in levels]
+                    val += seq[-1]
+                    err += _estimate_error(seq, self.prec, self.eps)
+            val = +val
+            if err <= self.rel_tol * max(abs(val), 1):
+                return val, err
         raise ResourceError("Laplace quadrature stuck at error %s (tolerance %s)"
                             % (mp.nstr(err, 3), mp.nstr(self.rel_tol, 3)))
 
@@ -277,7 +231,8 @@ def laplace_moments(cfg, g, n):
     ``S_j += p; p = p U >> Q`` from ``p = W``.  No term is negative, so nothing
     cancels: against exact arithmetic on the stored nodes, ``U`` is within 1.5
     units of ``2^-Q``, and ``M_j`` at level ``d`` over ``N`` nodes within
-    ``N 2^-d (j + 1) + 2 j M_0`` units.
+    ``N 2^-d (j + 1) + 2 j M_0`` units.  Each piece runs until every ``M_j``
+    is at working precision, so any sum of them is read off the same levels.
     """
     q, n = mp.prec + _GUARD_BITS, whole_number(n, "n", 0)
     one = 1 << q
@@ -291,7 +246,7 @@ def laplace_moments(cfg, g, n):
             sums.append(sum(ws))
         return sums
 
-    return Laplace(cfg.sigma, cfg.quad_rel_tol, level_sums)
+    return Laplace(cfg.sigma, level_sums)
 
 
 def borel_sum(s, cfg, g):
@@ -338,4 +293,4 @@ def borel_pade_sum(s, sigma, L, M, g):
         zs = (g * mp.ldexp(x, -q) for x in xs)
         return [mp.fdot((w, horner(num, z) / horner(den, z)) for w, z in zip(ws, zs))]
 
-    return Laplace(sigma, None, level_sums).integral((1,))
+    return Laplace(sigma, level_sums).integral((1,))

@@ -218,7 +218,6 @@ def build_parser():
                        choices=("odm", "borel-map", "borel-pade", "pade"))
     p_sum.add_argument("--g", required=True, help="coupling value, or 'inf'")
     p_sum.add_argument("--order", type=int, help="truncation order k")
-    p_sum.add_argument("--beta-covariant", action="store_true")
     p_sum.add_argument("--sigma", default="0", help="Leroy parameter")
     p_sum.add_argument("--a", help="Borel singularity parameter (default 1/large_order_A)")
     p_sum.add_argument("--L", type=int, help="numerator degree")
@@ -269,7 +268,6 @@ def _mapping_from_args(args):
         family=MappingFamily(args.family),
         alpha=args.alpha,
         prefactor_p=args.prefactor_p,
-        beta_covariant=getattr(args, "beta_covariant", False),
     )
 
 

@@ -169,14 +169,18 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     the strong-coupling amplitude of ``g^(-p/alpha)``, namely
     ``rho_k^(p/alpha) sum_l P_l(rho_k)``.  The error estimate is
     ``|P_{k+1}(rho_k) lambda^(k+1)|`` whenever the table extends to ``k+1``.
+    A beta-covariant table holds a mapped flow, not a sum, and is refused:
+    :func:`fixed_point` reads such tables.
 
     With ``allow_complex`` (shifted-power family only), a complex-pair scale
     is admitted: the mapped point follows the inversion into the complex
     plane and the real part of the approximant is reported.
     """
     g = to_mpf(g, "g")
-    sel = select_rho(table, k, criterion, allow_complex=allow_complex)
     mapping = table.mapping
+    if mapping.beta_covariant:
+        raise UsageError("a beta-covariant table holds a flow, not a sum; use fixed_point")
+    sel = select_rho(table, k, criterion, allow_complex=allow_complex)
     rho = sel.rho
     strong = g == mp.inf
     if strong and mapping.family is not MappingFamily.POWER_CUT:

@@ -202,6 +202,19 @@ class TestSumCommand:
             assert_one_error_line(err)
             assert "sigma" in err and "Traceback" not in err
 
+    def test_sum_has_no_beta_covariant_flag(self, tmp_path, capsys):
+        # The flag printed the mapped flow as the sum, at exit 0.
+        path = write(tmp_path, "generator: rg_beta\norder: 7\n")
+        argv = ["sum", path, "--method", "odm", "--order", "5", "--g", "1",
+                "--family", "shifted-power", "--alpha", "1.5",
+                "--criterion", "stationary-first", "--tau", "1"]
+        assert main(argv + ["--beta-covariant"]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "--beta-covariant" in err
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("value: -0.26021430996649162\n")
+
     def test_borel_pade_agrees_with_borel_map_on_flow_series(self, tmp_path, capsys):
         # [4/2] keeps the rational transform free of positive-axis poles for
         # this series at every tabulated Leroy parameter.
@@ -314,8 +327,8 @@ class TestReproduceCommand:
             return [{"k": "7"}], [], {}
 
         monkeypatch.setitem(benchmarks.RUNNERS, "borel-map-exponents", borel_stub)
-        assert self._echo(tmp_path, ["reproduce", "borel-map-exponents"]) == (40, 40)
-        assert seen == [40]
+        assert self._echo(tmp_path, ["reproduce", "borel-map-exponents"]) == (30, 30)
+        assert seen == [30]
         assert self._echo(tmp_path, ["reproduce", "saddle-table"]) == (64, 64)
         assert mp.dps == 64
 

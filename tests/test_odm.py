@@ -343,6 +343,16 @@ class TestValues:
         with pytest.raises(UsageError):
             odm_value(table, 2, MIXED, mp.inf)
 
+    def test_beta_covariant_table_is_refused(self):
+        # Such a table holds the mapped flow, which only fixed_point reads;
+        # summed as a series it gives -0.0227 where the series sums to -0.260.
+        table = build_rho_table(rg_series().beta, MappingSpec(
+            MappingFamily.SHIFTED_POWER, "1.5", beta_covariant=True))
+        criterion = RhoSelectionCriterion(mode=SelectionMode.STATIONARY_FIRST,
+                                          smallness_factor=1)
+        with pytest.raises(UsageError, match="fixed_point"):
+            odm_value(table, 5, criterion, 1)
+
     def test_constant_series_sums_to_constant(self):
         source = PowerSeries((mpf(1), mpf(0), mpf(0), mpf(0)), "gtilde")
         table = build_rho_table(source, MappingSpec(MappingFamily.SHIFTED_POWER, "1.5"))

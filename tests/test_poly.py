@@ -551,8 +551,6 @@ def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
 
     borel_calls = [
         lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5")), g),
-        lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5"), quad_rel_tol=0), g),
-        lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5"), quad_rel_tol=mpf("-1e-10")), g),
         lambda: borel_pade_sum(s, 0, L, M, g),
     ]
     for call in [odm] + borel_calls + [lambda: (pade_eval(pade_fit(s, L, M), g), None)]:
