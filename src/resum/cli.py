@@ -27,7 +27,7 @@ rational ``p/q``) strings so no precision is lost in transit::
     order: 60
 
 Exit codes: 0 all good, 2 a reproduce tolerance was violated, 1 operational
-error (bad file, bad flags, solver failure).
+error (bad file, bad flags, solver failure, stdout closed by its reader).
 """
 
 import argparse
@@ -198,8 +198,8 @@ def build_parser():
     parser = _Parser(prog="resum",
                      description="Summation toolkit for divergent power series")
     parser.add_argument("--precision", "-p", type=int,
-                        help="decimal working digits (env RESUM_PRECISION; default %d, "
-                        "and each table's own digits for reproduce)" % DEFAULT_DIGITS)
+                        help="decimal working digits (default %d, and each table's "
+                        "own digits for reproduce)" % DEFAULT_DIGITS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # The mapping and scale-selection flags that ``sum`` and ``study`` share.
@@ -251,16 +251,6 @@ def parse_coupling(text):
     if g is None or not (mp.isfinite(g) or g == mp.inf):
         raise UsageError("--g must be a finite number or inf, got %r" % text)
     return g
-
-
-def _env_precision(default):
-    text = os.environ.get("RESUM_PRECISION")
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError("RESUM_PRECISION must be an integer, got %r" % text) from None
 
 
 def _mapping_from_args(args):
@@ -418,12 +408,11 @@ def main(argv=None, stdout=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.precision is None:  # reproduce: None runs each table at its own digits
-            args.precision = _env_precision(
-                None if args.command == "reproduce" else DEFAULT_DIGITS)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.precision is None and args.command != "reproduce":  # tables keep their own
+        args.precision = DEFAULT_DIGITS
     started = time.time()
     try:
         if args.command == "reproduce":
@@ -444,8 +433,12 @@ def main(argv=None, stdout=None):
             with _open_output(args.out) as handle:
                 json.dump(report, handle, indent=2, sort_keys=True)
                 handle.write("\n")
+        stdout.flush()
     except ResumError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader left: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
 

@@ -33,39 +33,22 @@ class PadeApproximant:
 def pade_fit(s, L, M):
     """Fit the [L/M] approximant to ``s``; needs ``L + M <= s.order``.
 
-    Solves the M x M linear system for the denominator, then convolves for
-    the numerator.  A singular or numerically rank-deficient system raises
-    :class:`DegeneracyError` carrying the detected rank.
+    ``mp.pade`` solves the M x M linear system for the denominator, then
+    convolves for the numerator.  A singular or numerically rank-deficient
+    system raises :class:`DegeneracyError` carrying the detected rank.
     """
     whole_number(M, "M", 0, s.order - whole_number(L, "L", 0, s.order))  # L + M <= order
     c = s.coeffs
-
-    def cc(n):
-        return c[n] if n >= 0 else mpf(0)
-
-    if M == 0:
-        den = (mpf(1),)
-        num = tuple(c[: L + 1])
-        return PadeApproximant(num, den)
-    A = mp.matrix(M, M)
-    rhs = mp.matrix(M, 1)
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            A[i - 1, j - 1] = cc(L + i - j)
-        rhs[i - 1] = -cc(L + i)
+    if M == 0:  # mp.pade's [0/0] has numerator 1 whatever c_0 is
+        return PadeApproximant(tuple(c[: L + 1]), (mpf(1),))
     try:
-        sol = mp.lu_solve(A, rhs)
+        num, den = mp.pade(c, L, M)
     except (ZeroDivisionError, ValueError, TypeError):
         # mpmath's LU leaves the pivot index of a column with no nonzero
         # candidate at None, and its row swap then raises TypeError.
+        A = mp.matrix([[c[L + i - j] if L + i >= j else 0 for j in range(M)]
+                       for i in range(M)])
         raise DegeneracyError("singular Pade system for [%d/%d] (%s)" % (L, M, _rank(A)))
-    den = [mpf(1)] + [sol[j] for j in range(M)]
-    num = []
-    for i in range(L + 1):
-        acc = mpf(0)
-        for j in range(0, min(i, M) + 1):
-            acc += den[j] * cc(i - j)
-        num.append(acc)
     approx = PadeApproximant(tuple(num), tuple(den))
     _check_reexpansion(approx, s, L + M)
     return approx
@@ -113,7 +96,7 @@ def pade_eval(approx, g):
     """
     g = finite_mpf(g, "g")
     den = horner(approx.denominator, g)
-    scale = mp.fsum(abs(c) * abs(g) ** j for j, c in enumerate(approx.denominator))
+    scale = horner([abs(c) for c in approx.denominator], abs(g))
     if abs(den) <= tolerance(mp.dps // 2) * max(scale, mpf(1)):
         raise PoleError("denominator vanishes near g = %s" % mp.nstr(g, 8))
     return horner(approx.numerator, g) / den

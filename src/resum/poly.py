@@ -46,38 +46,33 @@ def strip_zeros(coeffs):
 
 def _log2_abs(x):
     """``log2|x|`` in float64 from the mantissa and exponent of the mpf ``x``,
-    within ``2^-50 (1 + |log2|x||)``; None for zero, a special value, a
-    non-mpf or a binary exponent beyond ``2^24``."""
+    within ``2^-50 (1 + |log2|x||)``; None for zero, a special value or a
+    non-mpf."""
     try:
         _, man, exp, bc = x._mpf_
     except AttributeError:
         return None
-    if not man or abs(exp) >= 1 << 24:
-        return None
-    return (exp + bc) + math.log2(man / (1 << bc))  # quotient in [1/2, 1)
-
-
-def _contenders(coeffs, js):
-    """The ``js`` whose ``|c_j/c_d|^(1/(d-j))`` may be the largest: those
-    within 1e-6 of the largest in float64 ``log2`` (:func:`_log2_abs`), or all
-    of them when a logarithm is None.  Each float64 ``log2`` is within 1e-7 of
-    the mp power's, so every ``j`` left out has a power below one kept."""
-    d = len(coeffs) - 1
-    base, logs = _log2_abs(coeffs[d]), [_log2_abs(coeffs[j]) for j in js]
-    if base is None or None in logs:
-        return js
-    keys = [(lj - base) / (d - j) for j, lj in zip(js, logs)]
-    top = max(keys, default=0)
-    return [j for j, k in zip(js, keys) if k >= top - 1e-6]
+    return (exp + bc) + math.log2(man / (1 << bc)) if man else None  # quotient in [1/2, 1)
 
 
 def _fujiwara_bound(coeffs):
-    """Upper bound on root moduli: ``2 max_j |c_j/c_d|^(1/(d-j))``, the mp
-    power taken only for the :func:`_contenders`."""
-    d, cd = len(coeffs) - 1, abs(coeffs[-1])
-    js = _contenders(coeffs, [j for j, c in enumerate(coeffs[:-1]) if c != 0])
-    best = max(((abs(coeffs[j]) / cd) ** (mpf(1) / (d - j)) for j in js), default=0)
-    return 2 * best if best > 0 else mpf(1)
+    """Upper bound on root moduli from float64 alone: ``2^x`` at or above
+    ``2 max_j |c_j/c_d|^(1/(d-j))`` over the nonzero ``c_j``, ``j < d`` (one
+    if none), where ``x = 1 + K + 2^-47 (1 + |L_d| + |K|)`` and ``K`` is the
+    largest float64 ``k_j = (L_j - L_d)/(d-j)``, ``L_j`` the :func:`_log2_abs`
+    of ``c_j``.  As ``|l_j| <= |l_d| + (d-j) |t_j|`` for the exact ``l_j`` and
+    ``t_j``, ``k_j`` is within ``2^-50 (2 + 2|l_d| + |t_j|) + 2^-52 |k_j|`` of
+    ``t_j`` at any degree, so the largest ``t_j`` is within ``2^-49 (1 + |L_d|
+    + |K|)`` of ``K`` to first order.  The margin covers that, the float64 sums
+    and ``2^f`` of the fraction ``f`` of ``x``, each below ``2^-51 (1 + |K|)``;
+    mpf takes the float exactly at 53 bits or more."""
+    d, base = len(coeffs) - 1, _log2_abs(coeffs[-1])
+    keys = [(_log2_abs(c) - base) / (d - j) for j, c in enumerate(coeffs[:-1]) if c != 0]
+    if not keys:
+        return mpf(1)
+    top = max(keys)
+    x = 1 + top + 2.0 ** -47 * (1 + abs(base) + abs(top))
+    return mp.ldexp(2.0 ** (x - math.floor(x)), math.floor(x))
 
 
 def _fujiwara_lower_bound(coeffs):
@@ -167,7 +162,7 @@ def polynomial_real_roots(coeffs):
     coeffs = coeffs[lead:]
     roots = []
     if len(coeffs) > 1:
-        res_tol = tolerance(8)
+        res_tol, sizes = tolerance(8), [abs(c) for c in coeffs]
         imag_tol = tolerance(mp.dps // 2)
         s = int(mp.nint(mp.log(_fujiwara_bound(coeffs), 2)))  # largest |y| near 1
         for r in all_roots([mp.ldexp(c, j * s) for j, c in enumerate(coeffs)]):
@@ -177,10 +172,8 @@ def polynomial_real_roots(coeffs):
             if abs(mp.im(r)) > imag_tol * max(1, abs(r)):
                 continue
             r = mp.re(r)
-            scale = mp.fsum(abs(c) * abs(r) ** j for j, c in enumerate(coeffs)) or mpf(1)
-            if abs(horner(coeffs, r)) > scale * res_tol:
-                continue
-            roots.append(r)
+            if abs(horner(coeffs, r)) <= (horner(sizes, abs(r)) or 1) * res_tol:
+                roots.append(r)
     if lead:
         roots.append(mpf(0))
     return list(_merge_near(sorted(roots)))

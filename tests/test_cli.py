@@ -5,7 +5,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from mpmath import mp, mpf
 
 from resum import ParseError
 from resum.cli import main, parse_series_file
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 ALT_GEOMETRIC = """\
 # four terms of the alternating geometric series
@@ -136,7 +141,7 @@ class TestSumCommand:
 
         assert abs(value - d0_partition_value("0.5")) < mpf("1e-6")
 
-    def test_missing_flags_exit_one(self, tmp_path, monkeypatch, capsys):
+    def test_missing_flags_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
         d0_path = write(tmp_path, D0_FILE, "d0.txt")
         zero_tail = write(tmp_path, "coefficients: 1, 1, 1, 1, 0, 0\n", "zero_tail.txt")
@@ -146,31 +151,26 @@ class TestSumCommand:
         borel_pade = ["sum", d0_path, "--method", "borel-pade", "--L", "2", "--M", "2",
                       "--g", "1"]
         cases = [
-            ({}, odm + ["--alpha", "abc"]),
-            ({}, odm + ["--alpha", "1/0"]),
-            ({}, odm + ["--prefactor-p", "zz"]),
-            ({}, odm + ["--tau", "xyz"]),
-            ({}, odm + ["--tau", "nan"]),
-            ({}, borel_map + ["--sigma", "q"]),
-            ({}, borel_pade + ["--sigma", "q"]),
-            ({}, borel_map + ["--a", "abc"]),
-            ({}, borel_map + ["--a", "1/0"]),
-            ({}, ["sum", path, "--method", "pade", "--g", "1"]),
-            ({}, ["sum", path] + pade + ["--g", "abc"]),
-            ({}, ["sum", path] + pade + ["--g", "nan"]),
-            ({"RESUM_PRECISION": "abc"}, ["sum", path] + pade + ["--g", "1"]),
-            ({}, ["sum", d0_path, "--method", "pade", "--L", "4", "--M", "4", "--g", "inf"]),
-            ({}, ["sum", zero_tail, "--method", "pade", "--L", "1", "--M", "3", "--g", "2"]),
+            odm + ["--alpha", "abc"],
+            odm + ["--alpha", "1/0"],
+            odm + ["--prefactor-p", "zz"],
+            odm + ["--tau", "xyz"],
+            odm + ["--tau", "nan"],
+            borel_map + ["--sigma", "q"],
+            borel_pade + ["--sigma", "q"],
+            borel_map + ["--a", "abc"],
+            borel_map + ["--a", "1/0"],
+            ["sum", path, "--method", "pade", "--g", "1"],
+            ["sum", path] + pade + ["--g", "abc"],
+            ["sum", path] + pade + ["--g", "nan"],
+            ["sum", d0_path, "--method", "pade", "--L", "4", "--M", "4", "--g", "inf"],
+            ["sum", zero_tail, "--method", "pade", "--L", "1", "--M", "3", "--g", "2"],
         ]
-        for env, argv in cases:
-            for key, value in env.items():
-                monkeypatch.setenv(key, value)
+        for argv in cases:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
             assert "Traceback" not in err
-            for key in env:
-                monkeypatch.delenv(key)
 
     @pytest.mark.parametrize("method", ["odm", "borel-map"])
     @pytest.mark.parametrize("order", ["0", "9", "100"])
@@ -253,14 +253,28 @@ class TestSumCommand:
         assert err.startswith("error: cannot write %s: " % out_path)
         assert "Traceback" not in err
 
-    def test_env_precision(self, tmp_path, monkeypatch, capsys):
+    def test_precision_comes_from_the_flag_alone(self, tmp_path, monkeypatch):
+        # The environment sets no working digits; --precision alone does.
         monkeypatch.setenv("RESUM_PRECISION", "40")
         path = write(tmp_path, ALT_GEOMETRIC)
         out_path = tmp_path / "report.json"
         assert main(["sum", path, "--method", "pade", "--L", "0", "--M", "1",
                      "--g", "1", "--out", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
-        assert report["config"]["precision"] == 40
+        assert report["config"]["precision"] == 64
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # As in "resum reproduce ... | head": the reader is gone before the CSV.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen([sys.executable, "-m", "resum.cli", "reproduce", "saddle-table"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 class TestReproduceCommand:
@@ -305,21 +319,14 @@ class TestReproduceCommand:
         report = json.loads(out_path.read_text())
         return report["config"]["precision"], report["report"]["config"]["digits"]
 
-    def test_precision_flag_sets_and_echoes_table_digits(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("RESUM_PRECISION", raising=False)
+    def test_precision_flag_sets_and_echoes_table_digits(self, tmp_path):
         argv = ["--precision", "40", "reproduce", "saddle-table"]
         assert self._echo(tmp_path, argv) == (40, 40)
-        assert mp.dps == 64
-
-    def test_env_precision_sets_and_echoes_table_digits(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RESUM_PRECISION", "40")
-        assert self._echo(tmp_path, ["reproduce", "saddle-table"]) == (40, 40)
         assert mp.dps == 64
 
     def test_each_table_runs_at_its_own_digits_by_default(self, tmp_path, monkeypatch):
         from resum import benchmarks
 
-        monkeypatch.delenv("RESUM_PRECISION", raising=False)
         seen = []
 
         def borel_stub():
@@ -457,8 +464,6 @@ def sum_requests(draw):
         option("--prefactor-p", ["0", "0.5", "-0.5"])
         option("--criterion", ["root", "stationary", "mixed", "stationary-first"])
         option("--tau", ["0.5", "1e6"])
-        if draw(st.booleans()):
-            argv.append("--beta-covariant")
     elif method == "borel-map":
         option("--order", ["0", "2", "5", "8", "12"])
         option("--sigma", ["0", "1.5", "-0.5"])

@@ -43,6 +43,13 @@ def test_polynomial_passthrough():
     assert approx.denominator == (mpf(1),)
 
 
+def test_zero_zero_fit_keeps_the_constant_term():
+    # mp.pade's [0/0] has numerator 1 whatever c_0 is.
+    approx = pade_fit(PowerSeries((mpf(3), mpf(1))), 0, 0)
+    assert approx.numerator == (mpf(3),)
+    assert approx.denominator == (mpf(1),)
+
+
 def test_alternating_geometric_value():
     s = PowerSeries((mpf(1), mpf(-1), mpf(1), mpf(-1)))
     approx = pade_fit(s, 0, 1)

@@ -240,7 +240,7 @@ def test_lower_bound_zero_for_root_at_origin():
     assert _fujiwara_lower_bound([mpf(0), mpf(3), mpf(-1)]) == 0
 
 
-def test_fujiwara_bounds_equal_the_direct_mp_formula():
+def test_fujiwara_bounds_bracket_the_direct_mp_formula():
     def direct(coeffs):
         d, cd, c0 = len(coeffs) - 1, abs(coeffs[-1]), abs(coeffs[0])
         upper = max(((abs(c) / cd) ** (mpf(1) / (d - j))
@@ -259,10 +259,16 @@ def test_fujiwara_bounds_equal_the_direct_mp_formula():
         wide, wide[::-1], [mpf("1e-300"), 1, mpf("1e300")],
         [mpf(2) ** 4000, 1, mpf(2) ** -4000, 3],  # beyond float64 range
     ]
-    for coeffs in cases:
+    # Binary exponents of +-2^25, where a float64 log2 resolves only 2^-27.
+    huge = [[mpf(2) ** (2 ** 25), 3, mpf(2) ** -(2 ** 25)],
+            [mpf(2) ** -(2 ** 25), 5, 1, mpf(2) ** (2 ** 25)],
+            [mpf(3) * mpf(2) ** (2 ** 25), 0, mpf(-7) * mpf(2) ** -(2 ** 25), 1]]
+    for coeffs, slack in [(c, mpf("1e-8")) for c in cases] + [(c, mp.inf) for c in huge]:
         coeffs = [mpf(c) for c in coeffs]
-        got = _fujiwara_bound(coeffs), _fujiwara_lower_bound(coeffs)
-        assert [x._mpf_ for x in got] == [x._mpf_ for x in direct(coeffs)], coeffs
+        upper, lower = _fujiwara_bound(coeffs), _fujiwara_lower_bound(coeffs)
+        exact_upper, exact_lower = direct(coeffs)
+        assert exact_upper <= upper <= exact_upper * (1 + slack), coeffs
+        assert exact_lower * (1 - slack) <= lower <= exact_lower, coeffs
 
 
 def test_scan_evaluates_the_grid_only_as_far_as_read(monkeypatch):
@@ -483,7 +489,7 @@ def small_table():
             MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
 
 
-def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path, monkeypatch):
+def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path):
     crit = RhoSelectionCriterion()
     spec = MappingSpec(MappingFamily.POWER_CUT, 2)
     cfg = BorelConfig(a=1 / mpf("1.5"))
@@ -516,9 +522,6 @@ def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path, m
     assert main(["-p", "40"] + argv + ["--g", "1"]) == 0
     assert mp.dps == 64
     assert main(["-p", "40"] + argv + ["--g", "nan"]) == 1
-    assert mp.dps == 64
-    monkeypatch.setenv("RESUM_PRECISION", "abc")
-    assert main(argv + ["--g", "1"]) == 1
     assert mp.dps == 64
 
 
