@@ -109,8 +109,8 @@ def lambda_of_g(g, rho, mapping):
     inverts in closed form, ``lambda = 1 - (1 + g/rho)^(-1/alpha)``, computed
     as ``-expm1(-log1p(g/rho)/alpha)`` so small ``g/rho`` does not cancel; it
     also carries a complex-pair ``rho`` into the complex plane.  The
-    power-cut family needs a real ``rho`` and is solved by Illinois steps
-    on ``[0, min(g/rho, 1 - d)]``: ``zeta(x) >= x`` puts the root below
+    power-cut family needs a real ``rho`` and is solved by Anderson-Bjorck
+    steps on ``[0, min(g/rho, 1 - d)]``: ``zeta(x) >= x`` puts the root below
     ``g/rho``, and ``d = min(1/2, (2 + 2g/rho)^(-1/alpha))`` puts ``zeta``
     above ``g/rho``, so ``lambda = 1`` (where ``zeta`` is infinite) is never
     evaluated; accurate to ``10^(6 - digits)`` relative.

@@ -330,8 +330,8 @@ def _polish(poly, lo, hi):
     """The simple root of ``poly`` between the samples ``lo.x < hi.x``, whose
     signs differ.
 
-    One Illinois solve of :func:`bracket_solve` with guard digits, so the
-    root's accuracy is set by its conditioning well below the caller's
+    One Anderson-Bjorck solve of :func:`bracket_solve` with guard digits, so
+    the root's accuracy is set by its conditioning well below the caller's
     working precision; the root is then rounded once to that precision, like
     every other candidate.  ``P`` is :meth:`_Sample.value` at the guard
     precision, so each bracket update takes the sign of the rounded-once
@@ -440,12 +440,15 @@ def complex_pools(poly):
 def bracket_solve(f, lo, hi, rtol):
     """Zero of ``f`` between ``lo`` and ``hi``, where ``f`` changes sign.
 
-    Illinois false-position steps (Dowell and Jarratt, BIT 11 (1971) 168).
-    A step below ``rtol`` relative (absolute ``rtol**2`` near zero) returns at
-    once: the step if it lies inside the bracket, else the iterate, then a
-    bracket end.  Any other step that would leave the shrinking bracket is
-    replaced by bisection, so ``f`` is never evaluated outside the starting
-    bracket, and the solve stops once the bracket is below ``rtol``.  Raises
+    Anderson-Bjorck false-position steps (Anderson and Bjorck, BIT 13 (1973)
+    253): an end kept twice running has its value scaled by
+    ``m = 1 - f(x)/f(replaced end)``, or halved as in the Illinois rule
+    (Dowell and Jarratt, BIT 11 (1971) 168) when ``m <= 0``.  A step below
+    ``rtol`` relative (absolute ``rtol**2`` near zero) returns at once: the
+    step if it lies inside the bracket, else the iterate, then a bracket end.
+    Any other step that would leave the shrinking bracket is replaced by
+    bisection, so ``f`` is never evaluated outside the starting bracket, and
+    the solve stops once the bracket is below ``rtol``.  Raises
     :class:`SolverError` when the endpoints do not differ in sign, or after
     ``mp.prec + 64`` steps -- more than bisection alone needs to resolve the
     working precision from a bracket within 2^64 of the root's size.
@@ -466,15 +469,15 @@ def bracket_solve(f, lo, hi, rtol):
         if fx == 0:
             return x
         if (fx > 0) == (f_lo > 0):
-            lo, f_lo = x, fx
-            if kept > 0:
-                f_hi /= 2  # Illinois: hi kept twice running
-            kept = 1
+            if kept > 0:  # Anderson-Bjorck: hi kept twice running
+                m = 1 - fx / f_lo
+                f_hi *= m if m > 0 else 0.5
+            lo, f_lo, kept = x, fx, 1
         else:
-            hi, f_hi = x, fx
             if kept < 0:
-                f_lo /= 2
-            kept = -1
+                m = 1 - fx / f_hi
+                f_lo *= m if m > 0 else 0.5
+            hi, f_hi, kept = x, fx, -1
         nxt = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if abs(nxt - x) <= rtol * max(abs(nxt), rtol):
             return nxt if lo < nxt < hi else x  # x is now a bracket end

@@ -6,7 +6,7 @@ at negative ``lambda``.  Eliminating the scale leaves a two-equation system
 in ``(mu, lambda)`` whose solution predicts ``R = mu * A`` for the asymptotic
 scale trajectory ``rho_k ~ R / k``.  The d=0 partition function admits an
 exact one-equation version with an explicit geometric rate.  Both scalar
-equations go to the Illinois solver of :mod:`resum.poly`.
+equations go to the Anderson-Bjorck solver of :mod:`resum.poly`.
 """
 
 from dataclasses import dataclass

@@ -128,8 +128,8 @@ def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch, node_count):
     nu and gamma, so the losers' orders 6 and 7 build no further moments.
     Each shift keeps at most three builds alive: the two bracket ends and
     its latest.  Each solve after a shift's first starts on the half-window
-    its latest splits off: 82 builds, where the full window took 98, and
-    28,540 node visits."""
+    its latest splits off: 63 builds, where the full window took 75, and
+    21,923 node visits."""
     zeros, builds = [], []
 
     def zero(*args):
@@ -147,8 +147,8 @@ def test_borel_map_solves_only_the_zeros_it_reports(monkeypatch, node_count):
     monkeypatch.setattr(benchmarks, "laplace_moments", moments)
     result = benchmarks.run_benchmark("borel-map-exponents")
     assert len(zeros) == 12
-    assert len(builds) <= 82
-    assert node_count[0] <= 28540
+    assert len(builds) <= 63
+    assert node_count[0] <= 21923
     golden = json.loads((GOLDEN / "borel-map-exponents.json").read_text())
     assert result.rows == golden["rows"]
 

@@ -176,8 +176,8 @@ def _counted_inversion(monkeypatch, rho):
 
 
 def test_lambda_of_g_newton_stops_once_its_step_vanishes(monkeypatch):
-    # The Illinois steps reach the root by the 15th evaluation here and stop
-    # once a step falls below the tolerance.
+    # The Anderson-Bjorck steps reach the root by the 12th evaluation here and
+    # stop once a step falls below the tolerance.
     lam, want, calls = _counted_inversion(monkeypatch, "0.16")
     assert calls <= 20
     assert abs(lam - want) <= mpf(10) ** (6 - mp.dps) * want

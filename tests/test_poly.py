@@ -90,7 +90,7 @@ def test_false_position_mode_cosine_fixed_point():
     root = bracket_solve(recorded(lambda x: mp.cos(x) - x, seen), mpf(0), mpf(1), rtol)
     assert abs(root - exact) <= rtol * exact
     assert all(0 <= x <= 1 for x in seen)
-    # Illinois steps converge superlinearly; bisection would need ~170.
+    # Anderson-Bjorck steps converge superlinearly; bisection would need ~170.
     assert len(seen) < 30
 
 
@@ -101,6 +101,26 @@ def test_steps_that_leave_the_bracket_fall_back_to_bisection():
     root = bracket_solve(recorded(mp.atan, seen), mpf(9), mpf(-1), mpf("1e-40"))
     assert abs(root) <= mpf("1e-40")
     assert all(-1 <= x <= 9 for x in seen)
+
+
+def test_a_step_that_does_not_shrink_f_halves_the_kept_end():
+    # x**60 - x - 0.5 grows in size away from 0 before it turns up near 1.01:
+    # the second step lands where |f| is larger than at the first, so the
+    # Anderson-Bjorck factor m = 1 - f(x2)/f(x1) is negative, and the end
+    # kept twice running, 1.1, has its value halved instead.
+    def f(x):
+        return x ** 60 - x - mpf("0.5")
+
+    seen = []
+    root = bracket_solve(recorded(f, seen), mpf(0), mpf("1.1"), mpf("1e-50"))
+    lo, hi, x1, x2, x3 = seen[:5]
+    assert f(x1) / f(lo) >= 1 and f(x2) / f(x1) >= 1
+    f_hi = f(hi) / 2
+    assert x3 == (x2 * f_hi - hi * f(x2)) / (f_hi - f(x2))
+    assert all(0 <= x <= hi for x in seen)
+    with mp.workdps(90):
+        exact = mp.findroot(f, root)
+    assert abs(root - exact) <= mpf("1e-50") * exact
 
 
 def test_no_sign_change_raises():
@@ -338,7 +358,7 @@ def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
 
 
 def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
-    # The first stationary point at order 58: the Illinois steps, on
+    # The first stationary point at order 58: the Anderson-Bjorck steps, on
     # certified float64 values and then on the rounded-once Polynomial
     # values at the guard precision, reach the solve's tolerance within a
     # few evaluations of the Polynomial value.
@@ -356,6 +376,29 @@ def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
     assert len(polish_calls) <= 30
     assert abs(horner(dpoly, root)) <= mpf("1e-40") * mp.fsum(
         abs(c) * root ** j for j, c in enumerate(dpoly))
+
+
+def test_polish_on_a_convex_bracket(d0_alpha2_table, monkeypatch):
+    # The first stationary point at order 60: on the scan's bracket
+    # [0.07334, 0.07995], P_60' runs from -2.4e-16 to 2.6e-13, with the root
+    # in the first quarter.  The Anderson-Bjorck steps take 25 evaluations;
+    # halving the kept end's value (the Illinois rule) took 40.
+    solves, solve = [], poly.bracket_solve
+
+    def recorded_solve(f, lo, hi, rtol):
+        seen = []
+        solves.append((seen, lo, hi))
+        return solve(recorded(f, seen), lo, hi, rtol)
+
+    monkeypatch.setattr(poly, "bracket_solve", recorded_solve)
+    dpoly = poly.derivative_coeffs(d0_alpha2_table.polys[60])
+    root = next(positive_roots(Polynomial(dpoly)))
+    [(seen, lo, hi)] = solves
+    assert all(lo <= x <= hi for x in seen)
+    assert len(seen) <= 30
+    with mp.workdps(200):
+        exact = mp.findroot(lambda x: horner(dpoly, x), root)
+    assert abs(root - exact) <= mpf("1e-60") * exact
 
 
 # Relative offsets from a root: on it, and 1e-60 to 1e-2 to either side.
