@@ -150,7 +150,7 @@ def select_rho(table, k, criterion, allow_complex=False):
     # The pick's condition: |Q'(rho)| for Q = P_k is dval; for Q = P_k' it is P_k''.
     slope = dval if mode is SelectionMode.ROOT else abs(
         Polynomial(derivative_coeffs(deriv.coeffs) or (mpf(0),))(rho))
-    size = horner([abs(c) for c in zeros_of.coeffs], abs(rho))  # sum_j |c_j rho^j|
+    size = Polynomial([abs(c) for c in zeros_of.coeffs])(abs(rho))  # sum_j |c_j rho^j|
     digits = mp.dps - mp.log10(size / abs(rho * slope) * (k + 2)) if slope else -mp.inf
     if digits < _MIN_DIGITS:
         raise ResourceError("order %d: rho = %s is predicted correct to %s digits at %d digits; "

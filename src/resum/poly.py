@@ -55,6 +55,16 @@ def _log2_abs(x):
     return (exp + bc) + math.log2(man / (1 << bc)) if man else None  # quotient in [1/2, 1)
 
 
+def _fujiwara_log2(coeffs):
+    """The float64 ``x`` of :func:`_fujiwara_bound`'s ``2^x``; zero for a monomial."""
+    d, base = len(coeffs) - 1, _log2_abs(coeffs[-1])
+    keys = [(_log2_abs(c) - base) / (d - j) for j, c in enumerate(coeffs[:-1]) if c != 0]
+    if not keys:
+        return 0.0
+    top = max(keys)
+    return 1 + top + 2.0 ** -47 * (1 + abs(base) + abs(top))
+
+
 def _fujiwara_bound(coeffs):
     """Upper bound on root moduli from float64 alone: ``2^x`` at or above
     ``2 max_j |c_j/c_d|^(1/(d-j))`` over the nonzero ``c_j``, ``j < d`` (one
@@ -66,12 +76,7 @@ def _fujiwara_bound(coeffs):
     + |K|)`` of ``K`` to first order.  The margin covers that, the float64 sums
     and ``2^f`` of the fraction ``f`` of ``x``, each below ``2^-51 (1 + |K|)``;
     mpf takes the float exactly at 53 bits or more."""
-    d, base = len(coeffs) - 1, _log2_abs(coeffs[-1])
-    keys = [(_log2_abs(c) - base) / (d - j) for j, c in enumerate(coeffs[:-1]) if c != 0]
-    if not keys:
-        return mpf(1)
-    top = max(keys)
-    x = 1 + top + 2.0 ** -47 * (1 + abs(base) + abs(top))
+    x = _fujiwara_log2(coeffs)
     return mp.ldexp(2.0 ** (x - math.floor(x)), math.floor(x))
 
 
@@ -289,16 +294,23 @@ class Polynomial:
 
 
 class _Sample:
-    """``P`` at one scan point ``x``: the float64 value ``y`` with radius
-    ``r`` (:func:`_float_horner`), and, only where that radius cannot
-    decide, the :class:`Polynomial` value of ``poly``.  The radius holds
-    that value, so every sign and comparison is the one it gives."""
+    """``P`` at the scan point ``x = f 2^e`` (a float ``f`` on the grid, an mpf in
+    the polish): float64 ``y`` and a radius ``r`` holding the :class:`Polynomial`
+    value (:func:`_float_horner`; none beyond float64), read only where they cannot
+    decide, so every sign and comparison is the one it gives; ``x`` is made when read."""
 
-    __slots__ = ("poly", "x", "y", "r", "_value")
+    __slots__ = ("poly", "f", "e", "_x", "y", "r", "_value")
 
-    def __init__(self, poly, x):
-        self.poly, self.x, self._value = poly, x, None
-        self.y, self.r = _float_horner(poly.floats, x) or (None, None)
+    def __init__(self, poly, f, e=0):
+        self.poly, self.f, self.e, self._x, self._value = poly, f, e, None, None
+        t = math.ldexp(f, e) if e < 1000 else math.inf
+        self.y, self.r = _float_horner(poly.floats, t) or (None, None)
+
+    @property
+    def x(self):
+        if self._x is None:
+            self._x = mp.ldexp(self.f, self.e)
+        return self._x
 
     def value(self):
         """``P(x)``: the float64 value where its sign is certified, else
@@ -327,8 +339,8 @@ class _Sample:
 
 
 def _polish(poly, lo, hi):
-    """The simple root of ``poly`` between the samples ``lo.x < hi.x``, whose
-    signs differ.
+    """The simple root of ``poly`` between the samples ``lo.x < hi.x`` (53-bit
+    mpf made here from a scan's grid points), whose signs differ.
 
     One Anderson-Bjorck solve of :func:`bracket_solve` with guard digits, so
     the root's accuracy is set by its conditioning well below the caller's
@@ -349,14 +361,17 @@ def positive_roots(poly):
     most 4000) from above the Fujiwara upper bound down to half the Fujiwara
     lower bound, evaluating the polynomial only as far as the caller reads,
     and yields each sign change above ``10^(-dps/2)`` polished by
-    :func:`_polish`, near duplicates merged.  Each grid cell is visited once.
-    At a dip (a grid point whose magnitude is below both neighbours', no sign
-    change) both cells around it are re-sampled sixteen times finer to catch
-    close root pairs, the lower one only if its ends share a nonzero sign.
-    Signs, dip comparisons and the polish's steps come from the certified
-    float64 values of :func:`_float_horner`, and from the rounded-once
-    :class:`Polynomial` value only where those do not decide, so each
-    decision is the one that value alone makes.  A tangent
+    :func:`_polish`, near duplicates merged.  The grid is float64 in log2
+    space: a point ``2^l`` is held exactly as ``f 2^e`` (a float, an integer),
+    and its mpf made only where the :class:`Polynomial` value or the polish
+    reads it.  Each grid cell is visited once.  At a dip (a grid point whose
+    magnitude is below both neighbours', no sign change) both cells around
+    it are re-sampled sixteen times finer, between their own two samples, to
+    catch close root pairs, the lower one only if its ends share a nonzero
+    sign.  Signs, dip comparisons and the polish's steps come from the
+    certified float64 values of :func:`_float_horner`, and from the
+    rounded-once :class:`Polynomial` value only where those do not decide,
+    so each decision is the one that value alone makes.  A tangent
     (even-multiplicity) root is not a sign change, so the scan does not
     report it.  Intended for the simple positive roots of mapped-series
     polynomials of any degree; arbitrary input should go through
@@ -365,22 +380,26 @@ def positive_roots(poly):
     coeffs = poly.coeffs
     if len(coeffs) < 2:
         return
-    hi = _fujiwara_bound(coeffs) * mpf("1.01")
-    lo = _fujiwara_lower_bound(coeffs) / 2 or hi * mpf("1e-20")  # zero: a root at 0
-    n = min(max(int(mp.ceil(mp.log(hi / lo, 2) * 8)), 8), 4000)
-    ratio = (lo / hi) ** (mpf(1) / n)
-    grid = [_Sample(poly, hi)]
+    top = _fujiwara_log2(coeffs) + math.log2(1.01)
+    low = _fujiwara_lower_bound(coeffs)  # zero: a root at 0
+    bottom = _log2_abs(low) - 1 if low else top - 20 * math.log2(10)
+    n = min(max(math.ceil((top - bottom) * 8), 8), 4000)
+    w = (top - bottom) / n
+    grid = []
+
+    def at(l):
+        e = math.floor(l)
+        return _Sample(poly, 2.0 ** (l - e), e)
 
     def point(i):
         # Grid point i, extending the walk on demand.
         while len(grid) <= i:
-            grid.append(_Sample(poly, grid[-1].x * ratio))
+            grid.append(at(top - len(grid) * w))
         return grid[i]
 
-    def refine(fa, fb):
-        # Sign changes among sixteen sub-cells of fa.x > fb.x, descending.
-        step = (fa.x / fb.x) ** (mpf(1) / 16)
-        sub = [_Sample(poly, fb.x * step ** j) for j in range(17)]
+    def refine(i):
+        # Sign changes among sixteen sub-cells of grid cell i, descending.
+        sub = [grid[i + 1], *(at(top - (i + 1) * w + j * w / 16) for j in range(1, 16)), grid[i]]
         for j in range(16, 0, -1):
             if sub[j].sign() * sub[j - 1].sign() < 0:
                 yield _polish(poly, sub[j - 1], sub[j])
@@ -396,9 +415,9 @@ def positive_roots(poly):
                 # A dip at fb; a sign change or zero on (fb, fc) is the next cell's.
                 fc = point(i + 2)
                 if fb.smaller(fa) and fb.smaller(fc):
-                    yield from refine(fa, fb)
+                    yield from refine(i)
                     if fb.sign() * fc.sign() > 0:
-                        yield from refine(fb, fc)
+                        yield from refine(i + 1)
         if grid[n].sign() == 0:
             yield grid[n].x
 
@@ -479,12 +498,13 @@ def bracket_solve(f, lo, hi, rtol):
                 f_lo *= m if m > 0 else 0.5
             hi, f_hi, kept = x, fx, -1
         nxt = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if abs(nxt - x) <= rtol * max(abs(nxt), rtol):
+        step, tol = abs(nxt - x), rtol * max(abs(nxt), rtol)
+        if step <= tol:
             return nxt if lo < nxt < hi else x  # x is now a bracket end
         if not lo < nxt < hi:
             nxt = (lo + hi) / 2
-        tol = rtol * max(abs(nxt), rtol)
-        if abs(nxt - x) <= tol or hi - lo <= tol:
+            step, tol = abs(nxt - x), rtol * max(abs(nxt), rtol)
+        if step <= tol or hi - lo <= tol:
             return nxt
         x = nxt
     raise SolverError("bracketed root did not converge on [%s, %s]"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from resum import ParseError
+from resum import ParseError, cli
 from resum.cli import main, parse_series_file
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -510,6 +510,44 @@ def test_sum_fuzz_ends_in_a_finite_value_or_one_error_line(case):
         assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
     else:
         assert_one_error_line(err)
+
+
+@st.composite
+def odm_sum_requests(draw):
+    """A d0 or anharmonic series file of order 8-24 and the argv of one
+    valid ODM ``sum`` at an order within it."""
+    order = draw(st.integers(8, 24))
+    text = "generator: %s\norder: %d\n" % (draw(st.sampled_from(["d0", "anharmonic"])), order)
+    return text, ["--method", "odm", "--order", str(draw(st.integers(1, order))),
+                  "--alpha", draw(st.sampled_from(["1.5", "2", "4"])),
+                  "--g", draw(st.sampled_from(["0.5", "2", "inf"]))]
+
+
+def test_odm_sum_fuzz_reaches_the_scale_selection(monkeypatch):
+    # Valid ODM requests reach odm_value, where the positive-root scan picks
+    # the order's scale: at least half of the draws, and a third exit 0 (of
+    # 100 here, all reach it and 74 exit 0; the rest find no admissible
+    # stationary point).
+    reached, codes, odm_value = [], [], cli.odm_value
+    monkeypatch.setattr(cli, "odm_value", lambda *args: reached.append(1) or odm_value(*args))
+
+    @settings(derandomize=True, max_examples=100)
+    @given(odm_sum_requests())
+    def check(case):
+        text, argv = case
+        code, out, err = run_on_file(text, ["sum", "FILE"] + argv)
+        codes.append(code)
+        if code == 0:
+            value = [line for line in out.splitlines() if line.startswith("value: ")]
+            assert len(value) == 1 and mp.isfinite(mpf(value[0].split()[1]))
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+        else:
+            assert code == 1
+            assert_one_error_line(err)
+
+    check()
+    assert 2 * len(reached) >= len(codes)
+    assert 3 * codes.count(0) >= len(codes)
 
 
 @st.composite

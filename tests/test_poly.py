@@ -477,6 +477,19 @@ def test_polynomial_value_lies_within_the_proved_bound(d0_alpha2_table, data):
     assert abs(working - exact) <= u * abs(working) + Fraction(len(coeffs), 2 ** 62) * u * size
 
 
+def test_a_scan_beyond_float64_range_finds_the_roots_it_should():
+    # Grid points from 2^8000 down to 2^-8000, and from 2^1050 to 2^-1100,
+    # which float64 cannot hold: those samples take the Polynomial value.
+    # The roots below 10^(-dps/2) are dropped, as the docstring says.
+    assert list(positive_roots(Polynomial(_expand(WIDE_ROOTS, mpf(2) ** -4000)))) == [
+        mpf(2) ** 8000, 1]
+    roots = [mpf(2) ** 1050, mpf(3)]
+    scanned = list(positive_roots(Polynomial(_expand(roots + [mpf(2) ** -1100], 1))))
+    assert len(scanned) == 2
+    for a, b in zip(scanned, roots):
+        assert abs(a - b) <= mpf("1e-60") * b
+
+
 def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkeypatch):
     # Each run records, row by row, the brackets the scan hands to the polish
     # (its decisions), the roots, and the Polynomial evaluations at working
@@ -511,8 +524,10 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
 
     monkeypatch.setattr(poly, "horner", complex_only)
     tiered = run()
-    # The polish's steps read the Polynomial value 989 times on these rows.
+    # The polish's steps read the Polynomial value 725 times on these rows.
     assert tiered[2][1] <= 1000
+    # The grid is held in float64 log2 space: every bracket end is exact at 53 bits.
+    assert all(x._mpf_[3] <= 53 for row in tiered[0] for ends in row for x in ends)
     # Each scan cell is visited once, so no row polishes a bracket twice.
     assert all(len(set(row)) == len(row) for row in tiered[0])
     monkeypatch.setattr(poly, "_float_horner", lambda fcoeffs, x: None)
