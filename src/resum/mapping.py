@@ -159,6 +159,26 @@ class RhoPolynomialTable:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(
             Polynomial(p, "polys[%d]" % k) for k, p in enumerate(self.polys)))
+        object.__setattr__(self, "_prefix", [])  # Q_0, Q_1, ... built so far
+
+    def prefix_row(self, k):
+        """``Q_k``, the exact column sums ``Q_k[n] = sum_{l<=k} polys[l][n]``,
+        each as ``(m, e)`` with ``Q_k[n] = m 2^e``, highest degree first (the
+        ``fixed`` form of :class:`resum.poly.Polynomial`); row ``k`` of the table
+        at prefactor ``p + 1``, as ``sum_{l<=k} [lambda^l] G = [lambda^k]
+        G/(1-lambda)``.  Built lazily through ``k``, each row from the last by
+        integer additions, and kept."""
+        prefix = self._prefix
+        for l in range(len(prefix), whole_number(k, "k", 0, self.source_order) + 1):
+            row = [(-man if sign else man, e) for sign, man, e, _ in
+                   (c._mpf_ for c in reversed(self.polys[l]))]
+            for n, (m, e) in enumerate(prefix[-1] if prefix else (), 1):
+                a, b = row[n]
+                if a:
+                    m, e = (m + (a << (b - e)), e) if b > e else ((m << (e - b)) + a, b)
+                row[n] = (m, e)
+            prefix.append(tuple(row))
+        return prefix[k]
 
     @property
     def source_order(self):

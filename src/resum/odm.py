@@ -17,8 +17,8 @@ from mpmath import mp, mpc, mpf
 
 from .errors import FitError, FixedPointError, ResourceError, SelectionError, UsageError
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
-from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, horner,
-                   positive_roots)
+from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, fixed_value,
+                   horner, positive_roots)
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
@@ -130,10 +130,9 @@ def select_rho(table, k, criterion, allow_complex=False):
         if head or wide:
             break
     else:
-        raise SelectionError(
-            "no admissible %s at order %d"
-            % ("root" if mode is SelectionMode.ROOT else "stationary point", k)
-        )
+        raise SelectionError("no admissible %s at order %d" % (" or ".join(
+            "root" if m is SelectionMode.ROOT else "stationary point"
+            for m in _ZERO_SETS[criterion.mode]), k))
     rows = (row, deriv, table.rows[k - 1])
     examined = []
     for rho in chain(head, pool) if head else wide[:1]:
@@ -167,7 +166,9 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     Finite ``g``: ``(1-lambda)^p * sum_{l<=k} P_l(rho_k) lambda^l`` with
     ``lambda`` from the mapping inversion.  ``g = inf`` (power-cut only):
     the strong-coupling amplitude of ``g^(-p/alpha)``, namely
-    ``rho_k^(p/alpha) sum_l P_l(rho_k)``.  The error estimate is
+    ``rho_k^(p/alpha) sum_{l<=k} P_l(rho_k)``, read as ``rho_k^(p/alpha)
+    Q_k(rho_k)``: ``Q_k`` is the table's exact ``prefix_row`` (row ``k`` at
+    prefactor ``p + 1``), evaluated once.  The error estimate is
     ``|P_{k+1}(rho_k) lambda^(k+1)|`` whenever the table extends to ``k+1``.
     A beta-covariant table holds a mapped flow, not a sum, and is refused:
     :func:`fixed_point` reads such tables.
@@ -186,13 +187,15 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     if strong and mapping.family is not MappingFamily.POWER_CUT:
         raise UsageError("strong-coupling evaluation needs the power-cut family")
     lam = lambda_of_g(g, rho, mapping)
-    row = table.lambda_coeffs(rho, min(k + 1, table.source_order))
-    coeffs = row[:k + 1]
-    if strong:
-        value = rho ** (mapping.prefactor_p / mapping.alpha) * mp.fsum(coeffs)
+    if strong:  # one exact prefix row; the error estimate reads P_(k+1) alone
+        prefix_sum = fixed_value(table.prefix_row(k), rho)  # sum_{l<=k} P_l(rho)
+        value = rho ** (mapping.prefactor_p / mapping.alpha) * prefix_sum
+        nxt = [P(rho) for P in table.rows[k + 1:k + 2]]
     else:
-        value = mp.re((1 - lam) ** mapping.prefactor_p * horner(coeffs, lam))
-    err = abs(row[k + 1] * lam ** (k + 1)) if len(row) > k + 1 else None
+        row = table.lambda_coeffs(rho, min(k + 1, table.source_order))
+        value = mp.re((1 - lam) ** mapping.prefactor_p * horner(row[:k + 1], lam))
+        nxt = row[k + 1:]
+    err = abs(nxt[0] * lam ** (k + 1)) if nxt else None
     return replace(sel, g=g, lam=lam, value=value, error_estimate=err)
 
 

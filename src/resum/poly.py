@@ -286,11 +286,17 @@ class Polynomial:
     def __call__(self, x):
         if isinstance(x, mpc):
             return horner(self.coeffs, x)
-        sign, man, ex, _ = x._mpf_
-        if ex and not man:  # inf or nan
-            raise UsageError("x must be finite, got %s" % x)
-        y, e = _fixed_sum(self.fixed, -man if sign else man, ex, mp.prec + 64)
-        return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
+        return fixed_value(self.fixed, x)
+
+
+def fixed_value(fixed, x):
+    """The :class:`Polynomial` value at an mpf ``x`` of the exact ``(m, e)``
+    pairs ``fixed``, highest degree first (its ``fixed`` form)."""
+    sign, man, ex, _ = x._mpf_
+    if ex and not man:  # inf or nan
+        raise UsageError("x must be finite, got %s" % x)
+    y, e = _fixed_sum(fixed, -man if sign else man, ex, mp.prec + 64)
+    return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
 
 
 class _Sample:

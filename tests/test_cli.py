@@ -131,6 +131,26 @@ class TestSumCommand:
         value = mpf(out.splitlines()[0].split()[1])
         assert abs(value - mpf("1.6007147824")) < mpf("1e-4")
 
+    def test_strong_coupling_builds_prefix_rows_only_through_the_order(self, tmp_path,
+                                                                         monkeypatch):
+        tables, build = [], cli.build_rho_table
+        monkeypatch.setattr(cli, "build_rho_table",
+                            lambda *args: tables.append(build(*args)) or tables[-1])
+        path = write(tmp_path, D0_FILE)
+        assert main(["sum", path, "--method", "odm", "--alpha", "2", "--prefactor-p", "0.5",
+                     "--g", "inf", "--order", "12"], stdout=io.StringIO()) == 0
+        assert [len(table._prefix) for table in tables] == [13]  # Q_0 .. Q_12 of 0..24
+
+    def test_an_order_with_no_zero_in_either_set_names_both(self, tmp_path, capsys):
+        # P_11's only real root is 0 and P_11' has none: the mixed criterion
+        # tried both sets, and the error used to name the last one alone.
+        path = write(tmp_path, "generator: anharmonic\norder: 12\n")
+        assert main(["sum", path, "--method", "odm", "--order", "11", "--alpha", "1.5",
+                     "--g", "2"]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "no admissible root or stationary point at order 11" in err, err
+
     def test_borel_map_uses_file_growth_constant(self, tmp_path, capsys):
         path = write(tmp_path, D0_FILE)
         code = main(["sum", path, "--method", "borel-map", "--sigma", "0",
@@ -526,13 +546,65 @@ def odm_sum_requests(draw):
 def test_odm_sum_fuzz_reaches_the_scale_selection(monkeypatch):
     # Valid ODM requests reach odm_value, where the positive-root scan picks
     # the order's scale: at least half of the draws, and a third exit 0 (of
-    # 100 here, all reach it and 74 exit 0; the rest find no admissible
-    # stationary point).
+    # 100 here, all reach it and 76 exit 0; the other 24 find neither an
+    # admissible root nor an admissible stationary point).
     reached, codes, odm_value = [], [], cli.odm_value
     monkeypatch.setattr(cli, "odm_value", lambda *args: reached.append(1) or odm_value(*args))
 
     @settings(derandomize=True, max_examples=100)
     @given(odm_sum_requests())
+    def check(case):
+        text, argv = case
+        code, out, err = run_on_file(text, ["sum", "FILE"] + argv)
+        codes.append(code)
+        if code == 0:
+            value = [line for line in out.splitlines() if line.startswith("value: ")]
+            assert len(value) == 1 and mp.isfinite(mpf(value[0].split()[1]))
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+        else:
+            assert code == 1
+            assert_one_error_line(err)
+
+    check()
+    assert 2 * len(reached) >= len(codes)
+    assert 3 * codes.count(0) >= len(codes)
+
+
+GROWTH = {"d0": "1.5", "anharmonic": "8"}  # each generator's large_order_A
+
+
+@st.composite
+def other_sum_requests(draw, method):
+    """A d0 or anharmonic series file of order 4-24 with its large_order_A
+    and the argv of one valid ``borel-map``, ``borel-pade`` or ``pade``
+    ``sum``: ``--order`` within the series, ``L + M`` at most its order."""
+    generator, order = draw(st.sampled_from(sorted(GROWTH))), draw(st.integers(4, 24))
+    text = "generator: %s\norder: %d\nlarge_order_A: %s\n" % (generator, order,
+                                                              GROWTH[generator])
+    argv = ["--method", method, "--g", draw(st.sampled_from(["0.5", "2", "5"]))]
+    if method == "borel-map":
+        argv += ["--order", str(draw(st.integers(1, order)))]
+    else:
+        L = draw(st.integers(0, order))
+        argv += ["--L", str(L), "--M", str(draw(st.integers(0, order - L)))]
+    if method != "pade":
+        argv += ["--sigma", draw(st.sampled_from(["0", "1.5"]))]
+    return text, argv
+
+
+@pytest.mark.parametrize("method, call", [("borel-map", "borel_sum"),
+                                          ("borel-pade", "borel_pade_sum"),
+                                          ("pade", "pade_fit")])
+def test_sum_fuzz_reaches_each_other_method(monkeypatch, method, call):
+    # Valid requests of each non-ODM method reach its library call: at least
+    # half of the draws, and a third exit 0 with a finite value (of 100 here,
+    # all reach it; 100 borel-map, 93 borel-pade and 96 pade draws exit 0,
+    # the rest on a positive-axis Borel pole or a near-singular Pade fit).
+    reached, codes, library_call = [], [], getattr(cli, call)
+    monkeypatch.setattr(cli, call, lambda *args: reached.append(1) or library_call(*args))
+
+    @settings(derandomize=True, max_examples=100)
+    @given(other_sum_requests(method))
     def check(case):
         text, argv = case
         code, out, err = run_on_file(text, ["sum", "FILE"] + argv)

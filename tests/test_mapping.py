@@ -1,5 +1,7 @@
 """The change of variables: profiles, tables, inversion, re-expansion."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -27,6 +29,7 @@ from resum import (
 )
 from resum import mapping as mapping_module
 from resum.poly import horner
+from resum.precision import tolerance
 from resum.series import _mul_trunc
 from series_helpers import revert, scale
 
@@ -340,3 +343,42 @@ def test_odm_rows_lie_within_the_proved_bound(odm_tables, k):
     for table, criterion in odm_tables:
         rho = select_rho(table, k, criterion).rho
         assert_rows_within_the_bound(table, rho, k + 1)
+
+
+def _fraction(m, e):
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _exact(c):
+    m, e = c.man_exp  # the magnitude's mantissa
+    return _fraction(-m if c < 0 else m, e)
+
+
+def test_prefix_rows_are_the_exact_column_sums(odm_tables):
+    for table, _ in odm_tables:
+        sums = []  # sum_{l<=k} polys[l][n] in Fractions, order by order
+        for k, row in enumerate(table.polys):
+            sums = [a + _exact(c) for a, c in zip(sums + [0], row)]
+            assert [_fraction(m, e) for m, e in table.prefix_row(k)] == sums[::-1], k
+
+
+def test_prefix_rows_are_the_rows_at_prefactor_p_plus_one(odm_tables):
+    # sum_{l<=k} [lambda^l] G = [lambda^k] G/(1 - lambda): an independent
+    # table, expanded with the prefactor raised by one.
+    for (table, _), source in zip(odm_tables, (d0_partition_coeffs(62),
+                                               anharmonic_ground_coeffs(61))):
+        spec = table.mapping
+        raised = build_rho_table(source, MappingSpec(POWER_CUT, spec.alpha,
+                                                     prefactor_p=spec.prefactor_p + 1))
+        for k, row in enumerate(raised.polys):
+            pairs = zip(reversed(table.prefix_row(k)), row, strict=True)
+            for n, ((m, e), want) in enumerate(pairs):
+                assert abs(mp.ldexp(m, e) - want) <= tolerance(10) * abs(want), (k, n)
+
+
+def test_prefix_rows_are_built_only_through_the_order_asked():
+    table = small_table()
+    assert table.prefix_row(3) == table._prefix[3] and len(table._prefix) == 4
+    for k in (-1, 7, 2.0):
+        with pytest.raises(UsageError, match=r"k must be a whole number in 0\.\.6"):
+            table.prefix_row(k)

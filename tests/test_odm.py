@@ -337,6 +337,22 @@ class TestValues:
             assert rep.error_estimate <= 100 * true_err
             assert true_err <= 100 * rep.error_estimate
 
+    def test_strong_coupling_reads_one_exact_prefix_row(self):
+        # At every order of the odm-d0-strong and odm-oscillator tables the
+        # amplitude agrees with the sum of the rounded row values, and the
+        # error estimate is the one that sum's rows gave, bit for bit.
+        for source, alpha, p, tau in ((d0_partition_coeffs(62), "2", "0.5", "0.5"),
+                                      (anharmonic_ground_coeffs(61), "3/2", "-0.5", "1e6")):
+            table = build_rho_table(source, MappingSpec(MappingFamily.POWER_CUT, alpha,
+                                                        prefactor_p=p))
+            criterion = RhoSelectionCriterion(smallness_factor=tau)
+            for k in range(1, 61):
+                rep = odm_value(table, k, criterion, mp.inf)
+                row = table.lambda_coeffs(rep.rho, k + 1)
+                amplitude = rep.rho ** (mpf(p) / mpf(alpha)) * mp.fsum(row[:k + 1])
+                assert abs(rep.value - amplitude) <= tolerance(10) * abs(amplitude), k
+                assert rep.error_estimate == abs(row[k + 1] * mpf(1) ** (k + 1)), k
+
     def test_strong_coupling_needs_power_cut(self):
         source = PowerSeries((mpf(1), mpf(-1), mpf(1), mpf(-1)))
         table = build_rho_table(source, MappingSpec(MappingFamily.SHIFTED_POWER, 1))
