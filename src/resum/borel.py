@@ -21,11 +21,10 @@ from math import comb, isqrt, log10
 
 from mpmath import mp, mpf
 from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import from_man_exp
 
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
-from .poly import _log2_abs, horner, polynomial_real_roots
+from .poly import _exact, _log2_abs, _rounded, horner, polynomial_real_roots
 from .precision import finite_mpf, positive_mpf, tolerance, whole_number
 from .series import PowerSeries
 
@@ -45,13 +44,10 @@ class BorelConfig:
 
     a: object               # Borel-plane singularity parameter (> 0)
     sigma: object = 0       # Leroy shift in the Gamma divisor (0..1000)
-    truncation: int = None  # mapped-series truncation order (default: all)
 
     def __post_init__(self):
         object.__setattr__(self, "a", positive_mpf(self.a, "a"))
         object.__setattr__(self, "sigma", _leroy_sigma(self.sigma))
-        if self.truncation is not None:
-            whole_number(self.truncation, "truncation", 1)
 
 
 def _leroy_sigma(sigma):
@@ -78,10 +74,9 @@ def conformal_map_coeffs(b, a):
     ``c_m = sum_(1<=n<=m) b_n w^n C(m+n-1, m-n)``.  Each ``c_m`` is an exact
     integer sum rounded once to nearest; bits more than ``_MAP_SPAN_BITS``
     (plus the terms' own lengths) below the largest term are floored first."""
-    _, w, e, _ = (4 / positive_mpf(a, "a"))._mpf_
+    w, e = _exact(4 / positive_mpf(a, "a"))
     # terms[n - 1] = b_n w^n exactly, as (integer, binary exponent).
-    terms = [((-man if sign else man) * w ** n, x + n * e)
-             for n, (sign, man, x, _) in enumerate((c._mpf_ for c in b.coeffs[1:]), 1)]
+    terms = [(man * w ** n, x + n * e) for n, (man, x) in enumerate(map(_exact, b.coeffs[1:]), 1)]
     nonzero = [(man, x) for man, x in terms if man]
     top = max((x + abs(man).bit_length() for man, x in nonzero), default=0)
     low = max(min((x for _, x in nonzero), default=0),
@@ -90,7 +85,7 @@ def conformal_map_coeffs(b, a):
     coeffs = [b.coeffs[0]]
     for m in range(1, b.order + 1):
         c = sum(ints[n - 1] * comb(m + n - 1, m - n) for n in range(1, m + 1))
-        coeffs.append(mp.make_mpf(from_man_exp(c, low, mp.prec, "n")))
+        coeffs.append(_rounded(c, low))
     return PowerSeries(coeffs, "u")
 
 
@@ -253,17 +248,16 @@ def borel_sum(s, cfg, g):
     """``(value, error)`` of ``s`` summed at ``g > 0`` through the mapped
     Borel-Leroy transform.
 
-    The Borel transform is truncated at ``cfg.truncation``, re-expanded in
-    the disk variable, and integrated against :func:`laplace_moments`.  The
-    error is the truncation error (the difference against the order ``K-1``
-    result of the same moments) plus the quadrature error estimate.
+    Every coefficient of ``s`` is summed (truncate it first for a lower
+    order): its Borel transform is re-expanded in the disk variable and
+    integrated against :func:`laplace_moments`.  The error is the truncation
+    error (the difference against the order ``K-1`` result of the same
+    moments, ``K = s.order``) plus the quadrature error estimate.
     """
-    K = s.order if cfg.truncation is None else min(cfg.truncation, s.order)
-    if K < 1:
+    if s.order < 1:
         raise UsageError("need at least two coefficients")
-    coeffs = conformal_map_coeffs(borel_leroy_transform(s.truncate(K), cfg.sigma),
-                                  cfg.a).coeffs
-    moments = laplace_moments(cfg, g, K)
+    coeffs = conformal_map_coeffs(borel_leroy_transform(s, cfg.sigma), cfg.a).coeffs
+    moments = laplace_moments(cfg, g, s.order)
     val, quad_err = moments.integral(coeffs)
     val_prev, _ = moments.integral(coeffs[:-1])
     return val, abs(val - val_prev) + quad_err

@@ -315,8 +315,8 @@ def cmd_sum(args, stdout):
             if spec_file.large_order_A is None:
                 raise UsageError("borel-map needs --a or a large_order_A field")
             a = 1 / to_mpf(spec_file.large_order_A)
-        cfg = BorelConfig(a=a, sigma=args.sigma, truncation=order)
-        value, error = borel_sum(series, cfg, g)
+        cfg = BorelConfig(a=a, sigma=args.sigma)
+        value, error = borel_sum(series if order is None else series.truncate(order), cfg, g)
         diagnostics["sigma"] = args.sigma
         diagnostics["a"] = nstr(cfg.a, DIGITS)
     else:  # odm

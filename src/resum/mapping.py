@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
-from .poly import Polynomial, bracket_solve
+from .poly import Polynomial, _exact, bracket_solve
 from .precision import finite_mpf, finite_point, member, positive_mpf, to_mpf, tolerance, whole_number
 from .series import PowerSeries, binomial_series, _mul_trunc
 
@@ -170,8 +170,7 @@ class RhoPolynomialTable:
         integer additions, and kept."""
         prefix = self._prefix
         for l in range(len(prefix), whole_number(k, "k", 0, self.source_order) + 1):
-            row = [(-man if sign else man, e) for sign, man, e, _ in
-                   (c._mpf_ for c in reversed(self.polys[l]))]
+            row = [_exact(c) for c in reversed(self.polys[l])]
             for n, (m, e) in enumerate(prefix[-1] if prefix else (), 1):
                 a, b = row[n]
                 if a:

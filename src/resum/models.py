@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DiagnosticError, DomainError, ResourceError, UsageError
-from .precision import to_mpf, whole_number
+from .precision import to_mpf, tolerance, whole_number
 from .series import PowerSeries, multiply
 
 # Borel-plane singularity parameter of the d=3 beta-function series.
@@ -219,7 +219,7 @@ def anharmonic_ground_value(g):
     ``g = inf`` returns the strong-coupling amplitude ``lim g^(-1/3) E(g)``,
     the ground energy of ``p^2/2 + x^4/24``.
     """
-    rel_tol = mpf(10) ** (10 - mp.dps)
+    rel_tol = tolerance(10)
     g = to_mpf(g, "g")
     if not g >= 0:
         raise DomainError("the eigenvalue problem needs g >= 0 or inf, got %s" % g)

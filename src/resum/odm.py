@@ -325,12 +325,14 @@ def exponents_at(g_star, gamma_inv_table, eta_over_g2_table, k, criterion, nu_in
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Least-squares line with the parity-split slopes alongside."""
+    """Least-squares line with the parity-split slopes and intercepts alongside."""
 
     slope: object
     intercept: object
     slope_even: object
     slope_odd: object
+    intercept_even: object = None
+    intercept_odd: object = None
 
     @property
     def parity_mean_slope(self):
@@ -357,14 +359,12 @@ def _least_squares(points):
 
 
 def _parity_fit(rows):
-    """Least-squares line through ``(k, x, y)`` rows, with the slopes of the
-    even-``k`` and odd-``k`` rows alongside."""
+    """Least-squares line through ``(k, x, y)`` rows, with the lines through
+    the even-``k`` and odd-``k`` rows alongside."""
     slope, intercept = _least_squares([(x, y) for _, x, y in rows])
-    even = [(x, y) for k, x, y in rows if k % 2 == 0]
-    odd = [(x, y) for k, x, y in rows if k % 2 == 1]
-    return LinearFit(slope=slope, intercept=intercept,
-                     slope_even=_least_squares(even)[0],
-                     slope_odd=_least_squares(odd)[0])
+    slope_even, intercept_even = _least_squares([(x, y) for k, x, y in rows if k % 2 == 0])
+    slope_odd, intercept_odd = _least_squares([(x, y) for k, x, y in rows if k % 2 == 1])
+    return LinearFit(slope, intercept, slope_even, slope_odd, intercept_even, intercept_odd)
 
 
 # Orders below this stay out of the trend fits, which describe the
@@ -457,23 +457,16 @@ def convergence_study(table, criterion, K, g, oracle=None):
 
 
 def _corrected_r(usable, alpha):
-    """Intercept of ``rho_k k`` against ``k^(1/alpha - 1)``, parity-averaged.
+    """Intercept of ``rho_k k`` against ``k^(1/alpha - 1)``, parity-averaged
+    when each parity has three orders or more, else over all orders.
 
     The scale trajectory approaches ``R/k`` with a power-law correction for
     generic mapping exponents; extrapolating the intercept removes that
     leading bias from the estimate.
     """
     power = 1 / alpha - 1
-
-    def intercept(rows):
-        if len(rows) < 3:
-            return None
-        pts = [(mpf(r.k) ** power, r.rho * r.k) for r in rows]
-        slope, inter = _least_squares(pts)
-        return inter
-
-    even = intercept([r for r in usable if r.k % 2 == 0])
-    odd = intercept([r for r in usable if r.k % 2 == 1])
-    if even is not None and odd is not None:
-        return (even + odd) / 2
-    return intercept(usable)
+    fit = _parity_fit([(r.k, mpf(r.k) ** power, r.rho * r.k) for r in usable])
+    odd = sum(r.k % 2 for r in usable)
+    if min(odd, len(usable) - odd) >= 3 and None not in (fit.intercept_even, fit.intercept_odd):
+        return (fit.intercept_even + fit.intercept_odd) / 2
+    return fit.intercept

@@ -56,34 +56,23 @@ def _log2_abs(x):
 
 
 def _fujiwara_log2(coeffs):
-    """The float64 ``x`` of :func:`_fujiwara_bound`'s ``2^x``; zero for a monomial."""
+    """The float64 log2 ``x`` of an upper bound on root moduli: ``2^x`` is at
+    or above ``2 max_j |c_j/c_d|^(1/(d-j))`` over the nonzero ``c_j``, ``j <
+    d`` (``x = 0`` if none), and ``-x`` of the reversed coefficients (the
+    reciprocal roots) bounds them from below if ``c_0 != 0``.  Here ``x = 1 +
+    K + 2^-47 (1 + |L_d| + |K|)``, ``K`` the largest float64 ``k_j = (L_j -
+    L_d)/(d-j)`` and ``L_j`` the :func:`_log2_abs` of ``c_j``.  As ``|l_j| <=
+    |l_d| + (d-j) |t_j|`` for the exact ``l_j`` and ``t_j``, ``k_j`` is within
+    ``2^-50 (2 + 2|l_d| + |t_j|) + 2^-52 |k_j|`` of ``t_j`` at any degree, so
+    the largest ``t_j`` is within ``2^-49 (1 + |L_d| + |K|)`` of ``K`` to first
+    order.  The margin covers that and the float64 sums, each below ``2^-51 (1
+    + |K|)``."""
     d, base = len(coeffs) - 1, _log2_abs(coeffs[-1])
     keys = [(_log2_abs(c) - base) / (d - j) for j, c in enumerate(coeffs[:-1]) if c != 0]
     if not keys:
         return 0.0
     top = max(keys)
     return 1 + top + 2.0 ** -47 * (1 + abs(base) + abs(top))
-
-
-def _fujiwara_bound(coeffs):
-    """Upper bound on root moduli from float64 alone: ``2^x`` at or above
-    ``2 max_j |c_j/c_d|^(1/(d-j))`` over the nonzero ``c_j``, ``j < d`` (one
-    if none), where ``x = 1 + K + 2^-47 (1 + |L_d| + |K|)`` and ``K`` is the
-    largest float64 ``k_j = (L_j - L_d)/(d-j)``, ``L_j`` the :func:`_log2_abs`
-    of ``c_j``.  As ``|l_j| <= |l_d| + (d-j) |t_j|`` for the exact ``l_j`` and
-    ``t_j``, ``k_j`` is within ``2^-50 (2 + 2|l_d| + |t_j|) + 2^-52 |k_j|`` of
-    ``t_j`` at any degree, so the largest ``t_j`` is within ``2^-49 (1 + |L_d|
-    + |K|)`` of ``K`` to first order.  The margin covers that, the float64 sums
-    and ``2^f`` of the fraction ``f`` of ``x``, each below ``2^-51 (1 + |K|)``;
-    mpf takes the float exactly at 53 bits or more."""
-    x = _fujiwara_log2(coeffs)
-    return mp.ldexp(2.0 ** (x - math.floor(x)), math.floor(x))
-
-
-def _fujiwara_lower_bound(coeffs):
-    """Lower bound on root moduli, zero when ``c_0`` is: the reciprocal of
-    :func:`_fujiwara_bound` on the reversed polynomial (reciprocal roots)."""
-    return mpf(0) if coeffs[0] == 0 else 1 / _fujiwara_bound(coeffs[::-1])
 
 
 def _float_start(monic):
@@ -169,7 +158,7 @@ def polynomial_real_roots(coeffs):
     if len(coeffs) > 1:
         res_tol, sizes = tolerance(8), [abs(c) for c in coeffs]
         imag_tol = tolerance(mp.dps // 2)
-        s = int(mp.nint(mp.log(_fujiwara_bound(coeffs), 2)))  # largest |y| near 1
+        s = round(_fujiwara_log2(coeffs))  # largest |y| near 1
         for r in all_roots([mp.ldexp(c, j * s) for j, c in enumerate(coeffs)]):
             if r == 0:  # c_0 != 0: polyroots' absolute cleanup zeroed a tiny root
                 raise ResourceError("a tiny root is lost at %d working digits" % mp.dps)
@@ -226,6 +215,18 @@ def _float_horner(fcoeffs, x):
     return y, s * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300
 
 
+def _exact(c):
+    """The exact ``(m, e)`` of the mpf ``c = m 2^e``, ``m`` signed; ``m = 0``
+    with ``e != 0`` for an infinity or NaN."""
+    sign, man, exp, _ = c._mpf_
+    return -man if sign else man, exp
+
+
+def _rounded(m, e):
+    """``m 2^e`` rounded once to nearest at the working precision."""
+    return mp.make_mpf(from_man_exp(m, e, mp.prec, "n"))
+
+
 def _fixed_sum(terms, xm, ex, w):
     """``(y, e)``: Horner of the ``(m, e)`` pairs at ``xm 2^ex``, each step
     formed exactly and floored to ``w`` bits, as the integer ``y`` times
@@ -272,13 +273,12 @@ class Polynomial:
 
     def __init__(self, coeffs, name="coeffs"):
         given = tuple(coeffs)
-        parts = [getattr(c, "_mpf_", None) for c in given]
-        if not given or any(p is None or (p[2] and not p[1]) for p in parts):  # inf, nan
+        exact = [_exact(c) for c in given if hasattr(c, "_mpf_")]
+        if not given or len(exact) < len(given) or any(e and not m for m, e in exact):
             raise UsageError("%s must hold one or more finite mpf coefficients, got %r"
                              % (name, given))
         self.coeffs = tuple(strip_zeros(given)) or given[:1]
-        self.fixed = tuple((-man if sign else man, exp)
-                           for sign, man, exp, _ in reversed(parts[:len(self.coeffs)]))
+        self.fixed = tuple(reversed(exact[:len(self.coeffs)]))
         floats = tuple((f, abs(f)) for f in map(float, reversed(self.coeffs)))
         self.floats = floats if all(m == 0 or 1e-290 < a < 1e290
                                     for (m, _), (_, a) in zip(self.fixed, floats)) else None
@@ -295,8 +295,7 @@ def fixed_value(fixed, x):
     sign, man, ex, _ = x._mpf_
     if ex and not man:  # inf or nan
         raise UsageError("x must be finite, got %s" % x)
-    y, e = _fixed_sum(fixed, -man if sign else man, ex, mp.prec + 64)
-    return mp.make_mpf(from_man_exp(y, e, mp.prec, "n"))
+    return _rounded(*_fixed_sum(fixed, -man if sign else man, ex, mp.prec + 64))
 
 
 class _Sample:
@@ -387,8 +386,8 @@ def positive_roots(poly):
     if len(coeffs) < 2:
         return
     top = _fujiwara_log2(coeffs) + math.log2(1.01)
-    low = _fujiwara_lower_bound(coeffs)  # zero: a root at 0
-    bottom = _log2_abs(low) - 1 if low else top - 20 * math.log2(10)
+    # Half the lower bound, from the reciprocal roots; a root at 0 has none.
+    bottom = -_fujiwara_log2(coeffs[::-1]) - 1 if coeffs[0] != 0 else top - 20 * math.log2(10)
     n = min(max(math.ceil((top - bottom) * 8), 8), 4000)
     w = (top - bottom) / n
     grid = []

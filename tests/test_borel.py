@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
     BorelConfig,
     PowerSeries,
     ResourceError,
+    ResumError,
     SummabilityError,
     UsageError,
     anharmonic_ground_coeffs,
@@ -26,6 +28,8 @@ from resum import (
 )
 from resum import borel
 from resum.poly import horner
+from resum.precision import to_mpf
+from stieltjes_helpers import atoms, stieltjes_coeffs, stieltjes_value
 
 
 def alternating_factorial(order):
@@ -184,7 +188,7 @@ def test_truncation_error_is_the_order_k_minus_one_difference():
     for sigma in (0, 2):
         cfg = BorelConfig(a=1, sigma=sigma)
         got, err = borel_sum(s, cfg, 2)
-        prev, _ = borel_sum(s, BorelConfig(a=1, sigma=sigma, truncation=11), 2)
+        prev, _ = borel_sum(s.truncate(11), cfg, 2)
         coeffs = conformal_map_coeffs(borel_leroy_transform(s, cfg.sigma), 1).coeffs
         want, quad_err = borel.laplace_moments(cfg, 2, 12).integral(coeffs)
         assert got == want
@@ -223,7 +227,7 @@ def test_thirty_digit_integrals_match_forty_digit_ones(node_count):
     # order-8 requests at g = 2 in perfbench's tiny deck.
     s = d0_partition_coeffs(8)
     node_count[0] = 0
-    borel_sum(s, BorelConfig(a=1 / mpf("1.5"), truncation=8), 2)
+    borel_sum(s.truncate(8), BorelConfig(a=1 / mpf("1.5")), 2)
     assert node_count[0] == 1096
     node_count[0] = 0
     borel_pade_sum(s, 0, 4, 4, 2)
@@ -309,8 +313,6 @@ def test_config_validation():
         BorelConfig(a=0)
     with pytest.raises(UsageError):
         BorelConfig(a=1, sigma=-1)
-    with pytest.raises(UsageError):
-        BorelConfig(a=1, truncation=0)
     for bad in ({"a": mp.inf}, {"a": mp.nan}, {"a": 1, "sigma": mp.nan},
                 {"a": 1, "sigma": mp.inf}):
         with pytest.raises(UsageError):
@@ -376,3 +378,40 @@ def test_estimate_error_is_mpmaths_bit_for_bit(monkeypatch):
             assert outcome(borel._estimate_error, seq, *args) == outcome(slow, seq, *args), seq
     # float64 decides every recorded call beyond two levels.
     assert len(fallbacks) == sum(len(seq) <= 2 for seq, _, _ in seen) + len(deferred)
+
+
+def test_stieltjes_oracle_equals_the_laplace_integral():
+    weights, ts = [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], [1, Fraction(1, 2),
+                                                                        Fraction(1, 5)]
+    w, t = [to_mpf(x) for x in weights], [to_mpf(x) for x in ts]
+    for g in (mpf("0.5"), mpf(2)):
+        want = mp.quad(lambda s: mp.exp(-s) * mp.fsum(
+            wi / (1 + g * ti * s) for wi, ti in zip(w, t)), [0, mp.inf])
+        assert abs(stieltjes_value(weights, ts, g) - want) <= mpf("1e-60") * want
+
+
+@st.composite
+def stieltjes_pade_cases(draw):
+    """Atoms and weights, an order 8-24, ``M`` the atom count, ``L`` in
+    ``{M - 1, M}`` with ``L + M`` at most the order, and ``g``."""
+    weights, ts = draw(atoms())
+    M = len(ts)
+    L = draw(st.sampled_from([M - 1, M]))
+    order = draw(st.integers(max(8, L + M), 24))
+    return weights, ts, order, L, M, draw(st.sampled_from(["0.5", "2", "5"]))
+
+
+@settings(derandomize=True, max_examples=40)
+@given(stieltjes_pade_cases())
+def test_borel_pade_sums_a_stieltjes_series_exactly_or_refuses_by_name(case):
+    # The Borel transform is rational of type [M-1/M], so a fit with M poles
+    # and at least M - 1 zeros is the transform itself: F to 10^(10 - dps).
+    weights, ts, order, L, M, g = case
+    s = PowerSeries(stieltjes_coeffs(weights, ts, order))
+    try:
+        value, error = borel_pade_sum(s, 0, L, M, g)
+    except ResumError:
+        return
+    want = stieltjes_value(weights, ts, g)
+    assert abs(value - want) <= mpf(10) ** (10 - mp.dps) * abs(want), (case, value, want)
+    assert mp.isfinite(error) and error >= 0

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from resum import ParseError, cli
+from resum import BorelConfig, ParseError, borel_sum, cli
 from resum.cli import main, parse_series_file
+from stieltjes_helpers import atoms, stieltjes_coeffs
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -160,6 +161,16 @@ class TestSumCommand:
         from resum import d0_partition_value
 
         assert abs(value - d0_partition_value("0.5")) < mpf("1e-6")
+
+    def test_borel_map_order_sums_the_truncated_series(self, tmp_path, capsys):
+        path = write(tmp_path, D0_FILE)
+        assert main(["sum", path, "--method", "borel-map", "--order", "6", "--g", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        series, cfg = parse_series_file(path).build(), BorelConfig(a=1 / mpf("1.5"))
+        value, error = borel_sum(series.truncate(6), cfg, 1)
+        assert lines[:2] == ["value: %s" % cli.nstr(value, cli.DIGITS),
+                             "error_estimate: %s" % cli.nstr(error, cli.DIGITS)]
+        assert borel_sum(series, cfg, 1)[0] != value
 
     def test_missing_flags_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
@@ -605,6 +616,69 @@ def test_sum_fuzz_reaches_each_other_method(monkeypatch, method, call):
 
     @settings(derandomize=True, max_examples=100)
     @given(other_sum_requests(method))
+    def check(case):
+        text, argv = case
+        code, out, err = run_on_file(text, ["sum", "FILE"] + argv)
+        codes.append(code)
+        if code == 0:
+            value = [line for line in out.splitlines() if line.startswith("value: ")]
+            assert len(value) == 1 and mp.isfinite(mpf(value[0].split()[1]))
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+        else:
+            assert code == 1
+            assert_one_error_line(err)
+
+    check()
+    assert 2 * len(reached) >= len(codes)
+    assert 3 * codes.count(0) >= len(codes)
+
+
+LIBRARY_CALLS = {"odm": "odm_value", "borel-map": "borel_sum",
+                 "borel-pade": "borel_pade_sum", "pade": "pade_fit"}
+
+
+@st.composite
+def stieltjes_sum_requests(draw, method):
+    """A ``coefficients:`` file of a Stieltjes series (``stieltjes_helpers``)
+    of order 4-24 with ``large_order_A: 1/max t``, and the argv of one valid
+    ``sum`` by ``method``: ``--order`` within the series, ``L + M`` at most
+    its order, ODM's optional flags drawn or left out."""
+    weights, ts = draw(atoms())
+    order = draw(st.integers(4, 24))
+    text = "coefficients: %s\nlarge_order_A: %s\n" % (
+        ", ".join(stieltjes_coeffs(weights, ts, order)), 1 / max(ts))
+    argv = ["--method", method, "--g", draw(st.sampled_from(["0.5", "2", "5"]))]
+    if method in ("odm", "borel-map"):
+        argv += ["--order", str(draw(st.integers(1, order)))]
+    else:
+        L = draw(st.integers(0, order))
+        argv += ["--L", str(L), "--M", str(draw(st.integers(0, order - L)))]
+    if method in ("borel-map", "borel-pade"):
+        argv += ["--sigma", draw(st.sampled_from(["0", "1.5"]))]
+    if method == "odm":
+        argv += ["--alpha", draw(st.sampled_from(["1.5", "2", "4"]))]
+        for flag, values in (("--prefactor-p", ["0", "0.5", "1"]),
+                             ("--criterion", ["root", "stationary", "mixed",
+                                              "stationary-first"]),
+                             ("--tau", ["0.5", "2"])):
+            value = draw(st.none() | st.sampled_from(values))
+            if value is not None:
+                argv += [flag, value]
+    return text, argv
+
+
+@pytest.mark.parametrize("method", sorted(LIBRARY_CALLS))
+def test_stieltjes_coefficient_fuzz_reaches_each_method(monkeypatch, method):
+    # Explicit coefficients: valid requests of each method reach its library
+    # call on at least half of the draws, and a third exit 0 with a finite
+    # value; the others end in one error line (of 30 here, all reach it;
+    # 30 borel-map, 25 borel-pade, 15 odm and 30 pade draws exit 0).
+    reached, codes, call = [], [], LIBRARY_CALLS[method]
+    library_call = getattr(cli, call)
+    monkeypatch.setattr(cli, call, lambda *args: reached.append(1) or library_call(*args))
+
+    @settings(derandomize=True, max_examples=30)
+    @given(stieltjes_sum_requests(method))
     def check(case):
         text, argv = case
         code, out, err = run_on_file(text, ["sum", "FILE"] + argv)

@@ -444,6 +444,40 @@ class TestStudy:
         assert abs(fit.slope_odd - 2) < mpf("1e-10")
         assert abs(fit.parity_mean_slope - 2) < mpf("1e-10")
 
+    def test_parity_fit_lines_are_the_least_squares_of_each_parity(self):
+        rows = [(k, mpf(k) ** mpf("-0.5"), 1 / mpf(k) + mpf(k % 3) / 7) for k in range(5, 17)]
+        fit = odm._parity_fit(rows)
+        for parity, slope, intercept in ((0, fit.slope_even, fit.intercept_even),
+                                         (1, fit.slope_odd, fit.intercept_odd)):
+            want = odm._least_squares([(x, y) for k, x, y in rows if k % 2 == parity])
+            assert (slope, intercept) == want
+        assert (fit.slope, fit.intercept) == odm._least_squares([(x, y) for _, x, y in rows])
+
+    def test_corrected_r_falls_back_to_all_rows_below_three_of_a_parity(self, d0_table,
+                                                                        monkeypatch):
+        def intercepts(study):
+            pts = [(r.k, mpf(r.k) ** mpf("-0.5"), r.rho * r.k) for r in study.reports
+                   if r.k >= 5]
+            return [odm._least_squares([(x, y) for k, x, y in pts if k % 2 == parity])[1]
+                    for parity in (0, 1)] + [odm._least_squares([(x, y) for _, x, y in pts])[1]]
+
+        study = convergence_study(d0_table, MIXED, 20, 5)
+        even, odd, both = intercepts(study)
+        assert study.r_corrected == (even + odd) / 2
+        # Only orders 6 and 8 of the even ones survive the selection.
+        value = odm.odm_value
+
+        def sparse(table, k, *args, **kwargs):
+            if k % 2 == 0 and k > 8:
+                raise SelectionError("dropped order %d" % k)
+            return value(table, k, *args, **kwargs)
+
+        monkeypatch.setattr(odm, "odm_value", sparse)
+        study = convergence_study(d0_table, MIXED, 20, 5)
+        assert [r.k for r in study.reports if r.k >= 5 and r.k % 2 == 0] == [6, 8]
+        even, odd, both = intercepts(study)
+        assert study.r_corrected == both != (even + odd) / 2
+
     def test_study_runs_and_fits(self, d0_table):
         from resum import d0_partition_value
 

@@ -48,8 +48,7 @@ from resum.cli import main
 from resum import poly
 from resum.poly import (
     Polynomial,
-    _fujiwara_bound,
-    _fujiwara_lower_bound,
+    _fujiwara_log2,
     all_roots,
     bracket_solve,
     horner,
@@ -166,7 +165,7 @@ SPARSE_POLYS = st.integers(0, 11).flatmap(lambda inner: st.tuples(
 def test_lower_bound_below_every_root_modulus(parts):
     c0, inner, lead = parts
     coeffs = [mpf(c) for c in [c0] + inner + [lead]]
-    bound = _fujiwara_lower_bound(coeffs)
+    bound = mpf(2) ** -_fujiwara_log2(coeffs[::-1])
     assert bound > 0
     # Certificate: on |x| <= bound the constant term outweighs all others.
     assert mp.fsum(abs(c) * bound ** j for j, c in enumerate(coeffs) if j) < abs(coeffs[0])
@@ -256,11 +255,13 @@ def test_coefficients_beyond_float64_solve_from_mpmaths_start(coeffs):
             abs(c) * abs(r) ** j for j, c in enumerate(coeffs))
 
 
-def test_lower_bound_zero_for_root_at_origin():
-    assert _fujiwara_lower_bound([mpf(0), mpf(3), mpf(-1)]) == 0
+def test_scan_with_a_root_at_the_origin_yields_the_positive_roots():
+    # c_0 = 0: no lower bound, so the scan walks 20 decades below the top.
+    assert list(positive_roots(Polynomial([mpf(c) for c in (0, 3, -1)]))) == [3]
+    assert list(positive_roots(Polynomial([mpf(c) for c in (0, 0, -6, 5, -1)]))) == [3, 2]
 
 
-def test_fujiwara_bounds_bracket_the_direct_mp_formula():
+def test_fujiwara_log2_brackets_the_direct_mp_formula():
     def direct(coeffs):
         d, cd, c0 = len(coeffs) - 1, abs(coeffs[-1]), abs(coeffs[0])
         upper = max(((abs(c) / cd) ** (mpf(1) / (d - j))
@@ -285,7 +286,8 @@ def test_fujiwara_bounds_bracket_the_direct_mp_formula():
             [mpf(3) * mpf(2) ** (2 ** 25), 0, mpf(-7) * mpf(2) ** -(2 ** 25), 1]]
     for coeffs, slack in [(c, mpf("1e-8")) for c in cases] + [(c, mp.inf) for c in huge]:
         coeffs = [mpf(c) for c in coeffs]
-        upper, lower = _fujiwara_bound(coeffs), _fujiwara_lower_bound(coeffs)
+        upper = mpf(2) ** _fujiwara_log2(coeffs)
+        lower = mpf(2) ** -_fujiwara_log2(coeffs[::-1]) if coeffs[0] != 0 else mpf(0)
         exact_upper, exact_lower = direct(coeffs)
         assert exact_upper <= upper <= exact_upper * (1 + slack), coeffs
         assert exact_lower * (1 - slack) <= lower <= exact_lower, coeffs
@@ -633,8 +635,6 @@ SPEC = MappingSpec(MappingFamily.POWER_CUT, 2)
 PROBES = {
     "family-string": ("family", lambda t: MappingSpec("power-cut", 2)),
     "mode-string": ("mode", lambda t: RhoSelectionCriterion(mode="mixed")),
-    "truncation-2.5": ("truncation", lambda t: BorelConfig(a=1, truncation=2.5)),
-    "truncation-True": ("truncation", lambda t: BorelConfig(a=1, truncation=True)),
     "predicted_R-A-inf": ("A", lambda t: predicted_R(2, mp.inf)),
     "conformal-a-inf": ("a", lambda t: conformal_map_coeffs(d0_partition_coeffs(6), mp.inf)),
     "g_of_lambda-rho-negative": ("rho", lambda t: g_of_lambda(mpf("0.5"), -1, SPEC)),
