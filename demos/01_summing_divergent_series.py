@@ -10,7 +10,6 @@ integral evaluated directly.
 from mpmath import mp
 
 from resum import (
-    BorelConfig,
     MappingFamily,
     MappingSpec,
     PowerSeries,
@@ -49,7 +48,7 @@ print("Borel-Pade [0/1]:      %s  (error %s)" % (
     mp.nstr(value, 15), mp.nstr(abs(value - exact), 3)))
 # the transform of this series is exactly 1/(1+z): the [0/1] fit nails it
 
-value, _ = borel_sum(series, BorelConfig(a=1, sigma=0), G)
+value, _ = borel_sum(series, 1, 0, G)
 print("mapped Borel-Leroy:    %s  (error %s)" % (
     mp.nstr(value, 15), mp.nstr(abs(value - exact), 3)))
 

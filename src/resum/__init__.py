@@ -6,7 +6,6 @@ and independent oracles for the classic quartic benchmark series.
 """
 
 from .borel import (
-    BorelConfig,
     borel_leroy_transform,
     borel_pade_sum,
     borel_sum,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .borel import BorelConfig, borel_leroy_transform, conformal_map_coeffs, laplace_moments
+from .borel import borel_leroy_transform, conformal_map_coeffs, laplace_moments
 from .errors import SelectionError, UsageError
 from .mapping import MappingFamily, MappingSpec, build_rho_table
 from .models import (
@@ -363,8 +363,8 @@ def _borel_zero(coeffs, laplace):
     return bracket_solve(f, lo, hi, mpf("1e-10"))
 
 
-def _kept_moments(cfg):
-    """``g -> laplace_moments(cfg, g, n=7)``, keeping only builds read again:
+def _kept_moments(a, sigma):
+    """``g -> laplace_moments(a, sigma, g, n=7)``, keeping only builds read again:
     the bracket ends', which every solve reads, and the latest, which the nu
     and gamma rows at a zero reread and the next solve starts from.  The
     function's ``latest`` holds that point, if any, and its build."""
@@ -374,7 +374,7 @@ def _kept_moments(cfg):
         kept = ends if g in _BOREL_BRACKET else latest
         if g not in kept:
             latest.clear()
-            kept[g] = laplace_moments(cfg, g, n=7)
+            kept[g] = laplace_moments(a, sigma, g, n=7)
         return kept[g]
     laplace.latest = latest
     return laplace
@@ -393,9 +393,8 @@ def run_borel_map_exponents():
     sigmas = (0, 1, 2, 3)
     rg = rg_series()
     a, series = rg.large_order_a, (rg.beta, nu_inv_series(), rg.gamma_inv)
-    cfgs = {s: BorelConfig(a=a, sigma=s) for s in sigmas}
     # One moment store per Leroy shift: the selection, early orders and rows share it.
-    laplaces = {s: _kept_moments(cfg) for s, cfg in cfgs.items()}
+    laplaces = {s: _kept_moments(a, s) for s in sigmas}
 
     def zeros(sigma, orders):
         """``(k, (g*, nu, gamma))`` at the ``orders`` with a zero, nu and gamma unintegrated."""

@@ -15,7 +15,6 @@ Zinn-Justin), summed in fixed-point integers on cached tanh-sinh nodes in one
 pass per ``(sigma, g)``, within a few units of ``2^-(prec + 40)`` per node.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt, log10
 
@@ -35,19 +34,6 @@ _NODE_SETS = 96  # node sets kept: 2 pieces x 12 levels x 4 Leroy shifts
 # seconds, at 1e4 over a minute, and at 1e30 the node weights overflow.
 _MAX_SIGMA = 1000
 _MAP_SPAN_BITS = 1 << 16  # span of magnitudes the conformal map sums exactly
-
-
-@dataclass(frozen=True)
-class BorelConfig:
-    """Parameters of the transform and the map; the Laplace quadrature runs
-    to the working precision (see :class:`Laplace`)."""
-
-    a: object               # Borel-plane singularity parameter (> 0)
-    sigma: object = 0       # Leroy shift in the Gamma divisor (0..1000)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", positive_mpf(self.a, "a"))
-        object.__setattr__(self, "sigma", _leroy_sigma(self.sigma))
 
 
 def _leroy_sigma(sigma):
@@ -218,7 +204,7 @@ class Laplace:
                             % (mp.nstr(err, 3), mp.nstr(self.rel_tol, 3)))
 
 
-def laplace_moments(cfg, g, n):
+def laplace_moments(a, sigma, g, n):
     """:class:`Laplace` of ``M_j(g) = int t^sigma e^-t u(g t)^j dt``, ``j <= n``.
 
     Per node, in integers scaled by ``2^Q`` (``Q = prec + 40``):
@@ -229,9 +215,10 @@ def laplace_moments(cfg, g, n):
     ``N 2^-d (j + 1) + 2 j M_0`` units.  Each piece runs until every ``M_j``
     is at working precision, so any sum of them is read off the same levels.
     """
+    a, sigma = positive_mpf(a, "a"), _leroy_sigma(sigma)
     q, n = mp.prec + _GUARD_BITS, whole_number(n, "n", 0)
     one = 1 << q
-    ag = int(mp.ldexp(mp.fmul(cfg.a, positive_mpf(g, "g"), exact=True), q))
+    ag = int(mp.ldexp(mp.fmul(a, positive_mpf(g, "g"), exact=True), q))
 
     def level_sums(xs, ws):
         us = [((r - one) << q) // (r + one) for r in (isqrt((one << q) + ag * x) for x in xs)]
@@ -241,12 +228,12 @@ def laplace_moments(cfg, g, n):
             sums.append(sum(ws))
         return sums
 
-    return Laplace(cfg.sigma, level_sums)
+    return Laplace(sigma, level_sums)
 
 
-def borel_sum(s, cfg, g):
+def borel_sum(s, a, sigma, g):
     """``(value, error)`` of ``s`` summed at ``g > 0`` through the mapped
-    Borel-Leroy transform.
+    Borel-Leroy transform of shift ``sigma``, its map scaled by ``a > 0``.
 
     Every coefficient of ``s`` is summed (truncate it first for a lower
     order): its Borel transform is re-expanded in the disk variable and
@@ -256,8 +243,8 @@ def borel_sum(s, cfg, g):
     """
     if s.order < 1:
         raise UsageError("need at least two coefficients")
-    coeffs = conformal_map_coeffs(borel_leroy_transform(s, cfg.sigma), cfg.a).coeffs
-    moments = laplace_moments(cfg, g, s.order)
+    coeffs = conformal_map_coeffs(borel_leroy_transform(s, sigma), a).coeffs
+    moments = laplace_moments(a, sigma, g, s.order)
     val, quad_err = moments.integral(coeffs)
     val_prev, _ = moments.integral(coeffs[:-1])
     return val, abs(val - val_prev) + quad_err

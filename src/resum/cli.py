@@ -41,7 +41,7 @@ import time
 from mpmath import mp
 
 from . import benchmarks
-from .borel import BorelConfig, borel_pade_sum, borel_sum
+from .borel import borel_pade_sum, borel_sum
 from .errors import ParseError, ResumError, UsageError
 from .mapping import MappingFamily, MappingSpec, build_rho_table
 from .models import (
@@ -58,7 +58,7 @@ from .odm import (
     odm_value,
 )
 from .pade import pade_eval, pade_fit
-from .precision import DEFAULT_DIGITS, nstr, to_mpf, whole_number, workdps
+from .precision import DEFAULT_DIGITS, nstr, positive_mpf, to_mpf, whole_number, workdps
 from .series import PowerSeries
 
 SCHEMA_VERSION = 1
@@ -69,9 +69,9 @@ DIGITS = 17
 GENERATORS = {
     "d0": lambda order: d0_partition_coeffs(order),
     "anharmonic": lambda order: anharmonic_ground_coeffs(order),
-    "rg_beta": lambda order: rg_series().beta.truncate(min(order, 7)),
-    "rg_gamma_inv": lambda order: rg_series().gamma_inv.truncate(min(order, 7)),
-    "rg_eta": lambda order: rg_series().eta.truncate(min(order, 7)),
+    "rg_beta": lambda order: rg_series().beta.truncate(order),
+    "rg_gamma_inv": lambda order: rg_series().gamma_inv.truncate(order),
+    "rg_eta": lambda order: rg_series().eta.truncate(order),
 }
 
 # --oracle choice: (its generator, its value at g); the lambdas bind at call time.
@@ -315,10 +315,11 @@ def cmd_sum(args, stdout):
             if spec_file.large_order_A is None:
                 raise UsageError("borel-map needs --a or a large_order_A field")
             a = 1 / to_mpf(spec_file.large_order_A)
-        cfg = BorelConfig(a=a, sigma=args.sigma)
-        value, error = borel_sum(series if order is None else series.truncate(order), cfg, g)
+        a = positive_mpf(a, "a")
+        value, error = borel_sum(series if order is None else series.truncate(order),
+                                 a, args.sigma, g)
         diagnostics["sigma"] = args.sigma
-        diagnostics["a"] = nstr(cfg.a, DIGITS)
+        diagnostics["a"] = nstr(a, DIGITS)
     else:  # odm
         if order is None:
             raise UsageError("odm needs --order")

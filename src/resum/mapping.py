@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, UsageError
-from .poly import Polynomial, _exact, bracket_solve
+from .poly import Polynomial, bracket_solve
 from .precision import finite_mpf, finite_point, member, positive_mpf, to_mpf, tolerance, whole_number
 from .series import PowerSeries, binomial_series, _mul_trunc
 
@@ -147,10 +147,11 @@ class RhoPolynomialTable:
     """Coefficients of the mapped series as polynomials in the scale ``rho``.
 
     ``polys[k][j]`` multiplies ``rho^j`` in the order-``k`` lambda
-    coefficient; each polynomial has degree at most ``k``.  ``rows[k]``
-    evaluates ``polys[k]`` (:class:`resum.poly.Polynomial`, built once; a
+    coefficient; each polynomial has degree at most ``k``.  ``rows[k]`` is
+    ``polys[k]`` as a :class:`resum.poly.Polynomial`, built once (a
     coefficient that is not a finite mpf is a :class:`UsageError` naming its
-    row), and ``source_order`` is the last order, ``len(polys) - 1``.
+    row) and read by everything after the constructor; ``source_order`` is
+    the last order, ``len(rows) - 1``.
     """
 
     polys: tuple
@@ -167,10 +168,11 @@ class RhoPolynomialTable:
         ``fixed`` form of :class:`resum.poly.Polynomial`); row ``k`` of the table
         at prefactor ``p + 1``, as ``sum_{l<=k} [lambda^l] G = [lambda^k]
         G/(1-lambda)``.  Built lazily through ``k``, each row from the last by
-        integer additions, and kept."""
+        integer additions on the ``fixed`` form of ``rows[l]``, and kept."""
         prefix = self._prefix
         for l in range(len(prefix), whole_number(k, "k", 0, self.source_order) + 1):
-            row = [_exact(c) for c in reversed(self.polys[l])]
+            fixed = self.rows[l].fixed
+            row = [(0, 0)] * (l + 1 - len(fixed)) + list(fixed)  # the stripped top
             for n, (m, e) in enumerate(prefix[-1] if prefix else (), 1):
                 a, b = row[n]
                 if a:
@@ -181,7 +183,7 @@ class RhoPolynomialTable:
 
     @property
     def source_order(self):
-        return len(self.polys) - 1
+        return len(self.rows) - 1
 
     def lambda_coeffs(self, rho, order):
         """The numeric lambda-series ``P_0(rho) .. P_order(rho)``, ``order``

@@ -116,13 +116,13 @@ def select_rho(table, k, criterion, allow_complex=False):
     """
     whole_number(k, "k", 1, table.source_order)
     tau = criterion.smallness_factor
-    poly = table.polys[k]
-    if all(c == 0 for c in poly):
+    row = table.rows[k]
+    if all(c == 0 for c in row.coeffs):
         # A vanishing tuning polynomial leaves the scale free (constant
         # sources): any rho reproduces the value, so report unit scale.
         return OdmReport(k=k, rho=mpf(1), candidates=((mpf(1), mpf(0), mpf(0)),),
                          mode=criterion.mode, flagged=False)
-    row, deriv = table.rows[k], Polynomial(derivative_coeffs(poly) or (mpf(0),))
+    deriv = Polynomial(derivative_coeffs(row.coeffs) or (mpf(0),))
     for mode in _ZERO_SETS[criterion.mode]:
         zeros_of = row if mode is SelectionMode.ROOT else deriv
         pool, wide = complex_pools(zeros_of) if allow_complex else (positive_roots(zeros_of), [])
@@ -163,13 +163,14 @@ def select_rho(table, k, criterion, allow_complex=False):
 def odm_value(table, k, criterion, g, allow_complex=False):
     """Evaluate the order-``k`` approximant at coupling ``g`` (or ``inf``).
 
-    Finite ``g``: ``(1-lambda)^p * sum_{l<=k} P_l(rho_k) lambda^l`` with
-    ``lambda`` from the mapping inversion.  ``g = inf`` (power-cut only):
-    the strong-coupling amplitude of ``g^(-p/alpha)``, namely
-    ``rho_k^(p/alpha) sum_{l<=k} P_l(rho_k)``, read as ``rho_k^(p/alpha)
-    Q_k(rho_k)``: ``Q_k`` is the table's exact ``prefix_row`` (row ``k`` at
-    prefactor ``p + 1``), evaluated once.  The error estimate is
-    ``|P_{k+1}(rho_k) lambda^(k+1)|`` whenever the table extends to ``k+1``.
+    One rule at every coupling: a prefactor ``A`` times the partial sum
+    ``S = sum_{l<=k} P_l(rho_k) lambda^l``, and the error estimate the next
+    term, ``|A P_{k+1}(rho_k) lambda^(k+1)|``, whenever the table extends to
+    ``k+1``.  Finite ``g``: ``A = (1-lambda)^p`` with ``lambda`` from the
+    mapping inversion.  ``g = inf`` (power-cut only): the strong-coupling
+    amplitude of ``g^(-p/alpha)``, ``A = rho_k^(p/alpha)`` at ``lambda = 1``,
+    and ``S = Q_k(rho_k)``: ``Q_k`` is the table's exact ``prefix_row`` (row
+    ``k`` at prefactor ``p + 1``), evaluated once.
     A beta-covariant table holds a mapped flow, not a sum, and is refused:
     :func:`fixed_point` reads such tables.
 
@@ -187,15 +188,14 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     if strong and mapping.family is not MappingFamily.POWER_CUT:
         raise UsageError("strong-coupling evaluation needs the power-cut family")
     lam = lambda_of_g(g, rho, mapping)
-    if strong:  # one exact prefix row; the error estimate reads P_(k+1) alone
-        prefix_sum = fixed_value(table.prefix_row(k), rho)  # sum_{l<=k} P_l(rho)
-        value = rho ** (mapping.prefactor_p / mapping.alpha) * prefix_sum
-        nxt = [P(rho) for P in table.rows[k + 1:k + 2]]
+    p = mapping.prefactor_p
+    if strong:  # g^(p/alpha) (1-lambda)^p -> rho^(p/alpha); one exact prefix row
+        prefactor, partial = rho ** (p / mapping.alpha), fixed_value(table.prefix_row(k), rho)
     else:
-        row = table.lambda_coeffs(rho, min(k + 1, table.source_order))
-        value = mp.re((1 - lam) ** mapping.prefactor_p * horner(row[:k + 1], lam))
-        nxt = row[k + 1:]
-    err = abs(nxt[0] * lam ** (k + 1)) if nxt else None
+        prefactor, partial = (1 - lam) ** p, horner(table.lambda_coeffs(rho, k), lam)
+    value = mp.re(prefactor * partial)
+    nxt = [P(rho) for P in table.rows[k + 1:k + 2]]
+    err = abs(prefactor * nxt[0] * lam ** (k + 1)) if nxt else None
     return replace(sel, g=g, lam=lam, value=value, error_estimate=err)
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
-    BorelConfig,
     PowerSeries,
     ResourceError,
     ResumError,
@@ -122,8 +121,7 @@ def test_map_of_coefficients_a_billion_decades_apart():
 
 
 def test_borel_sum_alternating_factorial():
-    cfg = BorelConfig(a=1, sigma=0)
-    got, err = borel_sum(alternating_factorial(30), cfg, 1)
+    got, err = borel_sum(alternating_factorial(30), 1, 0, 1)
     oracle = mp.quad(lambda t: mp.exp(-t) / (1 + t), [0, mp.inf])
     assert abs(got - oracle) <= 10 * err
     assert abs(got - oracle) < mpf("1e-8")
@@ -131,16 +129,14 @@ def test_borel_sum_alternating_factorial():
 
 def test_borel_sum_convergent_exponential():
     e = PowerSeries(tuple(1 / mp.factorial(k) for k in range(20)))
-    cfg = BorelConfig(a=1, sigma=0)
-    got, err = borel_sum(e, cfg, 1)
+    got, err = borel_sum(e, 1, 0, 1)
     assert abs(got - mp.e) <= 10 * err
 
 
 def test_borel_sum_constant_preserved():
     for sigma in (0, "1.5"):
         c = PowerSeries((mpf("2.25"), mpf(0), mpf(0)))
-        cfg = BorelConfig(a=1, sigma=sigma)
-        assert abs(borel_sum(c, cfg, 1)[0] - mpf("2.25")) < mpf("1e-20")
+        assert abs(borel_sum(c, 1, sigma, 1)[0] - mpf("2.25")) < mpf("1e-20")
 
 
 def test_borel_sum_polynomial_consistency():
@@ -148,16 +144,15 @@ def test_borel_sum_polynomial_consistency():
     # cancel term by term once the mapped expansion is padded long enough
     # (the pad controls the u-tail of the composed series).
     poly = PowerSeries((mpf(2), mpf(-3), mpf("0.5")) + (mpf(0),) * 158)
-    cfg = BorelConfig(a=1, sigma=0)
     for g in (mpf("0.5"), mpf(2)):
         want = 2 - 3 * g + mpf("0.5") * g * g
-        assert abs(borel_sum(poly, cfg, g)[0] - want) < mpf("1e-13") * max(1, abs(want))
+        assert abs(borel_sum(poly, 1, 0, g)[0] - want) < mpf("1e-13") * max(1, abs(want))
 
 
 def test_borel_sum_sigma_independence():
     s = alternating_factorial(30)
     for g in (mpf("0.5"), mpf(1), mpf(2)):
-        (v0, e0), (v1, e1) = (borel_sum(s, BorelConfig(a=1, sigma=sig), g) for sig in (0, 1))
+        (v0, e0), (v1, e1) = (borel_sum(s, 1, sig, g) for sig in (0, 1))
         assert abs(v0 - v1) <= 10 * (e0 + e1)
 
 
@@ -170,15 +165,14 @@ def test_moment_kernel_matches_direct_quadrature(digits):
         return (root - 1) / (root + 1)
 
     with mp.workdps(digits):
-        for sigma in (0, 1, "2.5", 3):
-            cfg = BorelConfig(a=1, sigma=sigma)
+        for sigma in (0, 1, mpf("2.5"), 3):
             for K in (2, 7, 24):
                 s = alternating_factorial(K)
-                coeffs = conformal_map_coeffs(borel_leroy_transform(s, cfg.sigma), 1).coeffs
+                coeffs = conformal_map_coeffs(borel_leroy_transform(s, sigma), 1).coeffs
                 for g in (mpf("0.5"), mpf("1.4"), mpf(3), mpf(5)):
-                    want = mp.quad(lambda t: t ** cfg.sigma * mp.exp(-t)
+                    want = mp.quad(lambda t: t ** sigma * mp.exp(-t)
                                    * horner(coeffs, u(g * t)), [0, mp.inf])
-                    got, _ = borel_sum(s, cfg, g)
+                    got, _ = borel_sum(s, 1, sigma, g)
                     assert abs(got - want) <= mpf(10) ** (5 - digits) * abs(want), (sigma, K, g)
 
 
@@ -186,17 +180,16 @@ def test_truncation_error_is_the_order_k_minus_one_difference():
     s = alternating_factorial(12)
     # The error is the order K-1 difference plus the order-K quadrature estimate.
     for sigma in (0, 2):
-        cfg = BorelConfig(a=1, sigma=sigma)
-        got, err = borel_sum(s, cfg, 2)
-        prev, _ = borel_sum(s.truncate(11), cfg, 2)
-        coeffs = conformal_map_coeffs(borel_leroy_transform(s, cfg.sigma), 1).coeffs
-        want, quad_err = borel.laplace_moments(cfg, 2, 12).integral(coeffs)
+        got, err = borel_sum(s, 1, sigma, 2)
+        prev, _ = borel_sum(s.truncate(11), 1, sigma, 2)
+        coeffs = conformal_map_coeffs(borel_leroy_transform(s, sigma), 1).coeffs
+        want, quad_err = borel.laplace_moments(1, sigma, 2, 12).integral(coeffs)
         assert got == want
         assert abs(err - quad_err - abs(got - prev)) <= mpf("1e-60") * abs(prev)
 
 
 def test_laplace_integral_rejects_more_coefficients_than_moments():
-    moments = borel.laplace_moments(BorelConfig(a=1), 1, 2)
+    moments = borel.laplace_moments(1, 0, 1, 2)
     full = moments.integral((1, 1, 1))
     assert moments.integral((1, 1)) != full
     with pytest.raises(UsageError, match="4 coefficients for 3 Laplace integrals"):
@@ -217,8 +210,7 @@ def test_thirty_digit_integrals_match_forty_digit_ones(node_count):
                                              rg.large_order_a).coeffs
                         for s in (rg.beta, nu_inv_series(), rg.gamma_inv)]
                 for g in (mpf("0.5"), mpf("1.4"), mpf(3)):
-                    moments = borel.laplace_moments(
-                        BorelConfig(a=rg.large_order_a, sigma=sigma), g, 7)
+                    moments = borel.laplace_moments(rg.large_order_a, sigma, g, 7)
                     values[-1] += [moments.integral(c)[0] for c in sums]
     assert len(values[0]) == 36
     for got, ref in zip(*values):
@@ -227,7 +219,7 @@ def test_thirty_digit_integrals_match_forty_digit_ones(node_count):
     # order-8 requests at g = 2 in perfbench's tiny deck.
     s = d0_partition_coeffs(8)
     node_count[0] = 0
-    borel_sum(s.truncate(8), BorelConfig(a=1 / mpf("1.5")), 2)
+    borel_sum(s.truncate(8), 1 / mpf("1.5"), 0, 2)
     assert node_count[0] == 1096
     node_count[0] = 0
     borel_pade_sum(s, 0, 4, 4, 2)
@@ -251,7 +243,7 @@ def test_node_cache_stays_within_its_bound():
     s = alternating_factorial(3)
     with mp.workdps(30):
         for k in range(12):
-            borel_sum(s, BorelConfig(a=1, sigma=mpf(k) / 7), 1)
+            borel_sum(s, 1, mpf(k) / 7, 1)
             assert borel._weighted_nodes.cache_info().currsize <= borel._NODE_SETS
     assert borel._weighted_nodes.cache_info().currsize == borel._NODE_SETS
 
@@ -309,21 +301,20 @@ def test_borel_pade_large_orders_reproduce_rational():
 
 
 def test_config_validation():
+    s = alternating_factorial(4)
+    for name, a, sigma in (("a", 0, 0), ("sigma", 1, -1), ("a", mp.inf, 0), ("a", mp.nan, 0),
+                           ("sigma", 1, mp.nan), ("sigma", 1, mp.inf)):
+        for call in (lambda: borel_sum(s, a, sigma, 1),
+                     lambda: borel.laplace_moments(a, sigma, 1, 2)):
+            with pytest.raises(UsageError, match="^%s must be" % name):
+                call()
     with pytest.raises(UsageError):
-        BorelConfig(a=0)
-    with pytest.raises(UsageError):
-        BorelConfig(a=1, sigma=-1)
-    for bad in ({"a": mp.inf}, {"a": mp.nan}, {"a": 1, "sigma": mp.nan},
-                {"a": 1, "sigma": mp.inf}):
-        with pytest.raises(UsageError):
-            BorelConfig(**bad)
-    with pytest.raises(UsageError):
-        borel_sum(alternating_factorial(4), BorelConfig(a=1), -1)
+        borel_sum(s, 1, 0, -1)
 
 
 def test_infinite_coupling_rejected_up_front():
     s = alternating_factorial(6)
-    for call in (lambda g: borel_sum(s, BorelConfig(a=1), g),
+    for call in (lambda g: borel_sum(s, 1, 0, g),
                  lambda g: borel_pade_sum(s, 0, 2, 2, g)):
         for g in (mp.inf, "inf", mp.nan):
             with pytest.raises(UsageError, match="g must be finite"):
@@ -348,7 +339,7 @@ def test_estimate_error_is_mpmaths_bit_for_bit(monkeypatch):
         return fast(seq, *args)
 
     monkeypatch.setattr(borel, "_estimate_error", record)
-    borel_sum(alternating_factorial(8), BorelConfig(a=1, sigma=1), mpf("0.7"))
+    borel_sum(alternating_factorial(8), 1, 1, mpf("0.7"))
     monkeypatch.undo()
     assert len(seen) > 20
     # D1 = log10|r[-1] - r[-2]|, D2 = log10|r[-1] - r[-3]|, D4 = min(0, max(D1^2/D2, 2 D1, -prec)).

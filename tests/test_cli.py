@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from resum import BorelConfig, ParseError, borel_sum, cli
+from resum import ParseError, borel_sum, cli
 from resum.cli import main, parse_series_file
 from stieltjes_helpers import atoms, stieltjes_coeffs
 
@@ -166,11 +166,11 @@ class TestSumCommand:
         path = write(tmp_path, D0_FILE)
         assert main(["sum", path, "--method", "borel-map", "--order", "6", "--g", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        series, cfg = parse_series_file(path).build(), BorelConfig(a=1 / mpf("1.5"))
-        value, error = borel_sum(series.truncate(6), cfg, 1)
+        series, a = parse_series_file(path).build(), 1 / mpf("1.5")
+        value, error = borel_sum(series.truncate(6), a, 0, 1)
         assert lines[:2] == ["value: %s" % cli.nstr(value, cli.DIGITS),
                              "error_estimate: %s" % cli.nstr(error, cli.DIGITS)]
-        assert borel_sum(series, cfg, 1)[0] != value
+        assert borel_sum(series, a, 0, 1)[0] != value
 
     def test_missing_flags_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
@@ -245,6 +245,19 @@ class TestSumCommand:
         assert "--beta-covariant" in err
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("value: -0.26021430996649162\n")
+
+    def test_rg_generator_refuses_orders_it_does_not_hold(self, tmp_path, capsys):
+        # The rg series stop at order 7; a larger order was clamped to 7 and
+        # summed at exit 0, as if the file had asked for it.
+        argv = ["--method", "pade", "--L", "2", "--M", "2", "--g", "1"]
+        for generator in ("rg_beta", "rg_gamma_inv", "rg_eta"):
+            path = write(tmp_path, "generator: %s\norder: 30\n" % generator)
+            assert main(["sum", path] + argv) == 1
+            err = capsys.readouterr().err
+            assert_one_error_line(err)
+            assert "order must be a whole number in 0..7, got 30" in err
+            assert main(["sum", write(tmp_path, "generator: %s\norder: 7\n" % generator)]
+                        + argv) == 0
 
     def test_borel_pade_agrees_with_borel_map_on_flow_series(self, tmp_path, capsys):
         # [4/2] keeps the rational transform free of positive-axis poles for

@@ -351,7 +351,23 @@ class TestValues:
                 row = table.lambda_coeffs(rep.rho, k + 1)
                 amplitude = rep.rho ** (mpf(p) / mpf(alpha)) * mp.fsum(row[:k + 1])
                 assert abs(rep.value - amplitude) <= tolerance(10) * abs(amplitude), k
-                assert rep.error_estimate == abs(row[k + 1] * mpf(1) ** (k + 1)), k
+                assert rep.error_estimate == abs(rep.rho ** (mpf(p) / mpf(alpha)) * row[k + 1]), k
+
+    def test_error_estimate_scales_like_the_value(self):
+        # The estimate carries the approximant's prefactor: at g = 1e40 the
+        # d0 amplitude term g^(-1/4) is 1e-10, and so is the estimate's ratio
+        # to its g = inf value; without the prefactor it stayed at 2.6e-4,
+        # 1.6 million times the value.
+        from resum import d0_partition_value
+
+        table = build_rho_table(d0_partition_coeffs(12), MappingSpec(
+            MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
+        g = mpf("1e40")
+        near, far = (odm_value(table, 11, MIXED, x) for x in (g, mp.inf))
+        assert abs(near.error_estimate * mpf(10) ** 10 - far.error_estimate) \
+            <= mpf("1e-15") * far.error_estimate
+        delta = abs(d0_partition_value(g) - near.value)
+        assert delta / 10 <= near.error_estimate <= 10 * delta
 
     def test_strong_coupling_needs_power_cut(self):
         source = PowerSeries((mpf(1), mpf(-1), mpf(1), mpf(-1)))

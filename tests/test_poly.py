@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from resum import (
-    BorelConfig,
     DomainError,
     MappingFamily,
     MappingSpec,
@@ -552,7 +551,7 @@ def small_table():
 def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path):
     crit = RhoSelectionCriterion()
     spec = MappingSpec(MappingFamily.POWER_CUT, 2)
-    cfg = BorelConfig(a=1 / mpf("1.5"))
+    a = 1 / mpf("1.5")
     series = d0_partition_coeffs(8)
     calls = [
         (lambda: select_rho(small_table, 6, crit), None),
@@ -561,8 +560,8 @@ def test_public_calls_leave_working_precision_unchanged(small_table, tmp_path):
         (lambda: odm_value(small_table, 6, crit, mpf(-2)), DomainError),
         (lambda: lambda_of_g(mpf(3), mpf(1), spec), None),
         (lambda: lambda_of_g(mp.nan, mpf(1), spec), DomainError),
-        (lambda: borel_sum(series, cfg, mpf("0.5")), None),
-        (lambda: borel_sum(series, cfg, 0), UsageError),
+        (lambda: borel_sum(series, a, 0, mpf("0.5")), None),
+        (lambda: borel_sum(series, a, 0, 0), UsageError),
         (lambda: borel_pade_sum(series, 0, 2, 2, mpf("0.5")), None),
         (lambda: borel_pade_sum(series, 0, 2, 2, mp.inf), UsageError),
         (lambda: solve_saddle(2), None),
@@ -613,7 +612,7 @@ def test_summation_entries_end_in_a_finite_value_or_a_resum_error(case):
         return report.value, report.error_estimate
 
     borel_calls = [
-        lambda: borel_sum(s, BorelConfig(a=1 / mpf("1.5")), g),
+        lambda: borel_sum(s, 1 / mpf("1.5"), 0, g),
         lambda: borel_pade_sum(s, 0, L, M, g),
     ]
     for call in [odm] + borel_calls + [lambda: (pade_eval(pade_fit(s, L, M), g), None)]:
@@ -675,14 +674,14 @@ PROBES = {
     "Polynomial-inf-constant": ("row", lambda t: poly.Polynomial((-mp.inf, mpf(1)), "row")),
     "Polynomial-nan-top": ("row", lambda t: poly.Polynomial((mpf(1), mpf(0), mp.nan), "row")),
     "Polynomial-nan-inner": ("row", lambda t: poly.Polynomial((mpf(1), mp.nan, mpf(1)), "row")),
-    "laplace_moments-g-inf": ("g", lambda t: laplace_moments(BorelConfig(a=1), mp.inf, 2)),
-    "laplace_moments-g-nan": ("g", lambda t: laplace_moments(BorelConfig(a=1), mp.nan, 2)),
-    "laplace_moments-g-negative": ("g", lambda t: laplace_moments(BorelConfig(a=1), -1, 2)),
-    "laplace_moments-n-2.5": ("n", lambda t: laplace_moments(BorelConfig(a=1), 1, 2.5)),
-    "laplace_moments-n-negative": ("n", lambda t: laplace_moments(BorelConfig(a=1), 1, -1)),
-    "integral-inf": ("coeffs[0]", lambda t: laplace_moments(BorelConfig(a=1), 1, 2).integral(
+    "laplace_moments-g-inf": ("g", lambda t: laplace_moments(1, 0, mp.inf, 2)),
+    "laplace_moments-g-nan": ("g", lambda t: laplace_moments(1, 0, mp.nan, 2)),
+    "laplace_moments-g-negative": ("g", lambda t: laplace_moments(1, 0, -1, 2)),
+    "laplace_moments-n-2.5": ("n", lambda t: laplace_moments(1, 0, 1, 2.5)),
+    "laplace_moments-n-negative": ("n", lambda t: laplace_moments(1, 0, 1, -1)),
+    "integral-inf": ("coeffs[0]", lambda t: laplace_moments(1, 0, 1, 2).integral(
         (mp.inf, 1))),
-    "integral-nan": ("coeffs[0]", lambda t: laplace_moments(BorelConfig(a=1), 1, 2).integral(
+    "integral-nan": ("coeffs[0]", lambda t: laplace_moments(1, 0, 1, 2).integral(
         (mp.nan,))),
 }
 

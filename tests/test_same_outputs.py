@@ -97,3 +97,14 @@ def test_reports_differing_only_in_time_and_directory_compare_equal():
     parent, change = (dict(DUMP, out_reports={"d0:8:odm:g=2": r}) for r in (runs[0], changed))
     assert same_outputs.differences(parent, change) == [
         "out_reports/d0:8:odm:g=2/report/value: '0.87' != '0.88'"]
+
+
+def test_differences_are_counted_by_section():
+    change = copy.deepcopy(DUMP)
+    change["sum_mix"]["d0:8:odm:g=2"][1] = "value: 0.88\n"
+    change["out_reports"]["d0:8:odm:g=2"]["report"]["value"] = "0.88"
+    change["out_reports"]["d0:8:pade:g=2"] = None
+    found = same_outputs.differences(DUMP, change)
+    assert same_outputs.section_counts(found, DUMP) == {
+        "tables": 0, "picks": 0, "sum_mix": 1, "out_reports": 2}
+    assert same_outputs.section_counts([], DUMP) == dict.fromkeys(DUMP, 0)

@@ -20,11 +20,13 @@ each, one subprocess dumps as JSON:
   where the request wrote no report, ``{"raised": ...}`` where it raised).
 
 The script prints how much each dump holds, the first differences, how
-many picks differ and the largest relative difference of rho among them,
-and exits 1 on any difference, else 0.
+many differences fall in each section, how many picks differ and the
+largest relative difference of rho among them, and exits 1 on any
+difference, else 0.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -133,6 +135,17 @@ def differences(parent, change):
     return out
 
 
+def section_counts(found, sections):
+    """How many of the ``found`` differences fall in each section, the
+    first component of a difference's path: every name in ``sections`` (a
+    dump's keys), with 0 where nothing differs, then any other section."""
+    counts = dict.fromkeys(sections, 0)
+    for line in found:
+        section = re.split("[/:]", line, maxsplit=1)[0]
+        counts[section] = counts.get(section, 0) + 1
+    return counts
+
+
 def _rho(text):
     """The mpf or mpc whose ``repr`` is ``text``, at more digits than the
     text holds."""
@@ -178,6 +191,9 @@ def main(argv=None):
     for line in found[:SHOWN]:
         print(line)
     if found:
+        counts = section_counts(found, parent)
+        print("differences by section: %s"
+              % ", ".join("%s %d" % item for item in counts.items()))
         count, largest = pick_differences(parent, change)
         print("%d picks differ; largest relative rho difference %s"
               % (count, "none" if largest is None else mp.nstr(largest, 3)))
