@@ -35,6 +35,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 
@@ -188,6 +189,11 @@ def _split_values(text, lineno):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1/2 and -1e6 are values, not options (argparse knows only -5 and -0.5).
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # Operational errors must exit 1; argparse defaults to 2, which this
     # tool reserves for tolerance violations.
     def error(self, message):

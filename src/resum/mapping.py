@@ -11,7 +11,8 @@ bracketed solver of :mod:`resum.poly`.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from mpmath import mp, mpc, mpf
 
@@ -146,39 +147,33 @@ def lambda_of_g(g, rho, mapping):
 class RhoPolynomialTable:
     """Coefficients of the mapped series as polynomials in the scale ``rho``.
 
-    ``polys[k][j]`` multiplies ``rho^j`` in the order-``k`` lambda
-    coefficient; each polynomial has degree at most ``k``.  ``rows[k]`` is
-    ``polys[k]`` as a :class:`resum.poly.Polynomial`, built once (a
-    coefficient that is not a finite mpf is a :class:`UsageError` naming its
-    row) and read by everything after the constructor; ``source_order`` is
-    the last order, ``len(rows) - 1``.
+    ``rows[k]`` is the order-``k`` lambda coefficient ``P_k``, a
+    :class:`resum.poly.Polynomial` of degree at most ``k`` whose ``P_k[j]``
+    (its ``coeffs[j]``) multiplies ``rho^j``.  The constructor takes each
+    row as a sequence of coefficients and makes it a ``Polynomial`` once (a
+    coefficient that is not a finite mpf is a :class:`UsageError` naming
+    its row); ``source_order`` is the last order, ``len(rows) - 1``.
     """
 
-    polys: tuple
+    rows: tuple
     mapping: MappingSpec
+    _prefix: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(
-            Polynomial(p, "polys[%d]" % k) for k, p in enumerate(self.polys)))
-        object.__setattr__(self, "_prefix", [])  # Q_0, Q_1, ... built so far
+            Polynomial(row, "rows[%d]" % k) for k, row in enumerate(self.rows)))
 
     def prefix_row(self, k):
-        """``Q_k``, the exact column sums ``Q_k[n] = sum_{l<=k} polys[l][n]``,
-        each as ``(m, e)`` with ``Q_k[n] = m 2^e``, highest degree first (the
-        ``fixed`` form of :class:`resum.poly.Polynomial`); row ``k`` of the table
-        at prefactor ``p + 1``, as ``sum_{l<=k} [lambda^l] G = [lambda^k]
-        G/(1-lambda)``.  Built lazily through ``k``, each row from the last by
-        integer additions on the ``fixed`` form of ``rows[l]``, and kept."""
+        """``Q_k``, the :class:`resum.poly.Polynomial` of the exact column
+        sums ``Q_k[n] = sum_{l<=k} P_l[n]``: row ``k`` of the table at
+        prefactor ``p + 1``, as ``sum_{l<=k} [lambda^l] G = [lambda^k]
+        G/(1-lambda)``.  Built lazily through ``k``, each row from the last
+        and ``rows[l]`` by exact mpf additions, and kept."""
         prefix = self._prefix
         for l in range(len(prefix), whole_number(k, "k", 0, self.source_order) + 1):
-            fixed = self.rows[l].fixed
-            row = [(0, 0)] * (l + 1 - len(fixed)) + list(fixed)  # the stripped top
-            for n, (m, e) in enumerate(prefix[-1] if prefix else (), 1):
-                a, b = row[n]
-                if a:
-                    m, e = (m + (a << (b - e)), e) if b > e else ((m << (e - b)) + a, b)
-                row[n] = (m, e)
-            prefix.append(tuple(row))
+            last = prefix[-1].coeffs if prefix else ()
+            prefix.append(Polynomial(mp.fadd(q, c, exact=True) for q, c in zip_longest(
+                last, self.rows[l].coeffs, fillvalue=mpf(0))))
         return prefix[k]
 
     @property
@@ -202,7 +197,7 @@ def build_rho_table(source, mapping):
 
     Plain case: the table holds the series of
     ``(1-lambda)^(-p) * source(rho zeta(lambda))``, i.e.
-    ``polys[k][n] = f_n [lambda^k] (1-lambda)^(-p) zeta^n``.
+    ``P_k[n] = f_n [lambda^k] (1-lambda)^(-p) zeta^n``.
     Covariant case (source starting at first order):
     ``(1-lambda)^(alpha+1)/(alpha rho) * source(rho zeta(lambda))`` with the
     leading ``rho`` cancelled against the source's vanishing constant term.
@@ -217,13 +212,13 @@ def build_rho_table(source, mapping):
     if mapping.beta_covariant and source.coeffs[0] != 0:
         raise UsageError("beta-covariant tables need a source with zero constant term")
     K = source.order
-    polys = [[mpf(0)] * (k + 1) for k in range(K + 1)]
+    rows = [[mpf(0)] * (k + 1) for k in range(K + 1)]
     if mapping.family is MappingFamily.POWER_CUT:
         for n, fn in enumerate(source.coeffs):
             if fn != 0:
                 col = binomial_series(-(mapping.prefactor_p + n * mapping.alpha), K - n)
                 for k, c in enumerate(col.coeffs, n):
-                    polys[k][n] = fn * c
+                    rows[k][n] = fn * c
     else:
         shift = 1 if mapping.beta_covariant else 0
         zeta = zeta_series(mapping, K).coeffs
@@ -237,5 +232,5 @@ def build_rho_table(source, mapping):
             if fn != 0:
                 # cur[k] vanishes below k = n because zeta starts at first order.
                 for k in range(n, K + 1):
-                    polys[k][n - shift] += fn * cur[k]
-    return RhoPolynomialTable(polys=tuple(tuple(p) for p in polys), mapping=mapping)
+                    rows[k][n - shift] += fn * cur[k]
+    return RhoPolynomialTable(rows, mapping)

@@ -17,8 +17,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import FitError, FixedPointError, ResourceError, SelectionError, UsageError
 from .mapping import MappingFamily, g_of_lambda, lambda_of_g
-from .poly import (Polynomial, all_roots, complex_pools, derivative_coeffs, fixed_value,
-                   horner, positive_roots)
+from .poly import Polynomial, all_roots, complex_pools, derivative_coeffs, horner, positive_roots
 # Re-exported: callers, and the benchmark tracer in perfbench/, look these
 # up on this module.
 from .poly import polynomial_real_roots, polyroots  # noqa: F401
@@ -190,7 +189,7 @@ def odm_value(table, k, criterion, g, allow_complex=False):
     lam = lambda_of_g(g, rho, mapping)
     p = mapping.prefactor_p
     if strong:  # g^(p/alpha) (1-lambda)^p -> rho^(p/alpha); one exact prefix row
-        prefactor, partial = rho ** (p / mapping.alpha), fixed_value(table.prefix_row(k), rho)
+        prefactor, partial = rho ** (p / mapping.alpha), table.prefix_row(k)(rho)
     else:
         prefactor, partial = (1 - lam) ** p, horner(table.lambda_coeffs(rho, k), lam)
     value = mp.re(prefactor * partial)

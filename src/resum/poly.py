@@ -227,25 +227,6 @@ def _rounded(m, e):
     return mp.make_mpf(from_man_exp(m, e, mp.prec, "n"))
 
 
-def _fixed_sum(terms, xm, ex, w):
-    """``(y, e)``: Horner of the ``(m, e)`` pairs at ``xm 2^ex``, each step
-    formed exactly and floored to ``w`` bits, as the integer ``y`` times
-    ``2^e``."""
-    terms = iter(terms)
-    y, e = next(terms)
-    for m, em in terms:
-        y, e = y * xm, e + ex
-        if m:
-            if e > em:
-                y, e = (y << (e - em)) + m, em
-            else:
-                y += m << (em - e)
-        cut = y.bit_length() - w
-        if cut > 0:
-            y, e = y >> cut, e + cut
-    return y, e
-
-
 class Polynomial:
     """A polynomial whose coefficients are finite mpf, in the forms every
     evaluation and root scan reads, each built once: ``coeffs``, without
@@ -253,21 +234,23 @@ class Polynomial:
     ``(c_j, |c_j|)`` of :func:`_float_horner` in float64, highest degree
     first, or None when a nonzero coefficient lies outside ``1e-290 < |c| <
     1e290``; and ``fixed``, the exact ``(m, e)`` of each ``c = m 2^e``,
-    highest degree first.  Any other coefficient, a dropped one included, is
-    a :class:`UsageError` naming ``name``.
+    highest degree first.  A coefficient may carry more bits than the working
+    precision (the exact column sums of a table's prefix rows do); it is
+    read exactly.  Any other coefficient, a dropped one included, is a
+    :class:`UsageError` naming ``name``.
 
-    At an mpc ``x`` the value is :func:`horner`'s.  At a finite mpf ``x`` it
-    is :func:`_fixed_sum` at ``w = prec + 64`` bits, rounded once to nearest
-    at ``prec``.  With degree ``n``, ``u = 2^-prec`` and ``S = sum_j |c_j|
-    |x|^j``, each Horner step forms ``y x + c_j`` exactly (``x`` is kept
-    exact) and floors it to ``w`` bits, an error below ``2^(1-w)`` times
-    that exact sum, which is at most ``S_j + |x| E_(j+1)`` with ``S_j`` the
-    tail of ``S`` divided by ``|x|^j`` and ``E_(j+1)`` the error carried in.
-    So the sum is within ``(n + 1) 2^(1-w) (1 + 2^(1-w))^n S``, under
-    ``2^-62 (n + 1) u S``, and the value within half an ulp more of the
-    exact ``P(x)``, where the mp :func:`horner` is only within
-    ``gamma_(2n+1) S``.  An infinite or NaN mpf ``x`` is a
-    :class:`UsageError` naming ``x``."""
+    At an mpc ``x`` the value is :func:`horner`'s.  At a finite mpf ``x`` it is
+    Horner on the exact ``fixed`` pairs at ``w = prec + 64`` bits, rounded
+    once to nearest at ``prec``.  With degree ``n``, ``u = 2^-prec`` and ``S =
+    sum_j |c_j| |x|^j``, each Horner step forms ``y x + c_j`` exactly (``x``
+    is kept exact) and floors it to ``w`` bits, an error below ``2^(1-w)``
+    times that exact sum, which is at most ``S_j + |x| E_(j+1)`` with ``S_j``
+    the tail of ``S`` divided by ``|x|^j`` and ``E_(j+1)`` the error carried
+    in.  So the sum is within ``(n + 1) 2^(1-w) (1 + 2^(1-w))^n S``, under
+    ``2^-62 (n + 1) u S``, and the value within half an ulp more of the exact
+    ``P(x)``, where the mp :func:`horner` is only within ``gamma_(2n+1)
+    S``.  An infinite or NaN mpf ``x`` is a :class:`UsageError` naming
+    ``x``."""
 
     __slots__ = ("coeffs", "floats", "fixed")
 
@@ -286,16 +269,22 @@ class Polynomial:
     def __call__(self, x):
         if isinstance(x, mpc):
             return horner(self.coeffs, x)
-        return fixed_value(self.fixed, x)
-
-
-def fixed_value(fixed, x):
-    """The :class:`Polynomial` value at an mpf ``x`` of the exact ``(m, e)``
-    pairs ``fixed``, highest degree first (its ``fixed`` form)."""
-    sign, man, ex, _ = x._mpf_
-    if ex and not man:  # inf or nan
-        raise UsageError("x must be finite, got %s" % x)
-    return _rounded(*_fixed_sum(fixed, -man if sign else man, ex, mp.prec + 64))
+        xm, ex = _exact(x)
+        if ex and not xm:  # inf or nan
+            raise UsageError("x must be finite, got %s" % x)
+        w, terms = mp.prec + 64, iter(self.fixed)
+        y, e = next(terms)  # the value is y 2^e
+        for m, em in terms:
+            y, e = y * xm, e + ex
+            if m:
+                if e > em:
+                    y, e = (y << (e - em)) + m, em
+                else:
+                    y += m << (em - e)
+            cut = y.bit_length() - w
+            if cut > 0:
+                y, e = y >> cut, e + cut
+        return _rounded(y, e)
 
 
 class _Sample:

@@ -214,6 +214,20 @@ class TestSumCommand:
         assert_one_error_line(err)
         assert err.startswith("error: --order must be a whole number in 1..8"), err
 
+    def test_negative_rational_and_exponent_values_are_values(self, tmp_path, capsys):
+        # argparse took -1/2 and -1e-3 for option names and exited with
+        # "expected one argument"; -0.5 and --prefactor-p=-1/2 always worked.
+        odm = ["sum", write(tmp_path, D0_FILE), "--method", "odm", "--order", "7"]
+        assert main(odm + ["--g", "2", "--prefactor-p", "-1/2"]) == 0
+        out = capsys.readouterr().out
+        assert main(odm + ["--g", "2", "--prefactor-p", "-0.5"]) == 0
+        assert capsys.readouterr().out == out
+        assert main(odm + ["--g", "-1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: inversion implemented on the real branch g >= 0 only, "
+                              "got -0.001"), err
+
     def test_borel_at_infinite_coupling_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, D0_FILE)
         for flags in (["--method", "borel-map"],

@@ -71,24 +71,34 @@ def test_spec_validation():
 def test_d0_table_first_orders():
     source = d0_partition_coeffs(4)
     table = build_rho_table(source, MappingSpec(POWER_CUT, 2, prefactor_p="0.5"))
-    assert table.polys[0] == (mpf(1),)
-    assert table.polys[1] == (mpf("0.5"), mpf("-0.125"))
+    assert table.rows[0].coeffs == (mpf(1),)
+    assert table.rows[1].coeffs == (mpf("0.5"), mpf("-0.125"))
 
 
 def running_product_table(source, mapping):
-    """``polys[k][n] = f_n [lambda^k] (1-lambda)^(-p) zeta^n`` by a running
+    """``P_k[n] = f_n [lambda^k] (1-lambda)^(-p) zeta^n`` by a running
     product of the weight with ``zeta``, one truncated product per column."""
     K = source.order
     zeta = zeta_series(mapping, K)
     cur = list(binomial_series(-mapping.prefactor_p, K).coeffs)
-    polys = [[mpf(0)] * (k + 1) for k in range(K + 1)]
+    rows = [[mpf(0)] * (k + 1) for k in range(K + 1)]
     for n, fn in enumerate(source.coeffs):
         if n > 0:
             cur = _mul_trunc(cur, zeta.coeffs, K)
         if fn != 0:
             for k in range(n, K + 1):
-                polys[k][n] += fn * cur[k]
-    return tuple(tuple(p) for p in polys)
+                rows[k][n] += fn * cur[k]
+    return tuple(tuple(row) for row in rows)
+
+
+def padded(row, k):
+    """The coefficients of the :class:`Polynomial` ``row``, padded with zeros
+    above its stripped top to the ``k + 1`` of an order-``k`` row."""
+    return row.coeffs + (mpf(0),) * (k + 1 - len(row.coeffs))
+
+
+def padded_rows(table):
+    return tuple(padded(row, k) for k, row in enumerate(table.rows))
 
 
 @pytest.mark.parametrize("alpha, p, series, order", [
@@ -98,32 +108,33 @@ def test_power_cut_closed_form_is_bit_identical(alpha, p, series, order):
     # Dyadic exponents make both routes exact at 64 digits.
     source = series(order)
     mapping = MappingSpec(POWER_CUT, alpha, prefactor_p=p)
-    assert build_rho_table(source, mapping).polys == running_product_table(source, mapping)
+    assert padded_rows(build_rho_table(source, mapping)) == running_product_table(source, mapping)
 
 
 def test_power_cut_closed_form_matches_product():
     source = d0_partition_coeffs(62)
     mapping = MappingSpec(POWER_CUT, "1.7", prefactor_p="0.3")
     table = build_rho_table(source, mapping)
-    for row, ref_row in zip(table.polys, running_product_table(source, mapping)):
-        for c, ref in zip(row, ref_row):
+    for row, ref_row in zip(padded_rows(table), running_product_table(source, mapping),
+                            strict=True):
+        for c, ref in zip(row, ref_row, strict=True):
             assert abs(c - ref) <= mpf("1e-62") * abs(ref)
 
 
 def test_constant_source_is_mapping_invariant():
     source = PowerSeries((mpf(1), mpf(0), mpf(0), mpf(0)))
     table = build_rho_table(source, MappingSpec(POWER_CUT, 3))
-    assert table.polys[0] == (mpf(1),)
+    assert table.rows[0].coeffs == (mpf(1),)
     for k in range(1, 4):
-        assert all(c == 0 for c in table.polys[k])
+        assert table.rows[k].coeffs == (mpf(0),)
 
 
 def test_covariant_first_order_is_minus_one():
     rg = rg_series()
     table = build_rho_table(rg.beta, MappingSpec(SHIFTED, "1.5", beta_covariant=True))
     # P_1 is constant in rho; at rho = 1 it equals the leading flow slope.
-    assert horner(table.polys[1], mpf(1)) == mpf(-1)
-    assert horner(table.polys[1], mpf("2.7")) == mpf(-1)
+    assert horner(table.rows[1].coeffs, mpf(1)) == mpf(-1)
+    assert horner(table.rows[1].coeffs, mpf("2.7")) == mpf(-1)
 
 
 def test_covariant_needs_vanishing_constant_term():
@@ -283,7 +294,7 @@ def test_lambda_coeffs_reads_rho_like_other_inputs():
     assert table.lambda_coeffs("1.5", 6) == want
     assert table.lambda_coeffs("3/2", 6) == want
     assert table.lambda_coeffs(2, 6) == table.lambda_coeffs(mpf(2), 6)
-    assert table.lambda_coeffs(0, 6) == tuple(p[0] for p in table.polys)
+    assert table.lambda_coeffs(0, 6) == tuple(row.coeffs[0] for row in table.rows)
     for bad in (mp.inf, -mp.inf, mp.nan, "inf", "abc"):
         with pytest.raises(ResumError):
             table.lambda_coeffs(bad, 6)
@@ -292,7 +303,7 @@ def test_lambda_coeffs_reads_rho_like_other_inputs():
 def test_lambda_coeffs_at_a_complex_rho_is_horner():
     table = small_table()
     rho = mp.mpc("0.8", "0.3")
-    assert table.lambda_coeffs(rho, 6) == tuple(horner(p, rho) for p in table.polys)
+    assert table.lambda_coeffs(rho, 6) == tuple(horner(row.coeffs, rho) for row in table.rows)
 
 
 def assert_rows_within_the_bound(table, rho, order):
@@ -302,7 +313,7 @@ def assert_rows_within_the_bound(table, rho, order):
     got, u = table.lambda_coeffs(rho, order), mp.ldexp(1, -mp.prec)
     rho = +rho  # the working-precision rho that lambda_coeffs reads
     with mp.workprec(3 * mp.prec):
-        for k, (value, row) in enumerate(zip(got, table.polys)):
+        for k, (value, row) in enumerate(zip(got, (row.coeffs for row in table.rows))):
             exact = horner(row, rho)
             S = mp.fsum(abs(c) * rho ** j for j, c in enumerate(row))
             assert abs(value - exact) <= u * abs(value) + 2 ** -62 * len(row) * u * S, k
@@ -322,8 +333,8 @@ def test_fixed_point_rows_lie_within_the_proved_bound(coeffs, rho):
     coeffs = [_mpf(c) for c in coeffs]
     with mp.workprec(400):
         rho = _mpf(rho)
-    polys = tuple(tuple(coeffs[:k + 1]) for k in range(len(coeffs)))
-    table = RhoPolynomialTable(polys, MappingSpec(POWER_CUT, 2))
+    rows = tuple(tuple(coeffs[:k + 1]) for k in range(len(coeffs)))
+    table = RhoPolynomialTable(rows, MappingSpec(POWER_CUT, 2))
     assert_rows_within_the_bound(table, rho, table.source_order)
 
 
@@ -356,10 +367,12 @@ def _exact(c):
 
 def test_prefix_rows_are_the_exact_column_sums(odm_tables):
     for table, _ in odm_tables:
-        sums = []  # sum_{l<=k} polys[l][n] in Fractions, order by order
-        for k, row in enumerate(table.polys):
-            sums = [a + _exact(c) for a, c in zip(sums + [0], row)]
-            assert [_fraction(m, e) for m, e in table.prefix_row(k)] == sums[::-1], k
+        sums = []  # sum_{l<=k} P_l[n] in Fractions, order by order
+        for k, row in enumerate(padded_rows(table)):
+            sums = [a + _exact(c) for a, c in zip(sums + [0], row, strict=True)]
+            fixed = table.prefix_row(k).fixed  # highest degree first, top zeros stripped
+            got = [_fraction(m, e) for m, e in reversed(fixed)]
+            assert got + [0] * (k + 1 - len(got)) == sums, k
 
 
 def test_prefix_rows_are_the_rows_at_prefactor_p_plus_one(odm_tables):
@@ -370,15 +383,16 @@ def test_prefix_rows_are_the_rows_at_prefactor_p_plus_one(odm_tables):
         spec = table.mapping
         raised = build_rho_table(source, MappingSpec(POWER_CUT, spec.alpha,
                                                      prefactor_p=spec.prefactor_p + 1))
-        for k, row in enumerate(raised.polys):
-            pairs = zip(reversed(table.prefix_row(k)), row, strict=True)
+        for k, row in enumerate(padded_rows(raised)):
+            fixed = table.prefix_row(k).fixed
+            pairs = zip(reversed(fixed + ((0, 0),) * (k + 1 - len(fixed))), row, strict=True)
             for n, ((m, e), want) in enumerate(pairs):
                 assert abs(mp.ldexp(m, e) - want) <= tolerance(10) * abs(want), (k, n)
 
 
 def test_prefix_rows_are_built_only_through_the_order_asked():
     table = small_table()
-    assert table.prefix_row(3) == table._prefix[3] and len(table._prefix) == 4
+    assert table.prefix_row(3) is table._prefix[3] and len(table._prefix) == 4
     for k in (-1, 7, 2.0):
         with pytest.raises(UsageError, match=r"k must be a whole number in 0\.\.6"):
             table.prefix_row(k)

@@ -163,7 +163,8 @@ class TestSelection:
         for rep in reports:
             k, tau = rep.k, MIXED.smallness_factor
             passes = []
-            rows = (table.polys[k], odm.derivative_coeffs(table.polys[k]), table.polys[k - 1])
+            row = table.rows[k].coeffs
+            rows = (row, odm.derivative_coeffs(row), table.rows[k - 1].coeffs)
             for rho, pval, dval in rep.candidates:
                 want = [abs(horner(p, rho)) for p in rows]
                 # Both values lie within (2n + 2) 2^-prec S of the exact one,
@@ -299,7 +300,7 @@ class TestSelection:
         criterion = RhoSelectionCriterion(smallness_factor=tau)
         for k in orders:
             rep = select_rho(table, k, criterion)
-            zeros_of = table.polys[k]
+            zeros_of = table.rows[k].coeffs
             if rep.mode is SelectionMode.STATIONARY:
                 zeros_of = odm.derivative_coeffs(zeros_of)
             with mp.workdps(250):

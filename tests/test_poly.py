@@ -351,7 +351,7 @@ def test_polish_keeps_both_roots_of_the_alpha4_order2_polynomial():
     table = build_rho_table(d0_partition_coeffs(4), MappingSpec(
         MappingFamily.POWER_CUT, 4, prefactor_p="0.5"))
     scanned = list(positive_roots(table.rows[2]))
-    complete = sorted(polynomial_real_roots(table.polys[2]), reverse=True)
+    complete = sorted(polynomial_real_roots(table.rows[2].coeffs), reverse=True)
     assert [mp.nstr(r, 6) for r in scanned] == ["5.41108", "0.760344"]
     assert len(complete) == 2
     for a, b in zip(scanned, complete):
@@ -372,7 +372,7 @@ def test_polish_stops_at_the_rounding_floor(d0_alpha2_table, monkeypatch):
         return evaluate(p, x)
 
     monkeypatch.setattr(Polynomial, "__call__", counted)
-    dpoly = poly.derivative_coeffs(d0_alpha2_table.polys[58])
+    dpoly = poly.derivative_coeffs(d0_alpha2_table.rows[58].coeffs)
     root = next(positive_roots(Polynomial(dpoly)))
     assert len(polish_calls) <= 30
     assert abs(horner(dpoly, root)) <= mpf("1e-40") * mp.fsum(
@@ -392,7 +392,7 @@ def test_polish_on_a_convex_bracket(d0_alpha2_table, monkeypatch):
         return solve(recorded(f, seen), lo, hi, rtol)
 
     monkeypatch.setattr(poly, "bracket_solve", recorded_solve)
-    dpoly = poly.derivative_coeffs(d0_alpha2_table.polys[60])
+    dpoly = poly.derivative_coeffs(d0_alpha2_table.rows[60].coeffs)
     root = next(positive_roots(Polynomial(dpoly)))
     [(seen, lo, hi)] = solves
     assert all(lo <= x <= hi for x in seen)
@@ -417,7 +417,7 @@ def float_tier_cases(draw, table):
         coeffs = [mpf(c) for c in [c0] + inner + [lead]]
         roots = polynomial_real_roots(coeffs)
     else:
-        coeffs = table.polys[draw(st.integers(1, 60))]
+        coeffs = table.rows[draw(st.integers(1, 60))].coeffs
         if draw(st.booleans()):
             coeffs = poly.derivative_coeffs(coeffs)
         roots = list(positive_roots(Polynomial(coeffs)))
@@ -478,6 +478,35 @@ def test_polynomial_value_lies_within_the_proved_bound(d0_alpha2_table, data):
     assert abs(working - exact) <= u * abs(working) + Fraction(len(coeffs), 2 ** 62) * u * size
 
 
+# A coefficient m 2^e with an odd mantissa m of 402 to 601 bits, about twice
+# the 213 bits of 64 digits, and a size in float64's range.
+WIDE_MANTISSA_COEFFS = st.lists(st.tuples(
+    st.integers(1, 2 ** 200), st.integers(0, 2 ** 200), st.booleans(), st.integers(-650, -350)),
+    min_size=1, max_size=21)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(WIDE_MANTISSA_COEFFS, st.integers(2 ** 52, 2 ** 53), st.integers(-61, -45))
+def test_a_polynomial_reads_coefficients_wider_than_the_working_precision(terms, xm, xe):
+    # The exact column sums of a table's prefix rows carry more bits than
+    # the working precision: the value is still within half an ulp plus
+    # 2^-62 (n + 1) u S of the exact one, and the float64 radius holds both.
+    with mp.workprec(1000):  # exact: no mantissa here exceeds 602 bits
+        coeffs = [mp.ldexp((-1) ** neg * ((a << 401) + 2 * b + 1), e) for a, b, neg, e in terms]
+    x = mp.ldexp(xm, xe)
+    p = Polynomial(coeffs)
+    assert all(c._mpf_[3] > 400 > mp.prec for c in p.coeffs)
+    working, exact = _fraction(p(x)), _exact_value(coeffs, x)
+    u, ax = Fraction(1, 2 ** mp.prec), abs(_fraction(x))
+    size = sum(abs(_fraction(c)) * ax ** j for j, c in enumerate(coeffs))
+    assert abs(working - exact) <= u * abs(working) + Fraction(len(coeffs), 2 ** 62) * u * size
+    y, r = poly._float_horner(p.floats, x)
+    lo, hi = Fraction(y) - Fraction(r), Fraction(y) + Fraction(r)
+    assert lo <= exact <= hi and lo <= working <= hi
+    if abs(y) > r:
+        assert (working > 0) == (y > 0)
+
+
 def test_a_scan_beyond_float64_range_finds_the_roots_it_should():
     # Grid points from 2^8000 down to 2^-8000, and from 2^1050 to 2^-1100,
     # which float64 cannot hold: those samples take the Polynomial value.
@@ -496,7 +525,7 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
     # (its decisions), the roots, and the Polynomial evaluations at working
     # precision (the scan's) and above it (the polish's).  The reference runs
     # on the Polynomial value alone, with the float64 tier switched off.
-    polys = [d0_alpha2_table.polys[k] for k in range(1, 61)]
+    polys = [d0_alpha2_table.rows[k].coeffs for k in range(1, 61)]
     rows = polys + [poly.derivative_coeffs(p) for p in polys]
     base, evaluate, polish, mp_horner = mp.prec, Polynomial.__call__, poly._polish, poly.horner
 
@@ -661,9 +690,9 @@ PROBES = {
     "eval-abc": ("x", lambda t: d0_partition_coeffs(6).eval("abc")),
     "eval-nan": ("x", lambda t: d0_partition_coeffs(6).eval(mp.nan)),
     "PadeApproximant-empty": ("denominator", lambda t: PadeApproximant((), ())),
-    "RhoPolynomialTable-nan-row": ("polys[1]", lambda t: RhoPolynomialTable(
+    "RhoPolynomialTable-nan-row": ("rows[1]", lambda t: RhoPolynomialTable(
         ((mpf(1),), (mpf(1), mp.nan)), SPEC)),
-    "RhoPolynomialTable-int-row": ("polys[0]", lambda t: RhoPolynomialTable(((1,),), SPEC)),
+    "RhoPolynomialTable-int-row": ("rows[0]", lambda t: RhoPolynomialTable(((1,),), SPEC)),
     "Polynomial-x-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.inf)),
     "Polynomial-x-minus-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(-mp.inf)),
     "Polynomial-x-nan": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.nan)),
