@@ -36,7 +36,7 @@ print()
 
 print("naive partial sums (hopeless -- the terms grow like k!):")
 for terms in (4, 8, 12):
-    print("   %2d terms -> %s" % (terms, mp.nstr(series.eval(G, terms=terms), 8)))
+    print("   %2d terms -> %s" % (terms, mp.nstr(series.truncate(terms - 1).eval(G), 8)))
 print()
 
 value = pade_eval(pade_fit(series, 5, 6), G)

@@ -191,8 +191,8 @@ def _split_values(text, lineno):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # -1/2 and -1e6 are values, not options (argparse knows only -5 and -0.5).
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # -1/2, -1e6 and -inf are values, not options (argparse knows only -5 and -0.5).
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan|oo)", re.IGNORECASE)
 
     # Operational errors must exit 1; argparse defaults to 2, which this
     # tool reserves for tolerance violations.

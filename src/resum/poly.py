@@ -2,15 +2,14 @@
 
 Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
-one polynomial type (:class:`Polynomial`, whose mp, float64 and exact integer
-forms are built once and read both by row evaluation in the rho-polynomial
-tables and by the positive-root scan), the root-modulus bounds, the complete
-root solver with its real-root filter (mpmath's Durand-Kerner, started from
-float64 Durand-Kerner roots, so it takes a few sweeps at working precision
-instead of about ten, for the same roots), the real scale candidates (a
-descending positive-root scan) and the complex ones, and one bracketed solver
-for scalar zeros (the polish of every scan root, the mapping inversion, the
-saddle equations, the Borel-summed flow).
+one exact polynomial type (:class:`Polynomial`, read by the rho-polynomial
+tables and by the positive-root scan, which builds its own float64 form), the
+root-modulus bounds, the complete root solver with its real-root filter
+(mpmath's Durand-Kerner, started from float64 Durand-Kerner roots, so it takes
+a few sweeps at working precision instead of about ten, for the same roots),
+the real scale candidates (a descending positive-root scan) and the complex
+ones, and one bracketed solver for scalar zeros (the polish of every scan
+root, the mapping inversion, the saddle equations, the Borel-summed flow).
 """
 
 import cmath
@@ -215,6 +214,14 @@ def _float_horner(fcoeffs, x):
     return y, s * ((3 * n + 4) * 1.25 * 2.0 ** -53 + 2 * n * 2.0 ** -mp.prec) + 1e-300
 
 
+def _float_form(coeffs):
+    """The float64 ``(c_j, |c_j|)`` of :func:`_float_horner`, highest degree first;
+    None when a nonzero ``c_j`` lies outside ``1e-290 < |c_j| < 1e290``."""
+    floats = tuple((f, abs(f)) for f in map(float, reversed(coeffs)))
+    return floats if all(1e-290 < a < 1e290 or not c
+                         for c, (_, a) in zip(reversed(coeffs), floats)) else None
+
+
 def _exact(c):
     """The exact ``(m, e)`` of the mpf ``c = m 2^e``, ``m`` signed; ``m = 0``
     with ``e != 0`` for an infinity or NaN."""
@@ -228,16 +235,13 @@ def _rounded(m, e):
 
 
 class Polynomial:
-    """A polynomial whose coefficients are finite mpf, in the forms every
-    evaluation and root scan reads, each built once: ``coeffs``, without
-    exactly-zero highest-degree terms (at least one is kept); ``floats``, the
-    ``(c_j, |c_j|)`` of :func:`_float_horner` in float64, highest degree
-    first, or None when a nonzero coefficient lies outside ``1e-290 < |c| <
-    1e290``; and ``fixed``, the exact ``(m, e)`` of each ``c = m 2^e``,
-    highest degree first.  A coefficient may carry more bits than the working
-    precision (the exact column sums of a table's prefix rows do); it is
-    read exactly.  Any other coefficient, a dropped one included, is a
-    :class:`UsageError` naming ``name``.
+    """A polynomial whose coefficients are finite mpf, in the two exact forms
+    every evaluation reads, each built once: ``coeffs``, without exactly-zero
+    highest-degree terms (at least one is kept), and ``fixed``, the exact
+    ``(m, e)`` of each ``c = m 2^e``, highest degree first.  A coefficient may
+    carry more bits than the working precision (the exact column sums of a
+    table's prefix rows do); it is read exactly.  Any other coefficient, a
+    dropped one included, is a :class:`UsageError` naming ``name``.
 
     At an mpc ``x`` the value is :func:`horner`'s.  At a finite mpf ``x`` it is
     Horner on the exact ``fixed`` pairs at ``w = prec + 64`` bits, rounded
@@ -249,10 +253,10 @@ class Polynomial:
     in.  So the sum is within ``(n + 1) 2^(1-w) (1 + 2^(1-w))^n S``, under
     ``2^-62 (n + 1) u S``, and the value within half an ulp more of the exact
     ``P(x)``, where the mp :func:`horner` is only within ``gamma_(2n+1)
-    S``.  An infinite or NaN mpf ``x`` is a :class:`UsageError` naming
-    ``x``."""
+    S``.  Any other ``x`` is read by :func:`finite_mpf`: one that is not a
+    finite real is a :class:`UsageError` naming ``x``."""
 
-    __slots__ = ("coeffs", "floats", "fixed")
+    __slots__ = ("coeffs", "fixed")
 
     def __init__(self, coeffs, name="coeffs"):
         given = tuple(coeffs)
@@ -262,14 +266,11 @@ class Polynomial:
                              % (name, given))
         self.coeffs = tuple(strip_zeros(given)) or given[:1]
         self.fixed = tuple(reversed(exact[:len(self.coeffs)]))
-        floats = tuple((f, abs(f)) for f in map(float, reversed(self.coeffs)))
-        self.floats = floats if all(m == 0 or 1e-290 < a < 1e290
-                                    for (m, _), (_, a) in zip(self.fixed, floats)) else None
 
     def __call__(self, x):
         if isinstance(x, mpc):
             return horner(self.coeffs, x)
-        xm, ex = _exact(x)
+        xm, ex = _exact(x if hasattr(x, "_mpf_") else finite_mpf(x, "x"))  # any other x
         if ex and not xm:  # inf or nan
             raise UsageError("x must be finite, got %s" % x)
         w, terms = mp.prec + 64, iter(self.fixed)
@@ -290,15 +291,16 @@ class Polynomial:
 class _Sample:
     """``P`` at the scan point ``x = f 2^e`` (a float ``f`` on the grid, an mpf in
     the polish): float64 ``y`` and a radius ``r`` holding the :class:`Polynomial`
-    value (:func:`_float_horner`; none beyond float64), read only where they cannot
+    value (:func:`_float_horner` on the scan's ``floats``), read only where they cannot
     decide, so every sign and comparison is the one it gives; ``x`` is made when read."""
 
-    __slots__ = ("poly", "f", "e", "_x", "y", "r", "_value")
+    __slots__ = ("poly", "floats", "f", "e", "_x", "y", "r", "_value")
 
-    def __init__(self, poly, f, e=0):
-        self.poly, self.f, self.e, self._x, self._value = poly, f, e, None, None
+    def __init__(self, poly, floats, f, e=0):
+        self.poly, self.floats, self.f, self.e = poly, floats, f, e
+        self._x = self._value = None
         t = math.ldexp(f, e) if e < 1000 else math.inf
-        self.y, self.r = _float_horner(poly.floats, t) or (None, None)
+        self.y, self.r = _float_horner(floats, t) or (None, None)
 
     @property
     def x(self):
@@ -339,11 +341,12 @@ def _polish(poly, lo, hi):
     One Anderson-Bjorck solve of :func:`bracket_solve` with guard digits, so
     the root's accuracy is set by its conditioning well below the caller's
     working precision; the root is then rounded once to that precision, like
-    every other candidate.  ``P`` is :meth:`_Sample.value` at the guard
-    precision, so each bracket update takes the sign of the rounded-once
+    every other candidate.  ``P`` is :meth:`_Sample.value` on ``lo.floats`` at the
+    guard precision, so each bracket update takes the sign of the rounded-once
     :class:`Polynomial` value, and the solve stops at its ``rtol``."""
     with mp.extradps(20):
-        root = bracket_solve(lambda x: _Sample(poly, x).value(), lo.x, hi.x, tolerance(4))
+        root = bracket_solve(lambda x: _Sample(poly, lo.floats, x).value(), lo.x, hi.x,
+                             tolerance(4))
     return +root
 
 
@@ -363,17 +366,18 @@ def positive_roots(poly):
     it are re-sampled sixteen times finer, between their own two samples, to
     catch close root pairs, the lower one only if its ends share a nonzero
     sign.  Signs, dip comparisons and the polish's steps come from the
-    certified float64 values of :func:`_float_horner`, and from the
-    rounded-once :class:`Polynomial` value only where those do not decide,
-    so each decision is the one that value alone makes.  A tangent
-    (even-multiplicity) root is not a sign change, so the scan does not
-    report it.  Intended for the simple positive roots of mapped-series
-    polynomials of any degree; arbitrary input should go through
-    :func:`polynomial_real_roots`.
+    certified float64 values of :func:`_float_horner` on the scan's own
+    :func:`_float_form`, built at its first read, and from the rounded-once
+    :class:`Polynomial` value only where those do not decide, so each decision
+    is that value's alone.  A tangent (even-multiplicity) root is not a sign
+    change, so the scan does not report it.  Intended for the simple positive
+    roots of mapped-series polynomials of any degree; arbitrary input should
+    go through :func:`polynomial_real_roots`.
     """
     coeffs = poly.coeffs
     if len(coeffs) < 2:
         return
+    floats = _float_form(coeffs)
     top = _fujiwara_log2(coeffs) + math.log2(1.01)
     # Half the lower bound, from the reciprocal roots; a root at 0 has none.
     bottom = -_fujiwara_log2(coeffs[::-1]) - 1 if coeffs[0] != 0 else top - 20 * math.log2(10)
@@ -383,7 +387,7 @@ def positive_roots(poly):
 
     def at(l):
         e = math.floor(l)
-        return _Sample(poly, 2.0 ** (l - e), e)
+        return _Sample(poly, floats, 2.0 ** (l - e), e)
 
     def point(i):
         # Grid point i, extending the walk on demand.

@@ -65,14 +65,10 @@ class PowerSeries:
         return PowerSeries(self.coeffs[: whole_number(order, "order", 0, self.order) + 1],
                            self.var)
 
-    def eval(self, x, terms=None):
-        """Partial sum of the first ``terms`` coefficients at the finite real
-        ``x``: all of them by default, none for a negative count."""
-        if terms is None:
-            terms = len(self.coeffs)
-        elif isinstance(terms, int) and terms < 0:
-            terms = 0
-        return horner(self.coeffs[:whole_number(terms, "terms", 0)], finite_mpf(x, "x"))
+    def eval(self, x):
+        """The sum of every coefficient's term at the finite real ``x``; a
+        partial sum is ``truncate(order).eval(x)``."""
+        return horner(self.coeffs, finite_mpf(x, "x"))
 
 
 def multiply(a, b):

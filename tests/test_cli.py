@@ -227,6 +227,17 @@ class TestSumCommand:
         assert_one_error_line(err)
         assert err.startswith("error: inversion implemented on the real branch g >= 0 only, "
                               "got -0.001"), err
+        # -inf, -nan and -oo were option names too, and ended in the same way.
+        pade = ["sum", write(tmp_path, D0_FILE), "--method", "pade", "--L", "1", "--M", "1"]
+        for argv, message in ((pade + ["--g", "-inf"], "--g must be a finite number or inf"),
+                              (pade + ["--g", "-nan"], "--g must be a finite number or inf"),
+                              (pade + ["--g", "-Infinity"], "--g must be a finite number or inf"),
+                              (pade + ["--g", "-oo"], "--g must be a finite number or inf"),
+                              (odm + ["--g", "1", "--alpha", "-inf"], "alpha must be finite")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert_one_error_line(err)
+            assert err.startswith("error: " + message), err
 
     def test_borel_at_infinite_coupling_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, D0_FILE)

@@ -295,6 +295,10 @@ def test_lambda_coeffs_reads_rho_like_other_inputs():
     assert table.lambda_coeffs("3/2", 6) == want
     assert table.lambda_coeffs(2, 6) == table.lambda_coeffs(mpf(2), 6)
     assert table.lambda_coeffs(0, 6) == tuple(row.coeffs[0] for row in table.rows)
+    # A row and a prefix row read a point as lambda_coeffs reads rho.
+    for row in (table.rows[3], table.prefix_row(6)):
+        assert row(0.5) == row(mpf("0.5"))
+        assert row("3/2") == row(mpf("1.5")) and row(2) == row(mpf(2))
     for bad in (mp.inf, -mp.inf, mp.nan, "inf", "abc"):
         with pytest.raises(ResumError):
             table.lambda_coeffs(bad, 6)

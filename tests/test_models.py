@@ -172,7 +172,7 @@ class TestD0Value:
     def test_partial_sum_bound_at_small_coupling(self):
         g = mpf("0.1")
         z = d0_partition_coeffs(11)
-        partial = z.eval(g, terms=11)
+        partial = z.truncate(10).eval(g)
         exact = d0_partition_value(g)
         first_omitted = abs(z.coeffs[11]) * g ** 11
         assert abs(partial - exact) <= first_omitted
@@ -256,7 +256,7 @@ class TestOscillatorValue:
     def test_partial_sums_bracket_small_coupling(self):
         g = mpf("0.01")
         e = anharmonic_ground_coeffs(4)
-        partial = e.eval(g, terms=4)
+        partial = e.truncate(3).eval(g)
         exact = anharmonic_ground_value(g)
         bound = abs(e.coeffs[4]) * g ** 4 * 10
         assert abs(partial - exact) <= bound

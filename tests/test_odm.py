@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from resum import (
     FitError,
+    FixedPointError,
     MappingFamily,
     MappingSpec,
     PowerSeries,
@@ -423,6 +424,17 @@ class TestFixedPoint:
                       if 0 < mp.re(r) < 1 and abs(mp.im(r)) < mpf("1e-40"))
             g_star = rho * ((1 - lam) ** mpf(-1) - 1)
             assert abs(g_star - 1) < mpf("1e-55")
+
+    def test_a_flow_without_a_zero_in_the_window_is_a_fixed_point_error(self):
+        spec = MappingSpec(MappingFamily.SHIFTED_POWER, "3/2", beta_covariant=True)
+        criterion = RhoSelectionCriterion(mode=SelectionMode.STATIONARY_FIRST,
+                                          smallness_factor=1)
+        for coeffs, k, message in (
+                ([0, -1, 1], 1, "truncated flow has no zero beyond the origin at order 1"),
+                ([0, -1, -1, 1], 3, "no flow zero with real part in \\(0, 1\\) at order 3")):
+            table = build_rho_table(PowerSeries(coeffs, "gtilde"), spec)
+            with pytest.raises(FixedPointError, match=message):
+                fixed_point(table, k, criterion)
 
     def test_requires_covariant_table(self):
         source = PowerSeries((mpf(0), mpf(-1), mpf(1)), "gtilde")

@@ -453,7 +453,7 @@ def test_float_tier_radius_holds_the_exact_and_the_working_value(d0_alpha2_table
     # The working value is the rounded-once Polynomial value, which the scan
     # reads wherever the float64 tier defers.
     coeffs, x = data.draw(float_tier_cases(d0_alpha2_table))
-    got = poly._float_horner(Polynomial(coeffs).floats, x)
+    got = poly._float_horner(poly._float_form(Polynomial(coeffs).coeffs), x)
     if got is None:
         return
     y, r = got
@@ -500,7 +500,7 @@ def test_a_polynomial_reads_coefficients_wider_than_the_working_precision(terms,
     u, ax = Fraction(1, 2 ** mp.prec), abs(_fraction(x))
     size = sum(abs(_fraction(c)) * ax ** j for j, c in enumerate(coeffs))
     assert abs(working - exact) <= u * abs(working) + Fraction(len(coeffs), 2 ** 62) * u * size
-    y, r = poly._float_horner(p.floats, x)
+    y, r = poly._float_horner(poly._float_form(p.coeffs), x)
     lo, hi = Fraction(y) - Fraction(r), Fraction(y) + Fraction(r)
     assert lo <= exact <= hi and lo <= working <= hi
     if abs(y) > r:
@@ -568,6 +568,23 @@ def test_float_tier_leaves_every_scan_decision_unchanged(d0_alpha2_table, monkey
     assert [len(r) for r in tiered[1]] == [len(r) for r in roots]
     for a, b in zip(sum(tiered[1], []), sum(roots, [])):
         assert abs(a - b) <= mpf("1e-50") * b
+
+
+def test_only_the_scan_builds_a_float_form(monkeypatch):
+    # Rows, prefix rows and the complex-pair tables never read float64
+    # coefficients; only the positive-root scan does, once per scan.
+    def refused(coeffs):
+        raise AssertionError("a float form was built outside the scan")
+
+    monkeypatch.setattr(poly, "_float_form", refused)
+    for table_id in ("phi4-exponents", "phi4-fixed-point"):
+        run_benchmark(table_id)
+    with mp.workdps(64):
+        table = build_rho_table(d0_partition_coeffs(62), MappingSpec(
+            MappingFamily.POWER_CUT, 2, prefactor_p="0.5"))
+        assert mp.isfinite(table.prefix_row(61)(mpf(3)))
+        with pytest.raises(AssertionError, match="outside the scan"):
+            next(positive_roots(table.rows[5]))
 
 
 @pytest.fixture(scope="module")
@@ -696,6 +713,9 @@ PROBES = {
     "Polynomial-x-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.inf)),
     "Polynomial-x-minus-inf": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(-mp.inf)),
     "Polynomial-x-nan": ("x", lambda t: poly.Polynomial((mpf(1), mpf(1)))(mp.nan)),
+    "Polynomial-x-None": ("x", lambda t: t.rows[3](None)),
+    "Polynomial-x-abc": ("x", lambda t: t.prefix_row(3)("abc")),
+    "Polynomial-x-complex": ("x", lambda t: t.rows[3](1j)),
     "Polynomial-empty": ("row", lambda t: poly.Polynomial((), "row")),
     "Polynomial-int-top": ("row", lambda t: poly.Polynomial((mpf(1), mpf(1), 0), "row")),
     "Polynomial-int-inner": ("row", lambda t: poly.Polynomial((mpf(1), 1, mpf(1)), "row")),

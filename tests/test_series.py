@@ -164,10 +164,7 @@ def test_truncate_pad_eval():
     s = series([1, 2, 3])
     assert s.truncate(1).coeffs == (mpf(1), mpf(2))
     assert s.eval(mpf("0.5")) == 1 + 2 * mpf("0.5") + 3 * mpf("0.25")
-    assert s.eval(mpf("0.5"), terms=2) == 2
-    assert s.eval(mpf("0.5"), terms=-3) == 0  # a negative count means no terms
-    with pytest.raises(UsageError, match="terms"):
-        s.eval(mpf("0.5"), terms=2.5)
+    assert s.truncate(1).eval(mpf("0.5")) == 2
     assert scale(s, -1).coeffs == (mpf(-1), mpf(-2), mpf(-3))
 
 
