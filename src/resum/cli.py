@@ -147,6 +147,8 @@ def parse_series_file(path):
                          fields["generator"][1])
     if generator is None and not coeff_values:
         raise ParseError("series file needs 'coefficients' or 'generator'")
+    if generator is None and "order" in fields:  # a coefficients file sums all it lists
+        raise ParseError("'order' belongs to the generator form", fields["order"][1])
     order = None
     if generator is not None:
         if generator not in GENERATORS:
@@ -260,11 +262,7 @@ def parse_coupling(text):
 
 
 def _mapping_from_args(args):
-    return MappingSpec(
-        family=MappingFamily(args.family),
-        alpha=args.alpha,
-        prefactor_p=args.prefactor_p,
-    )
+    return MappingSpec(MappingFamily(args.family), args.alpha, args.prefactor_p)
 
 
 def _criterion_from_args(args):
@@ -297,17 +295,25 @@ def _open_output(path):
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
+# The ``sum`` flags without a default, and the methods that read each.
+_READ_BY = {"order": ("odm", "borel-map"), "a": ("borel-map",),
+            "L": ("pade", "borel-pade"), "M": ("pade", "borel-pade")}
+
+
 def cmd_sum(args, stdout):
+    for flag, methods in _READ_BY.items():
+        if getattr(args, flag) is not None and args.method not in methods:
+            raise UsageError("--%s is not read by --method %s" % (flag, args.method))
     spec_file = parse_series_file(args.series_file)
     series = spec_file.build()
     g = parse_coupling(args.g)
     result = {"series": spec_file.name, "method": args.method}
     diagnostics = {}
-    order = args.order
-    if order is not None and args.method in ("odm", "borel-map"):
-        order = whole_number(order, "--order", 1, series.order)
+    order = None if args.order is None else whole_number(args.order, "--order", 1, series.order)
     if args.method in ("pade", "borel-pade") and (args.L is None or args.M is None):
         raise UsageError("%s needs --L and --M" % args.method)
+    # Every method reads the ODM flags, whose defaults are valid.
+    mapping, criterion = _mapping_from_args(args), _criterion_from_args(args)
     if args.method == "pade":
         approx = pade_fit(series, args.L, args.M)
         value, error = pade_eval(approx, g), None
@@ -329,9 +335,7 @@ def cmd_sum(args, stdout):
     else:  # odm
         if order is None:
             raise UsageError("odm needs --order")
-        mapping = _mapping_from_args(args)
-        table = build_rho_table(series, mapping)
-        rep = odm_value(table, order, _criterion_from_args(args), g)
+        rep = odm_value(build_rho_table(series, mapping), order, criterion, g)
         value, error = rep.value, rep.error_estimate
         diagnostics.update({
             "rho": nstr(rep.rho, DIGITS), "lambda": nstr(rep.lam, DIGITS),
@@ -361,16 +365,11 @@ def cmd_reproduce(args, stdout):
 
 
 def cmd_study(args, stdout):
-    if args.max_order < 1:
-        raise UsageError("--max-order must be at least 1, got %d" % args.max_order)
     spec_file = parse_series_file(args.series_file)
     series = spec_file.build()
-    if args.max_order > series.order - 1:
-        raise UsageError("--max-order must be at most series order - 1 (%d)"
-                         % (series.order - 1))
+    max_order = whole_number(args.max_order, "--max-order", 1, series.order - 1)
     g = parse_coupling(args.g)
-    mapping = _mapping_from_args(args)
-    table = build_rho_table(series, mapping)
+    table = build_rho_table(series, _mapping_from_args(args))
     oracle = oracle_note = None
     if args.oracle in _ORACLES:
         generator, value_at = _ORACLES[args.oracle]
@@ -380,8 +379,7 @@ def cmd_study(args, stdout):
         oracle = value_at(g)
     elif spec_file.generator is None:
         oracle_note = "no oracle for custom coefficients; deltas are error estimates"
-    study = convergence_study(table, _criterion_from_args(args), args.max_order,
-                              g, oracle=oracle)
+    study = convergence_study(table, _criterion_from_args(args), max_order, g, oracle=oracle)
     rows = [{
         "k": str(rep.k), "rho": nstr(rep.rho, DIGITS), "inv_rho": nstr(1 / rep.rho, DIGITS),
         "value": nstr(rep.value, DIGITS), "delta": nstr(rep.delta, DIGITS),

@@ -22,7 +22,6 @@ arbitrate accuracy claims.
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DiagnosticError, DomainError, ResourceError, UsageError
 from .precision import to_mpf, tolerance, whole_number
@@ -104,7 +103,7 @@ def anharmonic_ground_coeffs(K):
             if rem:
                 raise DiagnosticError("Bender-Wu division by %d inexact at order %d" % (2 * j, k))
         rows.append(row[:-1])
-        coeffs.append(mp.make_mpf(from_rational(-row[1], 96 ** k, mp.prec, round_nearest)))
+        coeffs.append(mp.fdiv(-row[1], 96 ** k))
     return PowerSeries(coeffs, "g")
 
 

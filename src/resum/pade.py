@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from .errors import DegeneracyError, PoleError, UsageError
 from .poly import horner
-from .precision import finite_mpf, to_mpf, tolerance, whole_number
+from .precision import finite_mpf, tolerance, whole_number
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,9 @@ class PadeApproximant:
     denominator: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(to_mpf(c) for c in self.numerator))
-        object.__setattr__(self, "denominator", tuple(to_mpf(c) for c in self.denominator))
+        for name in ("numerator", "denominator"):
+            object.__setattr__(self, name, tuple(finite_mpf(c, "%s[%d]" % (name, j))
+                                                 for j, c in enumerate(getattr(self, name))))
         if not self.denominator or self.denominator[0] != 1:
             raise UsageError("denominator must be normalized to constant term 1, got %r"
                              % (self.denominator,))

@@ -42,16 +42,22 @@ def to_mpf(value, name=None):
     """Convert to ``mpf`` keeping every digit of strings and Fractions.
 
     Strings may be plain decimal literals or rationals like ``"-308/729"``;
-    both parse at the active working precision.  Text that is not a number,
-    a zero denominator, or a value that is not real (a complex, ``None``)
-    raises :class:`UsageError` naming the parameter ``name``.
+    both parse at the active working precision, and a Fraction or a ``p/q``
+    of two integers is rounded once.  Text that is not a number, a zero
+    denominator, or a value that is not real (a complex, ``None``) raises
+    :class:`UsageError` naming the parameter ``name``.
     """
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
+        return mp.fdiv(value.numerator, value.denominator)
     try:
         if isinstance(value, str):
             num, slash, den = value.strip().partition("/")
-            return mpf(num.strip()) / mpf(den.strip()) if slash else mpf(num)
+            if not slash:
+                return mpf(num)
+            try:
+                return mp.fdiv(int(num), int(den))
+            except ValueError:  # a decimal part
+                return mpf(num.strip()) / mpf(den.strip())
         return mpf(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise UsageError("%s must be a real number, got %r" % (name or "value", value)) from None

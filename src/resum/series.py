@@ -11,15 +11,11 @@ shortest input, so pad operands first when a longer result is wanted.
 
 from dataclasses import dataclass
 
-from mpmath import isfinite, mp, mpf
+from mpmath import mp, mpf
 
 from .errors import DiagnosticError, DomainError, UsageError
 from .poly import horner
-from .precision import finite_mpf, to_mpf, whole_number
-
-
-def _as_coeffs(values):
-    return tuple(to_mpf(c) for c in values)
+from .precision import finite_mpf, whole_number
 
 
 def _mul_trunc(a, b, order):
@@ -48,12 +44,9 @@ class PowerSeries:
     var: str = "g"
 
     def __post_init__(self):
-        coeffs = _as_coeffs(self.coeffs)
+        coeffs = tuple(finite_mpf(c, "coeffs[%d]" % k) for k, c in enumerate(self.coeffs))
         if not coeffs:
             raise UsageError("a series needs at least its constant coefficient")
-        for k, c in enumerate(coeffs):
-            if not isfinite(c):
-                raise UsageError("coefficient of %s^%d is not finite" % (self.var, k))
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -85,7 +78,7 @@ def binomial_series(p, order, var="x"):
     Uses the stable ratio recursion ``c_k = c_{k-1} (k - 1 - p) / k`` with
     ``c_0 = 1``; for non-negative integer ``p`` the tail is exactly zero.
     """
-    p = to_mpf(p)
+    p = finite_mpf(p, "p")
     coeffs = [mpf(1)]
     for k in range(1, whole_number(order, "order", 0) + 1):
         coeffs.append(coeffs[-1] * (k - 1 - p) / k)

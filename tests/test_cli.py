@@ -96,6 +96,14 @@ class TestSeriesFileParsing:
             assert err.startswith("error: ") and "large_order_A" in err
             assert "Traceback" not in err
 
+    def test_order_belongs_to_the_generator_form(self, tmp_path):
+        # A coefficients file summed every coefficient whatever its order said.
+        for order in ("abc", "1"):
+            path = write(tmp_path, "coefficients: 1, -1, 2\norder: %s\n" % order)
+            with pytest.raises(ParseError) as err:
+                parse_series_file(path)
+            assert str(err.value) == "line 2: 'order' belongs to the generator form"
+
     def test_unknown_generator(self, tmp_path):
         with pytest.raises(ParseError):
             parse_series_file(write(tmp_path, "generator: nope\norder: 3\n"))
@@ -176,12 +184,28 @@ class TestSumCommand:
         path = write(tmp_path, ALT_GEOMETRIC)
         d0_path = write(tmp_path, D0_FILE, "d0.txt")
         zero_tail = write(tmp_path, "coefficients: 1, 1, 1, 1, 0, 0\n", "zero_tail.txt")
+        with_order = write(tmp_path, "coefficients: 1, -1, 2\norder: 1\n", "with_order.txt")
         pade = ["--method", "pade", "--L", "0", "--M", "1"]
         odm = ["sum", d0_path, "--method", "odm", "--order", "4", "--g", "1"]
         borel_map = ["sum", d0_path, "--method", "borel-map", "--g", "1"]
         borel_pade = ["sum", d0_path, "--method", "borel-pade", "--L", "2", "--M", "2",
                       "--g", "1"]
-        cases = [
+        pade_d0 = ["sum", d0_path, "--method", "pade", "--L", "2", "--M", "2", "--g", "1"]
+        # Each exited 0: a method did not read the flags of the others.
+        stray = [
+            (pade_d0 + ["--order", "100"], "--order"),
+            (borel_pade + ["--order", "100"], "--order"),
+            (odm + ["--L", "3"], "--L"),
+            (borel_map + ["--M", "1"], "--M"),
+            (borel_pade + ["--a", "5"], "--a"),
+        ]
+        cases = [argv for argv, _ in stray] + [
+            pade_d0 + ["--alpha", "-inf"],
+            pade_d0 + ["--tau", "nan"],
+            pade_d0 + ["--prefactor-p", "abc"],
+            pade_d0 + ["--family", "shifted-power", "--alpha", "0"],
+            borel_map + ["--criterion", "root", "--tau", "-1"],
+            ["sum", with_order] + pade + ["--g", "1"],
             odm + ["--alpha", "abc"],
             odm + ["--alpha", "1/0"],
             odm + ["--prefactor-p", "zz"],
@@ -202,6 +226,10 @@ class TestSumCommand:
             err = capsys.readouterr().err
             assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
             assert "Traceback" not in err
+        for argv, flag in stray:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: %s is not read by --method %s\n" % (
+                flag, argv[3])
 
     @pytest.mark.parametrize("method", ["odm", "borel-map"])
     @pytest.mark.parametrize("order", ["0", "9", "100"])
@@ -233,7 +261,8 @@ class TestSumCommand:
                               (pade + ["--g", "-nan"], "--g must be a finite number or inf"),
                               (pade + ["--g", "-Infinity"], "--g must be a finite number or inf"),
                               (pade + ["--g", "-oo"], "--g must be a finite number or inf"),
-                              (odm + ["--g", "1", "--alpha", "-inf"], "alpha must be finite")):
+                              (odm + ["--g", "1", "--alpha", "-inf"], "alpha must be finite"),
+                              (pade + ["--g", "1", "--alpha", "-inf"], "alpha must be finite")):
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert_one_error_line(err)
@@ -496,12 +525,11 @@ class TestStudyCommand:
 
     def test_max_order_budget(self, tmp_path, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
-        assert main(["study", path, "--max-order", "3", "--g", "1"]) == 1
-        capsys.readouterr()
-        for max_order in ("0", "-1"):
+        for max_order in ("0", "-1", "3"):
             assert main(["study", path, "--max-order", max_order, "--g", "1"]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: --max-order must be at least 1"), err
+            assert err.startswith("error: --max-order must be a whole number in 1..2, "
+                                  "got %s\n" % max_order), err
 
 
 COEFFICIENT = st.one_of(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from resum import (
     DomainError,
@@ -215,6 +216,19 @@ class TestOscillatorCoefficients:
     def test_bit_equal_to_rayleigh_schrodinger(self, dps):
         with mp.workdps(dps):
             assert list(anharmonic_ground_coeffs(40).coeffs) == rayleigh_schrodinger_coeffs(40)
+
+    @pytest.mark.parametrize("dps", [30, 64, 110])
+    def test_each_coefficient_is_its_integer_over_96_to_the_k_rounded_once(self, dps):
+        # The Bender-Wu integers D_k1 = -96^k E_k, read off a 200-digit run.
+        with mp.workdps(200):
+            scaled = [c * 96 ** k for k, c in enumerate(anharmonic_ground_coeffs(40).coeffs)]
+            integers = [int(mp.nint(x)) for x in scaled]
+            assert all(abs(x - n) < mpf("1e-50") for x, n in zip(scaled[1:], integers[1:]))
+        with mp.workdps(dps):
+            got = anharmonic_ground_coeffs(40).coeffs
+            for k in range(1, 41):
+                assert got[k] == mp.make_mpf(from_rational(integers[k], 96 ** k, mp.prec,
+                                                           round_nearest)), k
 
     def test_guard_digits_cover_the_recursion(self):
         # The generator rounds exact integers once, so every coefficient must

@@ -23,6 +23,7 @@ from resum import (
     RhoSelectionCriterion,
     SolverError,
     UsageError,
+    binomial_series,
     borel_pade_sum,
     borel_sum,
     build_rho_table,
@@ -707,6 +708,13 @@ PROBES = {
     "eval-abc": ("x", lambda t: d0_partition_coeffs(6).eval("abc")),
     "eval-nan": ("x", lambda t: d0_partition_coeffs(6).eval(mp.nan)),
     "PadeApproximant-empty": ("denominator", lambda t: PadeApproximant((), ())),
+    "PadeApproximant-inf-numerator": ("numerator[1]", lambda t: PadeApproximant(
+        (1, mp.inf), (1,))),
+    "PadeApproximant-nan-denominator": ("denominator[1]", lambda t: PadeApproximant(
+        (1,), (1, mp.nan))),
+    "PowerSeries-abc": ("coeffs[1]", lambda t: PowerSeries(["1", "abc"])),
+    "PowerSeries-inf": ("coeffs[1]", lambda t: PowerSeries([1, mp.inf])),
+    "binomial_series-p-inf": ("p", lambda t: binomial_series(mp.inf, 3)),
     "RhoPolynomialTable-nan-row": ("rows[1]", lambda t: RhoPolynomialTable(
         ((mpf(1),), (mpf(1), mp.nan)), SPEC)),
     "RhoPolynomialTable-int-row": ("rows[0]", lambda t: RhoPolynomialTable(((1,),), SPEC)),

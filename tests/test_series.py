@@ -1,8 +1,12 @@
 """Series algebra: arithmetic, composition, and the growth-rate estimator."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from resum import (
     DiagnosticError,
@@ -171,6 +175,23 @@ def test_truncate_pad_eval():
 def test_rejects_non_finite():
     with pytest.raises(UsageError):
         PowerSeries((mpf(1), mp.inf))
+
+
+@pytest.mark.parametrize("dps", [30, 64, 110])
+def test_integer_rationals_are_rounded_once(dps):
+    # mpf(p) and mpf(q) were each rounded before their quotient: at 64 digits
+    # about a third of these missed the correctly rounded value.
+    from resum.precision import to_mpf
+
+    rng = random.Random(4701)
+    cases = [(3 ** 140, 7 ** 90), (-308, 729), (1, 6)] + [
+        (rng.getrandbits(400) - 2 ** 399, rng.getrandbits(300) | 1) for _ in range(300)]
+    with mp.workdps(dps):
+        for p, q in cases:
+            reference = mp.make_mpf(from_rational(p, q, mp.prec, round_nearest))
+            assert to_mpf("%d/%d" % (p, q)) == reference, (p, q)
+            assert to_mpf(" %d / %d " % (p, q)) == reference, (p, q)
+            assert to_mpf(Fraction(p, q)) == reference, (p, q)
 
 
 def test_precision_type_bounds():
