@@ -59,7 +59,9 @@ from .odm import (
     odm_value,
 )
 from .pade import pade_eval, pade_fit
-from .precision import DEFAULT_DIGITS, nstr, positive_mpf, to_mpf, whole_number, workdps
+from .precision import (
+    DEFAULT_DIGITS, MIN_DIGITS, finite_mpf, nstr, positive_mpf, to_mpf, whole_number, workdps,
+)
 from .series import PowerSeries
 
 SCHEMA_VERSION = 1
@@ -262,12 +264,13 @@ def parse_coupling(text):
 
 
 def _mapping_from_args(args):
-    return MappingSpec(MappingFamily(args.family), args.alpha, args.prefactor_p)
+    return MappingSpec(MappingFamily(args.family), finite_mpf(args.alpha, "--alpha"),
+                       finite_mpf(args.prefactor_p, "--prefactor-p"))
 
 
 def _criterion_from_args(args):
     return RhoSelectionCriterion(mode=SelectionMode(args.criterion),
-                                 smallness_factor=args.tau)
+                                 smallness_factor=positive_mpf(args.tau, "--tau"))
 
 
 def _write_csv(path, rows, stdout):
@@ -312,14 +315,15 @@ def cmd_sum(args, stdout):
     order = None if args.order is None else whole_number(args.order, "--order", 1, series.order)
     if args.method in ("pade", "borel-pade") and (args.L is None or args.M is None):
         raise UsageError("%s needs --L and --M" % args.method)
-    # Every method reads the ODM flags, whose defaults are valid.
+    # Every method reads the ODM flags and --sigma, whose defaults are valid.
     mapping, criterion = _mapping_from_args(args), _criterion_from_args(args)
+    sigma = finite_mpf(args.sigma, "--sigma")
     if args.method == "pade":
         approx = pade_fit(series, args.L, args.M)
         value, error = pade_eval(approx, g), None
         diagnostics["denominator"] = [nstr(c, DIGITS) for c in approx.denominator]
     elif args.method == "borel-pade":
-        value, error = borel_pade_sum(series, args.sigma, args.L, args.M, g)
+        value, error = borel_pade_sum(series, sigma, args.L, args.M, g)
         diagnostics["sigma"] = args.sigma
     elif args.method == "borel-map":
         a = args.a
@@ -329,7 +333,7 @@ def cmd_sum(args, stdout):
             a = 1 / to_mpf(spec_file.large_order_A)
         a = positive_mpf(a, "a")
         value, error = borel_sum(series if order is None else series.truncate(order),
-                                 a, args.sigma, g)
+                                 a, sigma, g)
         diagnostics["sigma"] = args.sigma
         diagnostics["a"] = nstr(a, DIGITS)
     else:  # odm
@@ -367,6 +371,8 @@ def cmd_reproduce(args, stdout):
 def cmd_study(args, stdout):
     spec_file = parse_series_file(args.series_file)
     series = spec_file.build()
+    if series.order < 2:
+        raise UsageError("study needs a series of order >= 2, got order %d" % series.order)
     max_order = whole_number(args.max_order, "--max-order", 1, series.order - 1)
     g = parse_coupling(args.g)
     table = build_rho_table(series, _mapping_from_args(args))
@@ -420,6 +426,8 @@ def main(argv=None, stdout=None):
         args.precision = DEFAULT_DIGITS
     started = time.time()
     try:
+        if args.precision is not None:  # reproduce without it runs at each table's own
+            whole_number(args.precision, "--precision", MIN_DIGITS)
         if args.command == "reproduce":
             payload, code = cmd_reproduce(args, stdout)
         else:

@@ -19,7 +19,7 @@ from mpmath import mp, mpc, mpf
 from .errors import DomainError, UsageError
 from .poly import Polynomial, bracket_solve
 from .precision import finite_mpf, finite_point, member, positive_mpf, to_mpf, tolerance, whole_number
-from .series import PowerSeries, binomial_series, _mul_trunc
+from .series import PowerSeries, binomial_series, _binomial_coeffs, _mul_trunc
 
 
 class MappingFamily(enum.Enum):
@@ -203,7 +203,8 @@ def build_rho_table(source, mapping):
     leading ``rho`` cancelled against the source's vanishing constant term.
 
     Power-cut columns have a closed form: ``(1-lambda)^(-p) zeta^n =
-    lambda^n (1-lambda)^(-(p + n alpha))``, one binomial series per column.
+    lambda^n (1-lambda)^(-(p + n alpha))``, so column ``n`` is ``f_n`` times
+    the binomial recursion's coefficients, stored straight into the rows.
     The shifted-power ``zeta^n = ((1-lambda)^(-alpha) - 1)^n`` has none, so
     that family keeps the running product of the weight with ``zeta``.
     """
@@ -216,8 +217,8 @@ def build_rho_table(source, mapping):
     if mapping.family is MappingFamily.POWER_CUT:
         for n, fn in enumerate(source.coeffs):
             if fn != 0:
-                col = binomial_series(-(mapping.prefactor_p + n * mapping.alpha), K - n)
-                for k, c in enumerate(col.coeffs, n):
+                col = _binomial_coeffs(-(mapping.prefactor_p + n * mapping.alpha), K - n)
+                for k, c in enumerate(col, n):
                     rows[k][n] = fn * c
     else:
         shift = 1 if mapping.beta_covariant else 0

@@ -72,17 +72,24 @@ def multiply(a, b):
     return PowerSeries(_mul_trunc(a.coeffs, b.coeffs, order), a.var)
 
 
+def _binomial_coeffs(p, order):
+    """The list ``c_0 .. c_order`` of ``(1 - x)**p`` for an mpf ``p`` and a
+    whole ``order``, unchecked: the ratio recursion behind
+    :func:`binomial_series`, which the power-cut table builder also runs."""
+    coeffs = [mpf(1)]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (k - 1 - p) / k)
+    return coeffs
+
+
 def binomial_series(p, order, var="x"):
     """Taylor coefficients of ``(1 - x)**p`` through ``order``.
 
     Uses the stable ratio recursion ``c_k = c_{k-1} (k - 1 - p) / k`` with
     ``c_0 = 1``; for non-negative integer ``p`` the tail is exactly zero.
     """
-    p = finite_mpf(p, "p")
-    coeffs = [mpf(1)]
-    for k in range(1, whole_number(order, "order", 0) + 1):
-        coeffs.append(coeffs[-1] * (k - 1 - p) / k)
-    return PowerSeries(coeffs, var)
+    return PowerSeries(_binomial_coeffs(finite_mpf(p, "p"), whole_number(order, "order", 0)),
+                       var)
 
 
 def compose(outer, inner):

@@ -213,6 +213,9 @@ class TestSumCommand:
             odm + ["--tau", "nan"],
             borel_map + ["--sigma", "q"],
             borel_pade + ["--sigma", "q"],
+            pade_d0 + ["--sigma", "q"],
+            odm + ["--sigma", "nan"],
+            pade_d0 + ["--tau", "0"],
             borel_map + ["--a", "abc"],
             borel_map + ["--a", "1/0"],
             ["sum", path, "--method", "pade", "--g", "1"],
@@ -261,8 +264,22 @@ class TestSumCommand:
                               (pade + ["--g", "-nan"], "--g must be a finite number or inf"),
                               (pade + ["--g", "-Infinity"], "--g must be a finite number or inf"),
                               (pade + ["--g", "-oo"], "--g must be a finite number or inf"),
-                              (odm + ["--g", "1", "--alpha", "-inf"], "alpha must be finite"),
-                              (pade + ["--g", "1", "--alpha", "-inf"], "alpha must be finite")):
+                              (odm + ["--g", "1", "--alpha", "-inf"], "--alpha must be finite"),
+                              (pade + ["--g", "1", "--alpha", "-inf"], "--alpha must be finite"),
+                              # Every method reads --sigma; the ODM flags and
+                              # --precision are named as typed.
+                              (pade + ["--g", "1", "--sigma", "q"],
+                               "--sigma must be a real number, got 'q'\n"),
+                              (odm + ["--g", "1", "--sigma", "nan"],
+                               "--sigma must be finite, got nan\n"),
+                              (pade + ["--g", "1", "--tau", "0"],
+                               "--tau must be positive, got 0.0\n"),
+                              (pade + ["--g", "1", "--prefactor-p", "abc"],
+                               "--prefactor-p must be a real number, got 'abc'\n"),
+                              (["--precision", "5"] + pade + ["--g", "1"],
+                               "--precision must be a whole number >= 30, got 5\n"),
+                              (["--precision", "5", "reproduce", "saddle-table"],
+                               "--precision must be a whole number >= 30, got 5\n")):
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert_one_error_line(err)
@@ -530,6 +547,12 @@ class TestStudyCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: --max-order must be a whole number in 1..2, "
                                   "got %s\n" % max_order), err
+        # A series of order 0 or 1 left the empty range 1..0 or 1..-1.
+        for coeffs, order in (("1, -1", 1), ("1", 0)):
+            path = write(tmp_path, "coefficients: %s\n" % coeffs, "short.txt")
+            assert main(["study", path, "--max-order", "1", "--g", "1"]) == 1
+            assert capsys.readouterr().err == \
+                "error: study needs a series of order >= 2, got order %d\n" % order
 
 
 COEFFICIENT = st.one_of(

@@ -121,6 +121,45 @@ def test_power_cut_closed_form_matches_product():
             assert abs(c - ref) <= mpf("1e-62") * abs(ref)
 
 
+def binomial_column_table(source, mapping):
+    """``P_(n+m)[n] = f_n c_m`` with ``c_m`` the coefficients of the
+    ``PowerSeries`` ``binomial_series(-(p + n alpha), K - n)``: one series
+    per power-cut column."""
+    K = source.order
+    rows = [[mpf(0)] * (k + 1) for k in range(K + 1)]
+    for n, fn in enumerate(source.coeffs):
+        if fn != 0:
+            col = binomial_series(-(mapping.prefactor_p + n * mapping.alpha), K - n)
+            for k, c in enumerate(col.coeffs, n):
+                rows[k][n] = fn * c
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("digits", [30, 64, 110])
+@pytest.mark.parametrize("alpha, p, series, order", [
+    ("2", "0.5", d0_partition_coeffs, 62), ("4", "0.5", d0_partition_coeffs, 24),
+    ("3/2", "-1/3", anharmonic_ground_coeffs, 61), ("2.5", "0.3", d0_partition_coeffs, 40)])
+def test_power_cut_rows_are_the_binomial_columns_bit_for_bit(digits, alpha, p, series, order):
+    # Non-dyadic exponents round in the recursion: the rows must still be
+    # the binomial series' coefficients times f_n, bit for bit.
+    with mp.workdps(digits):
+        source = series(order)
+        mapping = MappingSpec(POWER_CUT, alpha, prefactor_p=p)
+        assert padded_rows(build_rho_table(source, mapping)) == \
+            binomial_column_table(source, mapping)
+
+
+def test_power_cut_table_builds_no_power_series(monkeypatch):
+    source = d0_partition_coeffs(24)
+    built, post_init = [], PowerSeries.__post_init__
+    monkeypatch.setattr(PowerSeries, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    binomial_series(1, 2)
+    assert len(built) == 1  # the counter sees a series being built
+    table = build_rho_table(source, MappingSpec(POWER_CUT, 2, prefactor_p="0.5"))
+    assert table.source_order == 24 and len(built) == 1
+
+
 def test_constant_source_is_mapping_invariant():
     source = PowerSeries((mpf(1), mpf(0), mpf(0), mpf(0)))
     table = build_rho_table(source, MappingSpec(POWER_CUT, 3))
