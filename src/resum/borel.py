@@ -13,6 +13,8 @@ The mapped integrand ``sum_n c_n u(g t)^n`` integrates to ``sum_n c_n M_n(g)``
 with moments ``M_n(g) = int t^sigma e^-t u(g t)^n dt`` (Le Guillou and
 Zinn-Justin), summed in fixed-point integers on cached tanh-sinh nodes in one
 pass per ``(sigma, g)``, within a few units of ``2^-(prec + 40)`` per node.
+The rational integrand of Borel-Pade is summed on the same nodes, its
+numerator and denominator each a :class:`poly.Polynomial` value rounded once.
 """
 
 from functools import lru_cache
@@ -23,7 +25,7 @@ from mpmath.calculus.quadrature import TanhSinh
 
 from .errors import ResourceError, SummabilityError, UsageError
 from .pade import pade_fit
-from .poly import _exact, _log2_abs, _rounded, horner, polynomial_real_roots
+from .poly import Polynomial, _exact, _log2_abs, _rounded, polynomial_real_roots
 from .precision import finite_mpf, positive_mpf, tolerance, whole_number
 from .series import PowerSeries
 
@@ -255,16 +257,21 @@ def borel_pade_sum(s, sigma, L, M, g):
     Borel-Leroy transform.
 
     The Laplace integral runs to ``10^(8 - digits)`` relative on the same
-    nodes as :func:`laplace_moments`, the rational integrand in ``mpf``; the
-    error is its quadrature error estimate alone.
+    nodes as :func:`laplace_moments`; at each node ``z`` the integrand is
+    ``N(z) / D(z)``, each a :class:`poly.Polynomial` value rounded once,
+    within half an ulp plus ``2^-62 (n + 1) u S`` of the exact one (degree
+    ``n``, ``u = 2^-prec``, ``S = sum_j |c_j| z^j``), where mp Horner is
+    only within ``gamma_(2n+1) S``.  The error is the quadrature error
+    estimate alone.
     Denominator zeros on the positive real axis raise :class:`SummabilityError`;
     by Descartes' rule only a denominator with a sign change can have one.
     """
     g, sigma = positive_mpf(g, "g"), _leroy_sigma(sigma)
     approx = pade_fit(borel_leroy_transform(s, sigma), L, M)
-    num, den = approx.numerator, approx.denominator
-    if len({c > 0 for c in den if c != 0}) > 1:  # a sign change
-        positive = [p for p in polynomial_real_roots(den) if p > 0]
+    num = Polynomial(approx.numerator, "numerator")
+    den = Polynomial(approx.denominator, "denominator")
+    if len({c > 0 for c in den.coeffs if c != 0}) > 1:  # a sign change
+        positive = [p for p in polynomial_real_roots(den.coeffs) if p > 0]
         if positive:
             raise SummabilityError("Borel transform has a positive-axis pole at z = %s"
                                    % mp.nstr(min(positive), 8))
@@ -272,6 +279,6 @@ def borel_pade_sum(s, sigma, L, M, g):
 
     def level_sums(xs, ws):
         zs = (g * mp.ldexp(x, -q) for x in xs)
-        return [mp.fdot((w, horner(num, z) / horner(den, z)) for w, z in zip(ws, zs))]
+        return [mp.fdot((w, num(z) / den(z)) for w, z in zip(ws, zs))]
 
     return Laplace(sigma, level_sums).integral((1,))

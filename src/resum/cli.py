@@ -326,12 +326,12 @@ def cmd_sum(args, stdout):
         value, error = borel_pade_sum(series, sigma, args.L, args.M, g)
         diagnostics["sigma"] = args.sigma
     elif args.method == "borel-map":
-        a = args.a
-        if a is None:
-            if spec_file.large_order_A is None:
-                raise UsageError("borel-map needs --a or a large_order_A field")
-            a = 1 / to_mpf(spec_file.large_order_A)
-        a = positive_mpf(a, "a")
+        if args.a is not None:
+            a = positive_mpf(args.a, "--a")
+        elif spec_file.large_order_A is None:
+            raise UsageError("borel-map needs --a or a large_order_A field")
+        else:
+            a = 1 / positive_mpf(spec_file.large_order_A, "large_order_A")
         value, error = borel_sum(series if order is None else series.truncate(order),
                                  a, sigma, g)
         diagnostics["sigma"] = args.sigma

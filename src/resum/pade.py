@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DegeneracyError, PoleError, UsageError
-from .poly import horner
+from .poly import Polynomial
 from .precision import finite_mpf, tolerance, whole_number
 
 
@@ -89,15 +89,16 @@ def _check_reexpansion(approx, s, through):
 
 
 def pade_eval(approx, g):
-    """Value of the rational approximant at ``g``.
+    """Value of the rational approximant at ``g``: the numerator and the
+    denominator each a :class:`Polynomial` value, rounded once.
 
     Raises :class:`PoleError` when the denominator magnitude falls below the
     pole-proximity scale ``10^(-digits/2)`` times its coefficient size, and
     :class:`UsageError` for a non-finite ``g``.
     """
     g = finite_mpf(g, "g")
-    den = horner(approx.denominator, g)
-    scale = horner([abs(c) for c in approx.denominator], abs(g))
+    den = Polynomial(approx.denominator, "denominator")(g)
+    scale = Polynomial([abs(c) for c in approx.denominator], "denominator")(abs(g))
     if abs(den) <= tolerance(mp.dps // 2) * max(scale, mpf(1)):
         raise PoleError("denominator vanishes near g = %s" % mp.nstr(g, 8))
-    return horner(approx.numerator, g) / den
+    return Polynomial(approx.numerator, "numerator")(g) / den

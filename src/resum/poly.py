@@ -2,8 +2,9 @@
 
 Coefficient sequences are ascending: ``coeffs[j]`` multiplies ``x**j``.  This
 is the numeric kernel every summation method shares: one Horner evaluator,
-one exact polynomial type (:class:`Polynomial`, read by the rho-polynomial
-tables and by the positive-root scan, which builds its own float64 form), the
+one exact polynomial type (:class:`Polynomial`, the one real-point evaluator,
+read by the rho-polynomial tables, the Borel-Pade integrand, ``pade_eval``
+and the positive-root scan, which builds its own float64 form), the
 root-modulus bounds, the complete root solver with its real-root filter
 (mpmath's Durand-Kerner, started from float64 Durand-Kerner roots, so it takes
 a few sweeps at working precision instead of about ten, for the same roots),

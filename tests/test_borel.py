@@ -22,10 +22,11 @@ from resum import (
     d0_partition_coeffs,
     d0_partition_value,
     nu_inv_series,
+    pade_eval,
     pade_fit,
     rg_series,
 )
-from resum import borel
+from resum import borel, pade, poly
 from resum.poly import horner
 from resum.precision import to_mpf
 from stieltjes_helpers import atoms, stieltjes_coeffs, stieltjes_value
@@ -274,6 +275,45 @@ def test_borel_pade_skips_the_root_solver_without_sign_changes(monkeypatch):
     assert all(c > 0 for c in approx.denominator)
     got, _ = borel_pade_sum(s, 0, 4, 4, mpf("0.5"))
     assert abs(got - d0_partition_value(mpf("0.5"))) < mpf("1e-3")
+
+
+# borel_pade_sum of [8/8] at g = 2 for order-16 series, to 64 digits, as the
+# mp Horner integrand gave them: (generator, sigma, value, error estimate).
+PINNED_BOREL_PADE = [
+    (d0_partition_coeffs, "0",
+     "0.8721843476416792213697993918434519013442142098656111588481062855", "1.0e-66"),
+    (d0_partition_coeffs, "1.5",
+     "0.8721848090452317420171862647204888392594877771016392884322132416", "1.0e-69"),
+    (anharmonic_ground_coeffs, "0",
+     "0.5507947181812609395227504186728321611007093426305418465471749402", "1.0e-82"),
+    (anharmonic_ground_coeffs, "1.5",
+     "0.5507947181705039902748286418248173917782934341849898168980035295", "1.0e-79"),
+]
+
+
+@pytest.mark.parametrize("coeffs, sigma, value, error", PINNED_BOREL_PADE)
+def test_borel_pade_values_are_pinned(coeffs, sigma, value, error):
+    # The Polynomial integrand, rounded once per node, sums to the same
+    # 64 digits as the mp Horner one did.
+    got, err = borel_pade_sum(coeffs(16), mpf(sigma), 8, 8, mpf(2))
+    assert (mp.nstr(got, 64), mp.nstr(err, 5)) == (value, error)
+
+
+def test_borel_pade_and_pade_eval_read_no_mp_horner(monkeypatch):
+    # The rational integrand and pade_eval are Polynomial values at real
+    # points; mp Horner is left to complex points.
+    def refused(coeffs, x):
+        raise AssertionError("mp Horner called at a real point")
+
+    monkeypatch.setattr(poly, "horner", refused)
+    assert not hasattr(borel, "horner") and not hasattr(pade, "horner")
+    coeffs, sigma, value, _ = PINNED_BOREL_PADE[1]
+    got, _ = borel_pade_sum(coeffs(16), mpf(sigma), 8, 8, mpf(2))
+    assert mp.nstr(got, 64) == value
+    approx = pade_fit(d0_partition_coeffs(16), 4, 4)
+    assert abs(pade_eval(approx, mpf("0.1")) - d0_partition_value(mpf("0.1"))) < mpf("1e-6")
+    with pytest.raises(AssertionError, match="mp Horner"):
+        poly.Polynomial(approx.denominator)(mp.mpc(0, 1))
 
 
 def test_borel_pade_m_zero_matches_plain_integral():

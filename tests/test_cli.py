@@ -180,6 +180,20 @@ class TestSumCommand:
                              "error_estimate: %s" % cli.nstr(error, cli.DIGITS)]
         assert borel_sum(series, a, 0, 1)[0] != value
 
+    def test_negative_large_order_A_is_named_by_borel_map_alone(self, tmp_path, capsys):
+        # borel-map blamed "a", a flag never typed, for its default 1/large_order_A.
+        negative = write(tmp_path, "coefficients: 1, -1, 2, -6, 24\nlarge_order_A: -1\n")
+        assert main(["sum", negative, "--method", "borel-map", "--g", "1"]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: large_order_A must be positive, got -1.0\n"), err
+        # The methods that never read large_order_A still sum that file.
+        for flags in (["--method", "odm", "--order", "4"],
+                      ["--method", "pade", "--L", "2", "--M", "2"],
+                      ["--method", "borel-pade", "--L", "1", "--M", "1"]):
+            assert main(["sum", negative, "--g", "1"] + flags) == 0, flags
+            assert capsys.readouterr().out.startswith("value: ")
+
     def test_missing_flags_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, ALT_GEOMETRIC)
         d0_path = write(tmp_path, D0_FILE, "d0.txt")
@@ -276,6 +290,9 @@ class TestSumCommand:
                                "--tau must be positive, got 0.0\n"),
                               (pade + ["--g", "1", "--prefactor-p", "abc"],
                                "--prefactor-p must be a real number, got 'abc'\n"),
+                              (["sum", write(tmp_path, D0_FILE), "--method", "borel-map",
+                                "--g", "1", "--a", "abc"],
+                               "--a must be a real number, got 'abc'\n"),
                               (["--precision", "5"] + pade + ["--g", "1"],
                                "--precision must be a whole number >= 30, got 5\n"),
                               (["--precision", "5", "reproduce", "saddle-table"],
