@@ -4,8 +4,8 @@ On a shared host the same pure-Python work can take 30 % longer in one minute
 than in the next, and CPU time drifts with it, so raw seconds from runs made
 minutes apart do not compare.  While a :class:`SpeedClock` is active, a
 SIGALRM timer runs a fixed probe (Horner steps on mpmath floats at 64
-digits, the kind of work resum does) ``MIN_PROBES`` times as it starts and
-then every ``INTERVAL_S`` seconds in the measuring thread.  An interval is then reported in reference seconds: its
+digits, the kind of work resum does) every ``INTERVAL_S`` seconds in the
+measuring thread.  An interval is then reported in reference seconds: its
 raw length, less the probe time spent inside it, times ``REFERENCE_PROBE_S``
 over the mean probe time measured around it.
 A program change moves the interval but not the probe, so it still shows in
@@ -72,10 +72,6 @@ class SpeedClock:
         self._busy = False
 
     def __enter__(self):
-        # Probes taken up front give a run shorter than INTERVAL_S neighbours
-        # to borrow; without them seconds() would have no sample at all.
-        for _ in range(MIN_PROBES):
-            self._record()
         self._previous = signal.signal(signal.SIGALRM, self._sample)
         signal.setitimer(signal.ITIMER_REAL, INTERVAL_S, INTERVAL_S)
         return self
